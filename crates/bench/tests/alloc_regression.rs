@@ -19,13 +19,28 @@
 //! allocator jitter across platforms, tight enough that reintroducing
 //! per-packet `Vec` churn (owned `encode()`, capture copies, per-unit
 //! `format!` labels…) fails immediately.
+//!
+//! The allocator's counters are process-global and the harness runs
+//! tests on parallel threads, so every test holds [`serial`] while it
+//! measures: otherwise one test's delta would include another's
+//! allocations.
 
-use ecn_bench::alloc::{count_allocations, CountingAlloc};
+use ecn_bench::alloc::{allocated_bytes, count_allocations, CountingAlloc};
 use ecn_core::{run_discovery, run_trace, run_trace_observed, CampaignConfig, UnitId};
 use ecn_pool::{PoolPlan, WorldBlueprint};
+use std::collections::HashSet;
+use std::sync::{Mutex, MutexGuard};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Run this binary's tests one at a time (see the module docs).
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    // a test that failed while holding the lock poisons it; the counters
+    // it guards are still sound, so carry on
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Budget for stamping one unit world from the skeleton (measured: 654).
 const INSTANTIATE_BUDGET: u64 = 900;
@@ -45,6 +60,7 @@ fn test_cfg() -> CampaignConfig {
 
 #[test]
 fn unit_instantiation_allocations_stay_within_budget() {
+    let _serial = serial();
     let cfg = test_cfg();
     let plan = PoolPlan {
         churn_at: cfg.batch2_start,
@@ -60,8 +76,51 @@ fn unit_instantiation_allocations_stay_within_budget() {
     );
 }
 
+/// Largest ratio between the bytes a unit stamp allocates for a plan ten
+/// times larger and for the small plan.
+const STAMP_BYTES_RATIO: f64 = 1.5;
+
+#[test]
+fn unit_stamp_bytes_do_not_grow_with_the_topology() {
+    // With no targets to install stacks on, a unit world's stamp is the
+    // per-world state alone. Link specs are shared and passive links
+    // carry no state, so ten times the servers (and links) may not cost
+    // anywhere near ten times the bytes.
+    let _serial = serial();
+    let cfg = test_cfg();
+    let stamp_bytes = |servers: usize| {
+        let plan = PoolPlan {
+            churn_at: cfg.batch2_start,
+            ..PoolPlan::scaled(servers)
+        };
+        let bp = WorldBlueprint::build(&plan, cfg.seed);
+        let none = HashSet::new();
+        let _warm = bp.instantiate_unit_scoped(0, 0, &none);
+        let before = allocated_bytes();
+        let world = bp.instantiate_unit_scoped(0, 0, &none);
+        let bytes = allocated_bytes() - before;
+        (bytes, world.sim.link_count())
+    };
+    let (small, small_links) = stamp_bytes(40);
+    let (large, large_links) = stamp_bytes(400);
+    let ratio = large as f64 / small as f64;
+    println!(
+        "instantiate_unit_scoped, no targets: {small} B ({small_links} links) vs \
+         {large} B ({large_links} links) = {ratio:.2}x"
+    );
+    assert!(
+        large_links > 5 * small_links,
+        "the large plan is not larger"
+    );
+    assert!(
+        ratio < STAMP_BYTES_RATIO,
+        "unit stamp bytes grow with the topology: {ratio:.2}x (limit {STAMP_BYTES_RATIO}x)"
+    );
+}
+
 #[test]
 fn probe_loop_allocations_stay_within_budget() {
+    let _serial = serial();
     let cfg = test_cfg();
     let (d, mut sc) = run_discovery(&PoolPlan::scaled(40), &cfg);
 
@@ -92,6 +151,7 @@ fn noop_subscriber_adds_zero_allocations_to_the_probe_loop() {
     // `Subscriber = ()` the observed probe loop must allocate *exactly*
     // what the unobserved one does — `S::ENABLED` guards const-fold the
     // hooks away, they don't merely stay cheap.
+    let _serial = serial();
     let cfg = test_cfg();
     // Two identically-seeded worlds: the shared RNG advances across
     // traces, so consecutive runs in *one* world see different loss
@@ -131,6 +191,7 @@ fn disabled_validator_adds_zero_allocations_to_the_probe_loop() {
     // allocate *exactly* what it allocates with the other validation
     // knobs set: configuring the canary or the ECT(1) fraction costs
     // nothing until a scenario actually switches the pass on.
+    let _serial = serial();
     let cfg_off = test_cfg();
     let mut cfg_knobs = test_cfg();
     cfg_knobs.validation.ce_canary = true;
@@ -169,6 +230,7 @@ fn enabled_validator_stays_within_its_allocation_budget() {
     // extra per-observation allocations are the validation session's
     // setup/teardown — pin them so the train never grows per-packet
     // `Vec` churn.
+    let _serial = serial();
     let cfg_off = test_cfg();
     let mut cfg_on = test_cfg();
     cfg_on.validation.packets = 10;

@@ -15,7 +15,7 @@ use crate::reducers::CampaignAggregates;
 use crate::trace::{ServerOutcome, TraceRecord};
 use crate::traceroute::{traceroute, TraceroutePath};
 use ecn_netsim::Nanos;
-use ecn_pool::{PoolPlan, Scenario, WorldBlueprint};
+use ecn_pool::{PoolPlan, Scenario, VantageSpec, WorldBlueprint};
 use ecn_wire::Ecn;
 use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
@@ -96,12 +96,22 @@ pub struct ScheduledTrace {
 /// Build the global schedule: batch-1 traces for home/wireless vantages,
 /// batch-2 traces for all, spread across each batch window.
 pub fn schedule(sc: &Scenario, cfg: &CampaignConfig) -> Vec<ScheduledTrace> {
+    schedule_for(sc.vantages.iter().map(|v| &v.spec), cfg)
+}
+
+/// [`schedule`] from the vantage specs alone (in vantage-index order,
+/// e.g. [`PoolPlan::vantages`]): the schedule reads nothing else of a
+/// world, so no world needs to exist to compute it.
+pub fn schedule_for<'a>(
+    specs: impl IntoIterator<Item = &'a VantageSpec>,
+    cfg: &CampaignConfig,
+) -> Vec<ScheduledTrace> {
     let mut out = Vec::new();
-    for (vi, v) in sc.vantages.iter().enumerate() {
+    for (vi, spec) in specs.into_iter().enumerate() {
         let mut budget = cfg.traces_per_vantage.unwrap_or(usize::MAX);
         for (batch, count, start) in [
-            (1u8, v.spec.traces.batch1, cfg.batch1_start),
-            (2u8, v.spec.traces.batch2, cfg.batch2_start),
+            (1u8, spec.traces.batch1, cfg.batch1_start),
+            (2u8, spec.traces.batch2, cfg.batch2_start),
         ] {
             let count = count.min(budget);
             budget -= count;
@@ -231,7 +241,10 @@ fn validation_session_ecn(vantage: usize, ect1_per_1000: u32) -> Ecn {
     }
 }
 
-/// Run the traceroute survey from one vantage.
+/// Run the traceroute survey from one vantage. The survey reads its
+/// sockets, not the vantage capture, so the capture is taken off for the
+/// survey's duration (nothing would read what it recorded) and put back
+/// afterwards, warm freelist intact, for the next trace.
 pub fn run_traceroute_survey(
     sc: &mut Scenario,
     vantage: usize,
@@ -239,10 +252,13 @@ pub fn run_traceroute_survey(
     cfg: &CampaignConfig,
 ) -> VantageRoutes {
     let handle = sc.vantages[vantage].handle.clone();
+    let node = sc.vantages[vantage].node;
+    let capture = sc.sim.detach_capture(node);
     let mut paths = Vec::with_capacity(targets.len());
     for &dst in targets {
         paths.push(traceroute(&mut sc.sim, &handle, dst, &cfg.traceroute));
     }
+    sc.sim.restore_capture(node, capture);
     VantageRoutes {
         vantage_key: sc.vantages[vantage].spec.key.to_string(),
         paths,
@@ -345,6 +361,46 @@ mod tests {
             .min()
             .unwrap();
         assert!(first_b2 > last_b1);
+    }
+
+    #[test]
+    fn schedule_from_the_plan_matches_schedule_from_a_world() {
+        for toml in [
+            include_str!("../../../scenarios/paper2015.toml"),
+            include_str!("../../../scenarios/megapool-smoke.toml"),
+        ] {
+            let mut spec = ecn_pool::ScenarioSpec::from_toml_str(toml).expect("preset parses");
+            // the schedule reads only the vantage specs, which the
+            // population size does not touch: a small world will do
+            spec.population.servers = 600;
+            let cfg = crate::campaign_config(&spec);
+            let plan = spec.plan();
+            let world = WorldBlueprint::build(&plan, cfg.seed).instantiate();
+            let from_world = schedule(&world, &cfg);
+            assert!(!from_world.is_empty(), "{}", spec.name);
+            assert_eq!(
+                schedule_for(&plan.vantages(), &cfg),
+                from_world,
+                "{}",
+                spec.name
+            );
+        }
+    }
+
+    #[test]
+    fn traceroute_survey_leaves_the_vantage_capture_empty() {
+        let cfg = mini_cfg(43);
+        let (d, mut sc) = run_discovery(&mini_plan(), &cfg);
+        let targets = &d.targets[..10];
+        run_trace(&mut sc, 4, 2, targets, &cfg);
+        let node = sc.vantages[4].node;
+        let capture = sc.sim.attach_capture(node);
+        let routes = run_traceroute_survey(&mut sc, 4, targets, &cfg);
+        assert_eq!(routes.paths.len(), targets.len());
+        assert!(capture.lock().is_empty(), "survey packets were captured");
+        // the same buffer is back on the vantage for the next trace
+        let after = sc.sim.attach_capture(node);
+        assert!(std::sync::Arc::ptr_eq(&capture, &after));
     }
 
     #[test]

@@ -19,14 +19,14 @@
 //!   for per-trace consumers).
 
 use crate::campaign::{
-    discover_in, finish, plan_with_churn, run_trace_observed, run_traceroute_survey, schedule,
+    discover_in, finish, plan_with_churn, run_trace_observed, run_traceroute_survey, schedule_for,
     CampaignResult, DiscoveryStats, ScheduledTrace, VantageRoutes,
 };
 use crate::config::CampaignConfig;
 use crate::events::{Event, Subscriber, UnitId};
 use crate::reducers::{Reduce, RouteCtx, ShardReducers, TraceCtx};
 use crate::trace::TraceRecord;
-use ecn_pool::{PoolPlan, WorldBlueprint};
+use ecn_pool::{PoolPlan, VantageSpec, WorldBlueprint};
 use parking_lot::Mutex;
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
@@ -371,7 +371,7 @@ pub fn try_run_engine_observed<S: Subscriber>(
     // units exist per (vantage × target chunk).
     let vantage_count = disco_world.vantages.len();
     let chunks = eng.target_chunks.max(1);
-    let per_vantage_sched = per_vantage_schedule(&disco_world, cfg, vantage_count);
+    let per_vantage_sched = per_vantage_schedule(&plan.vantages(), cfg);
     let mut units = canonical_units(vantage_count, chunks);
     apply_unit_order(&mut units, eng.unit_order);
     let unit_count = units.len();
@@ -424,16 +424,15 @@ pub fn try_run_engine_observed<S: Subscriber>(
 }
 
 /// The full schedule, split per vantage (each unit runs exactly its
-/// vantage's slice). World-clock-independent: `schedule` reads only the
-/// vantage specs and the campaign calendar, so the multi-process workers
-/// can compute identical schedules in a fresh (undiscovered) world.
+/// vantage's slice). It reads only the vantage specs and the campaign
+/// calendar, so the multi-process workers compute it from the plan
+/// without instantiating a world.
 pub(crate) fn per_vantage_schedule(
-    world: &ecn_pool::Scenario,
+    specs: &[VantageSpec],
     cfg: &CampaignConfig,
-    vantage_count: usize,
 ) -> Vec<Vec<ScheduledTrace>> {
-    let full = schedule(world, cfg);
-    let mut per: Vec<Vec<ScheduledTrace>> = vec![Vec::new(); vantage_count];
+    let full = schedule_for(specs, cfg);
+    let mut per: Vec<Vec<ScheduledTrace>> = vec![Vec::new(); specs.len()];
     for st in full {
         per[st.vantage].push(st);
     }

@@ -53,7 +53,7 @@ pub mod traceroute;
 pub use analysis::FullReport;
 pub use campaign::{
     discover_in, run_discovery, run_trace, run_trace_observed, run_traceroute_survey, schedule,
-    CampaignResult, DiscoveryStats, ScheduledTrace, VantageRoutes,
+    schedule_for, CampaignResult, DiscoveryStats, ScheduledTrace, VantageRoutes,
 };
 pub use config::{CampaignConfig, ProbeConfig, TracerouteConfig};
 pub use discovery::{discover, discovery_names, Discovery};

@@ -485,12 +485,10 @@ fn run_worker_sabotaged(req: &WorkerRequest, fault: Option<WorkerFault>) -> Work
     let bp = WorldBlueprint::build(&req.plan, req.cfg.seed);
     timing.blueprint_build = t0.elapsed();
 
-    // A fresh world only for vantage specs and the (clock-independent)
-    // schedule; no discovery, no probing happens in it.
-    let sched_world = bp.instantiate();
-    let vantage_count = sched_world.vantages.len();
-    let per_vantage_sched = per_vantage_schedule(&sched_world, &req.cfg, vantage_count);
-    drop(sched_world);
+    // The schedule needs only the vantage specs, which the plan holds.
+    let specs = req.plan.vantages();
+    let vantage_count = specs.len();
+    let per_vantage_sched = per_vantage_schedule(&specs, &req.cfg);
 
     let chunks = req.target_chunks.max(1);
     let mut units = worker_partition(req, vantage_count, chunks);

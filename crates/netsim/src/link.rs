@@ -6,6 +6,13 @@
 //! (virtual) queue — extending `busy_until` — or is dropped by the
 //! discipline/loss process. One event per hop keeps the 210-trace campaign
 //! (hundreds of millions of hop traversals) tractable.
+//!
+//! A link comes in two halves: the immutable [`Link`] (endpoints and
+//! [`LinkProps`]), which every world stamped from one skeleton shares,
+//! and the mutable [`LinkState`] (queue, loss process, busy horizon),
+//! which a world holds only for links that are not passive
+//! ([`Link::is_passive`]): a passive link's offer is a pure function of
+//! the packet, so it needs no state at all.
 
 use crate::loss::{LossModel, LossProcess};
 use crate::queue::{serialisation_delay, QueueDisc, QueueDropCause, QueueState, QueueVerdict};
@@ -90,7 +97,8 @@ pub enum LinkOutcome {
     Dropped(QueueDropCause),
 }
 
-/// A directed link plus its runtime state.
+/// The immutable half of a directed link: endpoints and static
+/// properties. Its runtime state lives apart, in a [`LinkState`].
 #[derive(Debug, Clone)]
 pub struct Link {
     /// Own id.
@@ -101,31 +109,45 @@ pub struct Link {
     pub to: NodeId,
     /// Static properties.
     pub props: LinkProps,
+}
+
+/// The mutable half of a directed link: queue, loss process, and the
+/// time until which the transmitter is busy.
+#[derive(Debug, Clone)]
+pub struct LinkState {
     queue: QueueState,
     loss: LossProcess,
     busy_until: Nanos,
 }
 
+impl LinkState {
+    /// Fresh state for a link with `props`.
+    pub fn new(props: &LinkProps) -> LinkState {
+        LinkState {
+            queue: QueueState::new(props.queue),
+            loss: LossProcess::new(props.loss),
+            busy_until: Nanos::ZERO,
+        }
+    }
+}
+
 impl Link {
-    /// Build a link with fresh state.
+    /// Build a link.
     pub fn new(id: LinkId, from: NodeId, to: NodeId, props: LinkProps) -> Link {
         Link {
             id,
             from,
             to,
             props,
-            queue: QueueState::new(props.queue),
-            loss: LossProcess::new(props.loss),
-            busy_until: Nanos::ZERO,
         }
     }
 
-    /// Current backlog in bytes, inferred from the busy horizon.
-    pub fn backlog_bytes(&self, now: Nanos) -> u64 {
+    /// Current backlog in bytes, inferred from the busy horizon in `state`.
+    pub fn backlog_bytes(&self, state: &LinkState, now: Nanos) -> u64 {
         match self.props.rate_bps {
             None | Some(0) => 0,
             Some(rate) => {
-                let busy = self.busy_until.saturating_sub(now);
+                let busy = state.busy_until.saturating_sub(now);
                 busy.0.saturating_mul(rate) / 8 / 1_000_000_000
             }
         }
@@ -135,8 +157,10 @@ impl Link {
     /// realistic datagram: no rate limit (so no queueing and no
     /// `busy_until` mutation), no loss process, and a drop-tail queue too
     /// deep to overflow an IPv4-sized packet. Traversing such a link
-    /// draws no randomness and mutates no link state — the property the
-    /// simulator's multi-hop tunnelling fast path relies on.
+    /// draws no randomness and mutates no link state: the outcome is
+    /// always `Deliver { at: now + delay, ce_mark: false }`. The
+    /// simulator's multi-hop tunnelling relies on this, and a world keeps
+    /// no [`LinkState`] for such a link.
     pub fn is_passive(&self) -> bool {
         self.props.rate_bps.is_none()
             && matches!(self.props.loss, LossModel::None)
@@ -146,24 +170,32 @@ impl Link {
             )
     }
 
-    /// Offer a packet of `bytes` bytes at `now`; `ect` marks CE-markability.
-    pub fn offer(&mut self, now: Nanos, bytes: u64, ect: bool, rng: &mut SmallRng) -> LinkOutcome {
-        if self.loss.should_drop(now, ect, rng) {
+    /// Offer a packet of `bytes` bytes at `now` to this link, whose
+    /// runtime state is `state`; `ect` marks CE-markability.
+    pub fn offer(
+        &self,
+        state: &mut LinkState,
+        now: Nanos,
+        bytes: u64,
+        ect: bool,
+        rng: &mut SmallRng,
+    ) -> LinkOutcome {
+        if state.loss.should_drop(now, ect, rng) {
             return LinkOutcome::Lost;
         }
-        let backlog = self.backlog_bytes(now);
-        let sojourn = self.busy_until.saturating_sub(now);
-        let verdict = self.queue.on_arrival(backlog, bytes, sojourn, ect, rng);
+        let backlog = self.backlog_bytes(state, now);
+        let sojourn = state.busy_until.saturating_sub(now);
+        let verdict = state.queue.on_arrival(backlog, bytes, sojourn, ect, rng);
         let ce_mark = match verdict {
             QueueVerdict::Drop(cause) => return LinkOutcome::Dropped(cause),
             QueueVerdict::EnqueueMarked => true,
             QueueVerdict::Enqueue => false,
         };
-        let start = self.busy_until.max(now);
+        let start = state.busy_until.max(now);
         let tx = serialisation_delay(self.props.rate_bps, bytes);
-        self.busy_until = start + tx;
+        state.busy_until = start + tx;
         LinkOutcome::Deliver {
-            at: self.busy_until + self.props.delay,
+            at: state.busy_until + self.props.delay,
             ce_mark,
         }
     }
@@ -174,8 +206,28 @@ mod tests {
     use super::*;
     use crate::rng::derive_rng;
 
-    fn mk(props: LinkProps) -> Link {
-        Link::new(LinkId(0), NodeId(0), NodeId(1), props)
+    /// A link together with its own state, for offering to directly.
+    struct Wire(Link, LinkState);
+
+    impl Wire {
+        fn offer(&mut self, now: Nanos, bytes: u64, ect: bool, rng: &mut SmallRng) -> LinkOutcome {
+            self.0.offer(&mut self.1, now, bytes, ect, rng)
+        }
+
+        fn backlog_bytes(&self, now: Nanos) -> u64 {
+            self.0.backlog_bytes(&self.1, now)
+        }
+
+        fn is_passive(&self) -> bool {
+            self.0.is_passive()
+        }
+    }
+
+    fn mk(props: LinkProps) -> Wire {
+        Wire(
+            Link::new(LinkId(0), NodeId(0), NodeId(1), props),
+            LinkState::new(&props),
+        )
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! whole batch anyway.
 
 use crate::events::SimCounters;
-use crate::link::{Link, LinkId, LinkProps, NodeId};
+use crate::link::{Link, LinkId, LinkOutcome, LinkProps, LinkState, NodeId};
 use crate::node::{flow_key_header, flow_key_raw, HostAgent, NodeKind, RouteEntry, Router};
 use crate::pcap::{new_capture, CaptureRef, Direction};
 use crate::policy::{EcnPolicy, Firewall, FirewallAction};
@@ -64,19 +64,25 @@ enum Event {
     Timer { node: NodeId, token: u64 },
 }
 
-/// Ways per router in the forwarding route cache. Two slots cover the
-/// request/response flow pair that dominates any probe session crossing
-/// a router; power of two so the index is a mask.
-const ROUTE_CACHE_WAYS: usize = 4;
+/// log2 of the slots in a world's forwarding route cache. One table per
+/// world, whatever the topology's size: a unit's live forwarding
+/// decisions are a few hundred (router, flow) pairs at a time, since
+/// servers are probed one after another and an epoch change retires
+/// every older slot anyway.
+const ROUTE_CACHE_BITS: u32 = 12;
+
+/// `LinkId` → state slot sentinel: a passive link, which has no state.
+const NO_STATE: u32 = u32::MAX;
 
 /// Longest chain of transparent routers a cached tunnel may span. Well
 /// above any path the blueprint builds, well below every probe TTL.
 const MAX_TUNNEL_SKIP: u8 = 30;
 
-/// One memoised forwarding decision: for (`dst`, `flow_key`, `epoch`,
-/// `generation`) the selected outgoing link. The tuple pins every input
-/// of [`RouteEntry::select`] plus the table edit generation, so a hit is
-/// exactly the lookup it replaces.
+/// One memoised forwarding decision: for (`router`, `dst`, `flow_key`,
+/// `epoch`, `generation`) the selected outgoing link. The tuple pins
+/// every input of [`RouteEntry::select`] plus the table edit generation,
+/// so a hit is exactly the lookup it replaces; two pairs hashed to one
+/// slot evict each other, they never answer for each other.
 ///
 /// When the selected link and the routers behind it are *transparent* —
 /// passive links ([`Link::is_passive`]), open firewalls, `Pass` ECN
@@ -92,6 +98,7 @@ const MAX_TUNNEL_SKIP: u8 = 30;
 /// probes fall back and expire at the correct router).
 #[derive(Debug, Clone, Copy)]
 struct RouteCacheSlot {
+    router: NodeId,
     dst: u32,
     key: u64,
     epoch: u64,
@@ -99,6 +106,10 @@ struct RouteCacheSlot {
     link: Option<LinkId>,
     /// Transparent routers between `link` and `exit` (0 = no tunnel).
     skip: u8,
+    /// The tunnel walk stopped at the requesting packet's TTL, not at a
+    /// hop that ends the chain: a packet with more TTL rebuilds the slot
+    /// and rides further.
+    ttl_capped: bool,
     /// Node the tunnel delivers to (host, or first non-transparent router).
     exit: NodeId,
     /// Total propagation delay from this router to `exit`.
@@ -109,21 +120,32 @@ struct RouteCacheSlot {
 
 impl RouteCacheSlot {
     const EMPTY: RouteCacheSlot = RouteCacheSlot {
+        router: NodeId(u32::MAX),
         dst: 0,
         key: 0,
         epoch: 0,
         gen: u32::MAX,
         link: None,
         skip: 0,
+        ttl_capped: false,
         exit: NodeId(0),
         extra_delay: Nanos(0),
         bound: Nanos(0),
     };
 }
 
-/// Node-indexed topology state: written during world construction, read
-/// only (never mutated) once traffic flows. Split out of [`Sim`] so a
-/// [`SimSkeleton`] stamp shares it by reference — see [`Sim::topo`].
+/// Route-cache slot of (`router`, per-hop flow `key`): the top
+/// [`ROUTE_CACHE_BITS`] of a multiplicative hash, which depend on every
+/// input bit.
+fn route_cache_index(router: NodeId, key: u64) -> usize {
+    let h = (key ^ u64::from(router.0)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    (h >> (64 - ROUTE_CACHE_BITS)) as usize
+}
+
+/// Node- and link-indexed topology state: written during world
+/// construction, read only (never mutated) once traffic flows. Split
+/// out of [`Sim`] so a [`SimSkeleton`] stamp shares it by reference —
+/// see [`Sim::topo`].
 ///
 /// Struct-of-arrays: column `i` of every vector below describes the node
 /// with `NodeId(i)`. Router-only columns hold cheap defaults for hosts
@@ -152,6 +174,11 @@ struct Topology {
     uplinks: Vec<Option<LinkId>>,
     /// Address → node index (first node wins on duplicates).
     addr_index: HashMap<Ipv4Addr, NodeId>,
+    /// All directed links; index = `LinkId`.
+    links: Vec<Link>,
+    /// `LinkId` → index into a world's `Sim::link_states`, or
+    /// [`NO_STATE`] for a passive link.
+    state_slots: Vec<u32>,
 }
 
 /// The simulator.
@@ -170,8 +197,11 @@ pub struct Sim {
     agents: Vec<Option<Box<dyn HostAgent>>>,
     /// Host capture per id.
     captures: Vec<Option<CaptureRef>>,
-    /// All directed links; index = `LinkId`.
-    pub links: Vec<Link>,
+    /// Runtime state of the links that are not passive, indexed by the
+    /// topology's `state_slots`. Passive links (nearly all of a
+    /// campaign world) need none, so this grows with the stateful links,
+    /// not with the topology.
+    link_states: Vec<LinkState>,
     /// Ground-truth counters (not visible to the measurement application).
     pub stats: Stats,
     /// Datagram buffer freelist: checked out on encode, refilled when the
@@ -183,10 +213,10 @@ pub struct Sim {
     events: Option<Box<SimCounters>>,
     /// Scratch for batched host-arrival dispatch (capacity reused).
     batch: Vec<Datagram>,
-    /// Per-router route-cache slots (see [`RouteCacheSlot`]): probe
-    /// traffic is a handful of long flows, so the last few lookups at a
-    /// router answer most of the next ones without walking the prefix
-    /// trie. Indexed `router * ROUTE_CACHE_WAYS + (flow_key & mask)`.
+    /// Forwarding route cache (see [`RouteCacheSlot`]): probe traffic is
+    /// a handful of long flows, so recent lookups answer most of the next
+    /// ones without walking the prefix trie. A fixed table of
+    /// `1 << ROUTE_CACHE_BITS` slots indexed by [`route_cache_index`].
     route_cache: Vec<RouteCacheSlot>,
     /// Monotonic generation for the route cache; bumped by any
     /// construction-time table edit so stale slots can never serve.
@@ -235,12 +265,12 @@ impl Sim {
             topo: Arc::new(Topology::default()),
             agents: Vec::new(),
             captures: Vec::new(),
-            links: Vec::new(),
+            link_states: Vec::new(),
             stats: Stats::default(),
             pool: PacketPool::new(),
             events: None,
             batch: Vec::new(),
-            route_cache: Vec::new(),
+            route_cache: vec![RouteCacheSlot::EMPTY; 1 << ROUTE_CACHE_BITS],
             route_gen: 0,
             epoch: 0,
             epoch_next_at: Nanos(config.flap_period.0.max(1)),
@@ -307,9 +337,10 @@ impl Sim {
         t.tables.reserve(nodes);
         t.uplinks.reserve(nodes);
         t.addr_index.reserve(nodes);
+        t.links.reserve(links);
+        t.state_slots.reserve(links);
         self.agents.reserve(nodes);
         self.captures.reserve(nodes);
-        self.links.reserve(links);
     }
 
     /// Copy-on-write handle on the topology for construction-time edits:
@@ -363,8 +394,6 @@ impl Sim {
         t.addr_index.entry(addr).or_insert(id);
         self.agents.push(None);
         self.captures.push(None);
-        self.route_cache
-            .extend([RouteCacheSlot::EMPTY; ROUTE_CACHE_WAYS]);
         id
     }
 
@@ -407,8 +436,17 @@ impl Sim {
 
     /// Add a directed link.
     pub fn add_link(&mut self, from: NodeId, to: NodeId, props: LinkProps) -> LinkId {
-        let id = LinkId(self.links.len() as u32);
-        self.links.push(Link::new(id, from, to, props));
+        let id = LinkId(self.topo.links.len() as u32);
+        let link = Link::new(id, from, to, props);
+        let slot = if link.is_passive() {
+            NO_STATE
+        } else {
+            self.link_states.push(LinkState::new(&props));
+            (self.link_states.len() - 1) as u32
+        };
+        let t = self.topo_mut();
+        t.links.push(link);
+        t.state_slots.push(slot);
         id
     }
 
@@ -435,6 +473,11 @@ impl Sim {
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.topo.kinds.len()
+    }
+
+    /// Number of directed links.
+    pub fn link_count(&self) -> usize {
+        self.topo.links.len()
     }
 
     /// Is this node a router?
@@ -518,6 +561,19 @@ impl Sim {
         self.captures[host.0 as usize]
             .get_or_insert_with(new_capture)
             .clone()
+    }
+
+    /// Take the capture buffer off a host interface: until it is put
+    /// back with [`Self::restore_capture`], nothing the host sends or
+    /// receives is recorded. Returns the buffer, if one was attached.
+    pub fn detach_capture(&mut self, host: NodeId) -> Option<CaptureRef> {
+        self.captures[host.0 as usize].take()
+    }
+
+    /// Put back what [`Self::detach_capture`] returned, so the buffer
+    /// (and its warm freelist) records again.
+    pub fn restore_capture(&mut self, host: NodeId, capture: Option<CaptureRef>) {
+        self.captures[host.0 as usize] = capture;
     }
 
     /// Node id of the host with address `addr` (indexed; O(1)).
@@ -800,6 +856,17 @@ impl Sim {
         self.epoch
     }
 
+    /// The route-cache slot that a packet of flow (`src`, `dst`, `proto`)
+    /// occupies at `router`. A slot serves only the (router, flow) pair
+    /// that filled it; this is public so tests can build flows that
+    /// collide.
+    pub fn route_cache_slot(router: NodeId, src: Ipv4Addr, dst: Ipv4Addr, proto: IpProto) -> usize {
+        route_cache_index(
+            router,
+            flow_key_raw(src, dst, proto) ^ (u64::from(router.0) << 48),
+        )
+    }
+
     /// Route-and-transmit for a freshly composed reply (header known,
     /// wire bytes clean).
     fn route_and_transmit(&mut self, node: NodeId, dgram: Datagram, hdr: &Ipv4Header) {
@@ -822,11 +889,16 @@ impl Sim {
         ecn: Ecn,
         needs_refresh: bool,
     ) {
-        let idx = node.0 as usize;
         let epoch = self.current_epoch();
-        let slot_idx = idx * ROUTE_CACHE_WAYS + (key as usize & (ROUTE_CACHE_WAYS - 1));
+        let slot_idx = route_cache_index(node, key);
         let mut slot = self.route_cache[slot_idx];
-        if slot.dst != dst || slot.key != key || slot.epoch != epoch || slot.gen != self.route_gen {
+        if slot.router != node
+            || slot.dst != dst
+            || slot.key != key
+            || slot.epoch != epoch
+            || slot.gen != self.route_gen
+            || (slot.ttl_capped && dgram.ttl() > slot.skip + 1)
+        {
             slot = self.build_cache_slot(node, dst, key, epoch, dgram.ttl());
             self.route_cache[slot_idx] = slot;
         }
@@ -873,11 +945,14 @@ impl Sim {
     ///
     /// The walk is capped by the requesting packet's TTL: a packet with
     /// TTL `t` can ride at most `t - 1` skipped hops, so walking further
-    /// is wasted trie work. This matters for TTL-limited traceroute
-    /// probes, which carry a fresh flow key per probe (distinct ports):
-    /// each one misses the cache, and without the cap each miss would
-    /// pay a full chain walk for a tunnel it can never use. A slot built
-    /// under a low cap memoises a shorter — still exact — tunnel.
+    /// is wasted trie work. The flow key is `(src, dst, proto)` — ports
+    /// never enter it — so all of a traceroute's probes towards one
+    /// destination share one slot per router, and the probe that misses
+    /// at a router is the lowest-TTL one to get there; the cap keeps that
+    /// miss from paying for a chain walk it can never use. A slot built
+    /// under a low cap memoises a shorter — still exact — tunnel and is
+    /// marked `ttl_capped`, so the next packet of the flow with enough TTL
+    /// to ride further rebuilds it instead of going hop by hop.
     fn build_cache_slot(
         &mut self,
         node: NodeId,
@@ -891,6 +966,7 @@ impl Sim {
             .and_then(|t| t.lookup(std::net::Ipv4Addr::from(dst)))
             .and_then(|entry| entry.select(key, epoch));
         let mut slot = RouteCacheSlot {
+            router: node,
             dst,
             key,
             epoch,
@@ -899,13 +975,14 @@ impl Sim {
             ..RouteCacheSlot::EMPTY
         };
         let Some(l0) = link else { return slot };
-        if !self.links[l0.0 as usize].is_passive() {
+        let links = &self.topo.links;
+        if !links[l0.0 as usize].is_passive() {
             return slot;
         }
         // the per-hop key is the flow key XOR the hop's node id
         let base = key ^ (u64::from(node.0) << 48);
-        let mut delay = self.links[l0.0 as usize].props.delay;
-        let mut cur = self.links[l0.0 as usize].to;
+        let mut delay = links[l0.0 as usize].props.delay;
+        let mut cur = links[l0.0 as usize].to;
         let mut skip = 0u8;
         let max_skip = MAX_TUNNEL_SKIP.min(ttl.saturating_sub(1));
         while skip < max_skip {
@@ -926,13 +1003,17 @@ impl Sim {
                 // before it so the drop is attributed to the right hop
                 break;
             };
-            if !self.links[next.0 as usize].is_passive() {
+            let next = &links[next.0 as usize];
+            if !next.is_passive() {
                 break;
             }
-            delay += self.links[next.0 as usize].props.delay;
+            delay += next.props.delay;
             skip += 1;
-            cur = self.links[next.0 as usize].to;
+            cur = next.to;
         }
+        // the loop only ends with `skip == max_skip` when the cap, not a
+        // hop, stopped it
+        slot.ttl_capped = skip == max_skip && max_skip < MAX_TUNNEL_SKIP;
         if skip > 0 {
             let period = self.config.flap_period.0.max(1);
             let epoch_end = epoch.saturating_add(1).saturating_mul(period);
@@ -953,10 +1034,26 @@ impl Sim {
 
     fn transmit_with(&mut self, lid: LinkId, mut dgram: Datagram, ecn: Ecn, needs_refresh: bool) {
         let now = self.now;
-        let link = &mut self.links[lid.0 as usize];
+        let link = &self.topo.links[lid.0 as usize];
         let to = link.to;
-        match link.offer(now, dgram.len() as u64, ecn.is_markable(), &mut self.rng) {
-            crate::link::LinkOutcome::Deliver { at, ce_mark } => {
+        let slot = self.topo.state_slots[lid.0 as usize];
+        // a passive link's offer is always exactly this (`Link::is_passive`)
+        let outcome = if slot == NO_STATE {
+            LinkOutcome::Deliver {
+                at: now + link.props.delay,
+                ce_mark: false,
+            }
+        } else {
+            link.offer(
+                &mut self.link_states[slot as usize],
+                now,
+                dgram.len() as u64,
+                ecn.is_markable(),
+                &mut self.rng,
+            )
+        };
+        match outcome {
+            LinkOutcome::Deliver { at, ce_mark } => {
                 if ce_mark {
                     dgram.set_ecn_raw(Ecn::Ce);
                     self.stats.ce_marked += 1;
@@ -970,11 +1067,11 @@ impl Sim {
                 self.stats.forwarded += 1;
                 self.schedule(at, Event::Arrival { node: to, dgram });
             }
-            crate::link::LinkOutcome::Lost => {
+            LinkOutcome::Lost => {
                 self.note_drop(DropCause::Loss);
                 self.pool.recycle_datagram(dgram);
             }
-            crate::link::LinkOutcome::Dropped(cause) => {
+            LinkOutcome::Dropped(cause) => {
                 self.note_drop(DropCause::Queue(cause));
                 self.pool.recycle_datagram(dgram);
             }
@@ -1041,12 +1138,13 @@ impl HostApi<'_> {
 /// topology construction (and, since the flat layout, instead of one
 /// box allocation per node).
 pub struct SimSkeleton {
-    /// Shared by reference with every stamped world: a stamp bumps one
-    /// refcount instead of cloning ten node-indexed vectors.
+    /// Shared by reference with every stamped world, link specs
+    /// included: a stamp bumps one refcount instead of cloning a dozen
+    /// node- and link-indexed vectors.
     topo: Arc<Topology>,
-    /// Links carry live state (queues, loss RNG, busy horizon), so each
-    /// stamped world still gets its own copy.
-    links: Vec<Link>,
+    /// Fresh state of the non-passive links (queues, loss processes,
+    /// busy horizons), which each stamped world gets its own copy of.
+    link_states: Vec<LinkState>,
 }
 
 impl Sim {
@@ -1073,23 +1171,23 @@ impl Sim {
         }
         SimSkeleton {
             topo: self.topo,
-            links: self.links,
+            link_states: self.link_states,
         }
     }
 }
 
 impl SimSkeleton {
     /// Stamp a live simulator from this skeleton under `config`: the
-    /// topology is shared (one `Arc` bump), only the mutable per-world
-    /// columns — links, agents, captures, route cache — are allocated.
+    /// topology and link specs are shared (one `Arc` bump); only the
+    /// per-world state — non-passive link state, agents, captures, and
+    /// the fixed-size route cache — is allocated.
     pub fn instantiate(&self, config: SimConfig) -> Sim {
         let n = self.topo.kinds.len();
         let mut sim = Sim::with_config(config);
         sim.topo = Arc::clone(&self.topo);
         sim.agents = std::iter::repeat_with(|| None).take(n).collect();
         sim.captures = vec![None; n];
-        sim.route_cache = vec![RouteCacheSlot::EMPTY; n * ROUTE_CACHE_WAYS];
-        sim.links = self.links.clone();
+        sim.link_states = self.link_states.clone();
         sim
     }
 
@@ -1100,7 +1198,7 @@ impl SimSkeleton {
 
     /// Links in the skeleton.
     pub fn link_count(&self) -> usize {
-        self.links.len()
+        self.topo.links.len()
     }
 }
 

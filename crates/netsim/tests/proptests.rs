@@ -166,6 +166,51 @@ proptest! {
     }
 }
 
+// ------------------------------------------------------ passive links
+//
+// A world keeps no `LinkState` for a passive link and forwards over it
+// as `now + delay`. That is exact only if offering to a passive link is
+// always that delivery and never draws from the shared RNG stream.
+
+use ecn_netsim::{Link, LinkId, LinkOutcome, LinkState, NodeId};
+use rand::RngCore;
+
+proptest! {
+    #[test]
+    fn passive_link_offer_is_a_pure_delivery(
+        delay in any::<u64>(),
+        limit_bytes in 65_535u64..=u64::MAX,
+        offers in proptest::collection::vec(
+            (0u64..1_000_000_000_000, 0u64..=65_535, any::<bool>()),
+            1..40,
+        ),
+        seed in any::<u64>(),
+    ) {
+        let props = LinkProps {
+            delay: Nanos(delay / 4),
+            rate_bps: None,
+            queue: QueueDisc::DropTail { limit_bytes },
+            loss: LossModel::None,
+        };
+        let link = Link::new(LinkId(0), NodeId(0), NodeId(1), props);
+        prop_assert!(link.is_passive());
+        let mut state = LinkState::new(&props);
+        let mut rng = derive_rng(seed, "passive-link");
+        let mut untouched = rng.clone();
+        // virtual time never runs backwards
+        let mut times: Vec<_> = offers.iter().map(|(t, _, _)| *t).collect();
+        times.sort_unstable();
+        for (now, (_, bytes, ect)) in times.into_iter().zip(&offers) {
+            let now = Nanos(now);
+            prop_assert_eq!(
+                link.offer(&mut state, now, *bytes, *ect, &mut rng),
+                LinkOutcome::Deliver { at: now + props.delay, ce_mark: false }
+            );
+        }
+        prop_assert_eq!(rng.next_u64(), untouched.next_u64(), "the offer drew randomness");
+    }
+}
+
 // ------------------------------------------------------ AQM mark safety
 //
 // RFC 3168 §5 at the queue level: whatever the discipline, parameters,

@@ -1234,7 +1234,7 @@ mod tests {
         let a = bp.instantiate();
         let b = bp.instantiate();
         assert_eq!(a.sim.node_count(), b.sim.node_count());
-        assert_eq!(a.sim.links.len(), b.sim.links.len());
+        assert_eq!(a.sim.link_count(), b.sim.link_count());
         assert_eq!(a.servers.len(), b.servers.len());
         for (sa, sb) in a.servers.iter().zip(b.servers.iter()) {
             assert_eq!(sa.addr, sb.addr);
@@ -1250,7 +1250,7 @@ mod tests {
         let bp = WorldBlueprint::build(&PoolPlan::scaled(60), 3);
         let sc = bp.instantiate();
         assert_eq!(sc.sim.node_count(), bp.node_count(), "node count hint");
-        assert_eq!(sc.sim.links.len(), bp.link_count(), "link count hint");
+        assert_eq!(sc.sim.link_count(), bp.link_count(), "link count hint");
     }
 
     #[test]
