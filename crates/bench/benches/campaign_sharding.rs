@@ -20,7 +20,7 @@
 //! `ECNUDP_BENCH_TRACES` (per vantage, default 2).
 
 use ecn_bench::BENCH_SEED;
-use ecn_core::{run_engine, run_trace, schedule, CampaignConfig, EngineConfig};
+use ecn_core::{run_trace, schedule, try_run_engine, CampaignConfig, EngineConfig};
 use ecn_pool::{build_scenario, PoolPlan};
 use std::time::Instant;
 
@@ -122,7 +122,8 @@ fn main() {
         let mut timing = None;
         for _ in 0..REPEATS {
             let t0 = Instant::now();
-            let run = run_engine(&plan, &cfg, &EngineConfig::with_shards(shards));
+            let run = try_run_engine(&plan, &cfg, &EngineConfig::with_shards(shards))
+                .expect("in-process campaign");
             let elapsed = t0.elapsed().as_secs_f64() * 1000.0;
             if elapsed < ms {
                 ms = elapsed;

@@ -2,11 +2,12 @@
 //! the paper's headline result (98.97% / 99.45%).
 
 use ecn_bench::{paper_campaign, time_kernel};
-use ecn_core::analysis::figure2;
+use ecn_core::analysis::figure2_from_counters;
+use ecn_core::FullReport;
 
 fn main() {
     let result = paper_campaign(false);
-    let fig = figure2(&result.traces);
+    let fig = FullReport::from_aggregates(&result).figure2;
     println!("{}", fig.render());
 
     // per-trace bars, exported for plotting
@@ -22,10 +23,8 @@ fn main() {
     std::fs::write(out.join("figure2_bars.csv"), &csv).expect("write csv");
     println!("per-trace series -> target/figures/figure2_bars.csv");
 
-    // kernel: the Figure 2 aggregation over all 210 traces
-    time_kernel(
-        "figure2 aggregation (210 traces x 2500 servers)",
-        20,
-        || figure2(&result.traces),
-    );
+    // kernel: the Figure 2 finalizer over the 210 streamed trace counters
+    time_kernel("figure2 from aggregates (210 traces)", 20, || {
+        figure2_from_counters(&result.aggregates.trace_stats.ordered())
+    });
 }

@@ -2,11 +2,12 @@
 //! "same handful of servers is ECT-unreachable from everywhere" result.
 
 use ecn_bench::{paper_campaign, time_kernel};
-use ecn_core::analysis::figure3;
+use ecn_core::analysis::Figure3;
+use ecn_core::FullReport;
 
 fn main() {
     let result = paper_campaign(false);
-    let fig = figure3(&result.traces);
+    let fig = FullReport::from_aggregates(&result).figure3;
     println!("{}", fig.render());
 
     // audit against the planted ground truth
@@ -26,9 +27,12 @@ fn main() {
         fig.persistent_a.len()
     );
 
+    // kernel: the Figure 3 finalizer over the streamed per-(location,
+    // server) counters, including the copy it consumes
+    let a = &result.aggregates;
     time_kernel(
-        "figure3 aggregation (210 traces x 2500 servers)",
+        "figure3 from aggregates (13 locations x 2500 servers)",
         10,
-        || figure3(&result.traces),
+        || Figure3::from_counts(a.differential.clone(), &a.trace_stats.location_order()),
     );
 }

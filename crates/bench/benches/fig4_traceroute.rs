@@ -3,8 +3,8 @@
 //! DOT map exports.
 
 use ecn_bench::{time_kernel, BENCH_SEED};
-use ecn_core::analysis::{figure4, figure4_dot};
-use ecn_core::{traceroute, CampaignConfig, VantageRoutes};
+use ecn_core::analysis::{figure4_dot, Figure4};
+use ecn_core::{traceroute, CampaignConfig, HopSurveyCounts, Reduce, RouteCtx, VantageRoutes};
 use ecn_pool::{build_scenario, PoolPlan};
 
 fn main() {
@@ -46,8 +46,21 @@ fn main() {
         t0.elapsed().as_secs_f64()
     );
 
+    // the campaign's own Figure 4 path: stream every vantage's survey
+    // into the hop reducer, then finalize
     let sc = build_scenario(&plan, cfg.seed);
-    let stats = figure4(&routes, &sc.asdb);
+    let fold_survey = |routes: &[VantageRoutes]| {
+        let mut counts = HopSurveyCounts::default();
+        for (vantage, vr) in routes.iter().enumerate() {
+            let ctx = RouteCtx {
+                vantage,
+                asdb: &sc.asdb,
+            };
+            counts.observe_routes(vr, &ctx);
+        }
+        Figure4::from_counts(&counts, &sc.asdb)
+    };
+    let stats = fold_survey(&routes);
     println!("{}", stats.render());
 
     let out = std::path::Path::new("target/figures");
@@ -59,7 +72,7 @@ fn main() {
     }
 
     time_kernel("figure4 aggregation (32500 paths)", 5, || {
-        figure4(&routes, &sc.asdb)
+        fold_survey(&routes)
     });
     time_kernel("one ECN traceroute (100-server world)", 10, || {
         let mut sc = build_scenario(&PoolPlan::scaled(100), BENCH_SEED);

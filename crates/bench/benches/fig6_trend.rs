@@ -2,12 +2,12 @@
 //! measured point appended and a logistic growth fit.
 
 use ecn_bench::{paper_campaign, time_kernel};
-use ecn_core::analysis::{figure5, figure6, fit_logistic, historical_points};
+use ecn_core::analysis::{fit_logistic, historical_points};
+use ecn_core::FullReport;
 
 fn main() {
     let result = paper_campaign(false);
-    let measured = figure5(&result.traces).negotiated_pct();
-    let fig = figure6(measured);
+    let fig = FullReport::from_aggregates(&result).figure6;
     println!("{}", fig.render());
 
     // yearly curve samples for plotting

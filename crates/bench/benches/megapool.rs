@@ -16,7 +16,7 @@
 //! CI-sized run), `ECNUDP_BENCH_MEGAPOOL_PROCESSES` (comma list,
 //! default `1,4`).
 
-use ecn_core::{campaign_config, engine_config, run_engine, EngineConfig};
+use ecn_core::{campaign_config, engine_config, try_run_engine, EngineConfig};
 use ecn_pool::ScenarioSpec;
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
@@ -46,7 +46,8 @@ fn run_measure(processes: usize, scenario: &str) -> ExitCode {
         ..engine_config(&spec)
     };
     let t0 = Instant::now();
-    let run = run_engine(&spec.plan(), &campaign_config(&spec), &eng);
+    let run =
+        try_run_engine(&spec.plan(), &campaign_config(&spec), &eng).expect("megapool campaign");
     let wall_s = t0.elapsed().as_secs_f64();
     println!(
         "{{\"servers\": {}, \"targets\": {}, \"units\": {}, \"shards\": {}, \

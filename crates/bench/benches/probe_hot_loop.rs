@@ -35,7 +35,7 @@
 
 use ecn_bench::BENCH_SEED;
 use ecn_core::{
-    run_discovery, run_engine, run_engine_observed, run_trace, CampaignConfig, EngineConfig,
+    run_discovery, run_trace, try_run_engine, try_run_engine_observed, CampaignConfig, EngineConfig,
 };
 use ecn_pool::PoolPlan;
 use std::time::{Duration, Instant};
@@ -126,11 +126,12 @@ fn main() {
         }
     );
 
+    let plain = || try_run_engine(&plan, &cfg, &eng).expect("in-process campaign");
     // Warm-up: fault in code paths and allocator arenas.
-    std::hint::black_box(run_engine(&plan, &cfg, &eng));
+    std::hint::black_box(plain());
 
     let t0 = Instant::now();
-    let (run, allocs) = ecn_bench::alloc::count_allocations(|| run_engine(&plan, &cfg, &eng));
+    let (run, allocs) = ecn_bench::alloc::count_allocations(plain);
     let wall_ms = t0.elapsed().as_secs_f64() * 1000.0;
 
     let logical_traces = run.result.aggregates.trace_stats.len();
@@ -150,7 +151,8 @@ fn main() {
     // Identical work through the observed entry point, no-op subscriber:
     // the zero-cost contract says this wall must match the plain one.
     let t1 = Instant::now();
-    let (observed_run, ()) = run_engine_observed(&plan, &cfg, &eng, ());
+    let (observed_run, ()) =
+        try_run_engine_observed(&plan, &cfg, &eng, ()).expect("in-process campaign");
     let observed_ms = t1.elapsed().as_secs_f64() * 1000.0;
     assert_eq!(
         run.result.aggregates, observed_run.result.aggregates,

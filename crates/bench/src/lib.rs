@@ -14,9 +14,8 @@ pub const BENCH_SEED: u64 = 2015;
 
 /// Run the full paper-scale campaign through the sharded engine
 /// (optionally with the traceroute survey), reporting wall time and the
-/// engine's phase breakdown. Keeps the raw trace records: the per-artefact
-/// benches time the legacy trace-walk kernels over them (the streamed
-/// default path is benched separately by `report_memory`).
+/// engine's phase breakdown. The per-artefact benches render and time
+/// their artefact from the result's streamed aggregates.
 pub fn paper_campaign(run_traceroute: bool) -> CampaignResult {
     let plan = PoolPlan::paper();
     let cfg = CampaignConfig {
@@ -25,10 +24,11 @@ pub fn paper_campaign(run_traceroute: bool) -> CampaignResult {
         ..CampaignConfig::default()
     };
     let t0 = Instant::now();
-    let run = ecn_core::run_engine(&plan, &cfg, &EngineConfig::default().keeping_traces());
+    let run = ecn_core::try_run_engine(&plan, &cfg, &EngineConfig::default())
+        .expect("in-process campaign");
     eprintln!(
         "[bench] paper-scale campaign ({} traces{}, {} shards x {} units) in {:.1}s\n[bench] {}",
-        run.result.traces.len(),
+        run.result.aggregates.trace_stats.len(),
         if run_traceroute {
             ", with traceroute survey"
         } else {
@@ -56,7 +56,7 @@ pub fn time_kernel<T>(label: &str, iters: u32, mut f: impl FnMut() -> T) {
 
 /// Insert or replace one top-level section of `BENCH_campaign.json`,
 /// preserving the others — several bench targets (`campaign_sharding`,
-/// `report_memory`) contribute sections to the same trajectory artefact,
+/// `probe_hot_loop`) contribute sections to the same trajectory artefact,
 /// in whatever order they run. `section_body` must be a JSON object
 /// (`{...}`); the file keeps one `"name": {...}` entry per section.
 ///

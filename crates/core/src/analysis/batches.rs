@@ -5,9 +5,8 @@
 //! churned servers — reachable in a majority of batch-1 traces, gone in
 //! batch 2.
 
-use crate::reducers::{BatchCounts, Reduce, TraceCtx};
+use crate::reducers::BatchCounts;
 use crate::report::render_table;
-use crate::trace::TraceRecord;
 use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
@@ -29,19 +28,8 @@ pub struct BatchComparison {
     pub never_reachable: usize,
 }
 
-/// Compare the two collection batches (the legacy trace walk): replay the
-/// records through the streaming reducer, then finalize.
-pub fn batch_comparison(traces: &[TraceRecord]) -> BatchComparison {
-    let mut counts = BatchCounts::default();
-    for (i, t) in traces.iter().enumerate() {
-        counts.observe_trace(t, &TraceCtx::whole(0, i));
-    }
-    BatchComparison::from_counts(&counts)
-}
-
 impl BatchComparison {
-    /// Finalize the streamed batch counters — the single derivation both
-    /// report paths share.
+    /// Finalize the streamed batch counters.
     pub fn from_counts(counts: &BatchCounts) -> BatchComparison {
         let frac = |(hits, total): (u32, u32)| {
             if total == 0 {
@@ -116,8 +104,9 @@ impl BatchComparison {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::naive::batch_comparison;
     use crate::probes::{TcpProbeResult, UdpProbeResult};
-    use crate::trace::ServerOutcome;
+    use crate::trace::{ServerOutcome, TraceRecord};
     use ecn_netsim::Nanos;
 
     fn outcome(i: u8, reachable: bool) -> ServerOutcome {

@@ -3,9 +3,8 @@
 //! most servers that blackhole ECT-marked UDP still negotiate ECN fine
 //! over TCP — evidence of UDP-specific ECT filtering.
 
-use crate::reducers::{Reduce, Table2Counts, TraceCtx};
+use crate::reducers::Table2Counts;
 use crate::report::render_table;
-use crate::trace::TraceRecord;
 use serde::{Deserialize, Serialize};
 
 /// One Table 2 row.
@@ -38,24 +37,10 @@ pub struct Table2 {
     pub blocked_but_negotiates: f64,
 }
 
-/// Compute Table 2 from campaign traces (the legacy trace walk): replay
-/// the records through the streaming reducer, then finalize.
-pub fn table2(traces: &[TraceRecord]) -> Table2 {
-    let mut order: Vec<String> = Vec::new();
-    let mut counts = Table2Counts::default();
-    for (i, t) in traces.iter().enumerate() {
-        if !order.contains(&t.vantage_name) {
-            order.push(t.vantage_name.clone());
-        }
-        counts.observe_trace(t, &TraceCtx::whole(0, i));
-    }
-    Table2::from_counts(&counts, &order)
-}
-
 impl Table2 {
     /// Finalize the streamed Table 2 counters, with rows in `order`
     /// (first-seen campaign order). Averages and φ are exact integer
-    /// ratios, so both report paths produce identical floats.
+    /// ratios, so the floats do not depend on observation order.
     pub fn from_counts(counts: &Table2Counts, order: &[String]) -> Table2 {
         let rows: Vec<Table2Row> = order
             .iter()
@@ -110,9 +95,9 @@ impl Table2 {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::naive::table2;
     use crate::probes::{TcpProbeResult, UdpProbeResult};
-    use crate::trace::ServerOutcome;
+    use crate::trace::{ServerOutcome, TraceRecord};
     use ecn_netsim::Nanos;
     use std::net::Ipv4Addr;
 

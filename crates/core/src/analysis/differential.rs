@@ -5,9 +5,8 @@
 //! per location above 50% in 3a (the same set everywhere ⇒ drops near the
 //! destination), at most 3 in 3b.
 
-use crate::reducers::{DifferentialCounts, Reduce, TraceCtx};
+use crate::reducers::DifferentialCounts;
 use crate::report::render_table;
-use crate::trace::TraceRecord;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -65,24 +64,10 @@ pub struct Figure3 {
     pub persistent_b: Vec<Ipv4Addr>,
 }
 
-/// Compute Figure 3 from campaign traces (the legacy trace walk): replay
-/// the records through the streaming reducer, then finalize.
-pub fn figure3(traces: &[TraceRecord]) -> Figure3 {
-    let mut order: Vec<String> = Vec::new();
-    let mut counts = DifferentialCounts::default();
-    for (i, t) in traces.iter().enumerate() {
-        if !order.contains(&t.vantage_name) {
-            order.push(t.vantage_name.clone());
-        }
-        counts.observe_trace(t, &TraceCtx::whole(0, i));
-    }
-    Figure3::from_counts(counts, &order)
-}
-
 impl Figure3 {
     /// Finalize the streamed per-(location, server) counters into the
     /// Figure 3 dataset, with locations in `order` (first-seen campaign
-    /// order). The single derivation both report paths share. Takes the
+    /// order). Takes the
     /// counts by value so the server maps move into the figure instead of
     /// being deep-copied.
     pub fn from_counts(mut counts: DifferentialCounts, order: &[String]) -> Figure3 {
@@ -180,8 +165,9 @@ impl Figure3 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::naive::figure3;
     use crate::probes::{TcpProbeResult, UdpProbeResult};
-    use crate::trace::ServerOutcome;
+    use crate::trace::{ServerOutcome, TraceRecord};
     use ecn_netsim::Nanos;
 
     fn mk_trace(vantage: &str, outcomes: Vec<(Ipv4Addr, bool, bool)>) -> TraceRecord {

@@ -9,7 +9,7 @@
 //! (paper: 59.1% of determinable strip locations were at AS boundaries).
 
 use crate::campaign::VantageRoutes;
-use crate::reducers::{HopSurveyCounts, Reduce, RouteCtx};
+use crate::reducers::HopSurveyCounts;
 use crate::report::render_table;
 use ecn_asdb::AsDb;
 use serde::{Deserialize, Serialize};
@@ -117,22 +117,11 @@ impl Figure4 {
     }
 }
 
-/// Compute the Figure 4 statistics from the traceroute survey (the legacy
-/// route walk): replay the survey through the streaming reducer, then
-/// finalize.
-pub fn figure4(routes: &[VantageRoutes], asdb: &AsDb) -> Figure4 {
-    let mut counts = HopSurveyCounts::default();
-    for (vi, vr) in routes.iter().enumerate() {
-        counts.observe_routes(vr, &RouteCtx { vantage: vi, asdb });
-    }
-    Figure4::from_counts(&counts, asdb)
-}
-
 impl Figure4 {
-    /// Finalize the streamed hop-survey state — the single derivation both
-    /// report paths share. Only `as_count` still needs the AS database
-    /// here (a lookup over the merged hop identities); the per-path strip
-    /// classification happened at observe time.
+    /// Finalize the streamed hop-survey state. Only `as_count` still
+    /// needs the AS database here (a lookup over the merged hop
+    /// identities); the per-path strip classification happened at
+    /// observe time.
     pub fn from_counts(counts: &HopSurveyCounts, asdb: &AsDb) -> Figure4 {
         let total_hops = counts.hop_state.len();
         let strip_hops = counts.hop_state.values().filter(|(_, m)| *m).count();
@@ -215,6 +204,7 @@ pub fn figure4_dot(vr: &VantageRoutes) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::naive::figure4;
     use crate::traceroute::{HopObservation, TraceroutePath};
     use ecn_wire::Ecn;
 

@@ -1,6 +1,8 @@
 //! The analysis suite: one module per paper artefact, plus a
 //! [`FullReport`] aggregator that computes everything from a
-//! [`crate::campaign::CampaignResult`].
+//! [`crate::campaign::CampaignResult`]'s streamed aggregates. Each
+//! artefact has exactly one derivation: a finalizer over its reducer
+//! (`from_counts` / `*_from_counters`), never a walk over raw records.
 
 pub mod batches;
 pub mod correlation;
@@ -12,15 +14,15 @@ pub mod tcp_ecn;
 pub mod trend;
 pub mod validation;
 
-pub use batches::{batch_comparison, BatchComparison};
-pub use correlation::{table2, Table2, Table2Row};
-pub use differential::{figure3, Figure3, ServerDifferential};
-pub use hops::{figure4, figure4_dot, Figure4};
-pub use reachability::{figure2, figure2_from_counters, Figure2, TraceBar};
+pub use batches::BatchComparison;
+pub use correlation::{Table2, Table2Row};
+pub use differential::{Figure3, ServerDifferential};
+pub use hops::{figure4_dot, Figure4};
+pub use reachability::{figure2_from_counters, Figure2, TraceBar};
 pub use table1::{table1, Table1};
-pub use tcp_ecn::{figure5, figure5_from_counters, Fig5Bar, Figure5};
+pub use tcp_ecn::{figure5_from_counters, Fig5Bar, Figure5};
 pub use trend::{figure6, fit_logistic, historical_points, Figure6, LogisticFit, TrendPoint};
-pub use validation::{validation_report, TruthClass, ValidationReport};
+pub use validation::{TruthClass, ValidationReport};
 
 use crate::campaign::CampaignResult;
 
@@ -49,22 +51,21 @@ pub struct FullReport {
 }
 
 impl FullReport {
-    /// Compute everything. Delegates to [`Self::from_aggregates`]: the
+    /// Compute everything. The same as [`Self::from_aggregates`]: the
     /// streamed aggregates are the single source of truth for the report
-    /// path, so this works on reducer-only runs
-    /// (`EngineConfig::keep_traces = false`, the default) with no raw
-    /// traces at all.
+    /// path. Both names stay because callers outside this workspace's
+    /// library (the `ecnbench` benchmark among them) use each.
     pub fn from_campaign(result: &CampaignResult) -> FullReport {
         FullReport::from_aggregates(result)
     }
 
     /// Compute everything from the streamed aggregates — O(aggregates)
     /// memory, no `TraceRecord` or per-trace walk involved. Renders
-    /// byte-identically to [`Self::from_traces`]
-    /// (`crates/core/tests/report_differential.rs` is the gate).
+    /// byte-identically to a naive walk over every raw record of the same
+    /// campaign (`crates/core/tests/report_differential.rs` is the gate).
     ///
     /// ```
-    /// use ecn_core::{run_campaign, CampaignConfig, FullReport};
+    /// use ecn_core::{try_run_engine, CampaignConfig, EngineConfig, FullReport};
     /// use ecn_pool::PoolPlan;
     ///
     /// let cfg = CampaignConfig {
@@ -73,8 +74,9 @@ impl FullReport {
     ///     run_traceroute: false,
     ///     ..CampaignConfig::quick(2015)
     /// };
-    /// let result = run_campaign(&PoolPlan::scaled(24), &cfg);
-    /// let report = FullReport::from_aggregates(&result);
+    /// let run = try_run_engine(&PoolPlan::scaled(24), &cfg, &EngineConfig::default())
+    ///     .expect("an in-process campaign cannot fail");
+    /// let report = FullReport::from_aggregates(&run.result);
     /// let text = report.render();
     /// for artefact in ["Table 1", "Figure 2a", "Figure 3", "Figure 5", "Table 2"] {
     ///     assert!(text.contains(artefact), "missing {artefact}");
@@ -98,37 +100,6 @@ impl FullReport {
             table2: Table2::from_counts(&a.table2, &order),
             batches: BatchComparison::from_counts(&a.batches),
             validation: ValidationReport::from_counts(&a.validation, &result.truth),
-        }
-    }
-
-    /// Compute everything by walking the raw trace/route vectors — the
-    /// legacy derivation, kept as the cross-check for the differential
-    /// suite and for per-trace consumers that already opted into
-    /// `EngineConfig::keep_traces`. Panics if the campaign ran
-    /// reducer-only (there is nothing to walk).
-    pub fn from_traces(result: &CampaignResult) -> FullReport {
-        assert!(
-            !result.traces.is_empty() || result.aggregates.trace_stats.is_empty(),
-            "FullReport::from_traces needs raw traces; this campaign ran \
-             with keep_traces = false — use from_aggregates (or from_campaign)"
-        );
-        assert!(
-            !result.routes.is_empty() || result.aggregates.hops.paths == 0,
-            "FullReport::from_traces needs raw traceroute paths; this \
-             campaign ran with keep_routes = false — use from_aggregates"
-        );
-        let figure5 = figure5(&result.traces);
-        let measured_pct = figure5.negotiated_pct();
-        FullReport {
-            table1: table1(&result.geodb, &result.targets),
-            figure2: figure2(&result.traces),
-            figure3: figure3(&result.traces),
-            figure4: figure4(&result.routes, &result.asdb),
-            figure5,
-            figure6: figure6(measured_pct),
-            table2: table2(&result.traces),
-            batches: batch_comparison(&result.traces),
-            validation: validation_report(&result.traces, &result.truth),
         }
     }
 

@@ -3,7 +3,6 @@
 
 use crate::reducers::TraceCounters;
 use crate::report::{pct, render_bars};
-use crate::trace::TraceRecord;
 use serde::{Deserialize, Serialize};
 
 /// One bar of Figure 2 (one trace).
@@ -40,27 +39,11 @@ pub struct Figure2 {
     pub avg_plain_reachable: f64,
 }
 
-/// Compute Figure 2 from the campaign traces (the legacy trace walk).
-pub fn figure2(traces: &[TraceRecord]) -> Figure2 {
-    Figure2::from_bars(
-        traces
-            .iter()
-            .map(|t| TraceBar {
-                vantage_key: t.vantage_key.clone(),
-                vantage_name: t.vantage_name.clone(),
-                pct_a: t.fig2a_pct(),
-                pct_b: t.fig2b_pct(),
-                plain_reachable: t.udp_plain_reachable(),
-                ect_reachable: t.udp_ect_reachable(),
-            })
-            .collect(),
-    )
-}
-
 /// Compute Figure 2 from the streamed per-trace counters, already in
 /// campaign order (see [`crate::reducers::TraceStats::ordered`]) — no
-/// [`TraceRecord`] needed. Bars carry the exact integer-ratio
-/// percentages of the trace walk, so both paths render byte-identically.
+/// [`crate::trace::TraceRecord`] needed. Bars carry the exact
+/// integer-ratio percentages a walk over the raw records computes, so
+/// both render byte-identically.
 pub fn figure2_from_counters(ordered: &[&TraceCounters]) -> Figure2 {
     let ratio = |num: u32, den: u32| {
         if den == 0 {
@@ -85,8 +68,7 @@ pub fn figure2_from_counters(ordered: &[&TraceCounters]) -> Figure2 {
 }
 
 impl Figure2 {
-    /// Aggregate the per-trace bars — the single derivation of the
-    /// averages and minima both report paths share.
+    /// Aggregate the per-trace bars into the averages and minima.
     pub fn from_bars(bars: Vec<TraceBar>) -> Figure2 {
         let n = bars.len().max(1) as f64;
         Figure2 {
@@ -164,9 +146,9 @@ fn per_vantage_avg(bars: &[TraceBar], f: impl Fn(&TraceBar) -> f64) -> Vec<(Stri
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::naive::figure2;
     use crate::probes::{TcpProbeResult, UdpProbeResult};
-    use crate::trace::ServerOutcome;
+    use crate::trace::{ServerOutcome, TraceRecord};
     use ecn_netsim::Nanos;
     use std::net::Ipv4Addr;
 

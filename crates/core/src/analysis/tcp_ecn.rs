@@ -4,7 +4,6 @@
 
 use crate::reducers::TraceCounters;
 use crate::report::render_table;
-use crate::trace::TraceRecord;
 use serde::{Deserialize, Serialize};
 
 /// One Figure 5 bar (one trace).
@@ -102,23 +101,9 @@ impl Figure5 {
     }
 }
 
-/// Compute Figure 5 from campaign traces (the legacy trace walk).
-pub fn figure5(traces: &[TraceRecord]) -> Figure5 {
-    Figure5::from_bars(
-        traces
-            .iter()
-            .map(|t| Fig5Bar {
-                vantage_name: t.vantage_name.clone(),
-                tcp_reachable: t.tcp_reachable(),
-                negotiated: t.tcp_ecn_negotiated(),
-            })
-            .collect(),
-    )
-}
-
 /// Compute Figure 5 from the streamed per-trace counters, already in
 /// campaign order (see [`crate::reducers::TraceStats::ordered`]) — no
-/// [`TraceRecord`] needed.
+/// [`crate::trace::TraceRecord`] needed.
 pub fn figure5_from_counters(ordered: &[&TraceCounters]) -> Figure5 {
     Figure5::from_bars(
         ordered
@@ -134,9 +119,9 @@ pub fn figure5_from_counters(ordered: &[&TraceCounters]) -> Figure5 {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::naive::figure5;
     use crate::probes::{TcpProbeResult, UdpProbeResult};
-    use crate::trace::ServerOutcome;
+    use crate::trace::{ServerOutcome, TraceRecord};
     use ecn_netsim::Nanos;
     use std::net::Ipv4Addr;
 

@@ -10,9 +10,8 @@
 //! with the pass disabled render byte-identically to pre-validator
 //! builds.
 
-use crate::reducers::{Reduce, TraceCtx, ValidationCounts};
+use crate::reducers::ValidationCounts;
 use crate::report::render_table;
-use crate::trace::TraceRecord;
 use ecn_pool::GroundTruth;
 use ecn_stack::ValidationOutcome;
 use serde::{Deserialize, Serialize};
@@ -120,21 +119,9 @@ fn classify(truth: &GroundTruth, addr: Ipv4Addr) -> TruthClass {
     TruthClass::Clean
 }
 
-/// Build the section from the legacy trace walk: replay the records
-/// through the streaming reducer, then join (the differential-suite
-/// cross-check path).
-pub fn validation_report(traces: &[TraceRecord], truth: &GroundTruth) -> Option<ValidationReport> {
-    let mut counts = ValidationCounts::default();
-    for (i, t) in traces.iter().enumerate() {
-        counts.observe_trace(t, &TraceCtx::whole(0, i));
-    }
-    ValidationReport::from_counts(&counts, truth)
-}
-
 impl ValidationReport {
-    /// Join the streamed outcome counters against the ground truth —
-    /// the single derivation both report paths share. `None` when the
-    /// validation pass never ran.
+    /// Join the streamed outcome counters against the ground truth.
+    /// `None` when the validation pass never ran.
     pub fn from_counts(counts: &ValidationCounts, truth: &GroundTruth) -> Option<ValidationReport> {
         if counts.is_empty() {
             return None;
@@ -256,8 +243,9 @@ fn render_rate(r: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::naive::validation_report;
     use crate::probes::{TcpProbeResult, UdpProbeResult};
-    use crate::trace::ServerOutcome;
+    use crate::trace::{ServerOutcome, TraceRecord};
     use ecn_netsim::Nanos;
 
     fn outcome(addr: Ipv4Addr, v: ValidationOutcome) -> ServerOutcome {

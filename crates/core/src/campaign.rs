@@ -36,17 +36,16 @@ pub struct CampaignResult {
     pub targets: Vec<Ipv4Addr>,
     /// Discovery statistics.
     pub discovery: DiscoveryStats,
-    /// Raw trace records in execution order — the opt-in escape hatch
-    /// for per-trace consumers (dataset export, pcap artefacts, the
-    /// legacy `FullReport::from_traces` cross-check). Empty by default:
-    /// the engine runs reducer-only (`EngineConfig::keep_traces =
-    /// false`) and the report path renders from [`Self::aggregates`].
+    /// Raw trace records — always empty from the engine, which streams
+    /// every record into [`Self::aggregates`] and drops it (per-trace
+    /// consumers subscribe with [`crate::events::TraceSampler`]). The
+    /// field stays because this struct is also built by literal outside
+    /// the engine (the `ecnbench` replay, test oracles), where it may
+    /// carry records.
     pub traces: Vec<TraceRecord>,
     /// Raw traceroute survey paths (one entry per vantage) — like
-    /// [`Self::traces`], an opt-in escape hatch
-    /// (`EngineConfig::keep_routes`): Figure 4 renders from the streamed
-    /// [`crate::reducers::HopSurveyCounts`], so the default campaign
-    /// leaves this empty even when the survey ran.
+    /// [`Self::traces`], always empty from the engine: Figure 4 renders
+    /// from the streamed [`crate::reducers::HopSurveyCounts`].
     pub routes: Vec<VantageRoutes>,
     /// Streaming-reducer aggregates (always populated by the engine) —
     /// the single source of truth for `FullReport`.
@@ -295,20 +294,19 @@ pub fn run_discovery(plan: &PoolPlan, cfg: &CampaignConfig) -> (Discovery, Scena
     (d, sc)
 }
 
-/// Assemble a [`CampaignResult`] from a finished run.
+/// Assemble a [`CampaignResult`] from a finished engine run (no raw
+/// records: the engine streams them into `aggregates`).
 pub(crate) fn finish(
     sc: Scenario,
     targets: Vec<Ipv4Addr>,
     discovery: DiscoveryStats,
-    traces: Vec<TraceRecord>,
-    routes: Vec<VantageRoutes>,
     aggregates: CampaignAggregates,
 ) -> CampaignResult {
     CampaignResult {
         targets,
         discovery,
-        traces,
-        routes,
+        traces: Vec::new(),
+        routes: Vec::new(),
         aggregates,
         vantage_order: sc
             .vantages

@@ -12,20 +12,22 @@
 //! - N shards pay one decision phase plus N cheap instantiations, not N
 //!   full world builds (what the old per-vantage-thread runner did);
 //! - finished records stream straight into shard-local reducers
-//!   ([`crate::reducers`]) instead of first accumulating every
-//!   [`TraceRecord`] in one `Vec`; the streamed aggregates are what the
-//!   report path renders from, so the default campaign retains zero raw
-//!   records ([`EngineConfig::keep_traces`] is the opt-in escape hatch
-//!   for per-trace consumers).
+//!   ([`crate::reducers`]) and are dropped; the streamed aggregates are
+//!   what the report path renders from, so a campaign retains zero raw
+//!   records. Per-trace consumers subscribe instead: every finished record
+//!   passes through [`Event::TraceVerdict`], and
+//!   [`crate::events::TraceSampler`] at rate 1 keeps all of them.
+//!
+//! [`try_run_engine_observed`] is the one entry point;
+//! [`try_run_engine`] is its shorthand for the no-op `()` subscriber.
 
 use crate::campaign::{
     discover_in, finish, plan_with_churn, run_trace_observed, run_traceroute_survey, schedule_for,
-    CampaignResult, DiscoveryStats, ScheduledTrace, VantageRoutes,
+    CampaignResult, DiscoveryStats, ScheduledTrace,
 };
 use crate::config::CampaignConfig;
 use crate::events::{Event, Subscriber, UnitId};
 use crate::reducers::{Reduce, RouteCtx, ShardReducers, TraceCtx};
-use crate::trace::TraceRecord;
 use ecn_pool::{PoolPlan, VantageSpec, WorldBlueprint};
 use parking_lot::Mutex;
 use rand::seq::SliceRandom;
@@ -33,7 +35,6 @@ use serde::{Deserialize, Serialize};
 use std::collections::{HashSet, VecDeque};
 use std::net::Ipv4Addr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 pub use crate::mp::MpError;
@@ -67,28 +68,12 @@ pub struct EngineConfig {
     /// concurrency/memory knob: any value renders byte-identical reports.
     /// Subscribers in multi-process mode observe parent-side supervision
     /// events (worker lifecycle, retries, checkpoints) rather than
-    /// per-probe events; `keep_traces`/`keep_routes` stay incompatible
-    /// (raw records do not cross the worker pipe) and yield
-    /// [`MpError::Unsupported`].
+    /// per-probe events.
     pub processes: usize,
     /// Target-list chunks per vantage (work granularity). Unlike `shards`
     /// this knob *is* part of the experiment definition: each chunk probes
     /// in its own world, so changing it changes the measured noise.
     pub target_chunks: usize,
-    /// Keep the raw per-trace records (default: **off**). The report path
-    /// no longer needs them — `FullReport` renders from
-    /// `CampaignResult::aggregates` — so the default campaign retains
-    /// zero `TraceRecord`s at peak and runs in O(aggregates) memory.
-    /// Turn this on only for per-trace consumers (dataset export, pcap
-    /// artefacts, the legacy `FullReport::from_traces` cross-check).
-    pub keep_traces: bool,
-    /// Keep the raw per-vantage [`crate::traceroute::TraceroutePath`]s
-    /// (default: **off**). Figure 4 renders from the streamed
-    /// [`crate::reducers::HopSurveyCounts`], so the survey's
-    /// O(vantages × targets) path vector is an opt-in escape hatch for
-    /// raw-route consumers (dataset export, path-level audits) — the
-    /// mirror of [`Self::keep_traces`].
-    pub keep_routes: bool,
     /// Unit scheduling order (results are invariant; see [`UnitOrder`]).
     pub unit_order: UnitOrder,
     /// Respawn retries per worker slot in supervised mode (default 2): a
@@ -120,8 +105,6 @@ impl Default for EngineConfig {
             shards: None,
             processes: 1,
             target_chunks: 1,
-            keep_traces: false,
-            keep_routes: false,
             unit_order: UnitOrder::AsScheduled,
             max_worker_retries: 2,
             worker_timeout: None,
@@ -144,27 +127,6 @@ impl EngineConfig {
     pub fn across_processes(self, n: usize) -> EngineConfig {
         EngineConfig {
             processes: n.max(1),
-            ..self
-        }
-    }
-
-    /// This configuration, with **both** raw-record escape hatches
-    /// enabled: per-trace records and per-vantage traceroute paths. The
-    /// legacy `FullReport::from_traces` derivation walks both vectors,
-    /// so they travel together.
-    pub fn keeping_traces(self) -> EngineConfig {
-        EngineConfig {
-            keep_traces: true,
-            keep_routes: true,
-            ..self
-        }
-    }
-
-    /// This configuration, retaining only the raw traceroute paths (the
-    /// per-trace records stay streamed).
-    pub fn keeping_routes(self) -> EngineConfig {
-        EngineConfig {
-            keep_routes: true,
             ..self
         }
     }
@@ -215,7 +177,7 @@ impl EngineTiming {
 
 /// A finished engine run.
 pub struct EngineRun {
-    /// The campaign products (traces, routes, aggregates, databases).
+    /// The campaign products (aggregates, targets, databases).
     pub result: CampaignResult,
     /// Phase timing breakdown.
     pub timing: EngineTiming,
@@ -223,11 +185,6 @@ pub struct EngineRun {
     pub shards: usize,
     /// Work units executed.
     pub units: usize,
-    /// Peak number of `TraceRecord`s simultaneously *retained* across all
-    /// shards (records held in vectors, not the O(1) in-flight record
-    /// being probed/reduced). Zero on reducer-only runs — the memory
-    /// claim `report_memory` benches.
-    pub peak_resident_traces: usize,
     /// Worker processes used (`1` = everything ran in this process).
     pub processes: usize,
     /// Reducer merge rounds performed: ⌈log₂ shards-per-process⌉ for the
@@ -270,26 +227,32 @@ pub(crate) fn apply_unit_order(units: &mut [Unit], order: UnitOrder) {
     }
 }
 
-/// What one unit produced (partial records when `target_chunks > 1`).
-struct UnitOutput {
-    unit: Unit,
-    traces: Vec<TraceRecord>,
-    routes: Option<VantageRoutes>,
-}
-
-/// Run the full campaign through the sharded engine.
+/// Run the full campaign with the no-op `()` subscriber: exactly
+/// [`try_run_engine_observed`] monomorphized over `()`, the zero-cost
+/// path the `alloc_regression`/`probe_hot_loop` gates exercise.
 ///
-/// This is [`run_engine_observed`] with the no-op `()` subscriber — the
-/// monomorphized zero-cost path every existing caller and the
-/// `alloc_regression`/`probe_hot_loop` gates exercise.
-pub fn run_engine(plan: &PoolPlan, cfg: &CampaignConfig, eng: &EngineConfig) -> EngineRun {
-    run_engine_observed(plan, cfg, eng, ()).0
-}
-
-/// Fallible [`run_engine`]: returns the typed [`MpError`] a supervised
-/// multi-process campaign can fail with (retry budget exhausted,
-/// checkpoint mismatch) instead of panicking. In-process campaigns
-/// (`processes = 1`, no checkpoint/resume) cannot fail this way.
+/// The result carries the streamed aggregates — everything
+/// [`crate::analysis::FullReport`] renders from — and no raw records.
+/// Results are byte-identical for every shard count.
+///
+/// ```
+/// use ecn_core::{try_run_engine, CampaignConfig, EngineConfig, FullReport};
+/// use ecn_pool::PoolPlan;
+///
+/// // A tiny, fast campaign: 24 servers, compressed calendar, one trace
+/// // per vantage, no traceroute survey.
+/// let cfg = CampaignConfig {
+///     discovery_rounds: 10,
+///     traces_per_vantage: Some(1),
+///     run_traceroute: false,
+///     ..CampaignConfig::quick(7)
+/// };
+/// let run = try_run_engine(&PoolPlan::scaled(24), &cfg, &EngineConfig::with_shards(2))
+///     .expect("an in-process campaign cannot fail");
+/// assert_eq!(run.result.targets.len(), 24);
+/// assert_eq!(run.result.aggregates.trace_stats.len(), 13); // one per vantage
+/// assert!(FullReport::from_campaign(&run.result).render().contains("Table 2"));
+/// ```
 pub fn try_run_engine(
     plan: &PoolPlan,
     cfg: &CampaignConfig,
@@ -302,31 +265,18 @@ pub fn try_run_engine(
 /// [`crate::events`]): the root instance sees
 /// [`Event::CampaignStarted`], each shard drives a
 /// [`Subscriber::fork`], forks merge back deterministically, and
-/// [`Subscriber::finish`] runs once before this returns. Results are
-/// byte-identical to [`run_engine`] — subscribers observe, they cannot
-/// perturb.
+/// [`Subscriber::finish`] runs once before this returns. Subscribers
+/// observe, they cannot perturb: results are byte-identical to
+/// [`try_run_engine`].
 ///
-/// Infallible compatibility wrapper over [`try_run_engine_observed`];
-/// supervised-campaign errors (which the `ecnudp` CLI reports with a
-/// dedicated exit code) panic here.
-pub fn run_engine_observed<S: Subscriber>(
-    plan: &PoolPlan,
-    cfg: &CampaignConfig,
-    eng: &EngineConfig,
-    subscriber: S,
-) -> (EngineRun, S) {
-    try_run_engine_observed(plan, cfg, eng, subscriber)
-        .unwrap_or_else(|e| panic!("campaign failed: {e}"))
-}
-
-/// The fallible observed engine entry point. Configurations with
-/// `eng.supervised()` (worker processes, checkpoint, or resume) route
-/// through the supervised multi-process driver ([`crate::mp`]): the
-/// subscriber then observes parent-side supervision events
-/// ([`Event::WorkerFailed`], [`Event::UnitRetried`],
+/// Configurations with `eng.supervised()` (worker processes, checkpoint,
+/// or resume) route through the supervised multi-process driver
+/// ([`crate::mp`]): the subscriber then observes parent-side supervision
+/// events ([`Event::WorkerFailed`], [`Event::UnitRetried`],
 /// [`Event::CheckpointWritten`], …) instead of per-probe events, and the
 /// run can fail with a typed [`MpError`] naming the worker and unit
-/// range. Everything else runs in-process, infallibly.
+/// range (retry budget exhausted, checkpoint mismatch). Everything else
+/// runs in-process and returns `Ok`.
 pub fn try_run_engine_observed<S: Subscriber>(
     plan: &PoolPlan,
     cfg: &CampaignConfig,
@@ -334,17 +284,6 @@ pub fn try_run_engine_observed<S: Subscriber>(
     mut subscriber: S,
 ) -> Result<(EngineRun, S), MpError> {
     if eng.supervised() {
-        if eng.keep_traces || eng.keep_routes {
-            // Raw records do not cross the worker pipe; the CLI rejects
-            // this combination with a friendlier message.
-            return Err(MpError::Unsupported {
-                what: "keep_traces/keep_routes under the supervised \
-                       multi-process driver (raw records do not cross the \
-                       worker pipe); run them with processes = 1 and no \
-                       checkpoint/resume"
-                    .into(),
-            });
-        }
         let run = crate::mp::run_multiprocess(plan, cfg, eng, &mut subscriber)?;
         if S::ENABLED {
             subscriber.finish();
@@ -404,8 +343,6 @@ pub fn try_run_engine_observed<S: Subscriber>(
         disco_world,
         targets,
         DiscoveryStats::from(&discovery),
-        pool.traces,
-        pool.routes,
         pool.reducers,
     );
     Ok((
@@ -414,7 +351,6 @@ pub fn try_run_engine_observed<S: Subscriber>(
             timing,
             shards: pool.shard_count,
             units: unit_count,
-            peak_resident_traces: pool.peak_resident_traces,
             processes: 1,
             merge_depth: crate::reducers::merge_depth(pool.shard_count),
             peak_rss_kb: crate::mp::peak_rss_kb(),
@@ -441,23 +377,16 @@ pub(crate) fn per_vantage_schedule(
 
 /// What the unit pool produced, after the deterministic merge.
 pub(crate) struct PoolOutcome {
-    /// Raw records in canonical order (empty unless `keep_traces`).
-    pub(crate) traces: Vec<TraceRecord>,
-    /// Raw routes in canonical order (empty unless `keep_routes`).
-    pub(crate) routes: Vec<VantageRoutes>,
     /// Tree-merged shard reducers.
     pub(crate) reducers: ShardReducers,
     /// Shards actually used.
     pub(crate) shard_count: usize,
-    /// Peak retained `TraceRecord`s across shards.
-    pub(crate) peak_resident_traces: usize,
 }
 
 /// Phases 4–5 of the engine: execute `units` over a work-stealing shard
-/// pool, then merge deterministically — a pairwise **tree** for the
-/// (commutative) reducers, canonical unit order for the raw records.
-/// Shared by the in-process engine and the multi-process worker (which
-/// passes its round-robin partition of the canonical unit list).
+/// pool, then tree-merge the (commutative) shard reducers. Shared by the
+/// in-process engine and the multi-process worker (which passes its
+/// round-robin partition of the canonical unit list).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_unit_pool<S: Subscriber>(
     bp: &WorldBlueprint,
@@ -489,27 +418,16 @@ pub(crate) fn run_unit_pool<S: Subscriber>(
         }
         qs.into_iter().map(Mutex::new).collect()
     };
-    type ShardYield<S> = (
-        Vec<UnitOutput>,
-        ShardReducers,
-        S,
-        Duration,
-        Duration,
-        Duration,
-    );
+    type ShardYield<S> = (ShardReducers, S, Duration, Duration, Duration);
     let mut shard_yields: Vec<ShardYield<S>> = Vec::with_capacity(shard_count);
-    let resident_traces = AtomicUsize::new(0);
-    let peak_resident_traces = AtomicUsize::new(0);
     crossbeam::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(shard_count);
         for s in 0..shard_count {
             let queues = &queues;
             let per_vantage_sched = &per_vantage_sched;
-            let resident = (&resident_traces, &peak_resident_traces);
             // forked here, on the spawning thread, so `S` needs only Send
             let mut sub = subscriber.fork();
             handles.push(scope.spawn(move |_| {
-                let mut outputs = Vec::new();
                 let mut reducers = ShardReducers::default();
                 let mut inst = Duration::ZERO;
                 let mut probe = Duration::ZERO;
@@ -517,19 +435,16 @@ pub(crate) fn run_unit_pool<S: Subscriber>(
                 let mut done = 0usize;
                 while let Some(unit) = next_unit(s, queues) {
                     let chunk_targets = chunk_slice(targets, unit.chunk, chunks);
-                    let out = run_unit(
+                    run_unit(
                         bp,
                         unit,
                         &per_vantage_sched[unit.vantage],
                         chunk_targets,
                         cfg,
-                        (eng.keep_traces, eng.keep_routes),
                         &mut reducers,
                         &mut sub,
-                        resident,
                         (&mut inst, &mut probe, &mut reduce),
                     );
-                    outputs.push(out);
                     done += 1;
                     if S::ENABLED {
                         sub.on_event(&Event::ShardProgress {
@@ -538,7 +453,7 @@ pub(crate) fn run_unit_pool<S: Subscriber>(
                         });
                     }
                 }
-                (outputs, reducers, sub, inst, probe, reduce)
+                (reducers, sub, inst, probe, reduce)
             }));
         }
         for h in handles {
@@ -549,13 +464,10 @@ pub(crate) fn run_unit_pool<S: Subscriber>(
 
     // Phase 5: deterministic merge. Reducers merge as a pairwise tree
     // (⌈log₂ shards⌉ rounds; commutativity + associativity make it equal
-    // to any fold — `reducers::tree_merge_equals_flat_fold` pins that);
-    // raw records merge in canonical unit order.
+    // to any fold — `reducers::tree_merge_equals_flat_fold` pins that).
     let t0 = Instant::now();
-    let mut outputs: Vec<UnitOutput> = Vec::with_capacity(unit_count);
     let mut shard_reducers: Vec<ShardReducers> = Vec::with_capacity(shard_count);
-    for (outs, red, sub, inst, probe, reduce) in shard_yields {
-        outputs.extend(outs);
+    for (red, sub, inst, probe, reduce) in shard_yields {
         shard_reducers.push(red);
         subscriber.merge(sub);
         timing.instantiate += inst;
@@ -563,86 +475,12 @@ pub(crate) fn run_unit_pool<S: Subscriber>(
         timing.reduce += reduce;
     }
     let reducers = crate::reducers::merge_tree(shard_reducers);
-    outputs.sort_by_key(|o| (o.unit.vantage, o.unit.chunk));
-
-    let mut traces: Vec<TraceRecord> = Vec::new();
-    let mut routes: Vec<VantageRoutes> = Vec::new();
-    let mut merged_for_vantage: Option<(Vec<TraceRecord>, Option<VantageRoutes>)> = None;
-    let flush = |m: Option<(Vec<TraceRecord>, Option<VantageRoutes>)>,
-                 traces: &mut Vec<TraceRecord>,
-                 routes: &mut Vec<VantageRoutes>| {
-        if let Some((t, r)) = m {
-            traces.extend(t);
-            routes.extend(r);
-        }
-    };
-    let mut current_vantage = usize::MAX;
-    for out in outputs {
-        if out.unit.vantage != current_vantage {
-            flush(merged_for_vantage.take(), &mut traces, &mut routes);
-            current_vantage = out.unit.vantage;
-            merged_for_vantage = Some((out.traces, out.routes));
-        } else if let Some((merged, merged_routes)) = &mut merged_for_vantage {
-            // later chunks extend the partial records in target order
-            for (m, partial) in merged.iter_mut().zip(out.traces) {
-                m.outcomes.extend(partial.outcomes);
-            }
-            if let (Some(r), Some(partial)) = (merged_routes.as_mut(), out.routes) {
-                r.paths.extend(partial.paths);
-            }
-        }
-    }
-    flush(merged_for_vantage.take(), &mut traces, &mut routes);
-    // merge in schedule order (stable: traces carry start times); compare
-    // the vantage key by reference — a sort key would clone the String
-    // on every comparison
-    traces.sort_by(|a, b| {
-        (a.started_at, a.vantage_key.as_str()).cmp(&(b.started_at, b.vantage_key.as_str()))
-    });
     timing.reduce += t0.elapsed();
 
     PoolOutcome {
-        traces,
-        routes,
         reducers,
         shard_count,
-        peak_resident_traces: peak_resident_traces.load(Ordering::Relaxed),
     }
-}
-
-/// Run the full campaign with default engine settings: reducer-only
-/// (`keep_traces = false`), so the result carries streamed aggregates —
-/// everything `FullReport` needs — and an empty trace vector. This is the
-/// single entry point that replaced the old sequential/parallel runner
-/// pair: results are byte-identical for every shard count.
-///
-/// ```
-/// use ecn_core::{run_campaign, CampaignConfig};
-/// use ecn_pool::PoolPlan;
-///
-/// // A tiny, fast campaign: 24 servers, compressed calendar, one trace
-/// // per vantage, no traceroute survey.
-/// let cfg = CampaignConfig {
-///     discovery_rounds: 10,
-///     traces_per_vantage: Some(1),
-///     run_traceroute: false,
-///     ..CampaignConfig::quick(7)
-/// };
-/// let result = run_campaign(&PoolPlan::scaled(24), &cfg);
-/// assert_eq!(result.targets.len(), 24);
-/// // the default path retains no raw records — only streamed aggregates
-/// assert!(result.traces.is_empty() && result.routes.is_empty());
-/// assert_eq!(result.aggregates.trace_stats.len(), 13); // one per vantage
-/// ```
-pub fn run_campaign(plan: &PoolPlan, cfg: &CampaignConfig) -> CampaignResult {
-    run_engine(plan, cfg, &EngineConfig::default()).result
-}
-
-/// Run the full campaign retaining the raw per-trace records and
-/// traceroute paths — the escape hatch for raw-record consumers (dataset
-/// export, pcap artefacts, `FullReport::from_traces`).
-pub fn run_campaign_with_traces(plan: &PoolPlan, cfg: &CampaignConfig) -> CampaignResult {
-    run_engine(plan, cfg, &EngineConfig::default().keeping_traces()).result
 }
 
 /// The `c`-th of `chunks` balanced contiguous slices of `targets`;
@@ -686,12 +524,10 @@ fn run_unit<S: Subscriber>(
     sched: &[ScheduledTrace],
     chunk_targets: &[Ipv4Addr],
     cfg: &CampaignConfig,
-    (keep_traces, keep_routes): (bool, bool),
     reducers: &mut ShardReducers,
     sub: &mut S,
-    (resident, peak): (&AtomicUsize, &AtomicUsize),
     (inst, probe, reduce): (&mut Duration, &mut Duration, &mut Duration),
-) -> UnitOutput {
+) {
     let first_chunk = unit.chunk == 0;
     let uid = UnitId {
         vantage: unit.vantage,
@@ -712,7 +548,6 @@ fn run_unit<S: Subscriber>(
 
     let t0 = Instant::now();
     let mut unit_reduce = Duration::ZERO;
-    let mut traces = Vec::with_capacity(if keep_traces { sched.len() } else { 0 });
     for (trace_index, st) in sched.iter().enumerate() {
         if sc.sim.now() < st.start {
             sc.sim.run_until(st.start);
@@ -743,30 +578,19 @@ fn run_unit<S: Subscriber>(
                 record: &rec,
             });
         }
-        if keep_traces {
-            traces.push(rec);
-            let now = resident.fetch_add(1, Ordering::Relaxed) + 1;
-            peak.fetch_max(now, Ordering::Relaxed);
-        }
     }
-    let routes = cfg
-        .run_traceroute
-        .then(|| {
-            let r = run_traceroute_survey(&mut sc, unit.vantage, chunk_targets, cfg);
-            let tr = Instant::now();
-            reducers.observe_routes(
-                &r,
-                &RouteCtx {
-                    vantage: unit.vantage,
-                    asdb: &sc.asdb,
-                },
-            );
-            unit_reduce += tr.elapsed();
-            // Figure 4 renders from HopSurveyCounts; the raw paths are
-            // retained only on request, mirroring keep_traces
-            keep_routes.then_some(r)
-        })
-        .flatten();
+    if cfg.run_traceroute {
+        let routes = run_traceroute_survey(&mut sc, unit.vantage, chunk_targets, cfg);
+        let tr = Instant::now();
+        reducers.observe_routes(
+            &routes,
+            &RouteCtx {
+                vantage: unit.vantage,
+                asdb: &sc.asdb,
+            },
+        );
+        unit_reduce += tr.elapsed();
+    }
     if S::ENABLED {
         let counters = sc.sim.drain_event_counters();
         sub.on_event(&Event::SimFlushed {
@@ -782,10 +606,4 @@ fn run_unit<S: Subscriber>(
     // the probe span encloses the reducer segments; report them disjointly
     *reduce += unit_reduce;
     *probe += t0.elapsed().saturating_sub(unit_reduce);
-
-    UnitOutput {
-        unit,
-        traces,
-        routes,
-    }
 }

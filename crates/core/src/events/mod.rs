@@ -7,7 +7,7 @@
 //!
 //! | Event | Emitted from |
 //! |---|---|
-//! | [`Event::CampaignStarted`] | `engine::run_engine_observed`, once the unit pool is known |
+//! | [`Event::CampaignStarted`] | `engine::try_run_engine_observed`, once the unit pool is known |
 //! | [`Event::ProbeSent`] | `campaign::run_trace_observed`, before each of the four probes |
 //! | [`Event::TraceVerdict`] | the engine's unit loop, after the trace record is reduced |
 //! | [`Event::SimFlushed`] | the engine's unit loop, draining the netsim tap ([`ecn_netsim::SimCounters`]: datagrams delivered/dropped, CE marks, ECN rewrites at named hops) |
@@ -28,8 +28,8 @@
 //!
 //! `()` implements [`Subscriber`] with [`Subscriber::ENABLED`]` = false`:
 //! every emission site is guarded by `if S::ENABLED`, so the disabled
-//! path is const-folded away by monomorphization — `run_engine` *is*
-//! `run_engine_observed` with `()`, and the `probe_hot_loop` /
+//! path is const-folded away by monomorphization — `try_run_engine` *is*
+//! `try_run_engine_observed` with `()`, and the `probe_hot_loop` /
 //! `alloc_regression` gates measure exactly that path. The netsim tap is
 //! only installed when `S::ENABLED`.
 //!

@@ -1,14 +1,14 @@
 //! End-to-end trace sampling: keep 1-in-N *logical* traces, selected by
-//! a hash of the trace's chunk-invariant identity — the scalable
-//! replacement for `EngineConfig::keep_traces` at populations where
-//! retaining every record is unaffordable.
+//! a hash of the trace's chunk-invariant identity. This is the engine's
+//! only way to retain raw [`TraceRecord`]s: at rate 1 it keeps every
+//! one, and at larger populations a rate of N bounds what is kept.
 //!
 //! The selection predicate [`TraceSampler::selects`] is a pure function
 //! of `(vantage_key, trace_index)` — never the chunk, shard, or
-//! schedule — so the sampled set is exactly the subset of what
-//! `keeping_traces()` would retain whose identity hash lands on the
-//! sample, byte-for-byte and invariant under shard count
-//! (`tests/event_stream.rs` proves this property).
+//! schedule — so the sampled set is exactly the subset of the
+//! campaign's stitched records whose identity hash lands on the sample,
+//! byte-for-byte and invariant under shard count (`tests/event_stream.rs`
+//! proves this property against a naive one-unit-at-a-time campaign).
 
 use super::{Event, Subscriber};
 use crate::trace::TraceRecord;
@@ -21,8 +21,8 @@ const SAMPLER_SALT: u64 = 0xec5a_4d91_2015_0e41;
 
 /// The 1-in-N trace sampler. Forks collect the selected (possibly
 /// partial, when `target_chunks > 1`) records; [`Subscriber::finish`]
-/// stitches chunk partials together and orders the result exactly as the
-/// engine's `keep_traces` merge would.
+/// stitches chunk partials together and orders the result by
+/// `(started_at, vantage_key)`, schedule order breaking ties.
 #[derive(Debug, Default)]
 pub struct TraceSampler {
     every: usize,
@@ -53,9 +53,8 @@ impl TraceSampler {
     }
 
     /// The sampled records, available after [`Subscriber::finish`]:
-    /// chunk partials merged, ordered by `(started_at, vantage_key)` —
-    /// the exact order (and bytes) of the matching subset of a
-    /// `keeping_traces()` run's `CampaignResult::traces`.
+    /// chunk partials merged, ordered by `(started_at, vantage_key)`, with
+    /// schedule order breaking ties.
     pub fn records(&self) -> &[TraceRecord] {
         &self.records
     }
@@ -95,11 +94,11 @@ impl Subscriber for TraceSampler {
     }
 
     fn finish(&mut self) {
-        // Mirror the engine's keep_traces merge: the lowest chunk's record
-        // carries the header fields (vantage, batch, started_at), later
-        // chunks append their outcomes in chunk order, and the final set
-        // sorts by (started_at, vantage_key) — trace_index breaks ties the
-        // way the engine's stable sort does.
+        // Stitch: the lowest chunk's record carries the header fields
+        // (vantage, batch, started_at), later chunks append their
+        // outcomes in chunk order, and the final set sorts by
+        // (started_at, vantage_key) — trace_index breaks ties, as a
+        // stable sort of schedule-ordered records would.
         let mut merged: Vec<(usize, TraceRecord)> = Vec::with_capacity(self.partials.len());
         for ((_vantage, trace_index), chunks) in std::mem::take(&mut self.partials) {
             let mut iter = chunks.into_values();

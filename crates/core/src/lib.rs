@@ -28,10 +28,13 @@
 //! simulated substrate for live sockets would not change this crate's
 //! structure.
 //!
-//! Campaigns are usually launched from a declarative
-//! [`ecn_pool::ScenarioSpec`] via [`scenario_run::run_scenario`] (the
-//! `ecnudp` CLI's path); [`engine::run_campaign`] is the programmatic
-//! equivalent with the paper's fixed experiment.
+//! Every campaign runs through one entry point,
+//! [`engine::try_run_engine_observed`] (or [`engine::try_run_engine`],
+//! its shorthand for the no-op subscriber). A declarative
+//! [`ecn_pool::ScenarioSpec`] lowers to its inputs via
+//! [`scenario_run::campaign_config`] and [`scenario_run::engine_config`]
+//! (the `ecnudp` CLI's path); the paper's fixed experiment is
+//! `PoolPlan::paper()` with the default configurations.
 
 #![warn(missing_docs)]
 
@@ -50,6 +53,14 @@ pub mod scenario_run;
 pub mod trace;
 pub mod traceroute;
 
+// The unit tests share the integration tests' naive reference oracle,
+// which names this crate by its external path.
+#[cfg(test)]
+extern crate self as ecn_core;
+#[cfg(test)]
+#[path = "../tests/util/naive.rs"]
+mod naive;
+
 pub use analysis::FullReport;
 pub use campaign::{
     discover_in, run_discovery, run_trace, run_trace_observed, run_traceroute_survey, schedule,
@@ -58,8 +69,7 @@ pub use campaign::{
 pub use config::{CampaignConfig, ProbeConfig, TracerouteConfig};
 pub use discovery::{discover, discovery_names, Discovery};
 pub use engine::{
-    run_campaign, run_campaign_with_traces, run_engine, run_engine_observed, try_run_engine,
-    try_run_engine_observed, EngineConfig, EngineRun, EngineTiming, UnitOrder,
+    try_run_engine, try_run_engine_observed, EngineConfig, EngineRun, EngineTiming, UnitOrder,
 };
 pub use events::{Event, JsonLinesMetrics, ProbeKind, Progress, Subscriber, TraceSampler, UnitId};
 pub use mp::{
@@ -72,9 +82,6 @@ pub use reducers::{
     ReachabilityCounts, Reduce, RouteCtx, ShardReducers, SurveyCounts, Table2Counts, TraceCounters,
     TraceCtx, TraceStats,
 };
-pub use scenario_run::{
-    campaign_config, engine_config, run_scenario, run_scenario_observed, run_scenario_parallel,
-    run_scenario_sharded, RunSummary,
-};
+pub use scenario_run::{campaign_config, engine_config, RunSummary};
 pub use trace::{ServerOutcome, TraceRecord};
 pub use traceroute::{traceroute, HopObservation, TraceroutePath};

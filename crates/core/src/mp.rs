@@ -57,9 +57,9 @@
 //! [`Checkpoint`] — merged-so-far aggregates plus the completed-unit
 //! bitmap — after every worker payload, via the atomic same-directory
 //! temp+rename pattern. [`EngineConfig::resume`] loads one, verifies its
-//! campaign fingerprint, and re-runs only the units absent from the
-//! bitmap; the commutative merge makes the stitched result byte-identical
-//! to an uninterrupted run.
+//! content checksum and campaign fingerprint, and re-runs only the units
+//! absent from the bitmap; the commutative merge makes the stitched
+//! result byte-identical to an uninterrupted run.
 //!
 //! ## Determinism
 //!
@@ -188,8 +188,9 @@ pub struct WorkerPayload {
     pub shards: usize,
     /// The worker's phase timing (blueprint + instantiate/probe/reduce).
     pub timing: EngineTiming,
-    /// Peak retained `TraceRecord`s (always 0: workers never keep raw
-    /// records).
+    /// Always 0: no engine path retains raw records. The field stays so
+    /// the payload's wire shape (and the `ecnbench` replay, which builds
+    /// this struct by literal) is unchanged.
     pub peak_resident_traces: usize,
     /// The worker process's `VmHWM` in kB (0 off-Linux).
     pub peak_rss_kb: u64,
@@ -290,11 +291,6 @@ pub enum MpError {
         /// What went wrong.
         detail: String,
     },
-    /// The requested configuration cannot run under worker processes.
-    Unsupported {
-        /// The rejected combination.
-        what: String,
-    },
     /// An internal invariant failed (serialization, executable lookup).
     Internal(String),
 }
@@ -314,7 +310,6 @@ impl fmt::Display for MpError {
             MpError::Checkpoint { path, detail } => {
                 write!(f, "checkpoint {}: {detail}", path.display())
             }
-            MpError::Unsupported { what } => write!(f, "unsupported configuration: {what}"),
             MpError::Internal(detail) => write!(f, "internal multi-process error: {detail}"),
         }
     }
@@ -324,15 +319,19 @@ impl std::error::Error for MpError {}
 
 // ------------------------------------------------------------- checkpoints
 
-/// On-disk schema version of [`Checkpoint`].
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// On-disk schema version of [`Checkpoint`] (2 added
+/// [`Checkpoint::checksum`]).
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// A campaign checkpoint: the merged-so-far aggregates plus the bitmap
 /// of completed canonical units, written atomically (same-directory
 /// temp + rename) after every worker payload when
 /// [`EngineConfig::checkpoint`] is set. `fingerprint` pins the file to
 /// one (plan, config, chunking) so a resume against a different
-/// scenario is rejected instead of silently merging apples into oranges.
+/// scenario is rejected instead of silently merging apples into oranges;
+/// `checksum` pins it to its own content, so a torn, bit-flipped or
+/// hand-edited file is refused by [`read_checkpoint`] instead of being
+/// merged into the report.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Checkpoint {
     /// Schema version ([`CHECKPOINT_VERSION`]).
@@ -345,7 +344,45 @@ pub struct Checkpoint {
     pub completed: Vec<usize>,
     /// Merge of every completed worker payload (plus any resumed state).
     pub aggregates: ShardReducers,
+    /// FNV-1a over the serialized `completed` list, then the serialized
+    /// `aggregates`.
+    pub checksum: u64,
 }
+
+impl Checkpoint {
+    /// A current-version checkpoint with its content checksum stamped.
+    fn new(
+        fingerprint: u64,
+        unit_count: usize,
+        completed: Vec<usize>,
+        aggregates: ShardReducers,
+    ) -> Result<Checkpoint, MpError> {
+        let mut ck = Checkpoint {
+            version: CHECKPOINT_VERSION,
+            fingerprint,
+            unit_count,
+            completed,
+            aggregates,
+            checksum: 0,
+        };
+        ck.checksum = ck.content_checksum()?;
+        Ok(ck)
+    }
+
+    /// FNV-1a over the re-serialized `completed` list and `aggregates`:
+    /// what [`Self::checksum`] must equal for the content to be intact.
+    fn content_checksum(&self) -> Result<u64, MpError> {
+        let internal =
+            |e: serde_json::Error| MpError::Internal(format!("serialize checkpoint: {e:?}"));
+        let completed = serde_json::to_string(&self.completed).map_err(internal)?;
+        let aggregates = serde_json::to_string(&self.aggregates).map_err(internal)?;
+        let h = fnv1a(FNV_OFFSET, completed.as_bytes());
+        Ok(fnv1a(h, aggregates.as_bytes()))
+    }
+}
+
+/// The FNV-1a 64-bit offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
@@ -366,15 +403,15 @@ fn campaign_fingerprint(
         .map_err(|e| MpError::Internal(format!("serialize plan for fingerprint: {e:?}")))?;
     let cfg_json = serde_json::to_string(cfg)
         .map_err(|e| MpError::Internal(format!("serialize config for fingerprint: {e:?}")))?;
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    h = fnv1a(h, plan_json.as_bytes());
+    let mut h = fnv1a(FNV_OFFSET, plan_json.as_bytes());
     h = fnv1a(h, cfg_json.as_bytes());
     h = fnv1a(h, &(chunks as u64).to_le_bytes());
     Ok(h)
 }
 
-/// Load and version-check a checkpoint file (fingerprint verification
-/// happens in the resume path, which knows the campaign identity).
+/// Load a checkpoint file and check its version and content checksum
+/// (fingerprint verification happens in the resume path, which knows the
+/// campaign identity).
 pub fn read_checkpoint(path: &Path) -> Result<Checkpoint, MpError> {
     let err = |detail: String| MpError::Checkpoint {
         path: path.to_path_buf(),
@@ -387,6 +424,14 @@ pub fn read_checkpoint(path: &Path) -> Result<Checkpoint, MpError> {
         return Err(err(format!(
             "schema version {} (this build reads {CHECKPOINT_VERSION})",
             ck.version
+        )));
+    }
+    let content = ck.content_checksum()?;
+    if ck.checksum != content {
+        return Err(err(format!(
+            "content checksum mismatch (recorded {:#018x}, contents hash to {content:#018x}); \
+             the file is truncated, corrupted or edited",
+            ck.checksum
         )));
     }
     Ok(ck)
@@ -532,7 +577,7 @@ fn run_worker_sabotaged(req: &WorkerRequest, fault: Option<WorkerFault>) -> Work
         units: unit_count,
         shards: pool.shard_count,
         timing,
-        peak_resident_traces: pool.peak_resident_traces,
+        peak_resident_traces: 0,
         peak_rss_kb: peak_rss_kb(),
         counters: tap.counters,
     }
@@ -926,7 +971,6 @@ pub(crate) fn run_multiprocess<S: Subscriber>(
 
     let mut units_run = 0usize;
     let mut shards = 0usize;
-    let mut peak_resident_traces = 0usize;
     let mut peak_rss = 0u64;
     let mut worker_merge_depth = 0usize;
     let mut fatal: Option<MpError> = None;
@@ -1016,8 +1060,6 @@ pub(crate) fn run_multiprocess<S: Subscriber>(
                         pending -= 1;
                         units_run += payload.units;
                         shards += payload.shards;
-                        peak_resident_traces =
-                            peak_resident_traces.max(payload.peak_resident_traces);
                         peak_rss = peak_rss.max(payload.peak_rss_kb);
                         worker_merge_depth = worker_merge_depth.max(merge_depth(payload.shards));
                         timing.instantiate += payload.timing.instantiate;
@@ -1034,14 +1076,14 @@ pub(crate) fn run_multiprocess<S: Subscriber>(
                         merged_parts.push(payload.aggregates);
                         payloads_merged += 1;
                         if let Some(ck_path) = &eng.checkpoint {
-                            let ck = Checkpoint {
-                                version: CHECKPOINT_VERSION,
+                            let written = Checkpoint::new(
                                 fingerprint,
-                                unit_count: total_units,
-                                completed: completed.iter().copied().collect(),
-                                aggregates: merge_tree(merged_parts.clone()),
-                            };
-                            if let Err(e) = write_checkpoint(ck_path, &ck) {
+                                total_units,
+                                completed.iter().copied().collect(),
+                                merge_tree(merged_parts.clone()),
+                            )
+                            .and_then(|ck| write_checkpoint(ck_path, &ck));
+                            if let Err(e) = written {
                                 fatal.get_or_insert(e);
                             } else if S::ENABLED {
                                 subscriber.on_event(&Event::CheckpointWritten {
@@ -1080,8 +1122,6 @@ pub(crate) fn run_multiprocess<S: Subscriber>(
         disco_world,
         targets,
         DiscoveryStats::from(&discovery),
-        Vec::new(),
-        Vec::new(),
         aggregates,
     );
     Ok(EngineRun {
@@ -1089,7 +1129,6 @@ pub(crate) fn run_multiprocess<S: Subscriber>(
         timing,
         shards,
         units: units_run,
-        peak_resident_traces,
         processes: processes.max(1),
         merge_depth: worker_merge_depth + merge_depth(part_count),
         peak_rss_kb: peak_rss.max(self::peak_rss_kb()),
@@ -1227,13 +1266,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ecnudp-ck-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("campaign.ck");
-        let ck = Checkpoint {
-            version: CHECKPOINT_VERSION,
-            fingerprint: 0xdead_beef,
-            unit_count: 26,
-            completed: vec![0, 3, 7],
-            aggregates: ShardReducers::default(),
-        };
+        let ck = Checkpoint::new(0xdead_beef, 26, vec![0, 3, 7], ShardReducers::default()).unwrap();
         write_checkpoint(&path, &ck).unwrap();
         let back = read_checkpoint(&path).unwrap();
         assert_eq!(back.fingerprint, 0xdead_beef);
@@ -1248,6 +1281,14 @@ mod tests {
         write_checkpoint(&path, &old).unwrap();
         let err = read_checkpoint(&path).unwrap_err();
         assert!(err.to_string().contains("schema version 99"), "{err}");
+        // content gate: contents that no longer hash to the recorded
+        // checksum are refused, naming the file
+        let mut edited = ck.clone();
+        edited.completed.push(9);
+        write_checkpoint(&path, &edited).unwrap();
+        let err = read_checkpoint(&path).unwrap_err().to_string();
+        assert!(err.contains("content checksum mismatch"), "{err}");
+        assert!(err.contains("campaign.ck"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1307,7 +1348,8 @@ mod tests {
     #[test]
     fn in_process_worker_partitions_merge_to_the_full_campaign() {
         // Drive run_worker directly (no spawning): merging every
-        // partition's aggregates must equal the single-process campaign.
+        // partition's aggregates must equal the naive one-unit-at-a-time
+        // campaign.
         let plan = PoolPlan::scaled(24);
         let cfg = CampaignConfig {
             discovery_rounds: 20,
@@ -1318,16 +1360,8 @@ mod tests {
         // target_chunks is a *world-shaping* knob (each chunk probes from
         // its own unit world), so the baseline must use the same chunking
         // as the workers; processes/shards/orders are the invariant axes.
-        let baseline = crate::engine::run_engine(
-            &plan,
-            &cfg,
-            &EngineConfig {
-                shards: Some(2),
-                target_chunks: 2,
-                ..EngineConfig::default()
-            },
-        );
-        let targets = baseline.result.targets.clone();
+        let baseline = crate::naive::naive_campaign(&plan, &cfg, 2);
+        let targets = baseline.targets.clone();
         let processes = 3;
         let payloads: Vec<WorkerPayload> = (0..processes)
             .map(|index| {
@@ -1351,6 +1385,6 @@ mod tests {
         assert_eq!(observations, 13 * targets.len() as u64);
         assert!(payloads.iter().all(|p| p.counters.delivered > 0));
         let merged = merge_tree(payloads.into_iter().map(|p| p.aggregates).collect());
-        assert_eq!(merged, baseline.result.aggregates);
+        assert_eq!(merged, baseline.aggregates);
     }
 }

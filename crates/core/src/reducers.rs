@@ -5,10 +5,9 @@
 //! These accumulators are the **single source of truth for the report
 //! path**: [`CampaignAggregates`] carries everything
 //! [`crate::analysis::FullReport::from_aggregates`] needs to render every
-//! table and figure byte-identically to the legacy trace-walk derivation
-//! (`crates/core/tests/report_differential.rs` proves it), so the default
-//! campaign runs with `EngineConfig::keep_traces = false` and never holds
-//! an O(traces × servers) structure.
+//! table and figure byte-identically to a naive walk over every raw
+//! record (`crates/core/tests/report_differential.rs` proves it), so a
+//! campaign never holds an O(traces × servers) structure.
 //!
 //! ## Reducer contract
 //!
@@ -56,8 +55,8 @@ pub struct TraceCtx {
 }
 
 impl TraceCtx {
-    /// Context for observing a whole (unchunked) trace — what the legacy
-    /// trace-walk analyses use when replaying a `&[TraceRecord]`.
+    /// Context for observing a whole (unchunked, or already stitched)
+    /// trace, e.g. when replaying a `&[TraceRecord]`.
     pub fn whole(vantage: usize, trace_index: usize) -> TraceCtx {
         TraceCtx {
             first_chunk: true,
@@ -308,8 +307,8 @@ impl ReachabilityCounts {
 /// Integer counters for one logical trace — the data behind one Figure 2
 /// bar and one Figure 5 bar. Chunk partials of the same trace merge by
 /// addition; the identity fields are set by whichever chunk arrives first
-/// and the start time by the chunk-0 partial (whose world's clock is the
-/// one the legacy trace vector reports).
+/// and the start time by the chunk-0 partial (whose world's clock a
+/// stitched record's header carries).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceCounters {
     /// Vantage key (stable identifier).
@@ -652,10 +651,11 @@ impl Reduce for HopSurveyCounts {
 // ------------------------------------------------------------- validation
 
 /// Streaming accumulator behind the ECN-validation report section:
-/// per-server counts of each [`ValidationOutcome`], indexed densely by
-/// [`ValidationOutcome::index`]. Truth-free at observe time — the
-/// confusion matrix against middlebox ground truth is joined at report
-/// time ([`crate::analysis::validation`]), so observation stays a pure
+/// per-server counts of each [`ecn_stack::ValidationOutcome`], indexed
+/// densely by [`ecn_stack::ValidationOutcome::index`]. Truth-free at
+/// observe time — the confusion matrix against middlebox ground truth is
+/// joined at report time ([`crate::analysis::validation`]), so
+/// observation stays a pure
 /// function of the trace record and the merge contract holds trivially
 /// (integer counters in a `BTreeMap`). Empty — and absent from the
 /// report — whenever the validation pass is disabled.
@@ -850,7 +850,7 @@ mod tests {
         for (i, t) in traces.iter().enumerate() {
             streamed.observe_trace(t, &TraceCtx::whole(i, 0));
         }
-        let batch = crate::analysis::table2(&traces);
+        let batch = crate::naive::table2(&traces);
         // per-vantage averages agree with the batch analysis
         for row in &batch.rows {
             let v = &streamed.per_vantage[&row.location];

@@ -1,18 +1,53 @@
 //! Run declarative scenarios: lower an [`ecn_pool::ScenarioSpec`] to the
-//! engine's imperative configuration and execute it.
+//! engine's imperative configuration.
 //!
 //! This is the bridge the `ecnudp` CLI drives: a spec file describes the
-//! *world and schedule*; this module turns it into the `(PoolPlan,
-//! CampaignConfig, EngineConfig)` triple [`crate::engine::run_engine`]
-//! consumes. [`ecn_pool::ScenarioSpec::paper2015`] lowers to exactly the
-//! defaults of [`crate::engine::run_campaign`], so running the
-//! `paper2015` preset is byte-identical to the hard-wired reproduction
-//! (gated by `tests/scenario_presets.rs`).
+//! *world and schedule*; [`campaign_config`] and [`engine_config`] turn it
+//! into the `(PoolPlan, CampaignConfig, EngineConfig)` triple
+//! [`crate::engine::try_run_engine_observed`] consumes (the plan is
+//! [`ecn_pool::ScenarioSpec::plan`]). [`ecn_pool::ScenarioSpec::paper2015`]
+//! lowers to exactly `PoolPlan::paper()`, `CampaignConfig::default()` and
+//! `EngineConfig::default()`, so running the `paper2015` preset is
+//! byte-identical to the hard-wired reproduction (gated by
+//! `tests/scenario_presets.rs`).
+//!
+//! ```
+//! use ecn_core::{campaign_config, engine_config, try_run_engine, EngineConfig, FullReport};
+//! use ecn_pool::ScenarioSpec;
+//!
+//! // A tiny world: 20 servers, compressed calendar, one trace/vantage.
+//! let spec = ScenarioSpec::from_toml_str(
+//!     r#"
+//!     seed = 42
+//!     traceroute = false
+//!     [population]
+//!     servers = 20
+//!     [topology]
+//!     t1_count = 3
+//!     t2_count = 3
+//!     [middleboxes]
+//!     ect_droppers_per_1000 = 50
+//!     [schedule]
+//!     profile = "quick"
+//!     traces_per_vantage = 1
+//!     discovery_rounds = 10
+//!     "#,
+//! )
+//! .unwrap();
+//! // shards stay a runtime knob: any count renders the same bytes
+//! let eng = EngineConfig {
+//!     shards: Some(2),
+//!     ..engine_config(&spec)
+//! };
+//! let run = try_run_engine(&spec.plan(), &campaign_config(&spec), &eng)
+//!     .expect("an in-process campaign cannot fail");
+//! let report = FullReport::from_campaign(&run.result);
+//! assert!(report.render().contains("Table 2"));
+//! ```
 
 use crate::analysis::FullReport;
 use crate::config::CampaignConfig;
-use crate::engine::{run_engine, run_engine_observed, EngineConfig, EngineRun};
-use crate::events::Subscriber;
+use crate::engine::{EngineConfig, EngineRun};
 use ecn_pool::{ScenarioSpec, ScheduleProfile};
 use serde::Serialize;
 
@@ -57,88 +92,6 @@ pub fn engine_config(spec: &ScenarioSpec) -> EngineConfig {
         checkpoint: (!res.checkpoint.is_empty()).then(|| res.checkpoint.clone().into()),
         ..EngineConfig::default()
     }
-}
-
-/// Run a declarative scenario through the sharded engine with default
-/// concurrency. Equivalent to [`run_scenario_sharded`] with
-/// `shards = None`.
-///
-/// ```
-/// use ecn_core::{run_scenario, FullReport};
-/// use ecn_pool::ScenarioSpec;
-///
-/// // A tiny world: 20 servers, compressed calendar, one trace/vantage.
-/// let spec = ScenarioSpec::from_toml_str(
-///     r#"
-///     seed = 42
-///     traceroute = false
-///     [population]
-///     servers = 20
-///     [topology]
-///     t1_count = 3
-///     t2_count = 3
-///     [middleboxes]
-///     ect_droppers_per_1000 = 50
-///     [schedule]
-///     profile = "quick"
-///     traces_per_vantage = 1
-///     discovery_rounds = 10
-///     "#,
-/// )
-/// .unwrap();
-/// let run = run_scenario(&spec);
-/// let report = FullReport::from_campaign(&run.result);
-/// assert!(report.render().contains("Table 2"));
-/// ```
-pub fn run_scenario(spec: &ScenarioSpec) -> EngineRun {
-    run_scenario_sharded(spec, None)
-}
-
-/// Run a declarative scenario with an explicit shard count (`None` =
-/// available parallelism). Shards are a pure concurrency knob: any value
-/// renders the same report byte-for-byte.
-pub fn run_scenario_sharded(spec: &ScenarioSpec, shards: Option<usize>) -> EngineRun {
-    let eng = EngineConfig {
-        shards,
-        ..engine_config(spec)
-    };
-    run_engine(&spec.plan(), &campaign_config(spec), &eng)
-}
-
-/// Run a declarative scenario with explicit shard *and* process counts
-/// (`None` shards = available parallelism per process). Like shards,
-/// processes are a pure concurrency/memory knob: any combination renders
-/// the same report byte-for-byte (`tests/process_determinism.rs`). With
-/// `processes > 1` the campaign runs through [`crate::mp`]: unit
-/// partitions execute in spawned worker processes and only their merged
-/// aggregates come home, so peak RSS per process stays bounded.
-pub fn run_scenario_parallel(
-    spec: &ScenarioSpec,
-    shards: Option<usize>,
-    processes: usize,
-) -> EngineRun {
-    let eng = EngineConfig {
-        shards,
-        processes: processes.max(1),
-        ..engine_config(spec)
-    };
-    run_engine(&spec.plan(), &campaign_config(spec), &eng)
-}
-
-/// [`run_scenario_sharded`] with a typed event subscriber (see
-/// [`crate::events`]): the campaign result is byte-identical to the
-/// unobserved run, and the returned subscriber holds whatever it
-/// accumulated (its `finish` has already run).
-pub fn run_scenario_observed<S: Subscriber>(
-    spec: &ScenarioSpec,
-    shards: Option<usize>,
-    subscriber: S,
-) -> (EngineRun, S) {
-    let eng = EngineConfig {
-        shards,
-        ..engine_config(spec)
-    };
-    run_engine_observed(&spec.plan(), &campaign_config(spec), &eng, subscriber)
 }
 
 /// Machine-readable summary of one scenario run — what `ecnudp run
@@ -232,7 +185,7 @@ mod tests {
     use ecn_pool::PoolPlan;
 
     #[test]
-    fn paper2015_lowers_to_run_campaign_defaults() {
+    fn paper2015_lowers_to_the_default_configs() {
         let spec = ScenarioSpec::paper2015();
         assert_eq!(spec.plan(), PoolPlan::paper());
         assert_eq!(campaign_config(&spec), CampaignConfig::default());
@@ -263,7 +216,7 @@ mod tests {
     }
 
     #[test]
-    fn scenario_run_matches_equivalent_run_campaign() {
+    fn lowered_spec_runs_the_campaign_the_naive_walk_runs() {
         // the spec path and the hand-built path must be the same campaign
         let spec = ScenarioSpec::from_toml_str(
             r#"
@@ -293,11 +246,16 @@ mod tests {
             "#,
         )
         .unwrap();
-        let via_spec = run_scenario_sharded(&spec, Some(2));
-        let direct = crate::engine::run_campaign(&spec.plan(), &campaign_config(&spec));
+        let eng = EngineConfig {
+            shards: Some(2),
+            ..engine_config(&spec)
+        };
+        let cfg = campaign_config(&spec);
+        let via_spec = crate::engine::try_run_engine(&spec.plan(), &cfg, &eng).unwrap();
+        let direct = crate::naive::naive_campaign(&spec.plan(), &cfg, eng.target_chunks);
         assert_eq!(
             FullReport::from_campaign(&via_spec.result).render(),
-            FullReport::from_campaign(&direct).render(),
+            crate::naive::naive_report(&direct).render(),
             "spec-driven and direct campaigns must render identically"
         );
         let report = FullReport::from_campaign(&via_spec.result);

@@ -1,10 +1,14 @@
 //! Property-based tests of the analysis layer: for arbitrary probe
 //! outcomes, the derived tables/figures must satisfy their defining
-//! invariants (the same arithmetic the paper's numbers obey).
+//! invariants (the same arithmetic the paper's numbers obey). Records
+//! reach each finalizer through the naive trace walks of `util/naive.rs`.
 
-use ecn_core::analysis::{figure2, figure3, figure5, table2};
+#[path = "util/naive.rs"]
+mod naive;
+
 use ecn_core::{ServerOutcome, TcpProbeResult, TraceRecord, UdpProbeResult};
 use ecn_netsim::Nanos;
+use naive::{figure2, figure3, figure5, table2};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 

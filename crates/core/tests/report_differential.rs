@@ -1,14 +1,20 @@
-//! Differential suite: the streamed-aggregate report path must render
-//! **byte-identically** to the legacy trace-walk derivation, for random
-//! seeds, shard counts, work-stealing orders, and target chunkings. This
-//! is the gate that let `FullReport` switch its default to
-//! `from_aggregates` and the engine flip `keep_traces` off: any
-//! divergence between the two derivations — a chunk double-count, a
-//! merge that isn't commutative, a ratio computed in a different order —
-//! shows up here as a unified report diff.
+//! Differential suite: the engine's streamed-aggregate report must render
+//! **byte-identically** to a naive reference (`util/naive.rs`) that runs
+//! the campaign one unit at a time, keeps every raw record, and derives
+//! each artefact by walking them. The reference shares no shard pool,
+//! work stealing, merge tree or event stream with the engine, so any
+//! divergence — a chunk double-count, a merge that isn't commutative, a
+//! ratio computed in a different order — shows up here as a unified
+//! report diff, for random seeds, shard counts, work-stealing orders,
+//! target chunkings, traceroute on/off, and the validation pass over
+//! CE-marking AQM worlds.
 
-use ecn_core::{run_engine, CampaignConfig, EngineConfig, FullReport, UnitOrder};
+#[path = "util/naive.rs"]
+mod naive;
+
+use ecn_core::{try_run_engine, CampaignConfig, EngineConfig, FullReport, UnitOrder};
 use ecn_pool::PoolPlan;
+use naive::{naive_campaign, naive_report};
 use proptest::prelude::*;
 
 fn mini_cfg(seed: u64) -> CampaignConfig {
@@ -39,15 +45,27 @@ proptest! {
         target_chunks in 1usize..4,
         order_seed in 0u64..1_000,
         with_traceroute in proptest::arbitrary::any::<bool>(),
+        validation_packets in prop_oneof![Just(0u32), Just(10u32)],
+        with_aqm in proptest::arbitrary::any::<bool>(),
     ) {
-        let plan = PoolPlan::scaled(24);
-        let cfg = CampaignConfig {
+        // the AQM world of `aqm_marking_and_validation_invariant_under_sharding`
+        // (24 servers leave too few candidate ASes for its three boxes)
+        let plan = if with_aqm {
+            PoolPlan {
+                aqm_red: 1,
+                aqm_codel: 1,
+                ce_suppress: 1,
+                ..PoolPlan::scaled(30)
+            }
+        } else {
+            PoolPlan::scaled(24)
+        };
+        let mut cfg = CampaignConfig {
             run_traceroute: with_traceroute,
             ..mini_cfg(seed)
         };
-        // one run, both derivations: keep the raw traces so the legacy
-        // walk has something to walk
-        let run = run_engine(
+        cfg.validation.packets = validation_packets;
+        let run = try_run_engine(
             &plan,
             &cfg,
             &EngineConfig {
@@ -55,34 +73,40 @@ proptest! {
                 target_chunks,
                 unit_order: UnitOrder::Shuffled(order_seed),
                 ..EngineConfig::default()
-            }
-            .keeping_traces(),
+            },
+        )
+        .expect("in-process campaign");
+        let naive = naive_campaign(&plan, &cfg, target_chunks);
+        let axes = format!(
+            "seed {seed} shards {shards} chunks {target_chunks} order {order_seed} \
+             traceroute {with_traceroute} validation {validation_packets} aqm {with_aqm}"
         );
-        let legacy = FullReport::from_traces(&run.result).render();
-        let streamed = FullReport::from_aggregates(&run.result).render();
         prop_assert_eq!(
-            legacy, streamed,
-            "seed {} shards {} chunks {} order {} traceroute {}",
-            seed, shards, target_chunks, order_seed, with_traceroute
+            naive_report(&naive).render(),
+            FullReport::from_aggregates(&run.result).render(),
+            "{}",
+            axes
         );
+        prop_assert_eq!(&naive.aggregates, &run.result.aggregates, "{}", axes);
     }
 }
 
-/// The same differential, pinned: a reducer-only run must render exactly
-/// what a trace-keeping run of the same campaign derives from its raw
-/// records — the aggregates lose no report-relevant information.
+/// The same differential, pinned: the engine's raw-record-free run must
+/// render exactly what the naive walk derives from every raw record of
+/// the same campaign — the aggregates lose no report-relevant
+/// information.
 #[test]
 fn reducer_only_run_renders_what_the_trace_walk_would() {
     let plan = PoolPlan::scaled(30);
     let cfg = mini_cfg(2015);
-    let lean = run_engine(&plan, &cfg, &EngineConfig::with_shards(4));
-    let kept = run_engine(&plan, &cfg, &EngineConfig::with_shards(2).keeping_traces());
-    assert!(lean.result.traces.is_empty());
-    assert_eq!(lean.peak_resident_traces, 0, "no TraceRecord retained");
-    assert!(!kept.result.traces.is_empty());
+    let lean = try_run_engine(&plan, &cfg, &EngineConfig::with_shards(4)).expect("campaign");
+    assert!(lean.result.traces.is_empty() && lean.result.routes.is_empty());
+    let naive = naive_campaign(&plan, &cfg, 1);
+    assert_eq!(naive.traces.len(), 13);
+    assert_eq!(naive.routes.len(), 13);
     assert_eq!(
         FullReport::from_aggregates(&lean.result).render(),
-        FullReport::from_traces(&kept.result).render(),
+        naive_report(&naive).render(),
     );
 }
 
@@ -95,24 +119,25 @@ fn chunked_bars_are_per_logical_trace() {
         run_traceroute: false,
         ..mini_cfg(99)
     };
-    let chunked = run_engine(
+    let chunked = try_run_engine(
         &plan,
         &cfg,
         &EngineConfig {
             shards: Some(3),
             target_chunks: 3,
             ..EngineConfig::default()
-        }
-        .keeping_traces(),
-    );
+        },
+    )
+    .expect("campaign");
+    let naive = naive_campaign(&plan, &cfg, 3);
     let report = FullReport::from_aggregates(&chunked.result);
     assert_eq!(
         report.figure2.bars.len(),
-        chunked.result.traces.len(),
-        "one Figure 2 bar per merged logical trace"
+        naive.traces.len(),
+        "one Figure 2 bar per stitched logical trace"
     );
     assert_eq!(
-        FullReport::from_traces(&chunked.result).render(),
+        naive_report(&naive).render(),
         report.render(),
         "chunked render differential"
     );

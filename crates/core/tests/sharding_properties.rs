@@ -2,10 +2,15 @@
 //! counts and work-stealing schedules, the aggregate Table 2 counts
 //! (per-vantage ECT-marked reachability) — and every other streamed
 //! aggregate — must be invariant. Only the seed is allowed to change the
-//! measurement.
+//! measurement. Baselines come from the naive one-unit-at-a-time
+//! reference (`util/naive.rs`) or a one-shard engine run.
 
-use ecn_core::{run_engine, CampaignConfig, EngineConfig, UnitOrder};
+#[path = "util/naive.rs"]
+mod naive;
+
+use ecn_core::{try_run_engine, CampaignConfig, EngineConfig, EngineRun, UnitOrder};
 use ecn_pool::PoolPlan;
+use naive::naive_campaign;
 use proptest::prelude::*;
 
 fn mini_cfg(seed: u64) -> CampaignConfig {
@@ -15,6 +20,10 @@ fn mini_cfg(seed: u64) -> CampaignConfig {
         run_traceroute: false,
         ..CampaignConfig::quick(seed)
     }
+}
+
+fn run(plan: &PoolPlan, cfg: &CampaignConfig, eng: &EngineConfig) -> EngineRun {
+    try_run_engine(plan, cfg, eng).expect("in-process campaign")
 }
 
 proptest! {
@@ -29,11 +38,10 @@ proptest! {
     ) {
         let plan = PoolPlan::scaled(24);
         let cfg = mini_cfg(seed);
-        // baseline keeps raw traces so the trace count can cross-check the
-        // streamed denominator below; the sharded run is reducer-only (the
-        // default)
-        let baseline = run_engine(&plan, &cfg, &EngineConfig::with_shards(1).keeping_traces());
-        let sharded = run_engine(
+        // the naive baseline keeps raw traces, so the trace count can
+        // cross-check the streamed denominator below
+        let baseline = naive_campaign(&plan, &cfg, 1);
+        let sharded = run(
             &plan,
             &cfg,
             &EngineConfig {
@@ -46,29 +54,23 @@ proptest! {
         // The tentpole property: per-vantage Table 2 counts do not depend
         // on shard count or on which shard stole which unit.
         prop_assert_eq!(
-            &baseline.result.aggregates.table2,
+            &baseline.aggregates.table2,
             &sharded.result.aggregates.table2
         );
         // Neither do the remaining streamed aggregates.
         prop_assert_eq!(
-            &baseline.result.aggregates.reachability,
+            &baseline.aggregates.reachability,
             &sharded.result.aggregates.reachability
         );
         prop_assert_eq!(
-            &baseline.result.aggregates.survey,
+            &baseline.aggregates.survey,
             &sharded.result.aggregates.survey
         );
         // ... and so does the full aggregate set (per-trace stats, figure 3
         // differentials, batch counters, figure 4 hop state included)
-        prop_assert_eq!(&baseline.result.aggregates, &sharded.result.aggregates);
-        // reducer-only runs drop the raw trace vector but keep the counts,
-        // and retain zero TraceRecords at peak
+        prop_assert_eq!(&baseline.aggregates, &sharded.result.aggregates);
+        // the engine keeps no raw trace vector, only the counts
         prop_assert!(sharded.result.traces.is_empty());
-        prop_assert_eq!(sharded.peak_resident_traces, 0);
-        prop_assert_eq!(
-            baseline.peak_resident_traces,
-            baseline.result.traces.len()
-        );
         let traced: u64 = sharded
             .result
             .aggregates
@@ -77,7 +79,7 @@ proptest! {
             .values()
             .map(|v| v.traces)
             .sum();
-        prop_assert_eq!(traced as usize, baseline.result.traces.len());
+        prop_assert_eq!(traced as usize, baseline.traces.len());
     }
 }
 
@@ -104,12 +106,12 @@ proptest! {
         };
         let mut cfg = mini_cfg(seed);
         cfg.validation.packets = 10;
-        let baseline = run_engine(&plan, &cfg, &EngineConfig::with_shards(1));
+        let baseline = run(&plan, &cfg, &EngineConfig::with_shards(1));
         prop_assert!(
             !baseline.result.aggregates.validation.is_empty(),
             "the validation pass must produce observations"
         );
-        let sharded = run_engine(
+        let sharded = run(
             &plan,
             &cfg,
             &EngineConfig {
@@ -126,15 +128,15 @@ proptest! {
     }
 }
 
-/// The streamed Table 2 counts must agree with the batch `analysis::table2`
-/// computed from the raw trace vector of the same run.
+/// The engine's streamed Table 2 counts must agree with the naive Table 2
+/// walk over the raw records of the same campaign.
 #[test]
 fn streamed_table2_matches_batch_analysis() {
     let plan = PoolPlan::scaled(30);
     let cfg = mini_cfg(77);
-    let run = run_engine(&plan, &cfg, &EngineConfig::with_shards(3).keeping_traces());
-    let batch = ecn_core::analysis::table2(&run.result.traces);
-    let streamed = &run.result.aggregates.table2;
+    let engine = run(&plan, &cfg, &EngineConfig::with_shards(3));
+    let batch = naive::table2(&naive_campaign(&plan, &cfg, 1).traces);
+    let streamed = &engine.result.aggregates.table2;
     for row in &batch.rows {
         let v = &streamed.per_vantage[&row.location];
         assert_eq!(

@@ -15,16 +15,17 @@
 //! parallelism). Any value yields byte-identical reports; it only changes
 //! how the work units spread across threads.
 //!
-//! The study runs the trace-free default path: every table and figure is
-//! rendered from the engine's streamed aggregates, so memory stays
-//! O(aggregates) no matter how many traces the campaign schedules. Set
-//! `ECNUDP_KEEP_TRACES=1` to retain the raw per-trace records (the
-//! dataset escape hatch).
+//! Every table and figure is rendered from the engine's streamed
+//! aggregates, so memory stays O(aggregates) no matter how many traces
+//! the campaign schedules. To export the raw per-trace records (the
+//! dataset), run the CLI with a trace sampler at rate 1:
+//! `ecnudp run --scenario scenarios/paper2015.toml --metrics records.jsonl
+//! --sample-traces 1`.
 //!
 //! At paper scale this simulates hundreds of millions of per-hop packet
 //! events; build with `--release`.
 
-use ecnudp::core::{run_engine, CampaignConfig, EngineConfig, FullReport};
+use ecnudp::core::{try_run_engine, CampaignConfig, EngineConfig, FullReport};
 use ecnudp::pool::PoolPlan;
 
 fn main() {
@@ -44,11 +45,8 @@ fn main() {
         seed,
         ..CampaignConfig::default()
     };
-    let keep_traces = std::env::var("ECNUDP_KEEP_TRACES").is_ok_and(|v| v == "1");
     let eng = EngineConfig {
         shards,
-        keep_traces,
-        keep_routes: keep_traces,
         ..EngineConfig::default()
     };
 
@@ -58,7 +56,7 @@ fn main() {
         plan.total_as_count()
     );
     let t0 = std::time::Instant::now();
-    let run = run_engine(&plan, &cfg, &eng);
+    let run = try_run_engine(&plan, &cfg, &eng).expect("an in-process campaign cannot fail");
     let result = &run.result;
     eprintln!(
         "campaign done in {:.1}s wall ({} shards over {} work units): {} targets discovered, {} traces, {} traceroute paths",
@@ -68,15 +66,6 @@ fn main() {
         result.targets.len(),
         result.aggregates.trace_stats.len(),
         result.aggregates.hops.paths,
-    );
-    eprintln!(
-        "peak resident TraceRecords: {}{}",
-        run.peak_resident_traces,
-        if keep_traces {
-            " (ECNUDP_KEEP_TRACES=1)"
-        } else {
-            " (trace-free default; report rendered from streamed aggregates)"
-        },
     );
     eprintln!(
         "engine timing: blueprint build {:.3}s | discovery {:.1}s | instantiate {:.3}s | probe {:.1}s | reduce {:.3}s",

@@ -9,9 +9,12 @@
 //!
 //! Demonstrates the three-step spec pipeline: parse (lenient on absence,
 //! strict on presence), lower (`ScenarioSpec` → `PoolPlan` +
-//! `CampaignConfig`), run (sharded engine, streamed aggregates).
+//! `CampaignConfig` + `EngineConfig`), run (sharded engine, streamed
+//! aggregates).
 
-use ecnudp::core::{run_scenario_sharded, FullReport, RunSummary};
+use ecnudp::core::{
+    campaign_config, engine_config, try_run_engine, EngineConfig, FullReport, RunSummary,
+};
 use ecnudp::pool::ScenarioSpec;
 
 fn main() {
@@ -40,7 +43,14 @@ fn main() {
         plan.vantage_count,
         spec.seed
     );
-    let run = run_scenario_sharded(&spec, shards);
+    let eng = EngineConfig {
+        shards,
+        ..engine_config(&spec)
+    };
+    let run = try_run_engine(&plan, &campaign_config(&spec), &eng).unwrap_or_else(|e| {
+        eprintln!("{path}: campaign failed: {e}");
+        std::process::exit(3);
+    });
     let report = FullReport::from_campaign(&run.result);
     print!("{}", report.render());
 

@@ -9,8 +9,8 @@
 //! DOT files land in `outdir` (default `target/fig4`); render one with
 //! `twopi -Tsvg fig4-ec2-ireland.dot -o map.svg`.
 
-use ecnudp::core::analysis::{figure4, figure4_dot};
-use ecnudp::core::{traceroute, CampaignConfig, VantageRoutes};
+use ecnudp::core::analysis::{figure4_dot, Figure4};
+use ecnudp::core::{traceroute, CampaignConfig, HopSurveyCounts, Reduce, RouteCtx, VantageRoutes};
 use ecnudp::pool::{build_scenario, PoolPlan};
 
 fn main() {
@@ -36,6 +36,8 @@ fn main() {
         targets.len(),
         sc.vantages.len()
     );
+    // each vantage's survey streams into the hop reducer, as in a campaign
+    let mut counts = HopSurveyCounts::default();
     let mut routes = Vec::new();
     for vi in 0..sc.vantages.len() {
         let handle = sc.vantages[vi].handle.clone();
@@ -43,13 +45,19 @@ fn main() {
         for &dst in &targets {
             paths.push(traceroute(&mut sc.sim, &handle, dst, &cfg.traceroute));
         }
-        routes.push(VantageRoutes {
+        let vr = VantageRoutes {
             vantage_key: sc.vantages[vi].spec.key.to_string(),
             paths,
-        });
+        };
+        let ctx = RouteCtx {
+            vantage: vi,
+            asdb: &sc.asdb,
+        };
+        counts.observe_routes(&vr, &ctx);
+        routes.push(vr);
     }
 
-    let stats = figure4(&routes, &sc.asdb);
+    let stats = Figure4::from_counts(&counts, &sc.asdb);
     println!("{}", stats.render());
 
     std::fs::create_dir_all(&outdir).expect("create output dir");

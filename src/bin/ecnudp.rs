@@ -81,16 +81,18 @@ OPTIONS:
                         merged-so-far aggregates + the completed-unit
                         bitmap (enables the supervised driver even at
                         --processes 1)
-    --resume <file>     resume from a checkpoint: verify it matches this
-                        campaign, re-run only units absent from its bitmap
+    --resume <file>     resume from a checkpoint: verify its content
+                        checksum and that it matches this campaign, re-run
+                        only units absent from its bitmap
                         (keeps checkpointing to the same file unless
                         --checkpoint names another)
 
 EXIT CODES:
     0  success        2  usage error
     1  config/spec/IO error
-    3  campaign failed (worker retry budget exhausted, checkpoint
-       mismatch) — the message names the worker, unit range, and cause
+    3  campaign failed (worker retry budget exhausted, corrupt or
+       mismatched checkpoint) — the message names the worker, unit
+       range, or file, and the cause
 
 Omitted spec keys keep their paper2015 defaults; unknown keys are errors.";
 

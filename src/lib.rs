@@ -6,21 +6,21 @@
 //! simulator, host stack, application services, pool population model).
 //!
 //! ```no_run
-//! use ecnudp::core::{run_engine, CampaignConfig, EngineConfig, FullReport};
+//! use ecnudp::core::{try_run_engine, CampaignConfig, EngineConfig, FullReport};
 //! use ecnudp::pool::PoolPlan;
 //!
 //! // One blueprint, work-stealing shards, byte-identical for any shard count.
-//! // The default is reducer-only: the report renders from streamed
-//! // aggregates and the run retains zero raw TraceRecords at peak.
-//! let run = run_engine(
+//! // The report renders from streamed aggregates: the engine keeps no raw
+//! // TraceRecords (subscribe a `TraceSampler` to export them).
+//! let run = try_run_engine(
 //!     &PoolPlan::paper(),
 //!     &CampaignConfig::default(),
 //!     &EngineConfig::default(),
-//! );
+//! )
+//! .expect("an in-process campaign cannot fail");
 //! let report = FullReport::from_campaign(&run.result);
 //! println!("{}", report.render());
 //! eprintln!("{}", run.timing.render());
-//! assert_eq!(run.peak_resident_traces, 0);
 //! ```
 //!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the

@@ -6,12 +6,16 @@
 //! must be byte-identical across `shards = 1, 4, 13, 32` (sharding
 //! invariance, not just same-seed stability).
 //!
-//! Every render below runs the **trace-free default path**
-//! (`keep_traces = false`, report from streamed aggregates); the last
-//! test pins that path to the legacy trace-walk derivation.
+//! Every engine render below comes from the streamed aggregates (the
+//! engine keeps no raw records); the last test pins it to the naive
+//! one-unit-at-a-time reference, which walks every raw record.
 
-use ecnudp::core::{run_engine, CampaignConfig, EngineConfig, FullReport, UnitOrder};
+#[path = "../crates/core/tests/util/naive.rs"]
+mod naive;
+
+use ecnudp::core::{try_run_engine, CampaignConfig, EngineConfig, FullReport, UnitOrder};
 use ecnudp::pool::PoolPlan;
+use naive::{naive_campaign, naive_report};
 use std::sync::OnceLock;
 
 fn mini_cfg(seed: u64) -> CampaignConfig {
@@ -24,10 +28,10 @@ fn mini_cfg(seed: u64) -> CampaignConfig {
 
 fn rendered_with(seed: u64, eng: &EngineConfig) -> String {
     let plan = PoolPlan::scaled(40);
-    let run = run_engine(&plan, &mini_cfg(seed), eng);
+    let run = try_run_engine(&plan, &mini_cfg(seed), eng).expect("in-process campaign");
     assert!(
-        run.result.traces.is_empty() || eng.keep_traces,
-        "reducer-only run retains no traces"
+        run.result.traces.is_empty(),
+        "the engine retains no raw records"
     );
     FullReport::from_campaign(&run.result).render()
 }
@@ -90,16 +94,11 @@ fn report_is_byte_identical_across_shard_counts() {
 
 #[test]
 fn trace_free_report_matches_trace_derived_report() {
-    // the aggregates-first default must render exactly what the legacy
-    // trace walk derives from the raw records of the same campaign
-    let plan = PoolPlan::scaled(40);
-    let kept = run_engine(
-        &plan,
-        &mini_cfg(2015),
-        &EngineConfig::with_shards(4).keeping_traces(),
-    );
-    assert!(!kept.result.traces.is_empty());
-    let trace_derived = FullReport::from_traces(&kept.result).render();
+    // the engine's aggregates must render exactly what the naive walk
+    // derives from the raw records of the same campaign
+    let naive = naive_campaign(&PoolPlan::scaled(40), &mini_cfg(2015), 1);
+    assert!(!naive.traces.is_empty());
+    let trace_derived = naive_report(&naive).render();
     assert_eq!(
         *baseline_2015(),
         trace_derived,

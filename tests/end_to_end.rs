@@ -1,10 +1,20 @@
 //! Cross-crate integration tests: the full pipeline (scenario → campaign →
 //! analysis) at test scale, determinism, dataset serialisation, and
-//! internal consistency of every analysis artefact.
+//! internal consistency of every analysis artefact. Raw records come
+//! from the naive one-unit-at-a-time reference campaign
+//! (`crates/core/tests/util/naive.rs`) or, from the engine, through the
+//! `TraceSampler` subscriber.
 
-use ecnudp::core::analysis::{figure2, figure3, figure4, figure5, table1, table2, FullReport};
-use ecnudp::core::{run_campaign, run_campaign_with_traces, CampaignConfig, CampaignResult};
+#[path = "../crates/core/tests/util/naive.rs"]
+mod naive;
+
+use ecnudp::core::analysis::{table1, FullReport};
+use ecnudp::core::{
+    try_run_engine, try_run_engine_observed, CampaignConfig, CampaignResult, EngineConfig,
+    TraceSampler, UnitOrder,
+};
 use ecnudp::pool::PoolPlan;
+use naive::{figure2, figure3, figure4, figure5, naive_campaign, naive_report, table2};
 
 fn mini_cfg(seed: u64, traces_per_vantage: usize) -> CampaignConfig {
     CampaignConfig {
@@ -15,11 +25,15 @@ fn mini_cfg(seed: u64, traces_per_vantage: usize) -> CampaignConfig {
 }
 
 /// These integration tests cross-check the analyses against the raw
-/// records, so they opt into the trace-keeping escape hatch; the default
-/// reducer-only path is covered by
+/// records, so they run the naive reference campaign, which keeps them;
+/// the engine is pinned to it by
 /// `default_campaign_is_trace_free_and_reports_identically` below.
 fn mini_campaign(seed: u64, traces_per_vantage: usize) -> CampaignResult {
-    run_campaign_with_traces(&PoolPlan::scaled(50), &mini_cfg(seed, traces_per_vantage))
+    naive_campaign(
+        &PoolPlan::scaled(50),
+        &mini_cfg(seed, traces_per_vantage),
+        1,
+    )
 }
 
 #[test]
@@ -93,16 +107,26 @@ fn pipeline_produces_consistent_artefacts() {
 
 #[test]
 fn default_campaign_is_trace_free_and_reports_identically() {
-    // run_campaign (the default path) retains no raw records…
-    let lean = run_campaign(&PoolPlan::scaled(50), &mini_cfg(1, 2));
-    assert!(lean.traces.is_empty(), "default path keeps no TraceRecord");
+    // the engine retains no raw records…
+    let lean = try_run_engine(
+        &PoolPlan::scaled(50),
+        &mini_cfg(1, 2),
+        &EngineConfig::default(),
+    )
+    .expect("in-process campaign")
+    .result;
+    assert!(lean.traces.is_empty(), "the engine keeps no TraceRecord");
+    assert!(
+        lean.routes.is_empty(),
+        "the engine keeps no traceroute path"
+    );
     assert_eq!(lean.aggregates.trace_stats.len(), 2 * 13);
-    // …yet renders byte-for-byte what the trace walk derives from a
-    // trace-keeping run of the same campaign.
+    // …yet renders byte-for-byte what the trace walk derives from the
+    // raw records of the same campaign.
     let kept = mini_campaign(1, 2);
     assert_eq!(
         FullReport::from_campaign(&lean).render(),
-        FullReport::from_traces(&kept).render(),
+        naive_report(&kept).render(),
     );
 }
 
@@ -197,8 +221,9 @@ fn analyses_agree_with_each_other() {
 fn engine_results_are_invariant_to_shards_and_stealing_order() {
     // The old sequential/parallel runner pair agreed only statistically;
     // the engine's shard count and unit scheduling order are pure
-    // concurrency knobs, so the agreement is now *byte-for-byte*.
-    use ecnudp::core::{run_engine, EngineConfig, UnitOrder};
+    // concurrency knobs, so the agreement is now *byte-for-byte*. Raw
+    // records come through the subscriber stream: a 1-in-1 sampler keeps
+    // every one.
     let plan = PoolPlan::scaled(40);
     let cfg = CampaignConfig {
         discovery_rounds: 25,
@@ -206,29 +231,30 @@ fn engine_results_are_invariant_to_shards_and_stealing_order() {
         run_traceroute: false,
         ..CampaignConfig::quick(11)
     };
-    let seq = run_engine(&plan, &cfg, &EngineConfig::with_shards(1).keeping_traces());
-    let par = run_engine(
-        &plan,
-        &cfg,
-        &EngineConfig {
-            shards: Some(5),
-            unit_order: UnitOrder::Shuffled(99),
-            ..EngineConfig::default()
-        }
-        .keeping_traces(),
-    );
+    let observe = |eng: &EngineConfig| {
+        let (run, sampler) = try_run_engine_observed(&plan, &cfg, eng, TraceSampler::new(1))
+            .expect("in-process campaign");
+        (run, sampler.into_records())
+    };
+    let (seq, seq_traces) = observe(&EngineConfig::with_shards(1));
+    let (par, par_traces) = observe(&EngineConfig {
+        shards: Some(5),
+        unit_order: UnitOrder::Shuffled(99),
+        ..EngineConfig::default()
+    });
     assert_eq!(seq.units, par.units, "unit pool is shard-independent");
     assert_eq!(seq.result.targets, par.result.targets);
+    assert_eq!(seq_traces.len(), 2 * 13);
     assert_eq!(
-        serde_json::to_string(&seq.result.traces).expect("serialise"),
-        serde_json::to_string(&par.result.traces).expect("serialise"),
+        serde_json::to_string(&seq_traces).expect("serialise"),
+        serde_json::to_string(&par_traces).expect("serialise"),
         "raw trace records identical under work stealing"
     );
     assert_eq!(
         seq.result.aggregates, par.result.aggregates,
         "streamed aggregates identical under work stealing"
     );
-    let f3s = figure3(&seq.result.traces);
-    let f3p = figure3(&par.result.traces);
+    let f3s = figure3(&seq_traces);
+    let f3p = figure3(&par_traces);
     assert_eq!(f3s.persistent_a, f3p.persistent_a, "same blackholes found");
 }

@@ -10,8 +10,9 @@
 //!   byte-identical for any shard count once the summary's `wall_ms` —
 //!   its only wall-clock field — is normalized away.
 //! - **Sampler equivalence** (property): `TraceSampler` at rate 1-in-N
-//!   retains *exactly* the hash-selected subset of the records a
-//!   `keeping_traces()` run yields, byte-equal and shard-invariant.
+//!   retains *exactly* the hash-selected subset of the records the naive
+//!   one-unit-at-a-time reference campaign keeps
+//!   (`crates/core/tests/util/naive.rs`), byte-equal and shard-invariant.
 //! - **Golden**: the `paper2015-mini` metrics stream is pinned under
 //!   `tests/golden/` (regenerate with `ECNUDP_BLESS=1`).
 //! - **CLI**: an unwritable `--metrics` path fails fast — before the
@@ -20,13 +21,16 @@
 
 #[path = "util/golden.rs"]
 mod golden;
+#[path = "../crates/core/tests/util/naive.rs"]
+mod naive;
 
 use ecnudp::core::{
-    run_engine, run_engine_observed, run_scenario_observed, CampaignConfig, EngineConfig,
-    FullReport, JsonLinesMetrics, TraceRecord, TraceSampler, UnitOrder,
+    campaign_config, engine_config, try_run_engine, try_run_engine_observed, CampaignConfig,
+    EngineConfig, FullReport, JsonLinesMetrics, TraceRecord, TraceSampler, UnitOrder,
 };
 use ecnudp::pool::{PoolPlan, ScenarioSpec};
 use golden::check_golden;
+use naive::naive_campaign;
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::path::Path;
@@ -46,11 +50,12 @@ fn mini_cfg(seed: u64) -> CampaignConfig {
 fn baseline_report() -> &'static String {
     static BASELINE: OnceLock<String> = OnceLock::new();
     BASELINE.get_or_init(|| {
-        let run = run_engine(
+        let run = try_run_engine(
             &PoolPlan::scaled(40),
             &mini_cfg(2015),
             &EngineConfig::with_shards(1),
-        );
+        )
+        .expect("in-process campaign");
         FullReport::from_campaign(&run.result).render()
     })
 }
@@ -90,7 +95,7 @@ fn noop_subscriber_renders_the_exact_unobserved_report() {
             unit_order,
             ..EngineConfig::default()
         };
-        let (run, ()) = run_engine_observed(&plan, &cfg, &eng, ());
+        let (run, ()) = try_run_engine_observed(&plan, &cfg, &eng, ()).expect("campaign");
         assert_eq!(
             *baseline,
             FullReport::from_campaign(&run.result).render(),
@@ -109,7 +114,7 @@ fn metrics_stream_is_byte_identical_for_any_shard_count() {
         let sub = JsonLinesMetrics::new(Vec::new())
             .with_header("mini", 2015)
             .snapshot_every(5);
-        let (run, sub) = run_engine_observed(
+        let (run, sub) = try_run_engine_observed(
             &plan,
             &cfg,
             &EngineConfig {
@@ -117,7 +122,8 @@ fn metrics_stream_is_byte_identical_for_any_shard_count() {
                 ..EngineConfig::default()
             },
             sub,
-        );
+        )
+        .expect("campaign");
         // a *real* subscriber is just as invisible as `()`
         assert_eq!(
             *baseline_report(),
@@ -174,23 +180,21 @@ fn sampler_eng(shards: usize, order_seed: u64) -> EngineConfig {
     }
 }
 
-/// The `keeping_traces()` reference records, serialized — computed once.
+/// The naive reference campaign's records (same chunking as
+/// [`sampler_eng`]) — computed once.
 fn kept_baseline() -> &'static Vec<TraceRecord> {
     static BASELINE: OnceLock<Vec<TraceRecord>> = OnceLock::new();
     BASELINE.get_or_init(|| {
-        let run = run_engine(
-            &PoolPlan::scaled(24),
-            &sampler_cfg(),
-            &sampler_eng(1, 0).keeping_traces(),
-        );
-        assert!(!run.result.traces.is_empty());
-        run.result.traces.clone()
+        let chunks = sampler_eng(1, 0).target_chunks;
+        let naive = naive_campaign(&PoolPlan::scaled(24), &sampler_cfg(), chunks);
+        assert!(!naive.traces.is_empty());
+        naive.traces
     })
 }
 
-/// Recompute each kept record's per-vantage `trace_index`: the engine's
-/// stable sort preserves schedule order within a vantage, so the index is
-/// the record's position among its vantage's records.
+/// Recompute each kept record's per-vantage `trace_index`: the
+/// reference's stable sort preserves schedule order within a vantage, so
+/// the index is the record's position among its vantage's records.
 fn expected_sample(every: usize) -> Vec<String> {
     let mut seen: HashMap<&str, usize> = HashMap::new();
     kept_baseline()
@@ -225,12 +229,13 @@ proptest! {
         shards in 1usize..=5,
         order_seed in 0u64..1_000,
     ) {
-        let (_, sampler) = run_engine_observed(
+        let (_, sampler) = try_run_engine_observed(
             &PoolPlan::scaled(24),
             &sampler_cfg(),
             &sampler_eng(shards, order_seed),
             TraceSampler::new(every),
-        );
+        )
+        .expect("campaign");
         let got: Vec<String> = sampler
             .records()
             .iter()
@@ -239,7 +244,7 @@ proptest! {
         prop_assert_eq!(
             got,
             expected_sample(every),
-            "1-in-{} sample diverged from the keeping_traces subset \
+            "1-in-{} sample diverged from the reference subset \
              (shards={}, order={})",
             every, shards, order_seed
         );
@@ -249,13 +254,14 @@ proptest! {
 #[test]
 fn sampler_at_rate_one_is_keeping_traces() {
     // the degenerate case, pinned outside proptest: 1-in-1 sampling IS
-    // the full keep_traces record set, bytes and order
-    let (_, sampler) = run_engine_observed(
+    // the full reference record set, bytes and order
+    let (_, sampler) = try_run_engine_observed(
         &PoolPlan::scaled(24),
         &sampler_cfg(),
         &sampler_eng(3, 42),
         TraceSampler::new(1),
-    );
+    )
+    .expect("campaign");
     let got: Vec<String> = sampler
         .records()
         .iter()
@@ -274,7 +280,12 @@ fn paper2015_mini_metrics_stream_matches_golden() {
     let sub = JsonLinesMetrics::new(Vec::new())
         .with_header(&spec.name, spec.seed)
         .snapshot_every(spec.observability.snapshot_every);
-    let (_, sub) = run_scenario_observed(&spec, Some(3), sub);
+    let eng = EngineConfig {
+        shards: Some(3),
+        ..engine_config(&spec)
+    };
+    let (_, sub) =
+        try_run_engine_observed(&spec.plan(), &campaign_config(&spec), &eng, sub).expect("run");
     let raw = String::from_utf8(sub.into_writer().expect("no io error")).unwrap();
     check_golden("metrics_paper2015_mini", &normalize_wall_ms(&raw));
 }

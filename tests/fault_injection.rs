@@ -9,7 +9,8 @@
 //!   and its unit range — never a parent panic;
 //! - a parent killed mid-run resumes from its checkpoint byte-identically,
 //!   re-running only the units absent from the bitmap;
-//! - a checkpoint from a different campaign is refused with a typed error;
+//! - a checkpoint from a different campaign is refused with a typed error,
+//!   and so is one whose content was edited after it was written;
 //! - over-provisioned worker counts clamp to the unit pool with a warning.
 //!
 //! Faults are delivered with `.env()` on each spawned `Command` — never
@@ -279,6 +280,68 @@ fn resume_refuses_a_checkpoint_from_a_different_campaign() {
     assert!(
         err.contains("checkpoint") && err.contains("fingerprint"),
         "the refusal must say what mismatched: {err}"
+    );
+    let _ = std::fs::remove_file(&ckpt);
+}
+
+#[test]
+fn resume_refuses_a_corrupted_checkpoint() {
+    let ckpt = scratch("corrupted.ckpt");
+    let _ = std::fs::remove_file(&ckpt);
+    let ckpt_arg = ckpt.to_str().expect("utf8 path");
+
+    let out = ecnudp(
+        &[
+            "run",
+            "--scenario",
+            SCENARIO,
+            "--processes",
+            "2",
+            "--checkpoint",
+            ckpt_arg,
+        ],
+        Some("parent-exit-after-payload=1"),
+    );
+    assert_eq!(out.status.code(), Some(86));
+
+    // Change one digit of the merged Table 2 counters. The file stays
+    // valid JSON of the right shape, for the same campaign, so only the
+    // content checksum can tell.
+    let text = std::fs::read_to_string(&ckpt).expect("read checkpoint");
+    let key = "\"udp_ect_unreachable\":";
+    let at = text.find(key).expect("Table 2 counters in the checkpoint") + key.len();
+    let digit = text.as_bytes()[at];
+    assert!(digit.is_ascii_digit(), "a count follows the key");
+    let flipped = if digit == b'9' {
+        '8'
+    } else {
+        char::from(digit + 1)
+    };
+    let edited = format!("{}{flipped}{}", &text[..at], &text[at + 1..]);
+    std::fs::write(&ckpt, edited).expect("write edited checkpoint");
+
+    let out = ecnudp(
+        &[
+            "run",
+            "--scenario",
+            SCENARIO,
+            "--processes",
+            "2",
+            "--resume",
+            ckpt_arg,
+        ],
+        None,
+    );
+    assert_eq!(
+        out.status.code(),
+        Some(3),
+        "a corrupted checkpoint is a typed campaign error"
+    );
+    assert!(out.stdout.is_empty(), "no report from corrupted state");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains(ckpt_arg) && err.contains("checksum"),
+        "the refusal must name the file and the checksum: {err}"
     );
     let _ = std::fs::remove_file(&ckpt);
 }

@@ -17,7 +17,7 @@
 #[path = "util/golden.rs"]
 mod golden;
 
-use ecnudp::core::{run_engine, CampaignConfig, EngineConfig, FullReport};
+use ecnudp::core::{try_run_engine, CampaignConfig, EngineConfig, FullReport};
 use ecnudp::pool::PoolPlan;
 use golden::{check_golden, unified_diff};
 
@@ -28,7 +28,7 @@ fn render(seed: u64) -> String {
         traces_per_vantage: Some(1),
         ..CampaignConfig::quick(seed)
     };
-    let run = run_engine(&plan, &cfg, &EngineConfig::default());
+    let run = try_run_engine(&plan, &cfg, &EngineConfig::default()).expect("in-process campaign");
     assert!(run.result.traces.is_empty(), "golden runs are trace-free");
     FullReport::from_campaign(&run.result).render()
 }

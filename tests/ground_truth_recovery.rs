@@ -3,11 +3,16 @@
 //! scenario planted — blocked servers, bleaching routers, the EC2-only
 //! oddity, web/ECN rates — without ever reading it.
 //!
-//! These campaigns run the trace-free default path (`keep_traces =
-//! false`): every figure below is derived from the streamed aggregates,
-//! proving the validity checks need no raw `TraceRecord`s either.
+//! These campaigns run through the engine, which keeps no raw records:
+//! every figure below is derived from the streamed aggregates, proving
+//! the validity checks need no raw `TraceRecord`s either. The one
+//! path-level check walks raw traceroute paths, which it takes from the
+//! naive reference campaign (`crates/core/tests/util/naive.rs`).
 
-use ecnudp::core::{run_campaign, CampaignConfig, CampaignResult, FullReport};
+#[path = "../crates/core/tests/util/naive.rs"]
+mod naive;
+
+use ecnudp::core::{try_run_engine, CampaignConfig, CampaignResult, EngineConfig, FullReport};
 use ecnudp::netsim::NodeId;
 use ecnudp::pool::{PoolPlan, Scenario};
 use std::collections::HashSet;
@@ -20,13 +25,19 @@ fn campaign(seed: u64) -> CampaignResult {
         traces_per_vantage: Some(3),
         ..CampaignConfig::quick(seed)
     };
-    run_campaign(&plan, &cfg)
+    run(&plan, &cfg)
+}
+
+fn run(plan: &PoolPlan, cfg: &CampaignConfig) -> CampaignResult {
+    try_run_engine(plan, cfg, &EngineConfig::default())
+        .expect("in-process campaign")
+        .result
 }
 
 #[test]
 fn planted_ect_blackholes_are_measured_and_nothing_else() {
     let result = campaign(21);
-    assert!(result.traces.is_empty(), "default campaign is trace-free");
+    assert!(result.traces.is_empty(), "the engine keeps no raw records");
     let f3 = FullReport::from_aggregates(&result).figure3;
     let planted: HashSet<Ipv4Addr> = result.truth.ect_blocked.iter().copied().collect();
     let measured: HashSet<Ipv4Addr> = f3.persistent_a.iter().copied().collect();
@@ -88,21 +99,19 @@ fn traceroute_finds_each_always_bleaching_router_region() {
     // Build the same world the campaign used and check that every planted
     // always-bleacher's address appears as (or immediately upstream of) a
     // measured strip location in at least one vantage's survey. The
-    // path-level walk below needs the raw routes, so this run opts into
-    // the keep_routes escape hatch (traces stay streamed).
-    use ecnudp::core::{run_engine, EngineConfig};
+    // path-level walk below needs the raw routes, which the naive
+    // reference campaign keeps.
     let plan = PoolPlan::scaled(80);
     let cfg = CampaignConfig {
         discovery_rounds: 30,
         traces_per_vantage: Some(1),
         ..CampaignConfig::quick(24)
     };
-    let run = run_engine(&plan, &cfg, &EngineConfig::default().keeping_routes());
-    assert!(run.result.traces.is_empty(), "traces stay streamed");
-    let result = run.result;
+    let result = naive::naive_campaign(&plan, &cfg, 1);
+    assert_eq!(result.routes.len(), 13, "one survey per vantage");
     let f4 = FullReport::from_aggregates(&result).figure4;
     assert!(
-        f4.strip_locations as usize >= result.truth.bleach_always.len(),
+        f4.strip_locations >= result.truth.bleach_always.len(),
         "each planted bleacher produces at least one observed strip location: {} < {}",
         f4.strip_locations,
         result.truth.bleach_always.len()
@@ -204,7 +213,7 @@ fn no_ecn_blackhole_false_positives_without_planted_middleboxes() {
         traces_per_vantage: Some(2),
         ..CampaignConfig::quick(25)
     };
-    let result = run_campaign(&plan, &cfg);
+    let result = run(&plan, &cfg);
     let report = FullReport::from_aggregates(&result);
     let f3 = &report.figure3;
     assert!(

@@ -15,7 +15,7 @@
 //! paper2015-mini sweep always runs.
 
 use ecnudp::core::{
-    campaign_config, engine_config, run_engine, EngineConfig, EngineRun, FullReport, UnitOrder,
+    campaign_config, engine_config, try_run_engine, EngineConfig, EngineRun, FullReport, UnitOrder,
     WORKER_EXE_ENV,
 };
 use ecnudp::pool::ScenarioSpec;
@@ -43,7 +43,7 @@ fn run_preset(spec: &ScenarioSpec, processes: usize, shards: usize, order: UnitO
         unit_order: order,
         ..engine_config(spec)
     };
-    run_engine(&spec.plan(), &campaign_config(spec), &eng)
+    try_run_engine(&spec.plan(), &campaign_config(spec), &eng).expect("supervised campaign")
 }
 
 fn render(run: &EngineRun) -> String {

@@ -2,7 +2,7 @@
 //!
 //! - `scenarios/paper2015.toml` must be *the* reference experiment: it
 //!   parses to exactly `ScenarioSpec::paper2015()` and lowers to exactly
-//!   the `run_campaign` defaults (`PoolPlan::paper()` +
+//!   the default campaign (`PoolPlan::paper()` +
 //!   `CampaignConfig::default()` + `EngineConfig::default()`), so
 //!   running it is byte-identical to the hard-wired reproduction.
 //! - `scenarios/paper2015-mini.toml` must lower to the golden suite's
@@ -17,7 +17,7 @@
 mod golden;
 
 use ecnudp::core::{
-    campaign_config, engine_config, run_scenario_sharded, CampaignConfig, EngineConfig, FullReport,
+    campaign_config, engine_config, try_run_engine, CampaignConfig, EngineConfig, FullReport,
 };
 use ecnudp::pool::{PoolPlan, ScenarioSpec};
 use golden::{check_golden, golden_dir};
@@ -67,7 +67,8 @@ fn preset_run(name: &str) -> Arc<PresetRun> {
         .clone();
     cell.get_or_init(|| {
         let spec = load_preset(name);
-        let run = run_scenario_sharded(&spec, None);
+        let run = try_run_engine(&spec.plan(), &campaign_config(&spec), &engine_config(&spec))
+            .expect("in-process campaign");
         assert!(
             run.result.traces.is_empty() && run.result.routes.is_empty(),
             "preset runs are raw-record-free (streamed aggregates only)"
@@ -99,8 +100,8 @@ fn paper2015_preset_is_the_run_campaign_default() {
         ScenarioSpec::paper2015(),
         "scenarios/paper2015.toml must spell out exactly the built-in reference"
     );
-    // the acceptance triple: running this preset is `run_campaign` with
-    // defaults — same plan, same campaign calendar, same engine config —
+    // the acceptance triple: running this preset is the default campaign
+    // — same plan, same campaign calendar, same engine config —
     // so the renders are byte-identical by construction (the mini-scale
     // CLI test below executes that identity end to end at test scale)
     assert_eq!(spec.plan(), PoolPlan::paper());
