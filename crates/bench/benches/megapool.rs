@@ -1,7 +1,8 @@
 //! Megapool scaling bench: drive the 10⁵-server `scenarios/megapool.toml`
 //! campaign through the engine at several `--processes` counts and record
-//! servers/sec, per-process peak RSS, and merge depth into the `megapool`
-//! section of `BENCH_campaign.json`.
+//! servers/sec, peak RSS (the max, and each process's own: parent first,
+//! then the workers), and merge depth into the `megapool` section of
+//! `BENCH_campaign.json`.
 //!
 //! Each configuration runs in a **spawned copy of this bench binary**
 //! (hidden `__measure` argv), because peak RSS is read from `VmHWM` — a
@@ -52,7 +53,7 @@ fn run_measure(processes: usize, scenario: &str) -> ExitCode {
     println!(
         "{{\"servers\": {}, \"targets\": {}, \"units\": {}, \"shards\": {}, \
          \"merge_depth\": {}, \"wall_s\": {:.1}, \"servers_per_sec\": {:.0}, \
-         \"peak_rss_kb\": {}}}",
+         \"peak_rss_kb\": {}, \"process_peak_rss_kb\": {:?}}}",
         spec.population.servers,
         run.result.targets.len(),
         run.units,
@@ -61,6 +62,7 @@ fn run_measure(processes: usize, scenario: &str) -> ExitCode {
         wall_s,
         spec.population.servers as f64 / wall_s,
         run.peak_rss_kb,
+        run.process_peak_rss_kb,
     );
     ExitCode::SUCCESS
 }

@@ -19,8 +19,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
+static FREED_BYTES: AtomicU64 = AtomicU64::new(0);
 
-/// `System`, plus two relaxed counters per allocation.
+/// `System`, plus two relaxed counters per allocation and one per free.
 pub struct CountingAlloc;
 
 // SAFETY: delegates every operation to `System` unchanged; the counters
@@ -33,6 +34,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        FREED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
 
@@ -40,10 +42,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         // only the growth is newly-requested memory; counting the full
         // new_size would overstate realloc-heavy (Vec-growth) workloads
-        ALLOCATED_BYTES.fetch_add(
-            new_size.saturating_sub(layout.size()) as u64,
-            Ordering::Relaxed,
-        );
+        if new_size >= layout.size() {
+            ALLOCATED_BYTES.fetch_add((new_size - layout.size()) as u64, Ordering::Relaxed);
+        } else {
+            FREED_BYTES.fetch_add((layout.size() - new_size) as u64, Ordering::Relaxed);
+        }
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -56,6 +59,15 @@ pub fn allocation_count() -> u64 {
 /// Bytes requested since process start.
 pub fn allocated_bytes() -> u64 {
     ALLOCATED_BYTES.load(Ordering::Relaxed)
+}
+
+/// Bytes allocated and not yet freed: the live heap as the program
+/// requested it (allocator overhead not included). Exact while no other
+/// thread allocates or frees.
+pub fn live_bytes() -> u64 {
+    ALLOCATED_BYTES
+        .load(Ordering::Relaxed)
+        .wrapping_sub(FREED_BYTES.load(Ordering::Relaxed))
 }
 
 /// Allocation count delta across `f` (meaningful only in binaries that

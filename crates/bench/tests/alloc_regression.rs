@@ -25,7 +25,7 @@
 //! measures: otherwise one test's delta would include another's
 //! allocations.
 
-use ecn_bench::alloc::{allocated_bytes, count_allocations, CountingAlloc};
+use ecn_bench::alloc::{allocated_bytes, count_allocations, live_bytes, CountingAlloc};
 use ecn_core::{run_discovery, run_trace, run_trace_observed, CampaignConfig, UnitId};
 use ecn_pool::{PoolPlan, WorldBlueprint};
 use std::collections::HashSet;
@@ -116,6 +116,39 @@ fn unit_stamp_bytes_do_not_grow_with_the_topology() {
         ratio < STAMP_BYTES_RATIO,
         "unit stamp bytes grow with the topology: {ratio:.2}x (limit {STAMP_BYTES_RATIO}x)"
     );
+}
+
+/// Most heap bytes a blueprint may hold per server (measured: ~2 500;
+/// ~4 700 when every link stored its own properties and route tables kept
+/// their growth slack).
+const BLUEPRINT_BYTES_PER_SERVER: f64 = 3_500.0;
+
+#[test]
+fn blueprint_bytes_per_server_stay_within_budget() {
+    // What `WorldBlueprint::build` keeps alive is the floor every process
+    // of a campaign pays, parent and workers alike: the skeleton, the
+    // databases, the zone and the population. Per server it must stay
+    // flat and within budget as the world grows.
+    let _serial = serial();
+    let cfg = test_cfg();
+    for servers in [1_000, 4_000] {
+        let plan = PoolPlan {
+            churn_at: cfg.batch2_start,
+            ..PoolPlan::scaled(servers)
+        };
+        let before = live_bytes();
+        let bp = WorldBlueprint::build(&plan, cfg.seed);
+        let per_server = live_bytes().wrapping_sub(before) as f64 / servers as f64;
+        println!(
+            "blueprint at {servers} servers ({} links): {per_server:.0} B/server",
+            bp.link_count()
+        );
+        assert!(
+            per_server < BLUEPRINT_BYTES_PER_SERVER,
+            "blueprint memory regression at {servers} servers: {per_server:.0} B/server \
+             (budget {BLUEPRINT_BYTES_PER_SERVER})"
+        );
+    }
 }
 
 #[test]

@@ -284,8 +284,8 @@ pub fn discover_in(sc: &mut Scenario, cfg: &CampaignConfig) -> Discovery {
     discover(&mut sc.sim, &handle, dns, cfg)
 }
 
-/// Run discovery only (used by the engine, tests, and Table 1): builds
-/// the blueprint, instantiates the canonical world, and discovers in it.
+/// Run discovery only (used by tests, benches and Table 1): builds the
+/// blueprint, instantiates the canonical world, and discovers in it.
 pub fn run_discovery(plan: &PoolPlan, cfg: &CampaignConfig) -> (Discovery, Scenario) {
     let plan = plan_with_churn(plan, cfg);
     let bp = WorldBlueprint::build(&plan, cfg.seed);
@@ -294,28 +294,30 @@ pub fn run_discovery(plan: &PoolPlan, cfg: &CampaignConfig) -> (Discovery, Scena
     (d, sc)
 }
 
-/// Assemble a [`CampaignResult`] from a finished engine run (no raw
+/// Discovery as the engine runs it: in the blueprint's discovery world
+/// ([`WorldBlueprint::instantiate_discovery`]: the root packet stream,
+/// no server stacks), which is dropped before this returns. The
+/// campaign's result starts from what that world gives it — targets,
+/// discovery statistics, the vantage order and the blueprint's shared
+/// databases — with empty aggregates for the unit pool to fill (no raw
 /// records: the engine streams them into `aggregates`).
-pub(crate) fn finish(
-    sc: Scenario,
-    targets: Vec<Ipv4Addr>,
-    discovery: DiscoveryStats,
-    aggregates: CampaignAggregates,
-) -> CampaignResult {
+pub(crate) fn discover_campaign(bp: &WorldBlueprint, cfg: &CampaignConfig) -> CampaignResult {
+    let mut world = bp.instantiate_discovery();
+    let discovery = discover_in(&mut world, cfg);
     CampaignResult {
-        targets,
-        discovery,
+        discovery: DiscoveryStats::from(&discovery),
+        targets: discovery.targets,
         traces: Vec::new(),
         routes: Vec::new(),
-        aggregates,
-        vantage_order: sc
+        aggregates: CampaignAggregates::default(),
+        vantage_order: world
             .vantages
             .iter()
             .map(|v| (v.spec.key.to_string(), v.spec.name.to_string()))
             .collect(),
-        geodb: sc.geodb,
-        asdb: sc.asdb,
-        truth: sc.truth,
+        geodb: world.geodb,
+        asdb: world.asdb,
+        truth: world.truth,
     }
 }
 
@@ -382,6 +384,34 @@ mod tests {
                 "{}",
                 spec.name
             );
+        }
+    }
+
+    #[test]
+    fn discovery_without_server_stacks_matches_the_full_world() {
+        // The engine discovers in a world with no server stack; the
+        // canonical full world must find the same targets, in the same
+        // order, with the same queries and timeouts.
+        for toml in [
+            include_str!("../../../scenarios/paper2015-mini.toml"),
+            include_str!("../../../scenarios/megapool-smoke.toml"),
+        ] {
+            let mut spec = ecn_pool::ScenarioSpec::from_toml_str(toml).expect("preset parses");
+            // megapool's shape at a unit-test size
+            spec.population.servers = spec.population.servers.min(2_000);
+            for seed in [2015, 7331] {
+                spec.seed = seed;
+                let cfg = crate::campaign_config(&spec);
+                let plan = plan_with_churn(&spec.plan(), &cfg);
+                let bp = WorldBlueprint::build(&plan, cfg.seed);
+                let full = discover_in(&mut bp.instantiate(), &cfg);
+                let scoped = discover_in(&mut bp.instantiate_discovery(), &cfg);
+                let at = format!("{} seed {seed}", spec.name);
+                assert!(full.targets.len() > spec.population.servers / 2, "{at}");
+                assert_eq!(scoped.targets, full.targets, "{at}");
+                assert_eq!(scoped.queries, full.queries, "{at}");
+                assert_eq!(scoped.timeouts, full.timeouts, "{at}");
+            }
         }
     }
 

@@ -22,8 +22,8 @@
 //! [`try_run_engine`] is its shorthand for the no-op `()` subscriber.
 
 use crate::campaign::{
-    discover_in, finish, plan_with_churn, run_trace_observed, run_traceroute_survey, schedule_for,
-    CampaignResult, DiscoveryStats, ScheduledTrace,
+    discover_campaign, plan_with_churn, run_trace_observed, run_traceroute_survey, schedule_for,
+    CampaignResult, ScheduledTrace,
 };
 use crate::config::CampaignConfig;
 use crate::events::{Event, Subscriber, UnitId};
@@ -123,14 +123,6 @@ impl EngineConfig {
         }
     }
 
-    /// This configuration, fanned out across `n` worker processes.
-    pub fn across_processes(self, n: usize) -> EngineConfig {
-        EngineConfig {
-            processes: n.max(1),
-            ..self
-        }
-    }
-
     /// Whether this configuration routes through the supervised
     /// multi-process driver ([`crate::mp`]): worker processes, a
     /// checkpoint sink, or a resume source.
@@ -191,11 +183,14 @@ pub struct EngineRun {
     /// in-process tree, plus ⌈log₂ processes⌉ for the cross-process tree
     /// in multi-process mode (see [`crate::reducers::merge_tree`]).
     pub merge_depth: usize,
-    /// Peak resident set size in kB (`VmHWM`): the max across this
-    /// process and every worker, each a per-process high-water mark. The
-    /// megapool bench records it to show multi-process campaigns bound
-    /// per-process memory. `0` where `/proc/self/status` is unavailable.
+    /// Peak resident set size in kB (`VmHWM`): the max of
+    /// [`Self::process_peak_rss_kb`]. `0` where `/proc/self/status` is
+    /// unavailable.
     pub peak_rss_kb: u64,
+    /// Each process's own `VmHWM` in kB: this process first, then the
+    /// worker slots in index order (one entry in-process). It says which
+    /// process holds the peak; the megapool bench and the CLI report it.
+    pub process_peak_rss_kb: Vec<u64>,
 }
 
 /// One work unit: one vantage's full schedule against one target chunk.
@@ -299,16 +294,15 @@ pub fn try_run_engine_observed<S: Subscriber>(
     let bp = WorldBlueprint::build(&plan, cfg.seed);
     timing.blueprint_build = t0.elapsed();
 
-    // Phase 2: discovery, in the canonical (root-stream) world.
+    // Phase 2: discovery, in a root-stream world without server stacks
+    // that is dropped as soon as discovery returns.
     let t0 = Instant::now();
-    let mut disco_world = bp.instantiate();
-    let discovery = discover_in(&mut disco_world, cfg);
+    let mut result = discover_campaign(&bp, cfg);
     timing.discovery = t0.elapsed();
-    let targets = discovery.targets.clone();
 
     // Phase 3: the unit pool. Per-vantage schedules are fixed up front;
     // units exist per (vantage × target chunk).
-    let vantage_count = disco_world.vantages.len();
+    let vantage_count = result.vantage_order.len();
     let chunks = eng.target_chunks.max(1);
     let per_vantage_sched = per_vantage_schedule(&plan.vantages(), cfg);
     let mut units = canonical_units(vantage_count, chunks);
@@ -318,14 +312,14 @@ pub fn try_run_engine_observed<S: Subscriber>(
         subscriber.on_event(&Event::CampaignStarted {
             vantages: vantage_count,
             units: unit_count,
-            targets: targets.len(),
+            targets: result.targets.len(),
         });
     }
 
     // Phases 4–5: work-stealing execution and deterministic merge.
     let pool = run_unit_pool(
         &bp,
-        &targets,
+        &result.targets,
         &per_vantage_sched,
         units,
         chunks,
@@ -339,12 +333,8 @@ pub fn try_run_engine_observed<S: Subscriber>(
     if S::ENABLED {
         subscriber.finish();
     }
-    let result = finish(
-        disco_world,
-        targets,
-        DiscoveryStats::from(&discovery),
-        pool.reducers,
-    );
+    result.aggregates = pool.reducers;
+    let peak_rss_kb = crate::mp::peak_rss_kb();
     Ok((
         EngineRun {
             result,
@@ -353,7 +343,8 @@ pub fn try_run_engine_observed<S: Subscriber>(
             units: unit_count,
             processes: 1,
             merge_depth: crate::reducers::merge_depth(pool.shard_count),
-            peak_rss_kb: crate::mp::peak_rss_kb(),
+            peak_rss_kb,
+            process_peak_rss_kb: vec![peak_rss_kb],
         },
         subscriber,
     ))

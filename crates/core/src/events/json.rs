@@ -43,9 +43,12 @@
 //!
 //! Failure lines are sorted by `(worker, attempt)` and worker lines by
 //! worker index, so the stream stays deterministic for a fixed fault
-//! schedule.
+//! schedule. The summary line folds in every worker's totals
+//! ([`crate::mp::WorkerCounters`]), so apart from `wall_ms` it reads the
+//! same under any process count.
 
 use super::{json_escape, Event, ProbeKind, Subscriber, UnitId};
+use crate::mp::WorkerCounters;
 use ecn_netsim::SimCounters;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -76,8 +79,8 @@ pub struct JsonLinesMetrics<W: Write + Send> {
     shape: Option<(usize, usize, usize)>, // vantages, units, targets
     units: BTreeMap<UnitId, UnitRec>,
     // supervision records (multi-process mode; all empty in-process)
-    clamped: Option<(usize, usize)>,        // requested, spawned
-    workers: BTreeMap<usize, (usize, u64)>, // worker -> (units, observations)
+    clamped: Option<(usize, usize)>, // requested, spawned
+    workers: BTreeMap<usize, (usize, WorkerCounters)>, // worker -> (units, totals)
     failures: Vec<FailureRec>,
     unit_retries: u64,
     checkpoints: Option<(u64, usize, usize)>, // writes, completed, total
@@ -197,6 +200,16 @@ impl Totals {
         self.ecn_rewritten += rec.sim.total_ecn_rewritten();
     }
 
+    fn add_worker(&mut self, c: &WorkerCounters) {
+        self.traces += c.traces as usize;
+        self.observations += c.observations as usize;
+        self.probes_sent += c.probes_sent;
+        self.delivered += c.delivered;
+        self.dropped += c.dropped.values().sum::<u64>();
+        self.ce_marked += c.ce_marked;
+        self.ecn_rewritten += c.ecn_rewritten.values().sum::<u64>();
+    }
+
     fn fields(&self) -> String {
         format!(
             "\"traces\":{},\"observations\":{},\"probes_sent\":{},\"delivered\":{},\
@@ -269,11 +282,11 @@ impl<W: Write + Send> Subscriber for JsonLinesMetrics<W> {
             Event::WorkerFinished {
                 worker,
                 units,
-                observations,
+                counters,
             } => {
                 let rec = self.workers.entry(*worker).or_default();
                 rec.0 += units;
-                rec.1 += observations;
+                rec.1.merge(counters);
             }
             Event::CheckpointWritten {
                 completed_units,
@@ -301,10 +314,10 @@ impl<W: Write + Send> Subscriber for JsonLinesMetrics<W> {
         }
         self.shape = self.shape.or(other.shape);
         self.clamped = self.clamped.or(other.clamped);
-        for (worker, (units, obs)) in other.workers {
+        for (worker, (units, counters)) in other.workers {
             let rec = self.workers.entry(worker).or_default();
             rec.0 += units;
-            rec.1 += obs;
+            rec.1.merge(&counters);
         }
         self.failures.extend(other.failures);
         self.unit_retries += other.unit_retries;
@@ -352,11 +365,16 @@ impl<W: Write + Send> Subscriber for JsonLinesMetrics<W> {
                 json_escape(&f.cause),
             ));
         }
-        for (worker, (w_units, w_obs)) in std::mem::take(&mut self.workers) {
+        let mut worker_units = 0;
+        let mut totals = Totals::default();
+        for (worker, (w_units, w_counters)) in std::mem::take(&mut self.workers) {
             self.write_line(&format!(
                 "{{\"type\":\"worker\",\"worker\":{worker},\"units\":{w_units},\
-                 \"observations\":{w_obs}}}"
+                 \"observations\":{}}}",
+                w_counters.observations
             ));
+            worker_units += w_units;
+            totals.add_worker(&w_counters);
         }
         if self.unit_retries > 0 {
             self.write_line(&format!(
@@ -372,7 +390,6 @@ impl<W: Write + Send> Subscriber for JsonLinesMetrics<W> {
         }
 
         let units = std::mem::take(&mut self.units);
-        let mut totals = Totals::default();
         for (done, (id, rec)) in units.iter().enumerate() {
             let probes: BTreeMap<&str, u64> = ProbeKind::ALL
                 .iter()
@@ -406,7 +423,7 @@ impl<W: Write + Send> Subscriber for JsonLinesMetrics<W> {
         }
         let summary = format!(
             "{{\"type\":\"summary\",\"units\":{},{},\"wall_ms\":{:.3}}}",
-            units.len(),
+            units.len() + worker_units,
             totals.fields(),
             self.started.elapsed().as_secs_f64() * 1e3,
         );

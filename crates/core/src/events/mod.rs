@@ -53,6 +53,7 @@ pub use json::JsonLinesMetrics;
 pub use progress::Progress;
 pub use sampler::TraceSampler;
 
+use crate::mp::WorkerCounters;
 use crate::trace::TraceRecord;
 use ecn_netsim::SimCounters;
 use std::net::Ipv4Addr;
@@ -211,8 +212,9 @@ pub enum Event<'a> {
         worker: usize,
         /// Units the worker executed.
         units: usize,
-        /// Server observations the worker produced.
-        observations: u64,
+        /// The worker's event-stream totals (traces, observations,
+        /// probes, netsim counters).
+        counters: &'a WorkerCounters,
     },
     /// The supervised driver persisted a checkpoint (atomic temp+rename;
     /// see [`crate::mp::Checkpoint`]).

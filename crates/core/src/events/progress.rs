@@ -134,13 +134,11 @@ impl Subscriber for Progress {
             }
             // supervised multi-process mode: units finish worker-at-a-time
             Event::WorkerFinished {
-                units,
-                observations,
-                ..
+                units, counters, ..
             } => {
                 self.state
                     .observations
-                    .fetch_add(*observations, Ordering::Relaxed);
+                    .fetch_add(counters.observations, Ordering::Relaxed);
                 let done = self.state.units_done.fetch_add(*units, Ordering::Relaxed) + units;
                 self.maybe_print(done, false);
             }

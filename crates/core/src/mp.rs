@@ -5,15 +5,26 @@
 //!
 //! ## Why processes
 //!
-//! Shards bound wall-clock; processes bound *memory*. Every reducer map
-//! a shard touches lives until the final merge, so a megapool campaign
-//! (10⁵–10⁶ servers) concentrates O(vantages × servers) of keyed state —
-//! plus every concurrently instantiated unit world — in one address
-//! space. The reducer contract (commutative, associative merge) was
-//! designed so shards can live anywhere; this module puts them behind a
-//! pipe: each worker holds only its partition's worlds and partial
-//! aggregates, and the parent's high-water mark stays at discovery +
-//! merged aggregates.
+//! Shards bound wall-clock; processes isolate faults and split the
+//! per-unit memory. Every reducer map a shard touches lives until the
+//! final merge, and every concurrently instantiated unit world lives
+//! while it probes. The reducer contract (commutative, associative
+//! merge) was designed so shards can live anywhere; this module puts
+//! them behind a pipe. What each process holds:
+//!
+//! - **Every process** holds one [`WorldBlueprint`], about 2.5 KB per
+//!   server (the skeleton, the databases, the DNS zone, the population).
+//!   That is the floor `--processes` does not divide.
+//! - **The parent** builds it, discovers in a world without server
+//!   stacks (1.5 MiB at 8 000 servers, against 29 MiB for a full world),
+//!   and drops both before the workers start. It then holds only the
+//!   targets, the shared databases and the payloads it merges.
+//! - **A worker** rebuilds the blueprint, then holds its partition's
+//!   unit worlds and partial aggregates.
+//!
+//! At 50 000 servers (`scenarios/megapool-smoke.toml`, 2 processes) the
+//! parent peaks at 165 MB and each worker at 230 MB, against 248 MB for
+//! one process; the blueprint is 123 MB of each.
 //!
 //! ## Worker protocol
 //!
@@ -69,7 +80,7 @@
 //! partitioning, like shard count and stealing order, cannot change any
 //! result byte.
 
-use crate::campaign::{discover_in, finish, plan_with_churn, DiscoveryStats};
+use crate::campaign::{discover_campaign, plan_with_churn};
 use crate::config::CampaignConfig;
 use crate::engine::{
     apply_unit_order, canonical_units, per_vantage_schedule, run_unit_pool, EngineConfig,
@@ -133,14 +144,20 @@ pub struct WorkerRequest {
     pub attempt: u32,
 }
 
-/// Event-stream summary a worker sends home: observation totals plus the
-/// merged netsim counters, re-keyed as owned `String`s (the in-process
-/// [`SimCounters`] uses `&'static str` / `Arc<str>` keys, which cannot
-/// cross a serialization boundary).
+/// Event-stream summary a worker sends home: trace, observation and
+/// probe totals plus the merged netsim counters, re-keyed as owned
+/// `String`s (the in-process [`SimCounters`] uses `&'static str` /
+/// `Arc<str>` keys, which cannot cross a serialization boundary). The
+/// parent's `--metrics` summary folds these in, so it reads the same
+/// under any process count.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct WorkerCounters {
+    /// Traces run (Σ over units of the vantage's schedule length).
+    pub traces: u64,
     /// Server observations produced (Σ unit traces × chunk targets).
     pub observations: u64,
+    /// Probes sent (four per observation).
+    pub probes_sent: u64,
     /// Datagrams delivered end-to-end.
     pub delivered: u64,
     /// Datagrams dropped, by cause label.
@@ -165,7 +182,9 @@ impl WorkerCounters {
 
     /// Merge another summary (commutative, like everything on the wire).
     pub fn merge(&mut self, other: &WorkerCounters) {
+        self.traces += other.traces;
         self.observations += other.observations;
+        self.probes_sent += other.probes_sent;
         self.delivered += other.delivered;
         for (k, v) in &other.dropped {
             *self.dropped.entry(k.clone()).or_default() += v;
@@ -481,8 +500,14 @@ impl Subscriber for WorkerTap {
 
     fn on_event(&mut self, event: &Event<'_>) {
         match event {
+            Event::ProbeSent { .. } => self.counters.probes_sent += 1,
             Event::SimFlushed { counters, .. } => self.counters.absorb_sim(counters),
-            Event::UnitFinished { observations, .. } => {
+            Event::UnitFinished {
+                traces,
+                observations,
+                ..
+            } => {
+                self.counters.traces += *traces as u64;
                 self.counters.observations += *observations as u64;
             }
             _ => {}
@@ -893,16 +918,18 @@ pub(crate) fn run_multiprocess<S: Subscriber>(
     }
 
     // Phase 1–2 (parent): blueprint + discovery, exactly as in-process.
+    // The parent stamps no other world, so the blueprint goes as soon as
+    // discovery returns: from here on the parent holds the targets, the
+    // shared databases and the merged aggregates.
     let t0 = Instant::now();
     let bp = WorldBlueprint::build(&plan, cfg.seed);
     timing.blueprint_build = t0.elapsed();
     let t0 = Instant::now();
-    let mut disco_world = bp.instantiate();
-    let discovery = discover_in(&mut disco_world, cfg);
+    let mut result = discover_campaign(&bp, cfg);
     timing.discovery = t0.elapsed();
-    let targets = discovery.targets.clone();
+    drop(bp);
 
-    let vantage_count = disco_world.vantages.len();
+    let vantage_count = result.vantage_order.len();
     let chunks = eng.target_chunks.max(1);
     let total_units = vantage_count * chunks;
     let fingerprint = campaign_fingerprint(&plan, cfg, chunks)?;
@@ -950,7 +977,7 @@ pub(crate) fn run_multiprocess<S: Subscriber>(
         subscriber.on_event(&Event::CampaignStarted {
             vantages: vantage_count,
             units: remaining,
-            targets: targets.len(),
+            targets: result.targets.len(),
         });
     }
 
@@ -971,7 +998,7 @@ pub(crate) fn run_multiprocess<S: Subscriber>(
 
     let mut units_run = 0usize;
     let mut shards = 0usize;
-    let mut peak_rss = 0u64;
+    let mut worker_peaks = vec![0u64; processes];
     let mut worker_merge_depth = 0usize;
     let mut fatal: Option<MpError> = None;
 
@@ -998,7 +1025,7 @@ pub(crate) fn run_multiprocess<S: Subscriber>(
                 let req = WorkerRequest {
                     plan: plan.clone(),
                     cfg: *cfg,
-                    targets: targets.clone(),
+                    targets: result.targets.clone(),
                     target_chunks: eng.target_chunks,
                     shards: eng.shards,
                     unit_order: eng.unit_order,
@@ -1060,7 +1087,7 @@ pub(crate) fn run_multiprocess<S: Subscriber>(
                         pending -= 1;
                         units_run += payload.units;
                         shards += payload.shards;
-                        peak_rss = peak_rss.max(payload.peak_rss_kb);
+                        worker_peaks[worker] = payload.peak_rss_kb;
                         worker_merge_depth = worker_merge_depth.max(merge_depth(payload.shards));
                         timing.instantiate += payload.timing.instantiate;
                         timing.probe += payload.timing.probe;
@@ -1069,7 +1096,7 @@ pub(crate) fn run_multiprocess<S: Subscriber>(
                             subscriber.on_event(&Event::WorkerFinished {
                                 worker,
                                 units: payload.units,
-                                observations: payload.counters.observations,
+                                counters: &payload.counters,
                             });
                         }
                         completed.extend(assignments[worker].iter().copied());
@@ -1114,16 +1141,12 @@ pub(crate) fn run_multiprocess<S: Subscriber>(
     // Phase 5 (parent): hierarchical merge of resumed state + payloads.
     let t0 = Instant::now();
     let part_count = merged_parts.len();
-    let aggregates = merge_tree(merged_parts);
+    result.aggregates = merge_tree(merged_parts);
     timing.reduce += t0.elapsed();
     timing.wall = wall0.elapsed();
 
-    let result = finish(
-        disco_world,
-        targets,
-        DiscoveryStats::from(&discovery),
-        aggregates,
-    );
+    let mut process_peak_rss_kb = vec![self::peak_rss_kb()];
+    process_peak_rss_kb.extend(worker_peaks);
     Ok(EngineRun {
         result,
         timing,
@@ -1131,7 +1154,8 @@ pub(crate) fn run_multiprocess<S: Subscriber>(
         units: units_run,
         processes: processes.max(1),
         merge_depth: worker_merge_depth + merge_depth(part_count),
-        peak_rss_kb: peak_rss.max(self::peak_rss_kb()),
+        peak_rss_kb: process_peak_rss_kb.iter().copied().max().unwrap_or(0),
+        process_peak_rss_kb,
     })
 }
 

@@ -147,6 +147,9 @@ pub struct RunSummary {
     /// Peak resident set size in kB, max across parent and workers
     /// (`VmHWM`; 0 where procfs is unavailable — nondeterministic).
     pub peak_rss_kb: u64,
+    /// Each process's `VmHWM` in kB: the parent first, then the worker
+    /// slots in index order ([`EngineRun::process_peak_rss_kb`]).
+    pub process_peak_rss_kb: Vec<u64>,
 }
 
 impl RunSummary {
@@ -175,6 +178,7 @@ impl RunSummary {
             survey_strip_locations: report.figure4.strip_locations as u64,
             wall_ms: run.timing.wall.as_secs_f64() * 1e3,
             peak_rss_kb: run.peak_rss_kb,
+            process_peak_rss_kb: run.process_peak_rss_kb.clone(),
         }
     }
 }

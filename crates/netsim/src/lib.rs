@@ -44,7 +44,7 @@ pub mod time;
 pub mod wheel;
 
 pub use events::{drop_cause_label, SimCounters};
-pub use link::{Link, LinkId, LinkOutcome, LinkProps, LinkState, NodeId};
+pub use link::{LinkId, LinkOutcome, LinkProps, LinkState, NodeId};
 pub use loss::{LossModel, LossProcess};
 pub use node::{flow_key, HostAgent, NodeKind, RouteEntry, Router};
 pub use pcap::{new_capture, write_pcap, Capture, CaptureRef, CapturedPacket, Direction};

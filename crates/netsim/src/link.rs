@@ -7,12 +7,14 @@
 //! discipline/loss process. One event per hop keeps the 210-trace campaign
 //! (hundreds of millions of hop traversals) tractable.
 //!
-//! A link comes in two halves: the immutable [`Link`] (endpoints and
-//! [`LinkProps`]), which every world stamped from one skeleton shares,
-//! and the mutable [`LinkState`] (queue, loss process, busy horizon),
-//! which a world holds only for links that are not passive
-//! ([`Link::is_passive`]): a passive link's offer is a pure function of
-//! the packet, so it needs no state at all.
+//! A link comes in three parts: its [`LinkProps`], which the topology
+//! stores once per distinct value (a campaign world has about a dozen,
+//! however many links it has); the topology's per-link record of the
+//! far end and a props index, which every world stamped from one
+//! skeleton shares; and the mutable [`LinkState`] (queue, loss process,
+//! busy horizon), which a world holds only for links that are not
+//! passive ([`LinkProps::is_passive`]): a passive link's offer is a pure
+//! function of the packet, so it needs no state at all.
 
 use crate::loss::{LossModel, LossProcess};
 use crate::queue::{serialisation_delay, QueueDisc, QueueDropCause, QueueState, QueueVerdict};
@@ -97,20 +99,6 @@ pub enum LinkOutcome {
     Dropped(QueueDropCause),
 }
 
-/// The immutable half of a directed link: endpoints and static
-/// properties. Its runtime state lives apart, in a [`LinkState`].
-#[derive(Debug, Clone)]
-pub struct Link {
-    /// Own id.
-    pub id: LinkId,
-    /// Transmitting node.
-    pub from: NodeId,
-    /// Receiving node.
-    pub to: NodeId,
-    /// Static properties.
-    pub props: LinkProps,
-}
-
 /// The mutable half of a directed link: queue, loss process, and the
 /// time until which the transmitter is busy.
 #[derive(Debug, Clone)]
@@ -131,20 +119,11 @@ impl LinkState {
     }
 }
 
-impl Link {
-    /// Build a link.
-    pub fn new(id: LinkId, from: NodeId, to: NodeId, props: LinkProps) -> Link {
-        Link {
-            id,
-            from,
-            to,
-            props,
-        }
-    }
-
-    /// Current backlog in bytes, inferred from the busy horizon in `state`.
+impl LinkProps {
+    /// Current backlog in bytes of a link with these properties,
+    /// inferred from the busy horizon in its `state`.
     pub fn backlog_bytes(&self, state: &LinkState, now: Nanos) -> u64 {
-        match self.props.rate_bps {
+        match self.rate_bps {
             None | Some(0) => 0,
             Some(rate) => {
                 let busy = state.busy_until.saturating_sub(now);
@@ -162,16 +141,17 @@ impl Link {
     /// simulator's multi-hop tunnelling relies on this, and a world keeps
     /// no [`LinkState`] for such a link.
     pub fn is_passive(&self) -> bool {
-        self.props.rate_bps.is_none()
-            && matches!(self.props.loss, LossModel::None)
+        self.rate_bps.is_none()
+            && matches!(self.loss, LossModel::None)
             && matches!(
-                self.props.queue,
+                self.queue,
                 QueueDisc::DropTail { limit_bytes } if limit_bytes >= 65_535
             )
     }
 
-    /// Offer a packet of `bytes` bytes at `now` to this link, whose
-    /// runtime state is `state`; `ect` marks CE-markability.
+    /// Offer a packet of `bytes` bytes at `now` to a link with these
+    /// properties, whose runtime state is `state`; `ect` marks
+    /// CE-markability.
     pub fn offer(
         &self,
         state: &mut LinkState,
@@ -192,10 +172,10 @@ impl Link {
             QueueVerdict::Enqueue => false,
         };
         let start = state.busy_until.max(now);
-        let tx = serialisation_delay(self.props.rate_bps, bytes);
+        let tx = serialisation_delay(self.rate_bps, bytes);
         state.busy_until = start + tx;
         LinkOutcome::Deliver {
-            at: state.busy_until + self.props.delay,
+            at: state.busy_until + self.delay,
             ce_mark,
         }
     }
@@ -206,8 +186,9 @@ mod tests {
     use super::*;
     use crate::rng::derive_rng;
 
-    /// A link together with its own state, for offering to directly.
-    struct Wire(Link, LinkState);
+    /// A link's properties together with its own state, for offering to
+    /// directly.
+    struct Wire(LinkProps, LinkState);
 
     impl Wire {
         fn offer(&mut self, now: Nanos, bytes: u64, ect: bool, rng: &mut SmallRng) -> LinkOutcome {
@@ -224,10 +205,7 @@ mod tests {
     }
 
     fn mk(props: LinkProps) -> Wire {
-        Wire(
-            Link::new(LinkId(0), NodeId(0), NodeId(1), props),
-            LinkState::new(&props),
-        )
+        Wire(props, LinkState::new(&props))
     }
 
     #[test]

@@ -174,10 +174,9 @@ impl<T> PrefixMap<T> {
             }
             let bit = bit_at(qaddr, self.nodes[node].plen);
             let Some(child) = self.nodes[node].children[bit] else {
-                let leaf = self.nodes.len() as u32;
                 let mut n = TrieNode::at(qaddr, qlen);
                 n.value = Some(value);
-                self.nodes.push(n);
+                let leaf = self.push(n);
                 self.nodes[node].children[bit] = Some(leaf);
                 self.len += 1;
                 return None;
@@ -191,11 +190,10 @@ impl<T> PrefixMap<T> {
                 node = child;
             } else if shared == qlen {
                 // the query sits between node and child: splice it in
-                let mid = self.nodes.len() as u32;
                 let mut n = TrieNode::at(qaddr, qlen);
                 n.value = Some(value);
                 n.children[bit_at(caddr, qlen)] = Some(child as u32);
-                self.nodes.push(n);
+                let mid = self.push(n);
                 self.nodes[node].children[bit] = Some(mid);
                 self.len += 1;
                 return None;
@@ -206,12 +204,10 @@ impl<T> PrefixMap<T> {
                 } else {
                     qaddr & (!0u32 << (32 - shared))
                 };
-                let fork = self.nodes.len() as u32;
-                self.nodes.push(TrieNode::at(fork_addr, shared));
-                let leaf = self.nodes.len() as u32;
+                let fork = self.push(TrieNode::at(fork_addr, shared));
                 let mut n = TrieNode::at(qaddr, qlen);
                 n.value = Some(value);
-                self.nodes.push(n);
+                let leaf = self.push(n);
                 let f = fork as usize;
                 self.nodes[f].children[bit_at(caddr, shared)] = Some(child as u32);
                 self.nodes[f].children[bit_at(qaddr, shared)] = Some(leaf);
@@ -220,6 +216,27 @@ impl<T> PrefixMap<T> {
                 return None;
             }
         }
+    }
+
+    /// Append a node, returning its index. Storage doubles from the
+    /// current length rather than jumping from one node to four as `Vec`
+    /// does, so the two-node table nearly every router holds (a default
+    /// route and one more) has no slack for [`Self::shrink_to_fit`] to
+    /// release. Releasing it would leave a freed tail per router in the
+    /// middle of the heap, and the worlds stamped later would scatter
+    /// their allocations into those holes (about 10% slower stamps).
+    fn push(&mut self, node: TrieNode<T>) -> u32 {
+        if self.nodes.len() == self.nodes.capacity() {
+            self.nodes.reserve_exact(self.nodes.len());
+        }
+        self.nodes.push(node);
+        (self.nodes.len() - 1) as u32
+    }
+
+    /// Release the spare capacity insertion left behind (a frozen table
+    /// takes no more inserts).
+    pub fn shrink_to_fit(&mut self) {
+        self.nodes.shrink_to_fit();
     }
 
     /// Longest-prefix-match lookup.

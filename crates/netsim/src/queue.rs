@@ -104,7 +104,7 @@ impl QueueDisc {
     /// True for the disciplines that can CE-mark traffic: RED with `ecn`
     /// on, and both AQM markers. A link carrying one of these is an
     /// active middlebox the multi-hop tunnelling fast path must not
-    /// collapse away (see `Link::is_passive`).
+    /// collapse away (see `LinkProps::is_passive`).
     pub fn can_mark(&self) -> bool {
         matches!(
             self,

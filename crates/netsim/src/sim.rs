@@ -23,7 +23,7 @@
 //! whole batch anyway.
 
 use crate::events::SimCounters;
-use crate::link::{Link, LinkId, LinkOutcome, LinkProps, LinkState, NodeId};
+use crate::link::{LinkId, LinkOutcome, LinkProps, LinkState, NodeId};
 use crate::node::{flow_key_header, flow_key_raw, HostAgent, NodeKind, RouteEntry, Router};
 use crate::pcap::{new_capture, CaptureRef, Direction};
 use crate::policy::{EcnPolicy, Firewall, FirewallAction};
@@ -74,6 +74,14 @@ const ROUTE_CACHE_BITS: u32 = 12;
 /// `LinkId` → state slot sentinel: a passive link, which has no state.
 const NO_STATE: u32 = u32::MAX;
 
+/// A directed link as the topology stores it: the receiving node and the
+/// index of its properties in [`Topology::link_props`].
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    to: NodeId,
+    props: u32,
+}
+
 /// Longest chain of transparent routers a cached tunnel may span. Well
 /// above any path the blueprint builds, well below every probe TTL.
 const MAX_TUNNEL_SKIP: u8 = 30;
@@ -85,7 +93,7 @@ const MAX_TUNNEL_SKIP: u8 = 30;
 /// slot evict each other, they never answer for each other.
 ///
 /// When the selected link and the routers behind it are *transparent* —
-/// passive links ([`Link::is_passive`]), open firewalls, `Pass` ECN
+/// passive links ([`LinkProps::is_passive`]), open firewalls, `Pass` ECN
 /// policy — the slot also memoises a **tunnel**: the furthest node the
 /// packet reaches without any behaviour firing, the summed propagation
 /// delay, and the number of router hops skipped. Every skipped hop would
@@ -176,6 +184,9 @@ struct Topology {
     addr_index: HashMap<Ipv4Addr, NodeId>,
     /// All directed links; index = `LinkId`.
     links: Vec<Link>,
+    /// Each distinct [`LinkProps`] once, in first-use order: a campaign
+    /// world has about a dozen, however many links share them.
+    link_props: Vec<LinkProps>,
     /// `LinkId` → index into a world's `Sim::link_states`, or
     /// [`NO_STATE`] for a passive link.
     state_slots: Vec<u32>,
@@ -434,18 +445,29 @@ impl Sim {
         )
     }
 
-    /// Add a directed link.
-    pub fn add_link(&mut self, from: NodeId, to: NodeId, props: LinkProps) -> LinkId {
-        let id = LinkId(self.topo.links.len() as u32);
-        let link = Link::new(id, from, to, props);
-        let slot = if link.is_passive() {
+    /// Add a directed link. Links leave from whichever node routes onto
+    /// them, so only the receiving end is recorded.
+    pub fn add_link(&mut self, _from: NodeId, to: NodeId, props: LinkProps) -> LinkId {
+        let slot = if props.is_passive() {
             NO_STATE
         } else {
             self.link_states.push(LinkState::new(&props));
             (self.link_states.len() - 1) as u32
         };
         let t = self.topo_mut();
-        t.links.push(link);
+        let id = LinkId(t.links.len() as u32);
+        // a linear search: the distinct values number about a dozen
+        let props = match t.link_props.iter().position(|p| *p == props) {
+            Some(i) => i,
+            None => {
+                t.link_props.push(props);
+                t.link_props.len() - 1
+            }
+        };
+        t.links.push(Link {
+            to,
+            props: props as u32,
+        });
         t.state_slots.push(slot);
         id
     }
@@ -937,11 +959,12 @@ impl Sim {
 
     /// Cache-miss path: the prefix-trie lookup plus the tunnel walk.
     /// Starting from the selected link, follow the chain while the link
-    /// is passive ([`Link::is_passive`]) and the node behind it is a
-    /// transparent router (open firewall, `Pass` ECN policy): such hops
-    /// draw no randomness and can neither drop, mark, nor reorder, so
-    /// their routing decisions — pinned by (`dst`, per-hop flow key,
-    /// `epoch`) exactly like this slot — can be replayed in bulk.
+    /// is passive (it has no state slot; see [`LinkProps::is_passive`])
+    /// and the node behind it is a transparent router (open firewall,
+    /// `Pass` ECN policy): such hops draw no randomness and can neither
+    /// drop, mark, nor reorder, so their routing decisions — pinned by
+    /// (`dst`, per-hop flow key, `epoch`) exactly like this slot — can be
+    /// replayed in bulk.
     ///
     /// The walk is capped by the requesting packet's TTL: a packet with
     /// TTL `t` can ride at most `t - 1` skipped hops, so walking further
@@ -975,26 +998,30 @@ impl Sim {
             ..RouteCacheSlot::EMPTY
         };
         let Some(l0) = link else { return slot };
-        let links = &self.topo.links;
-        if !links[l0.0 as usize].is_passive() {
+        let topo = &self.topo;
+        // a link is passive exactly when it has no state slot
+        let passive = |l: LinkId| topo.state_slots[l.0 as usize] == NO_STATE;
+        let delay_of = |l: &Link| topo.link_props[l.props as usize].delay;
+        if !passive(l0) {
             return slot;
         }
         // the per-hop key is the flow key XOR the hop's node id
         let base = key ^ (u64::from(node.0) << 48);
-        let mut delay = links[l0.0 as usize].props.delay;
-        let mut cur = links[l0.0 as usize].to;
+        let first = topo.links[l0.0 as usize];
+        let mut delay = delay_of(&first);
+        let mut cur = first.to;
         let mut skip = 0u8;
         let max_skip = MAX_TUNNEL_SKIP.min(ttl.saturating_sub(1));
         while skip < max_skip {
             let c = cur.0 as usize;
-            if self.topo.kinds[c] != NodeKind::Router
-                || !self.topo.firewalls[c].is_open()
-                || !matches!(self.topo.ecn_policies[c], EcnPolicy::Pass)
+            if topo.kinds[c] != NodeKind::Router
+                || !topo.firewalls[c].is_open()
+                || !matches!(topo.ecn_policies[c], EcnPolicy::Pass)
             {
                 break;
             }
             let hop_key = base ^ (u64::from(cur.0) << 48);
-            let Some(next) = self.topo.tables[c]
+            let Some(next) = topo.tables[c]
                 .as_ref()
                 .and_then(|t| t.lookup(std::net::Ipv4Addr::from(dst)))
                 .and_then(|entry| entry.select(hop_key, epoch))
@@ -1003,11 +1030,11 @@ impl Sim {
                 // before it so the drop is attributed to the right hop
                 break;
             };
-            let next = &links[next.0 as usize];
-            if !next.is_passive() {
+            if !passive(next) {
                 break;
             }
-            delay += next.props.delay;
+            let next = topo.links[next.0 as usize];
+            delay += delay_of(&next);
             skip += 1;
             cur = next.to;
         }
@@ -1034,17 +1061,19 @@ impl Sim {
 
     fn transmit_with(&mut self, lid: LinkId, mut dgram: Datagram, ecn: Ecn, needs_refresh: bool) {
         let now = self.now;
-        let link = &self.topo.links[lid.0 as usize];
+        let link = self.topo.links[lid.0 as usize];
         let to = link.to;
+        let props = &self.topo.link_props[link.props as usize];
         let slot = self.topo.state_slots[lid.0 as usize];
-        // a passive link's offer is always exactly this (`Link::is_passive`)
+        // a passive link's offer is always exactly this
+        // (`LinkProps::is_passive`)
         let outcome = if slot == NO_STATE {
             LinkOutcome::Deliver {
-                at: now + link.props.delay,
+                at: now + props.delay,
                 ce_mark: false,
             }
         } else {
-            link.offer(
+            props.offer(
                 &mut self.link_states[slot as usize],
                 now,
                 dgram.len() as u64,
@@ -1148,12 +1177,14 @@ pub struct SimSkeleton {
 }
 
 impl Sim {
-    /// Freeze this simulator's topology into a shareable skeleton.
+    /// Freeze this simulator's topology into a shareable skeleton, with
+    /// every forwarding table shrunk to its node count (a growing table
+    /// keeps up to half its storage spare).
     ///
     /// Panics if the simulator has run (pending events), or carries
     /// agents/captures — a skeleton snapshots *construction* output, not
     /// runtime state.
-    pub fn freeze(self) -> SimSkeleton {
+    pub fn freeze(mut self) -> SimSkeleton {
         assert_eq!(self.queue.len(), 0, "freeze: pending events");
         for (i, agent) in self.agents.iter().enumerate() {
             assert!(
@@ -1168,6 +1199,12 @@ impl Sim {
                 "freeze: host {} has a capture",
                 self.topo.labels[i]
             );
+        }
+        for table in self.topo_mut().tables.iter_mut().flatten() {
+            // a table another router shares keeps its allocation
+            if let Some(table) = Arc::get_mut(table) {
+                table.shrink_to_fit();
+            }
         }
         SimSkeleton {
             topo: self.topo,
@@ -1613,5 +1650,67 @@ mod tests {
             .filter(|d| d.ecn() == Ecn::Ce)
             .count();
         assert!(ce_seen > 5, "CE at receiver: {ce_seen}");
+    }
+
+    /// Link properties from a small grid of delays, rates, queues and
+    /// loss processes, so random links often share one value.
+    fn grid_props((delay, rate, queue, loss): (u64, bool, u8, bool)) -> LinkProps {
+        LinkProps {
+            delay: Nanos::from_millis(delay),
+            rate_bps: rate.then_some(1_000_000),
+            queue: match queue {
+                0 => QueueDisc::deep_fifo(),
+                1 => QueueDisc::DropTail { limit_bytes: 1_500 },
+                _ => QueueDisc::aqm_mark(0.25),
+            },
+            loss: if loss {
+                crate::loss::LossModel::Bernoulli { p: 0.1 }
+            } else {
+                crate::loss::LossModel::None
+            },
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn links_read_back_their_props_and_hold_state_only_when_active(
+            links in proptest::collection::vec(
+                ((0u64..3, proptest::arbitrary::any::<bool>(), 0u8..3, proptest::arbitrary::any::<bool>()), 0usize..6, 0usize..6),
+                1..80,
+            ),
+        ) {
+            let mut sim = Sim::new(1);
+            let nodes: Vec<NodeId> = (0..6u8)
+                .map(|i| sim.add_host(format!("h{i}"), Ipv4Addr::new(10, 0, 0, i)))
+                .collect();
+            let added: Vec<(LinkId, NodeId, LinkProps)> = links
+                .iter()
+                .map(|&(grid, from, to)| {
+                    let props = grid_props(grid);
+                    (sim.add_link(nodes[from], nodes[to], props), nodes[to], props)
+                })
+                .collect();
+            let skeleton = sim.freeze();
+            let topo = &skeleton.topo;
+            let mut distinct: Vec<LinkProps> = Vec::new();
+            let mut stateful = 0u32;
+            for (id, to, props) in added {
+                let link = topo.links[id.0 as usize];
+                proptest::prop_assert_eq!(link.to, to);
+                proptest::prop_assert_eq!(topo.link_props[link.props as usize], props);
+                let slot = topo.state_slots[id.0 as usize];
+                proptest::prop_assert_eq!(props.is_passive(), slot == NO_STATE);
+                if slot != NO_STATE {
+                    // slots are dealt in link order, one per active link
+                    proptest::prop_assert_eq!(slot, stateful);
+                    stateful += 1;
+                }
+                if !distinct.contains(&props) {
+                    distinct.push(props);
+                }
+            }
+            proptest::prop_assert_eq!(skeleton.link_states.len(), stateful as usize);
+            proptest::prop_assert_eq!(topo.link_props.len(), distinct.len(), "each value stored once");
+        }
     }
 }

@@ -172,7 +172,7 @@ fn ect1_is_distinct_from_ect0_at_policy_and_firewall_hops() {
 fn tunnel_collapse_does_not_skip_a_markprob_hop() {
     // 10 transparent routers with one always-marking AQM link in the
     // middle: both flanks of the chain are tunnelable, the AQM link is
-    // not (`Link::is_passive` is false for MarkProb). Every markable
+    // not (`LinkProps::is_passive` is false for MarkProb). Every markable
     // packet must cross it and come out CE; not-ECT must never be
     // touched; already-CE packets are not markable and draw no new mark.
     let aqm = LinkProps {

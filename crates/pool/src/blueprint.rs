@@ -678,6 +678,24 @@ impl WorldBlueprint {
         })
     }
 
+    /// The world discovery runs in: [`instantiate`](Self::instantiate)'s
+    /// root packet stream, with the vantage and DNS stacks but no server
+    /// stack. Discovery only talks to the DNS host, and installing a
+    /// stack schedules no event and draws no randomness (see
+    /// [`instantiate_unit_scoped`](Self::instantiate_unit_scoped)), so
+    /// this world issues the same queries, sees the same timeouts and
+    /// finds the same targets as the full one, at a small fraction of its
+    /// memory (1.5 against 29 MiB at 8 000 servers).
+    pub fn instantiate_discovery(&self) -> Scenario {
+        self.instantiate_scoped(
+            SimConfig {
+                seed: self.seed,
+                ..SimConfig::default()
+            },
+            Some(&HashSet::new()),
+        )
+    }
+
     /// Instantiate a world whose packet randomness lives in its own
     /// domain derived from the seed and `domain`. The topology, stacks,
     /// services, flap schedules and ground truth are identical to

@@ -55,9 +55,12 @@ OPTIONS:
                         output; must be >= 1)
     --processes <N>     worker processes (default 1 = in-process); the
                         unit pool is partitioned across spawned workers
-                        under a supervisor and their reducers tree-merged,
-                        bounding peak RSS per process — output stays
-                        byte-identical; --metrics/--progress then observe
+                        under a supervisor and their reducers tree-merged
+                        — output stays byte-identical. Each process holds
+                        one world blueprint (~2.5 KB per server), a floor
+                        this does not divide; the parent drops it after
+                        discovery, each worker adds only its units' worlds
+                        and aggregates. --metrics/--progress then observe
                         worker lifecycle instead of per-probe events; not
                         combinable with --sample-traces (raw trace records
                         stay inside the worker)
@@ -390,7 +393,7 @@ fn cmd_run(args: &Args) -> Result<(), CliError> {
     let report = FullReport::from_campaign(&run.result);
     eprintln!(
         "campaign done: {} process(es) x {} shards over {} units (merge depth {}), \
-         {} targets, {} traces, peak RSS {} kB ({})",
+         {} targets, {} traces, peak RSS {} kB, per process {:?} kB (parent first); {}",
         run.processes,
         run.shards,
         run.units,
@@ -398,6 +401,7 @@ fn cmd_run(args: &Args) -> Result<(), CliError> {
         run.result.targets.len(),
         run.result.aggregates.trace_stats.len(),
         run.peak_rss_kb,
+        run.process_peak_rss_kb,
         run.timing.render(),
     );
     if args.json {

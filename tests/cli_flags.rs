@@ -2,7 +2,8 @@
 //! zero-value rejection at parse time (`--shards 0`, `--processes 0`,
 //! non-positive `--worker-timeout`), the supervised-mode ×
 //! `--sample-traces` conflict, metrics/progress streaming worker
-//! lifecycle under `--processes > 1`, and the `validate` metrics probe's
+//! lifecycle under `--processes > 1` (with the same summary totals as
+//! one process), and the `validate` metrics probe's
 //! non-destructiveness (a pre-existing metrics file must survive
 //! byte-identical — the probe opens for append, never truncate).
 
@@ -125,6 +126,48 @@ fn multiprocess_metrics_stream_reports_worker_lifecycle() {
         "per-unit events stay inside the workers: {stream}"
     );
     let _ = std::fs::remove_file(&metrics);
+}
+
+/// The `summary` line of a `--metrics` run at `processes`, with its
+/// `wall_ms` field (the stream's one wall-clock value) cut off.
+fn metrics_summary(processes: &str) -> String {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("target/test-scenarios");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let metrics = dir.join(format!("summary-at-{processes}-processes.jsonl"));
+    let out = ecnudp(&[
+        "run",
+        "--scenario",
+        "scenarios/paper2015-mini.toml",
+        "--processes",
+        processes,
+        "--metrics",
+        metrics.to_str().expect("utf8 path"),
+    ]);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stream = std::fs::read_to_string(&metrics).expect("metrics stream");
+    let _ = std::fs::remove_file(&metrics);
+    let summary = stream
+        .lines()
+        .find(|l| l.starts_with("{\"type\":\"summary\""))
+        .unwrap_or_else(|| panic!("no summary line: {stream}"));
+    let cut = summary.find(",\"wall_ms\"").expect("wall_ms field");
+    summary[..cut].to_string()
+}
+
+#[test]
+fn multiprocess_metrics_summary_equals_the_single_process_one() {
+    // the parent sees no unit events under --processes > 1; its summary
+    // must still count every worker's units, traces, probes and packets
+    let single = metrics_summary("1");
+    assert!(
+        single.contains("\"units\":13,") && !single.contains("\"observations\":0,"),
+        "{single}"
+    );
+    assert_eq!(metrics_summary("2"), single);
 }
 
 #[test]

@@ -158,16 +158,73 @@ fn megapool_smoke_is_deterministic_across_processes_with_bounded_rss() {
         );
         if cfg!(target_os = "linux") {
             // the whole point of worker processes: per-process peak RSS
-            // stays bounded. Measured ~0.79 GB per process at 50k servers
-            // (radix-trie tables + shared Arc<Topology>); a regression
-            // that funnels whole-campaign state into one process — or
-            // reverts the table compression — blows through 2 GiB.
+            // stays bounded. Measured 0.23 GB per process at 50k servers
+            // (a ~2.5 KB/server blueprint, scoped unit worlds); a
+            // regression that funnels whole-campaign state into one
+            // process — or reverts the table compression — blows through
+            // 2 GiB.
             assert!(
                 run.peak_rss_kb > 0 && run.peak_rss_kb < 2 * 1024 * 1024,
                 "peak RSS {} kB outside the smoke ceiling",
                 run.peak_rss_kb
             );
         }
+    }
+}
+
+/// The `[..]` list of numbers at `"key":` in a one-line JSON object.
+fn json_u64_list(json: &str, key: &str) -> Vec<u64> {
+    let open = format!("\"{key}\":[");
+    let at = json
+        .find(&open)
+        .unwrap_or_else(|| panic!("no {key} in {json}"))
+        + open.len();
+    let len = json[at..].find(']').expect("closing bracket");
+    json[at..at + len]
+        .split(',')
+        .map(|n| n.trim().parse().expect("a number"))
+        .collect()
+}
+
+#[test]
+fn megapool_smoke_parent_peaks_below_every_worker() {
+    // Per-process peaks, read from a fresh CLI process: the parent only
+    // builds the blueprint and discovers (in a world without server
+    // stacks), then drops the blueprint before the workers start, so it
+    // must peak below every worker, which rebuilds the blueprint and
+    // probes. (An in-process run cannot show this: `VmHWM` never falls,
+    // and the test harness has already run other campaigns.)
+    if std::env::var_os("ECNUDP_MEGAPOOL").is_none() {
+        eprintln!("skipping megapool per-process peaks (set ECNUDP_MEGAPOOL=1 to run)");
+        return;
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_ecnudp"))
+        .args(["run", "--scenario", "scenarios/megapool-smoke.toml"])
+        .args(["--processes", "2", "--json"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .env_remove("ECNUDP_FAULT")
+        .env_remove(WORKER_EXE_ENV)
+        .output()
+        .expect("spawn ecnudp");
+    assert!(
+        out.status.success(),
+        "megapool-smoke run failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let summary = String::from_utf8(out.stdout).expect("utf8 summary");
+    let peaks = json_u64_list(&summary, "process_peak_rss_kb");
+    eprintln!("megapool-smoke at 2 processes, peak RSS kB (parent first): {peaks:?}");
+    assert_eq!(peaks.len(), 3, "the parent, then two workers: {summary}");
+    if cfg!(target_os = "linux") {
+        let (parent, workers) = (peaks[0], &peaks[1..]);
+        assert!(
+            workers.iter().all(|&w| parent < w),
+            "the parent must peak below every worker: {peaks:?}"
+        );
+        assert!(
+            peaks.iter().all(|&p| p > 0 && p < 2 * 1024 * 1024),
+            "per-process peaks outside the smoke ceiling: {peaks:?}"
+        );
     }
 }
 
