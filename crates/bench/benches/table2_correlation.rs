@@ -18,6 +18,6 @@ fn main() {
     // kernel: the Table 2 finalizer over the streamed correlation counters
     let a = &result.aggregates;
     time_kernel("table2 from aggregates (210 traces)", 20, || {
-        Table2::from_counts(&a.table2, &a.trace_stats.location_order())
+        Table2::from_counts(&a.table2, &a.trace_stats.ordered())
     });
 }

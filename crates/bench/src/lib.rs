@@ -5,7 +5,7 @@
 use ecn_core::{CampaignConfig, CampaignResult, EngineConfig};
 use ecn_pool::PoolPlan;
 use std::path::Path;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 pub mod alloc;
 
@@ -54,6 +54,42 @@ pub fn time_kernel<T>(label: &str, iters: u32, mut f: impl FnMut() -> T) {
     println!("[kernel] {label}: {per:.3} ms/iter over {iters} iters");
 }
 
+/// A fixed scalar kernel (checksum-shaped: 8-byte adds over a 1.5 KB
+/// buffer plus an avalanche mix) timed for ~80 ms, in kilo-iterations per
+/// second. The score scales with the single-core integer throughput the
+/// simulator's hot loop depends on, so a `BENCH_campaign.json` section
+/// that records it next to `num_cpus` says how fast the host that
+/// produced its wall-clock numbers was.
+pub fn calibration_kops() -> f64 {
+    let mut buf = [0u8; 1536];
+    for (i, b) in buf.iter_mut().enumerate() {
+        *b = i as u8;
+    }
+    let mut acc = 0x9e37_79b9_7f4a_7c15u64;
+    let t0 = Instant::now();
+    let mut iters = 0u64;
+    loop {
+        for _ in 0..256 {
+            let mut s = 0u64;
+            for ch in buf.chunks_exact(8) {
+                s = s.wrapping_add(u64::from_le_bytes(ch.try_into().unwrap()));
+            }
+            acc ^= s.rotate_left(17).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            // Feed the digest back into the buffer: the next pass depends
+            // on this one through memory, so the sum cannot be folded to
+            // a constant and the loop actually exercises load/ALU ports.
+            let off = (acc as usize) % (buf.len() - 8);
+            buf[off..off + 8].copy_from_slice(&acc.to_le_bytes());
+            iters += 1;
+        }
+        if t0.elapsed() >= Duration::from_millis(80) {
+            break;
+        }
+    }
+    std::hint::black_box(acc);
+    iters as f64 / t0.elapsed().as_secs_f64() / 1000.0
+}
+
 /// Insert or replace one top-level section of `BENCH_campaign.json`,
 /// preserving the others — several bench targets (`campaign_sharding`,
 /// `probe_hot_loop`) contribute sections to the same trajectory artefact,
@@ -85,26 +121,6 @@ pub fn update_bench_json(path: &Path, section: &str, section_body: &str) {
         let _ = std::fs::remove_file(&tmp);
         panic!("atomic rename of bench json into {}: {e}", path.display());
     }
-}
-
-/// Read one numeric leaf out of a `BENCH_campaign.json` document:
-/// `section` selects the top-level object, `keys` walk down it in order
-/// (each key is found by textual scan — sufficient for the flat objects
-/// the bench writers emit). Returns `None` when any key is missing.
-pub fn bench_json_number(doc: &str, section: &str, keys: &[&str]) -> Option<f64> {
-    let (_, body) = parse_top_level_sections(doc)
-        .into_iter()
-        .find(|(name, _)| name == section)?;
-    let mut at = 0usize;
-    for k in keys {
-        let needle = format!("\"{k}\"");
-        at += body[at..].find(&needle)? + needle.len();
-    }
-    let rest = body[at..].trim_start_matches([':', ' ', '\t']);
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// Split a `{ "name": {...}, ... }` document into (name, object) pairs by

@@ -15,6 +15,10 @@
 //!   scratch and UDP sink sockets then took it to ~25 (the remainder
 //!   is connection setup/teardown and response assembly).
 //!
+//! A third, allocation-free count rides along: the simulator events one
+//! observation dispatches (`Sim::events_dispatched`), the deterministic
+//! reading of the event loop's cost.
+//!
 //! The budgets sit ~50% above the measured numbers: enough headroom for
 //! allocator jitter across platforms, tight enough that reintroducing
 //! per-packet `Vec` churn (owned `encode()`, capture copies, per-unit
@@ -175,6 +179,35 @@ fn probe_loop_allocations_stay_within_budget() {
         per_obs < PER_OBSERVATION_BUDGET,
         "probe hot-loop allocation regression: {per_obs:.1} allocs/observation \
          (budget {PER_OBSERVATION_BUDGET})"
+    );
+}
+
+/// Most simulator events one (server, trace) observation may dispatch
+/// (measured: 61.5, so ~30% headroom; 285 with tunnelled forwarding off,
+/// when every hop of every packet is its own event).
+const EVENTS_PER_OBSERVATION_BUDGET: f64 = 80.0;
+
+#[test]
+fn probe_loop_events_per_observation_stay_within_budget() {
+    // The event loop's work per observation, counted rather than timed:
+    // tunnelling collapses transparent multi-hop chains into one arrival,
+    // and losing it multiplies the dispatched events.
+    let _serial = serial();
+    let cfg = test_cfg();
+    let (d, mut sc) = run_discovery(&PoolPlan::scaled(40), &cfg);
+    let _warm = run_trace(&mut sc, 4, 2, &d.targets, &cfg);
+    let before = sc.sim.events_dispatched();
+    let rec = run_trace(&mut sc, 4, 2, &d.targets, &cfg);
+    let events = sc.sim.events_dispatched() - before;
+    let per_obs = events as f64 / rec.outcomes.len().max(1) as f64;
+    println!(
+        "run_trace: {events} events / {} observations = {per_obs:.2} per observation",
+        rec.outcomes.len()
+    );
+    assert!(
+        per_obs < EVENTS_PER_OBSERVATION_BUDGET,
+        "event-loop regression: {per_obs:.2} events/observation \
+         (budget {EVENTS_PER_OBSERVATION_BUDGET})"
     );
 }
 

@@ -5,7 +5,7 @@
 //! churned servers — reachable in a majority of batch-1 traces, gone in
 //! batch 2.
 
-use crate::reducers::BatchCounts;
+use crate::reducers::{batch_slot, BatchCounts, TraceCounters};
 use crate::report::render_table;
 use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
@@ -29,8 +29,10 @@ pub struct BatchComparison {
 }
 
 impl BatchComparison {
-    /// Finalize the streamed batch counters.
-    pub fn from_counts(counts: &BatchCounts) -> BatchComparison {
+    /// Finalize the streamed per-server batch histories; the per-batch
+    /// trace counts and not-ECT reachability means come from the per-trace
+    /// counters ([`crate::reducers::TraceStats::ordered`]).
+    pub fn from_counts(counts: &BatchCounts, ordered: &[&TraceCounters]) -> BatchComparison {
         let frac = |(hits, total): (u32, u32)| {
             if total == 0 {
                 f64::NAN
@@ -51,16 +53,23 @@ impl BatchComparison {
                 churned.push(*addr);
             }
         }
+        let mut traces = [0usize; 2];
+        let mut reach_sum = [0u64; 2];
+        for t in ordered {
+            let b = batch_slot(t.batch);
+            traces[b] += 1;
+            reach_sum[b] += u64::from(t.udp_plain);
+        }
         let avg = |b: usize| {
-            if counts.batch_traces[b] == 0 {
+            if traces[b] == 0 {
                 0.0
             } else {
-                counts.batch_reach_sum[b] as f64 / counts.batch_traces[b] as f64
+                reach_sum[b] as f64 / traces[b] as f64
             }
         };
         BatchComparison {
-            batch1_traces: counts.batch_traces[0] as usize,
-            batch2_traces: counts.batch_traces[1] as usize,
+            batch1_traces: traces[0],
+            batch2_traces: traces[1],
             batch1_avg_reachable: avg(0),
             batch2_avg_reachable: avg(1),
             churned,

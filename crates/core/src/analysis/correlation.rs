@@ -3,7 +3,7 @@
 //! most servers that blackhole ECT-marked UDP still negotiate ECN fine
 //! over TCP — evidence of UDP-specific ECT filtering.
 
-use crate::reducers::Table2Counts;
+use crate::reducers::{location_order_of, Table2Counts, TraceCounters};
 use crate::report::render_table;
 use serde::{Deserialize, Serialize};
 
@@ -38,20 +38,27 @@ pub struct Table2 {
 }
 
 impl Table2 {
-    /// Finalize the streamed Table 2 counters, with rows in `order`
-    /// (first-seen campaign order). Averages and φ are exact integer
-    /// ratios, so the floats do not depend on observation order.
-    pub fn from_counts(counts: &Table2Counts, order: &[String]) -> Table2 {
-        let rows: Vec<Table2Row> = order
-            .iter()
-            .filter_map(|name| {
-                let v = counts.per_vantage.get(name)?;
+    /// Finalize the streamed Table 2 counters over the campaign-order
+    /// per-trace counters ([`crate::reducers::TraceStats::ordered`]): rows
+    /// in first-seen location order, each averaged over the location's
+    /// trace count. Averages and φ are exact integer ratios, so the floats
+    /// do not depend on observation order.
+    pub fn from_counts(counts: &Table2Counts, ordered: &[&TraceCounters]) -> Table2 {
+        let rows: Vec<Table2Row> = location_order_of(ordered)
+            .into_iter()
+            .filter_map(|location| {
+                let v = counts.per_vantage.get(&location)?;
+                let traces = ordered
+                    .iter()
+                    .filter(|t| t.vantage_name == location)
+                    .count();
+                let avg = |n: u64| n as f64 / traces as f64;
                 Some(Table2Row {
-                    location: name.clone(),
-                    avg_udp_ect_unreachable: v.udp_ect_unreachable as f64 / v.traces as f64,
-                    avg_fail_tcp_ecn: v.fail_tcp_ecn as f64 / v.traces as f64,
-                    avg_ok_tcp_ecn: v.ok_tcp_ecn as f64 / v.traces as f64,
-                    traces: v.traces as usize,
+                    avg_udp_ect_unreachable: avg(v.udp_ect_unreachable),
+                    avg_fail_tcp_ecn: avg(v.fail_tcp_ecn),
+                    avg_ok_tcp_ecn: avg(v.ok_tcp_ecn),
+                    traces,
+                    location,
                 })
             })
             .collect();

@@ -97,8 +97,8 @@ impl FullReport {
             figure4: Figure4::from_counts(&a.hops, &result.asdb),
             figure5,
             figure6: figure6(measured_pct),
-            table2: Table2::from_counts(&a.table2, &order),
-            batches: BatchComparison::from_counts(&a.batches),
+            table2: Table2::from_counts(&a.table2, &ordered),
+            batches: BatchComparison::from_counts(&a.batches, &ordered),
             validation: ValidationReport::from_counts(&a.validation, &result.truth),
         }
     }

@@ -79,8 +79,7 @@ pub use mp::{
 pub use probes::{probe_tcp, probe_udp, TcpProbeResult, UdpProbeResult};
 pub use reducers::{
     merge_depth, merge_tree, BatchCounts, CampaignAggregates, DifferentialCounts, HopSurveyCounts,
-    ReachabilityCounts, Reduce, RouteCtx, ShardReducers, SurveyCounts, Table2Counts, TraceCounters,
-    TraceCtx, TraceStats,
+    Reduce, RouteCtx, ShardReducers, Table2Counts, TraceCounters, TraceCtx, TraceStats,
 };
 pub use scenario_run::{campaign_config, engine_config, RunSummary};
 pub use trace::{ServerOutcome, TraceRecord};

@@ -83,8 +83,8 @@
 use crate::campaign::{discover_campaign, plan_with_churn};
 use crate::config::CampaignConfig;
 use crate::engine::{
-    apply_unit_order, canonical_units, per_vantage_schedule, run_unit_pool, EngineConfig,
-    EngineRun, EngineTiming, Unit, UnitOrder,
+    apply_unit_order, per_vantage_schedule, run_unit_pool, EngineConfig, EngineRun, EngineTiming,
+    Unit, UnitOrder,
 };
 use crate::events::{Event, Subscriber, UnitId};
 use crate::fault::{FaultPlan, WorkerFault, CRASH_EXIT_CODE, PARENT_EXIT_CODE};
@@ -339,8 +339,9 @@ impl std::error::Error for MpError {}
 // ------------------------------------------------------------- checkpoints
 
 /// On-disk schema version of [`Checkpoint`] (2 added
-/// [`Checkpoint::checksum`]).
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// [`Checkpoint::checksum`]; 3 dropped the aggregates' second and third
+/// trace counts, leaving [`crate::reducers::TraceStats`] the only one).
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// A campaign checkpoint: the merged-so-far aggregates plus the bitmap
 /// of completed canonical units, written atomically (same-directory
@@ -519,25 +520,22 @@ impl Subscriber for WorkerTap {
     }
 }
 
-/// This worker's round-robin partition: filter out completed units, then
-/// deal the remainder by position. Must stay the exact mirror of the
-/// parent's assignment ([`partition_assignments`]).
+/// This worker's slice of the parent's assignment
+/// ([`partition_assignments`]), each canonical index mapped back to its
+/// (vantage, chunk) unit. An `index` at or past `processes` gets an empty
+/// slice.
 fn worker_partition(req: &WorkerRequest, vantage_count: usize, chunks: usize) -> Vec<Unit> {
     let processes = req.processes.max(1);
-    let mut units = canonical_units(vantage_count, chunks);
-    let mut canonical = 0usize;
-    let mut position = 0usize;
-    units.retain(|_| {
-        let ci = canonical;
-        canonical += 1;
-        if req.skip.binary_search(&ci).is_ok() {
-            return false;
-        }
-        let mine = position % processes == req.index;
-        position += 1;
-        mine
-    });
-    units
+    partition_assignments(vantage_count * chunks, &req.skip, processes)
+        .into_iter()
+        .nth(req.index)
+        .unwrap_or_default()
+        .into_iter()
+        .map(|ci| Unit {
+            vantage: ci / chunks,
+            chunk: ci % chunks,
+        })
+        .collect()
 }
 
 /// Execute one worker request (the body of worker mode; separated so
@@ -692,16 +690,13 @@ fn clamped_processes(requested: usize, remaining: usize) -> usize {
     requested.min(remaining).max(usize::from(remaining > 0))
 }
 
-/// The parent's unit assignment: deal the not-yet-completed canonical
-/// indices round-robin by position. Mirror of [`worker_partition`].
-fn partition_assignments(
-    total_units: usize,
-    completed: &BTreeSet<usize>,
-    processes: usize,
-) -> Vec<Vec<usize>> {
+/// The unit assignment, computed by the parent and by each worker alike:
+/// deal the canonical indices not in `skip` (sorted) round-robin by
+/// position.
+fn partition_assignments(total_units: usize, skip: &[usize], processes: usize) -> Vec<Vec<usize>> {
     let mut assignments = vec![Vec::new(); processes];
     for (position, ci) in (0..total_units)
-        .filter(|i| !completed.contains(i))
+        .filter(|i| skip.binary_search(i).is_err())
         .enumerate()
     {
         assignments[position % processes].push(ci);
@@ -1004,7 +999,7 @@ pub(crate) fn run_multiprocess<S: Subscriber>(
 
     if processes > 0 {
         let exe = worker_exe()?;
-        let assignments = partition_assignments(total_units, &completed, processes);
+        let assignments = partition_assignments(total_units, &skip, processes);
         let unit_descs: Vec<String> = assignments
             .iter()
             .map(|a| describe_units(a, total_units))
@@ -1216,31 +1211,31 @@ mod tests {
 
     #[test]
     fn partition_with_skip_covers_exactly_the_remaining_units() {
-        // parent-side assignment and worker-side partition must agree
+        // each worker's units map back to the parent's canonical indices,
+        // and together they cover exactly the units not skipped
         let total = 13 * 2;
-        let completed: BTreeSet<usize> = [0usize, 3, 4, 7, 20].into_iter().collect();
+        let skip = vec![0usize, 3, 4, 7, 20];
         for processes in 1..=4usize {
-            let assignments = partition_assignments(total, &completed, processes);
+            let assignments = partition_assignments(total, &skip, processes);
             let mut seen = vec![0u32; total];
             for (index, assigned) in assignments.iter().enumerate() {
                 let mut req = bare_request(processes, index);
                 req.target_chunks = 2;
-                req.skip = completed.iter().copied().collect();
+                req.skip = skip.clone();
                 let units = worker_partition(&req, 13, 2);
-                assert_eq!(
-                    units.len(),
-                    assigned.len(),
-                    "worker {index}/{processes} slice size"
-                );
-                for (u, &ci) in units.iter().zip(assigned) {
-                    assert_eq!(u.vantage * 2 + u.chunk, ci, "canonical index mismatch");
+                let back: Vec<usize> = units.iter().map(|u| u.vantage * 2 + u.chunk).collect();
+                assert_eq!(&back, assigned, "worker {index}/{processes} slice");
+                for ci in back {
                     seen[ci] += 1;
                 }
             }
             for (ci, &n) in seen.iter().enumerate() {
-                let expect = u32::from(!completed.contains(&ci));
+                let expect = u32::from(!skip.contains(&ci));
                 assert_eq!(n, expect, "unit {ci} coverage at P = {processes}");
             }
+            // a worker index past the process count gets nothing
+            let stray = bare_request(processes, processes);
+            assert!(worker_partition(&stray, 13, 2).is_empty());
         }
     }
 
@@ -1349,7 +1344,7 @@ mod tests {
         assert_eq!(clamped_processes(2, 13), 2, "under-provisioned is kept");
         assert_eq!(clamped_processes(13, 13), 13);
         // and the clamped count still partitions every unit exactly once
-        let assigned = partition_assignments(1, &BTreeSet::new(), clamped_processes(8, 1));
+        let assigned = partition_assignments(1, &[], clamped_processes(8, 1));
         assert_eq!(assigned, vec![vec![0]]);
     }
 

@@ -22,13 +22,13 @@
 //! only in `finalize`-style accessors, from the merged integer counts.
 //!
 //! Per-logical-trace bookkeeping under target chunking: a trace split
-//! across chunks arrives as several partial records, so anything counted
-//! once per trace (e.g. the Table 2 trace denominator) is counted only
-//! when [`TraceCtx::first_chunk`] is true. Per-trace *figures* (the
-//! Figure 2/5 bars are one bar per trace) live in [`TraceStats`]: a map
-//! keyed by the chunk-invariant unit identity `(vantage, trace index)`
-//! whose values are small integer counters — O(#traces) entries, not
-//! O(#traces × #servers) records.
+//! across chunks arrives as several partial records. [`TraceStats`] is
+//! the one reducer that counts traces: a map keyed by the chunk-invariant
+//! unit identity `(vantage, trace index)` whose values are small integer
+//! counters — O(#traces) entries, not O(#traces × #servers) records. The
+//! Figure 2/5 bars, Table 2's per-location trace counts and the §4.1
+//! batch means all derive from it, so the other reducers count only
+//! per-observation facts and never read [`TraceCtx::first_chunk`].
 
 use crate::analysis::differential::ServerDifferential;
 use crate::campaign::VantageRoutes;
@@ -88,11 +88,10 @@ pub trait Reduce: Send + Sized {
 
 // ---------------------------------------------------------------- table 2
 
-/// Per-vantage Table 2 counters.
+/// Per-vantage Table 2 counters (the per-location trace denominator comes
+/// from [`TraceStats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct VantageTable2 {
-    /// Logical traces observed from this vantage.
-    pub traces: u64,
     /// (server, trace) observations reachable via not-ECT UDP but not
     /// ECT(0) — the per-vantage ECT-marked-reachability deficit.
     pub udp_ect_unreachable: u64,
@@ -124,7 +123,7 @@ pub struct Table2Counts {
 }
 
 impl Reduce for Table2Counts {
-    fn observe_trace(&mut self, rec: &TraceRecord, ctx: &TraceCtx) {
+    fn observe_trace(&mut self, rec: &TraceRecord, _ctx: &TraceCtx) {
         let mut udp_unreach = 0;
         let mut fail = 0;
         let mut ok = 0;
@@ -155,9 +154,6 @@ impl Reduce for Table2Counts {
             .per_vantage
             .entry(rec.vantage_name.clone())
             .or_default();
-        if ctx.first_chunk {
-            e.traces += 1;
-        }
         e.udp_ect_unreachable += udp_unreach;
         e.fail_tcp_ecn += fail;
         e.ok_tcp_ecn += ok;
@@ -166,7 +162,6 @@ impl Reduce for Table2Counts {
     fn merge(&mut self, other: Self) {
         for (name, v) in other.per_vantage {
             let e = self.per_vantage.entry(name).or_default();
-            e.traces += v.traces;
             e.udp_ect_unreachable += v.udp_ect_unreachable;
             e.fail_tcp_ecn += v.fail_tcp_ecn;
             e.ok_tcp_ecn += v.ok_tcp_ecn;
@@ -209,112 +204,22 @@ impl Table2Counts {
     }
 }
 
-// ---------------------------------------------------------------- figure 2
-
-/// Per-vantage UDP/TCP reachability counters (Figure 2/5 numerators and
-/// denominators, kept linear so streaming stays order-invariant).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct VantageReachability {
-    /// Logical traces observed.
-    pub traces: u64,
-    /// (server, trace) observations reachable via not-ECT UDP.
-    pub udp_plain: u64,
-    /// Observations reachable via ECT(0) UDP.
-    pub udp_ect: u64,
-    /// Observations reachable both ways.
-    pub udp_both: u64,
-    /// Observations answering HTTP on either TCP probe.
-    pub tcp_reachable: u64,
-    /// Observations negotiating ECN over TCP.
-    pub tcp_negotiated: u64,
-}
-
-/// Streaming reachability accumulator (the per-vantage counts behind
-/// Figures 2 and 5's headline ratios).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ReachabilityCounts {
-    /// Per-vantage counters, keyed by vantage key.
-    pub per_vantage: BTreeMap<String, VantageReachability>,
-}
-
-impl Reduce for ReachabilityCounts {
-    fn observe_trace(&mut self, rec: &TraceRecord, ctx: &TraceCtx) {
-        let e = self.per_vantage.entry(rec.vantage_key.clone()).or_default();
-        if ctx.first_chunk {
-            e.traces += 1;
-        }
-        for o in &rec.outcomes {
-            e.udp_plain += u64::from(o.udp_plain.reachable);
-            e.udp_ect += u64::from(o.udp_ect.reachable);
-            e.udp_both += u64::from(o.udp_plain.reachable && o.udp_ect.reachable);
-            e.tcp_reachable += u64::from(o.tcp_plain.reachable || o.tcp_ecn.reachable);
-            e.tcp_negotiated += u64::from(o.tcp_ecn.negotiated_ecn);
-        }
-    }
-
-    fn merge(&mut self, other: Self) {
-        for (key, v) in other.per_vantage {
-            let e = self.per_vantage.entry(key).or_default();
-            e.traces += v.traces;
-            e.udp_plain += v.udp_plain;
-            e.udp_ect += v.udp_ect;
-            e.udp_both += v.udp_both;
-            e.tcp_reachable += v.tcp_reachable;
-            e.tcp_negotiated += v.tcp_negotiated;
-        }
-    }
-}
-
-impl ReachabilityCounts {
-    /// Aggregate Figure 2a value: of not-ECT-reachable observations, the
-    /// percentage also reachable with ECT(0).
-    pub fn pct_a(&self) -> f64 {
-        let plain: u64 = self.per_vantage.values().map(|v| v.udp_plain).sum();
-        let both: u64 = self.per_vantage.values().map(|v| v.udp_both).sum();
-        if plain == 0 {
-            100.0
-        } else {
-            100.0 * both as f64 / plain as f64
-        }
-    }
-
-    /// Aggregate Figure 2b value.
-    pub fn pct_b(&self) -> f64 {
-        let ect: u64 = self.per_vantage.values().map(|v| v.udp_ect).sum();
-        let both: u64 = self.per_vantage.values().map(|v| v.udp_both).sum();
-        if ect == 0 {
-            100.0
-        } else {
-            100.0 * both as f64 / ect as f64
-        }
-    }
-
-    /// Aggregate ECN negotiation share among TCP-reachable observations
-    /// (Figure 5's headline).
-    pub fn negotiated_pct(&self) -> f64 {
-        let reach: u64 = self.per_vantage.values().map(|v| v.tcp_reachable).sum();
-        let neg: u64 = self.per_vantage.values().map(|v| v.tcp_negotiated).sum();
-        if reach == 0 {
-            0.0
-        } else {
-            100.0 * neg as f64 / reach as f64
-        }
-    }
-}
-
 // ------------------------------------------------------- per-trace figures
 
 /// Integer counters for one logical trace — the data behind one Figure 2
-/// bar and one Figure 5 bar. Chunk partials of the same trace merge by
-/// addition; the identity fields are set by whichever chunk arrives first
-/// and the start time by the chunk-0 partial (whose world's clock a
-/// stitched record's header carries).
+/// bar, one Figure 5 bar, one trace of a Table 2 row and one trace of a
+/// §4.1 batch. Chunk partials of the same trace merge by addition; the
+/// identity fields are set by whichever chunk arrives first and the start
+/// time by the chunk-0 partial (whose world's clock a stitched record's
+/// header carries).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceCounters {
     /// Vantage key (stable identifier).
     pub vantage_key: String,
     /// Vantage display name (Table 2 spelling).
     pub vantage_name: String,
+    /// Collection batch (1 = April/May, 2 = July/August).
+    pub batch: u8,
     /// Virtual start time of the chunk-0 partial; `None` until observed.
     pub started_at: Option<Nanos>,
     /// Servers reachable via not-ECT UDP.
@@ -334,6 +239,7 @@ impl TraceCounters {
         if self.vantage_key.is_empty() {
             self.vantage_key = other.vantage_key;
             self.vantage_name = other.vantage_name;
+            self.batch = other.batch;
         }
         if self.started_at.is_none() {
             self.started_at = other.started_at;
@@ -350,6 +256,7 @@ impl TraceCounters {
 /// `(vantage, trace index)`. This is what lets the report path rebuild the
 /// per-trace Figure 2/5 bars — and the campaign-order trace sequence their
 /// averages are computed over — without retaining any [`TraceRecord`].
+/// It is the only reducer that counts traces.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceStats {
     /// Counters keyed by the chunk-invariant trace identity.
@@ -361,6 +268,7 @@ impl Reduce for TraceStats {
         let mut c = TraceCounters {
             vantage_key: rec.vantage_key.clone(),
             vantage_name: rec.vantage_name.clone(),
+            batch: rec.batch,
             started_at: ctx.first_chunk.then_some(rec.started_at),
             ..TraceCounters::default()
         };
@@ -473,26 +381,25 @@ impl Reduce for DifferentialCounts {
 
 // ------------------------------------------------------------ §4.1 batches
 
-/// Streaming accumulator behind the §4.1 batch comparison: per-batch trace
-/// counts and per-server reachability histories.
+/// Streaming accumulator behind the §4.1 batch comparison's churn
+/// inference: per-server reachability histories (the per-batch means come
+/// from [`TraceStats`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BatchCounts {
-    /// Logical traces per batch.
-    pub batch_traces: [u64; 2],
-    /// Sum over traces of not-ECT-reachable server counts, per batch.
-    pub batch_reach_sum: [u64; 2],
     /// Per server and batch: (reachable observations, observations).
     pub per_server: BTreeMap<Ipv4Addr, [(u32, u32); 2]>,
 }
 
+/// A collection batch's slot in the §4.1 per-batch arrays: batch 1 (or
+/// an unset 0) → 0, batch 2 (or anything later) → 1.
+pub(crate) fn batch_slot(batch: u8) -> usize {
+    usize::from(batch.clamp(1, 2)) - 1
+}
+
 impl Reduce for BatchCounts {
-    fn observe_trace(&mut self, rec: &TraceRecord, ctx: &TraceCtx) {
-        let b = usize::from(rec.batch.clamp(1, 2)) - 1;
-        if ctx.first_chunk {
-            self.batch_traces[b] += 1;
-        }
+    fn observe_trace(&mut self, rec: &TraceRecord, _ctx: &TraceCtx) {
+        let b = batch_slot(rec.batch);
         for o in &rec.outcomes {
-            self.batch_reach_sum[b] += u64::from(o.udp_plain.reachable);
             let e = self.per_server.entry(o.server).or_insert([(0, 0), (0, 0)]);
             e[b].1 += 1;
             e[b].0 += u32::from(o.udp_plain.reachable);
@@ -500,10 +407,6 @@ impl Reduce for BatchCounts {
     }
 
     fn merge(&mut self, other: Self) {
-        for b in 0..2 {
-            self.batch_traces[b] += other.batch_traces[b];
-            self.batch_reach_sum[b] += other.batch_reach_sum[b];
-        }
         for (addr, v) in other.per_server {
             let e = self.per_server.entry(addr).or_insert([(0, 0), (0, 0)]);
             for b in 0..2 {
@@ -511,67 +414,6 @@ impl Reduce for BatchCounts {
                 e[b].1 += v[b].1;
             }
         }
-    }
-}
-
-// ---------------------------------------------------------------- survey
-
-/// Streaming traceroute-survey totals (hop observation counters; the
-/// hop-identity state behind Figure 4 lives in [`HopSurveyCounts`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SurveyCounts {
-    /// Paths observed per vantage key.
-    pub paths_per_vantage: BTreeMap<String, u64>,
-    /// Responding hop observations.
-    pub hops_responded: u64,
-    /// Silent hops (`*`).
-    pub hops_silent: u64,
-    /// Responding hops whose quotes all still carried the sent mark.
-    pub hops_pass: u64,
-    /// Responding hops showing a modified mark in at least one quote.
-    pub hops_modified: u64,
-    /// Modified hops with disagreeing probes (the "sometimes" signature).
-    pub hops_mixed: u64,
-    /// Paths whose ICMP port-unreachable reached back from the target.
-    pub reached_destination: u64,
-}
-
-impl Reduce for SurveyCounts {
-    fn observe_routes(&mut self, routes: &VantageRoutes, _ctx: &RouteCtx<'_>) {
-        *self
-            .paths_per_vantage
-            .entry(routes.vantage_key.clone())
-            .or_default() += routes.paths.len() as u64;
-        for path in &routes.paths {
-            self.reached_destination += u64::from(path.reached_destination);
-            for hop in &path.hops {
-                if hop.router.is_none() {
-                    self.hops_silent += 1;
-                    continue;
-                }
-                self.hops_responded += 1;
-                if hop.modified(path.sent_ecn) {
-                    self.hops_modified += 1;
-                    if hop.mixed(path.sent_ecn) {
-                        self.hops_mixed += 1;
-                    }
-                } else {
-                    self.hops_pass += 1;
-                }
-            }
-        }
-    }
-
-    fn merge(&mut self, other: Self) {
-        for (key, n) in other.paths_per_vantage {
-            *self.paths_per_vantage.entry(key).or_default() += n;
-        }
-        self.hops_responded += other.hops_responded;
-        self.hops_silent += other.hops_silent;
-        self.hops_pass += other.hops_pass;
-        self.hops_modified += other.hops_modified;
-        self.hops_mixed += other.hops_mixed;
-        self.reached_destination += other.reached_destination;
     }
 }
 
@@ -709,16 +551,13 @@ impl Reduce for ValidationCounts {
 pub struct CampaignAggregates {
     /// Table 2 counters.
     pub table2: Table2Counts,
-    /// Per-vantage Figure 2/5 ratio counters.
-    pub reachability: ReachabilityCounts,
-    /// Per-logical-trace counters (the Figure 2/5 bars).
+    /// Per-logical-trace counters (the Figure 2/5 bars, the Table 2 and
+    /// §4.1 trace counts).
     pub trace_stats: TraceStats,
     /// Figure 3 per-(location, server) differential counters.
     pub differential: DifferentialCounts,
-    /// §4.1 batch-comparison counters.
+    /// §4.1 per-server batch histories.
     pub batches: BatchCounts,
-    /// Traceroute survey totals.
-    pub survey: SurveyCounts,
     /// Figure 4 hop-identity state.
     pub hops: HopSurveyCounts,
     /// ECN-validation outcome counters (empty unless the pass ran).
@@ -728,7 +567,6 @@ pub struct CampaignAggregates {
 impl Reduce for CampaignAggregates {
     fn observe_trace(&mut self, rec: &TraceRecord, ctx: &TraceCtx) {
         self.table2.observe_trace(rec, ctx);
-        self.reachability.observe_trace(rec, ctx);
         self.trace_stats.observe_trace(rec, ctx);
         self.differential.observe_trace(rec, ctx);
         self.batches.observe_trace(rec, ctx);
@@ -736,17 +574,14 @@ impl Reduce for CampaignAggregates {
     }
 
     fn observe_routes(&mut self, routes: &VantageRoutes, ctx: &RouteCtx<'_>) {
-        self.survey.observe_routes(routes, ctx);
         self.hops.observe_routes(routes, ctx);
     }
 
     fn merge(&mut self, other: Self) {
         self.table2.merge(other.table2);
-        self.reachability.merge(other.reachability);
         self.trace_stats.merge(other.trace_stats);
         self.differential.merge(other.differential);
         self.batches.merge(other.batches);
-        self.survey.merge(other.survey);
         self.hops.merge(other.hops);
         self.validation.merge(other.validation);
     }
@@ -793,6 +628,7 @@ pub fn merge_depth(n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::{BatchComparison, Table2};
     use crate::probes::{TcpProbeResult, UdpProbeResult};
     use crate::trace::ServerOutcome;
     use ecn_netsim::Nanos;
@@ -846,24 +682,30 @@ mod tests {
             ),
             rec("B", vec![outcome(4, true, false, false, false)]),
         ];
-        let mut streamed = Table2Counts::default();
+        let mut streamed = ShardReducers::default();
         for (i, t) in traces.iter().enumerate() {
             streamed.observe_trace(t, &TraceCtx::whole(i, 0));
         }
         let batch = crate::naive::table2(&traces);
-        // per-vantage averages agree with the batch analysis
+        // per-vantage averages agree with the batch analysis; the trace
+        // denominator is the location's count in the per-trace stats
         for row in &batch.rows {
-            let v = &streamed.per_vantage[&row.location];
-            assert_eq!(v.udp_ect_unreachable as f64 / v.traces as f64, {
-                row.avg_udp_ect_unreachable
-            });
+            let v = &streamed.table2.per_vantage[&row.location];
+            let n = streamed
+                .trace_stats
+                .per_trace
+                .values()
+                .filter(|t| t.vantage_name == row.location)
+                .count() as f64;
             assert_eq!(
-                v.fail_tcp_ecn as f64 / v.traces as f64,
-                row.avg_fail_tcp_ecn
+                v.udp_ect_unreachable as f64 / n,
+                row.avg_udp_ect_unreachable
             );
+            assert_eq!(v.fail_tcp_ecn as f64 / n, row.avg_fail_tcp_ecn);
         }
-        assert!((streamed.phi() - batch.phi).abs() < 1e-12);
-        assert!((streamed.blocked_but_negotiates() - batch.blocked_but_negotiates).abs() < 1e-12);
+        let t2 = &streamed.table2;
+        assert!((t2.phi() - batch.phi).abs() < 1e-12);
+        assert!((t2.blocked_but_negotiates() - batch.blocked_but_negotiates).abs() < 1e-12);
     }
 
     #[test]
@@ -894,8 +736,8 @@ mod tests {
 
     #[test]
     fn partial_chunks_count_one_trace() {
-        let mut r = ReachabilityCounts::default();
-        // one logical trace split across two chunks
+        // one logical trace split across two chunks: every artefact that
+        // divides by a trace count sees one trace
         let first = TraceCtx {
             first_chunk: true,
             vantage: 0,
@@ -905,15 +747,19 @@ mod tests {
             first_chunk: false,
             ..first
         };
-        r.observe_trace(&rec("A", vec![outcome(1, true, true, true, true)]), &first);
+        let mut r = ShardReducers::default();
+        r.observe_trace(&rec("A", vec![outcome(1, true, false, true, true)]), &first);
         r.observe_trace(
             &rec("A", vec![outcome(2, true, false, false, false)]),
             &rest,
         );
-        let v = &r.per_vantage["a"];
-        assert_eq!(v.traces, 1);
-        assert_eq!(v.udp_plain, 2);
-        assert_eq!(v.udp_both, 1);
+        let ordered = r.trace_stats.ordered();
+        let t2 = Table2::from_counts(&r.table2, &ordered);
+        assert_eq!(t2.rows[0].traces, 1);
+        assert_eq!(t2.rows[0].avg_udp_ect_unreachable, 2.0);
+        let b = BatchComparison::from_counts(&r.batches, &ordered);
+        assert_eq!((b.batch1_traces, b.batch2_traces), (0, 1));
+        assert_eq!(b.batch2_avg_reachable, 2.0);
     }
 
     #[test]
@@ -935,7 +781,7 @@ mod tests {
         assert_eq!(s.len(), 1);
         let t = &s.per_trace[&(3, 7)];
         assert_eq!(t.started_at, Some(Nanos::ZERO));
-        assert_eq!(t.vantage_name, "A");
+        assert_eq!((t.vantage_name.as_str(), t.batch), ("A", 2));
         assert_eq!((t.udp_plain, t.udp_ect, t.udp_both), (2, 1, 1));
         assert_eq!((t.tcp_reachable, t.tcp_negotiated), (2, 1));
     }
@@ -1045,17 +891,18 @@ mod tests {
 
     #[test]
     fn batch_counts_split_by_batch() {
-        let mut b = BatchCounts::default();
+        let mut r = ShardReducers::default();
         let mut t1 = rec("A", vec![outcome(1, true, true, false, false)]);
         t1.batch = 1;
-        b.observe_trace(&t1, &TraceCtx::whole(0, 0));
-        b.observe_trace(
+        r.observe_trace(&t1, &TraceCtx::whole(0, 0));
+        r.observe_trace(
             &rec("A", vec![outcome(1, false, false, false, false)]),
             &TraceCtx::whole(0, 1),
         );
-        assert_eq!(b.batch_traces, [1, 1]);
-        assert_eq!(b.batch_reach_sum, [1, 0]);
-        let s = b.per_server[&Ipv4Addr::new(10, 0, 0, 1)];
+        let b = BatchComparison::from_counts(&r.batches, &r.trace_stats.ordered());
+        assert_eq!((b.batch1_traces, b.batch2_traces), (1, 1));
+        assert_eq!((b.batch1_avg_reachable, b.batch2_avg_reachable), (1.0, 0.0));
+        let s = r.batches.per_server[&Ipv4Addr::new(10, 0, 0, 1)];
         assert_eq!(s, [(1, 1), (0, 1)]);
     }
 }

@@ -48,6 +48,7 @@
 use crate::analysis::FullReport;
 use crate::config::CampaignConfig;
 use crate::engine::{EngineConfig, EngineRun};
+use crate::reducers::TraceCounters;
 use ecn_pool::{ScenarioSpec, ScheduleProfile};
 use serde::Serialize;
 
@@ -156,6 +157,23 @@ impl RunSummary {
     /// Assemble the summary from a finished run and its rendered report.
     pub fn new(spec: &ScenarioSpec, run: &EngineRun, report: &FullReport) -> RunSummary {
         let agg = &run.result.aggregates;
+        // per-observation shares: Σ numerator ÷ Σ denominator over every
+        // trace's counters, never a mean of per-trace ratios
+        let sum = |field: fn(&TraceCounters) -> u32| -> u64 {
+            agg.trace_stats
+                .per_trace
+                .values()
+                .map(|t| u64::from(field(t)))
+                .sum()
+        };
+        let pct = |num: u64, den: u64, none: f64| {
+            if den == 0 {
+                none
+            } else {
+                100.0 * num as f64 / den as f64
+            }
+        };
+        let both = sum(|t| t.udp_both);
         RunSummary {
             scenario: spec.name.clone(),
             seed: spec.seed,
@@ -168,9 +186,9 @@ impl RunSummary {
             targets: run.result.targets.len(),
             traces: agg.trace_stats.len(),
             traceroute_paths: agg.hops.paths,
-            fig2a_pct: agg.reachability.pct_a(),
-            fig2b_pct: agg.reachability.pct_b(),
-            tcp_ecn_negotiated_pct: agg.reachability.negotiated_pct(),
+            fig2a_pct: pct(both, sum(|t| t.udp_plain), 100.0),
+            fig2b_pct: pct(both, sum(|t| t.udp_ect), 100.0),
+            tcp_ecn_negotiated_pct: pct(sum(|t| t.tcp_negotiated), sum(|t| t.tcp_reachable), 0.0),
             table2_phi: agg.table2.phi(),
             survey_total_hops: report.figure4.total_hops as u64,
             survey_pass_hops: report.figure4.pass_hops as u64,
@@ -250,25 +268,65 @@ mod tests {
             "#,
         )
         .unwrap();
-        let eng = EngineConfig {
-            shards: Some(2),
-            ..engine_config(&spec)
-        };
         let cfg = campaign_config(&spec);
-        let via_spec = crate::engine::try_run_engine(&spec.plan(), &cfg, &eng).unwrap();
-        let direct = crate::naive::naive_campaign(&spec.plan(), &cfg, eng.target_chunks);
-        assert_eq!(
-            FullReport::from_campaign(&via_spec.result).render(),
-            crate::naive::naive_report(&direct).render(),
-            "spec-driven and direct campaigns must render identically"
-        );
-        let report = FullReport::from_campaign(&via_spec.result);
-        let summary = RunSummary::new(&spec, &via_spec, &report);
-        assert_eq!(summary.servers, 24);
-        assert_eq!(summary.traces, 13);
-        assert!(summary.fig2a_pct > 0.0);
-        // and the summary serialises
-        let json = serde_json::to_string(&summary).unwrap();
-        assert!(json.contains("\"scenario\""));
+        for target_chunks in [1, 3] {
+            let eng = EngineConfig {
+                shards: Some(2),
+                target_chunks,
+                ..engine_config(&spec)
+            };
+            let via_spec = crate::engine::try_run_engine(&spec.plan(), &cfg, &eng).unwrap();
+            let direct = crate::naive::naive_campaign(&spec.plan(), &cfg, target_chunks);
+            let report = FullReport::from_campaign(&via_spec.result);
+            assert_eq!(
+                report.render(),
+                crate::naive::naive_report(&direct).render(),
+                "spec-driven and direct campaigns must render identically"
+            );
+            let summary = RunSummary::new(&spec, &via_spec, &report);
+            assert_eq!(summary.servers, 24);
+            assert_eq!(summary.traces, 13);
+
+            // the headline shares are per observation: Σ numerator ÷
+            // Σ denominator over every outcome of every raw record
+            let count = |hit: fn(&crate::trace::ServerOutcome) -> bool| {
+                direct
+                    .traces
+                    .iter()
+                    .flat_map(|t| &t.outcomes)
+                    .filter(|o| hit(o))
+                    .count() as f64
+            };
+            let both = count(|o| o.udp_plain.reachable && o.udp_ect.reachable);
+            let plain = count(|o| o.udp_plain.reachable);
+            let pct_a = 100.0 * both / plain;
+            assert_eq!(summary.fig2a_pct, pct_a, "chunks = {target_chunks}");
+            assert_eq!(
+                summary.fig2b_pct,
+                100.0 * both / count(|o| o.udp_ect.reachable),
+                "chunks = {target_chunks}"
+            );
+            assert_eq!(
+                summary.tcp_ecn_negotiated_pct,
+                100.0 * count(|o| o.tcp_ecn.negotiated_ecn)
+                    / count(|o| o.tcp_plain.reachable || o.tcp_ecn.reachable),
+                "chunks = {target_chunks}"
+            );
+            assert_eq!(
+                summary.table2_phi,
+                crate::naive::table2(&direct.traces).phi,
+                "chunks = {target_chunks}"
+            );
+            // the world is uneven enough that a mean of per-trace ratios
+            // would read differently
+            let per_trace_mean = direct.traces.iter().map(|t| t.fig2a_pct()).sum::<f64>() / 13.0;
+            assert!(
+                (per_trace_mean - pct_a).abs() > 1e-9,
+                "{per_trace_mean} vs {pct_a}"
+            );
+            // and the summary serialises
+            let json = serde_json::to_string(&summary).unwrap();
+            assert!(json.contains("\"scenario\""));
+        }
     }
 }

@@ -20,7 +20,7 @@ use ecn_core::analysis::{
 };
 use ecn_core::reducers::{
     BatchCounts, CampaignAggregates, DifferentialCounts, HopSurveyCounts, Reduce, RouteCtx,
-    Table2Counts, TraceCtx, ValidationCounts,
+    Table2Counts, TraceCounters, TraceCtx, ValidationCounts,
 };
 use ecn_core::{
     discover_in, run_trace, run_traceroute_survey, schedule_for, CampaignConfig, CampaignResult,
@@ -151,6 +151,26 @@ fn location_order(traces: &[TraceRecord]) -> Vec<String> {
     order
 }
 
+/// One counter set per record, in record order, counted from the record's
+/// outcomes (not by the `TraceStats` reducer).
+fn trace_counters(traces: &[TraceRecord]) -> Vec<TraceCounters> {
+    let n = |count: usize| count as u32;
+    traces
+        .iter()
+        .map(|t| TraceCounters {
+            vantage_key: t.vantage_key.clone(),
+            vantage_name: t.vantage_name.clone(),
+            batch: t.batch,
+            started_at: Some(t.started_at),
+            udp_plain: n(t.udp_plain_reachable()),
+            udp_ect: n(t.udp_ect_reachable()),
+            udp_both: n(t.udp_both_reachable()),
+            tcp_reachable: n(t.tcp_reachable()),
+            tcp_negotiated: n(t.tcp_ecn_negotiated()),
+        })
+        .collect()
+}
+
 /// Figure 2: one bar per trace, in the given order.
 pub fn figure2(traces: &[TraceRecord]) -> Figure2 {
     Figure2::from_bars(
@@ -200,22 +220,26 @@ pub fn figure5(traces: &[TraceRecord]) -> Figure5 {
     )
 }
 
-/// Table 2: replay the records through the correlation counters.
+/// Table 2: replay the records through the correlation counters, with
+/// each location's trace count taken from the records.
 pub fn table2(traces: &[TraceRecord]) -> Table2 {
     let mut counts = Table2Counts::default();
     for (i, t) in traces.iter().enumerate() {
         counts.observe_trace(t, &TraceCtx::whole(0, i));
     }
-    Table2::from_counts(&counts, &location_order(traces))
+    let counters = trace_counters(traces);
+    Table2::from_counts(&counts, &counters.iter().collect::<Vec<_>>())
 }
 
-/// §4.1 batch comparison: replay the records through the batch counters.
+/// §4.1 batch comparison: replay the records through the batch counters,
+/// with the per-batch trace counts and means taken from the records.
 pub fn batch_comparison(traces: &[TraceRecord]) -> BatchComparison {
     let mut counts = BatchCounts::default();
     for (i, t) in traces.iter().enumerate() {
         counts.observe_trace(t, &TraceCtx::whole(0, i));
     }
-    BatchComparison::from_counts(&counts)
+    let counters = trace_counters(traces);
+    BatchComparison::from_counts(&counts, &counters.iter().collect::<Vec<_>>())
 }
 
 /// The validation confusion matrix: replay the records through the

@@ -431,6 +431,19 @@ impl ScenarioSpec {
         if p.servers < 8 {
             return err("population.servers", format!("{} < 8", p.servers));
         }
+        // The address plan numbers destination AS k at the /20
+        // 0x8000_0000 | k << 12, so AS 2^19 would reuse AS 0's prefix;
+        // n servers never pack into more than n ASes.
+        const MAX_SERVERS: usize = 1 << 19;
+        if p.servers > MAX_SERVERS {
+            return err(
+                "population.servers",
+                format!(
+                    "{} > {MAX_SERVERS} (the address plan numbers at most {MAX_SERVERS} destination ASes)",
+                    p.servers
+                ),
+            );
+        }
         if self.vantage_count < 1 || self.vantage_count > 13 {
             return err(
                 "vantage_count",
@@ -439,6 +452,22 @@ impl ScenarioSpec {
         }
         if self.topology.t1_count < 2 || self.topology.t2_count < 2 {
             return err("topology", "t1_count and t2_count must be >= 2".into());
+        }
+        // each transit tier numbers its ASes in one octet (5.i.0.0/16,
+        // 62.j.0.0/16)
+        const MAX_TIER_ASES: usize = 256;
+        for (path, count) in [
+            ("topology.t1_count", self.topology.t1_count),
+            ("topology.t2_count", self.topology.t2_count),
+        ] {
+            if count > MAX_TIER_ASES {
+                return err(
+                    path,
+                    format!(
+                        "{count} > {MAX_TIER_ASES} (the address plan numbers a tier in one octet)"
+                    ),
+                );
+            }
         }
         for (path, frac) in [
             ("population.web_fraction", p.web_fraction),
@@ -1377,6 +1406,31 @@ mod tests {
         assert_eq!(spec.seed, 9_007_199_254_740_993);
         let spec = ScenarioSpec::from_toml_str("seed = 1_000_000").unwrap();
         assert_eq!(spec.seed, 1_000_000);
+    }
+
+    #[test]
+    fn population_beyond_the_address_plan_is_rejected_with_the_key_path() {
+        let spec = |servers: usize| {
+            ScenarioSpec::from_toml_str(&format!("[population]\nservers = {servers}"))
+        };
+        assert!(spec(524_288).is_ok(), "2^19 servers fit the address plan");
+        for servers in [524_289, usize::MAX] {
+            let err = spec(servers).unwrap_err();
+            assert_eq!(err.path, "population.servers", "{err}");
+            assert!(err.message.contains(&servers.to_string()), "{err}");
+        }
+    }
+
+    #[test]
+    fn transit_tiers_beyond_one_octet_are_rejected_with_the_key_path() {
+        for key in ["t1_count", "t2_count"] {
+            let spec =
+                |count: usize| ScenarioSpec::from_toml_str(&format!("[topology]\n{key} = {count}"));
+            assert!(spec(256).is_ok(), "{key} = 256 fits one octet");
+            let err = spec(257).unwrap_err();
+            assert_eq!(err.path, format!("topology.{key}"), "{err}");
+            assert!(err.message.contains("257"), "{err}");
+        }
     }
 
     #[test]

@@ -352,3 +352,19 @@ fn cli_json_validate_and_errors() {
     let out = ecnudp(&["run", "--bogus"]);
     assert_eq!(out.status.code(), Some(2));
 }
+
+#[test]
+fn cli_run_rejects_a_population_the_address_plan_cannot_number() {
+    // validate and run share one check: a population past the address
+    // plan is a named spec error (exit 1), never a panic in world building
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("target/test-scenarios");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let huge = dir.join("huge-population.toml");
+    std::fs::write(&huge, "[population]\nservers = 18446744073709551615\n").expect("write");
+    for cmd in ["validate", "run"] {
+        let out = ecnudp(&[cmd, "--scenario", huge.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(1), "{cmd} must exit 1");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("population.servers"), "{cmd}: {err}");
+    }
+}
