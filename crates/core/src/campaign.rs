@@ -9,7 +9,6 @@
 
 use crate::config::CampaignConfig;
 use crate::discovery::{discover, Discovery};
-use crate::events::{Event, ProbeKind, Subscriber, UnitId};
 use crate::probes::{probe_tcp, probe_udp, probe_validation};
 use crate::reducers::CampaignAggregates;
 use crate::trace::{ServerOutcome, TraceRecord};
@@ -134,37 +133,15 @@ pub fn schedule_for<'a>(
 }
 
 /// Execute one trace (all four probes against every target) from one
-/// vantage, starting no earlier than its scheduled time.
+/// vantage, starting no earlier than its scheduled time. It reports
+/// nothing but its record: every target gets all four probes, so a
+/// unit's probe counts follow from its observation count.
 pub fn run_trace(
     sc: &mut Scenario,
     vantage: usize,
     batch: u8,
     targets: &[Ipv4Addr],
     cfg: &CampaignConfig,
-) -> TraceRecord {
-    run_trace_observed(
-        sc,
-        vantage,
-        batch,
-        targets,
-        cfg,
-        &mut (),
-        UnitId { vantage, chunk: 0 },
-    )
-}
-
-/// [`run_trace`], emitting an [`Event::ProbeSent`] before each probe. The
-/// emissions are guarded by `S::ENABLED`, so `run_trace` (the `()` case)
-/// compiles to exactly the unobserved hot loop — the path the
-/// `alloc_regression` and `probe_hot_loop` gates measure.
-pub fn run_trace_observed<S: Subscriber>(
-    sc: &mut Scenario,
-    vantage: usize,
-    batch: u8,
-    targets: &[Ipv4Addr],
-    cfg: &CampaignConfig,
-    sub: &mut S,
-    unit: UnitId,
 ) -> TraceRecord {
     let handle = sc.vantages[vantage].handle.clone();
     let node = sc.vantages[vantage].node;
@@ -173,11 +150,6 @@ pub fn run_trace_observed<S: Subscriber>(
     let mut outcomes = Vec::with_capacity(targets.len());
     for &server in targets {
         capture.lock().clear(); // per-server tcpdump session
-        if S::ENABLED {
-            for kind in ProbeKind::ALL {
-                sub.on_event(&Event::ProbeSent { unit, server, kind });
-            }
-        }
         let udp_plain = probe_udp(
             &mut sc.sim,
             &handle,

@@ -22,11 +22,12 @@
 //! [`try_run_engine`] is its shorthand for the no-op `()` subscriber.
 
 use crate::campaign::{
-    discover_campaign, plan_with_churn, run_trace_observed, run_traceroute_survey, schedule_for,
+    discover_campaign, plan_with_churn, run_trace, run_traceroute_survey, schedule_for,
     CampaignResult, ScheduledTrace,
 };
 use crate::config::CampaignConfig;
-use crate::events::{Event, Subscriber, UnitId};
+use crate::events::{Event, Subscriber, UnitId, UnitRecord};
+use crate::mp::Completed;
 use crate::reducers::{Reduce, RouteCtx, ShardReducers, TraceCtx};
 use ecn_pool::{PoolPlan, VantageSpec, WorldBlueprint};
 use parking_lot::Mutex;
@@ -61,14 +62,14 @@ pub struct EngineConfig {
     /// byte-identical results; it only controls concurrency.
     pub shards: Option<usize>,
     /// Worker **processes**. `1` (the default) runs everything in this
-    /// process; `N > 1` partitions the unit list round-robin across `N`
-    /// supervised child processes (each running its own `shards`-wide
-    /// work-stealing pool) and tree-merges their serialized
-    /// [`ShardReducers`] — see [`crate::mp`]. Like `shards`, a pure
-    /// concurrency/memory knob: any value renders byte-identical reports.
-    /// Subscribers in multi-process mode observe parent-side supervision
-    /// events (worker lifecycle, retries, checkpoints) rather than
-    /// per-probe events.
+    /// process, checkpoint and resume included; `N > 1` partitions the
+    /// remaining unit list round-robin across `N` supervised child
+    /// processes (each running its own `shards`-wide work-stealing pool)
+    /// and tree-merges their serialized [`ShardReducers`] — see
+    /// [`crate::mp`]. Like `shards`, a pure concurrency/memory knob: any
+    /// value renders byte-identical reports, and subscribers see the same
+    /// per-unit events, plus the supervision events (worker lifecycle,
+    /// retries) when `N > 1`.
     pub processes: usize,
     /// Target-list chunks per vantage (work granularity). Unlike `shards`
     /// this knob *is* part of the experiment definition: each chunk probes
@@ -76,22 +77,22 @@ pub struct EngineConfig {
     pub target_chunks: usize,
     /// Unit scheduling order (results are invariant; see [`UnitOrder`]).
     pub unit_order: UnitOrder,
-    /// Respawn retries per worker slot in supervised mode (default 2): a
+    /// Respawn retries per worker slot when `processes > 1` (default 2): a
     /// worker that crashes, hangs, or delivers a malformed payload is
     /// respawned with bounded exponential backoff, re-running exactly its
     /// unit slice — byte-identical by the commutative-merge contract. A
     /// slot that fails `1 + max_worker_retries` times turns into
     /// [`MpError::RetriesExhausted`].
     pub max_worker_retries: u32,
-    /// Per-worker deadline (default off): a worker delivering no payload
-    /// within this span is killed and the attempt counted as
-    /// [`crate::mp::MpFailure::Hung`].
+    /// Per-worker deadline when `processes > 1` (default off): a worker
+    /// delivering no payload within this span is killed and the attempt
+    /// counted as [`crate::mp::MpFailure::Hung`].
     pub worker_timeout: Option<Duration>,
-    /// Checkpoint sink (default off): after every worker payload, persist
-    /// the merged-so-far aggregates plus the completed-unit bitmap here
-    /// via an atomic temp+rename write (see [`crate::mp::Checkpoint`]).
-    /// Setting this routes the campaign through the supervised driver
-    /// even at `processes = 1`.
+    /// Checkpoint sink (default off): persist the merged-so-far
+    /// aggregates plus the completed-unit bitmap here via an atomic
+    /// temp+rename write (see [`crate::mp::Checkpoint`]) — after every
+    /// worker payload when `processes > 1`, once when the units finish
+    /// in-process.
     pub checkpoint: Option<PathBuf>,
     /// Resume source (default off): load a [`crate::mp::Checkpoint`],
     /// verify its campaign fingerprint, and re-run only the units absent
@@ -121,13 +122,6 @@ impl EngineConfig {
             shards: Some(n),
             ..EngineConfig::default()
         }
-    }
-
-    /// Whether this configuration routes through the supervised
-    /// multi-process driver ([`crate::mp`]): worker processes, a
-    /// checkpoint sink, or a resume source.
-    pub fn supervised(&self) -> bool {
-        self.processes > 1 || self.checkpoint.is_some() || self.resume.is_some()
     }
 }
 
@@ -200,13 +194,17 @@ pub(crate) struct Unit {
     pub(crate) chunk: usize,
 }
 
-/// The canonical (vantage-major, chunk-minor) unit list — the order every
-/// partitioning and permutation is defined against. The multi-process
-/// partition (`crate::mp`) deals canonical *indices* round-robin, so the
-/// union over workers is exactly this list for any process count.
-pub(crate) fn canonical_units(vantage_count: usize, chunks: usize) -> Vec<Unit> {
-    (0..vantage_count)
-        .flat_map(|vantage| (0..chunks).map(move |chunk| Unit { vantage, chunk }))
+/// The units at canonical indices `indices`: the canonical order is
+/// vantage-major, chunk-minor, so index `i` is unit
+/// `(i / chunks, i % chunks)`. Resume skip lists and the multi-process
+/// partition (`crate::mp`) are both defined over these indices.
+pub(crate) fn units_at(indices: &[usize], chunks: usize) -> Vec<Unit> {
+    indices
+        .iter()
+        .map(|&i| Unit {
+            vantage: i / chunks,
+            chunk: i % chunks,
+        })
         .collect()
 }
 
@@ -224,7 +222,8 @@ pub(crate) fn apply_unit_order(units: &mut [Unit], order: UnitOrder) {
 
 /// Run the full campaign with the no-op `()` subscriber: exactly
 /// [`try_run_engine_observed`] monomorphized over `()`, the zero-cost
-/// path the `alloc_regression`/`probe_hot_loop` gates exercise.
+/// path the `probe_hot_loop` bench times against the observed entry
+/// point.
 ///
 /// The result carries the streamed aggregates — everything
 /// [`crate::analysis::FullReport`] renders from — and no raw records.
@@ -264,27 +263,22 @@ pub fn try_run_engine(
 /// observe, they cannot perturb: results are byte-identical to
 /// [`try_run_engine`].
 ///
-/// Configurations with `eng.supervised()` (worker processes, checkpoint,
-/// or resume) route through the supervised multi-process driver
-/// ([`crate::mp`]): the subscriber then observes parent-side supervision
-/// events ([`Event::WorkerFailed`], [`Event::UnitRetried`],
-/// [`Event::CheckpointWritten`], …) instead of per-probe events, and the
-/// run can fail with a typed [`MpError`] naming the worker and unit
-/// range (retry budget exhausted, checkpoint mismatch). Everything else
-/// runs in-process and returns `Ok`.
+/// This is the one driver. It builds the blueprint, discovers, applies a
+/// resumed checkpoint's skip list and writes checkpoints, whatever the
+/// process count. With `eng.processes > 1` it drops the blueprint after
+/// discovery and hands the remaining units to supervised worker processes
+/// ([`crate::mp`]); the subscriber then also observes the supervision
+/// events ([`Event::WorkerFailed`], [`Event::UnitRetried`], …), and the
+/// workers' per-unit records reach it as the same
+/// [`Event::UnitFinished`] events an in-process run emits. The run fails
+/// with a typed [`MpError`] when a worker slot exhausts its retry budget
+/// or a checkpoint cannot be read, matched or written.
 pub fn try_run_engine_observed<S: Subscriber>(
     plan: &PoolPlan,
     cfg: &CampaignConfig,
     eng: &EngineConfig,
     mut subscriber: S,
 ) -> Result<(EngineRun, S), MpError> {
-    if eng.supervised() {
-        let run = crate::mp::run_multiprocess(plan, cfg, eng, &mut subscriber)?;
-        if S::ENABLED {
-            subscriber.finish();
-        }
-        return Ok((run, subscriber));
-    }
     let wall0 = Instant::now();
     let mut timing = EngineTiming::default();
     let plan = plan_with_churn(plan, cfg);
@@ -299,55 +293,103 @@ pub fn try_run_engine_observed<S: Subscriber>(
     let t0 = Instant::now();
     let mut result = discover_campaign(&bp, cfg);
     timing.discovery = t0.elapsed();
+    // Worker processes rebuild the blueprint, so under `processes > 1`
+    // the parent drops it now, before it loads a checkpoint: from here on
+    // it stamps no world.
+    let in_process = (eng.processes <= 1).then_some(bp);
 
-    // Phase 3: the unit pool. Per-vantage schedules are fixed up front;
-    // units exist per (vantage × target chunk).
+    // Phase 3: the unit pool, less what a resumed checkpoint completed.
     let vantage_count = result.vantage_order.len();
     let chunks = eng.target_chunks.max(1);
-    let per_vantage_sched = per_vantage_schedule(&plan.vantages(), cfg);
-    let mut units = canonical_units(vantage_count, chunks);
-    apply_unit_order(&mut units, eng.unit_order);
-    let unit_count = units.len();
+    let mut completed = Completed::start(
+        &plan,
+        cfg,
+        chunks,
+        vantage_count * chunks,
+        eng.resume.as_deref(),
+    )?;
+    let remaining = completed.remaining();
     if S::ENABLED {
         subscriber.on_event(&Event::CampaignStarted {
             vantages: vantage_count,
-            units: unit_count,
+            units: remaining.len(),
             targets: result.targets.len(),
         });
     }
 
-    // Phases 4–5: work-stealing execution and deterministic merge.
-    let pool = run_unit_pool(
-        &bp,
-        &result.targets,
-        &per_vantage_sched,
-        units,
-        chunks,
-        cfg,
-        eng,
-        &mut subscriber,
-        &mut timing,
-    );
+    // Phase 4: run the remaining units, here or in worker processes.
+    let ran = if let Some(bp) = in_process {
+        let mut units = units_at(&remaining, chunks);
+        apply_unit_order(&mut units, eng.unit_order);
+        let pool = run_unit_pool(
+            &bp,
+            &result.targets,
+            &per_vantage_schedule(&plan.vantages(), cfg),
+            units,
+            chunks,
+            cfg,
+            eng,
+            &mut subscriber,
+            &mut timing,
+        );
+        completed.add(&remaining, pool.reducers);
+        completed.checkpoint(eng.checkpoint.as_deref(), &mut subscriber)?;
+        Ran {
+            shards: pool.shard_count,
+            processes: 1,
+            merge_depth: crate::reducers::merge_depth(pool.shard_count),
+            worker_peaks: Vec::new(),
+        }
+    } else {
+        crate::mp::run_supervised(
+            &plan,
+            cfg,
+            eng,
+            &result.targets,
+            &mut completed,
+            &mut subscriber,
+            &mut timing,
+        )?
+    };
+
+    // Phase 5: merge the resumed state with what ran.
+    let t0 = Instant::now();
+    let (aggregates, parts) = completed.merge();
+    result.aggregates = aggregates;
+    timing.reduce += t0.elapsed();
     timing.wall = wall0.elapsed();
 
     if S::ENABLED {
         subscriber.finish();
     }
-    result.aggregates = pool.reducers;
-    let peak_rss_kb = crate::mp::peak_rss_kb();
+    let mut process_peak_rss_kb = vec![crate::mp::peak_rss_kb()];
+    process_peak_rss_kb.extend(ran.worker_peaks);
     Ok((
         EngineRun {
             result,
             timing,
-            shards: pool.shard_count,
-            units: unit_count,
-            processes: 1,
-            merge_depth: crate::reducers::merge_depth(pool.shard_count),
-            peak_rss_kb,
-            process_peak_rss_kb: vec![peak_rss_kb],
+            shards: ran.shards,
+            // in-process, or dealt in full across the workers
+            units: remaining.len(),
+            processes: ran.processes,
+            merge_depth: ran.merge_depth + crate::reducers::merge_depth(parts),
+            peak_rss_kb: process_peak_rss_kb.iter().copied().max().unwrap_or(0),
+            process_peak_rss_kb,
         },
         subscriber,
     ))
+}
+
+/// How the remaining units ran: in this process or in worker processes.
+pub(crate) struct Ran {
+    /// Shards used, summed over processes.
+    pub(crate) shards: usize,
+    /// Processes that ran the units (`1` in-process).
+    pub(crate) processes: usize,
+    /// Rounds of the deepest per-process shard merge.
+    pub(crate) merge_depth: usize,
+    /// Each worker slot's `VmHWM` in kB, in index order (none in-process).
+    pub(crate) worker_peaks: Vec<u64>,
 }
 
 /// The full schedule, split per vantage (each unit runs exactly its
@@ -374,7 +416,7 @@ pub(crate) struct PoolOutcome {
     pub(crate) shard_count: usize,
 }
 
-/// Phases 4–5 of the engine: execute `units` over a work-stealing shard
+/// Phase 4 of the engine: execute `units` over a work-stealing shard
 /// pool, then tree-merge the (commutative) shard reducers. Shared by the
 /// in-process engine and the multi-process worker (which passes its
 /// round-robin partition of the canonical unit list).
@@ -423,7 +465,6 @@ pub(crate) fn run_unit_pool<S: Subscriber>(
                 let mut inst = Duration::ZERO;
                 let mut probe = Duration::ZERO;
                 let mut reduce = Duration::ZERO;
-                let mut done = 0usize;
                 while let Some(unit) = next_unit(s, queues) {
                     let chunk_targets = chunk_slice(targets, unit.chunk, chunks);
                     run_unit(
@@ -436,13 +477,6 @@ pub(crate) fn run_unit_pool<S: Subscriber>(
                         &mut sub,
                         (&mut inst, &mut probe, &mut reduce),
                     );
-                    done += 1;
-                    if S::ENABLED {
-                        sub.on_event(&Event::ShardProgress {
-                            shard: s,
-                            units_done: done,
-                        });
-                    }
                 }
                 (reducers, sub, inst, probe, reduce)
             }));
@@ -453,7 +487,7 @@ pub(crate) fn run_unit_pool<S: Subscriber>(
     })
     .expect("engine threads");
 
-    // Phase 5: deterministic merge. Reducers merge as a pairwise tree
+    // Deterministic merge. Reducers merge as a pairwise tree
     // (⌈log₂ shards⌉ rounds; commutativity + associativity make it equal
     // to any fold — `reducers::tree_merge_equals_flat_fold` pins that).
     let t0 = Instant::now();
@@ -506,8 +540,10 @@ fn next_unit(s: usize, queues: &[Mutex<VecDeque<Unit>>]) -> Option<Unit> {
 /// Execute one unit: instantiate its world under the unit-identity RNG
 /// domain, run the vantage's schedule against the unit's target chunk,
 /// then (optionally) its slice of the traceroute survey — streaming every
-/// finished record into the shard's reducers, and (when `S::ENABLED`)
-/// typed events into the shard's subscriber fork.
+/// finished record into the shard's reducers. When `S::ENABLED` it emits
+/// each [`Event::TraceVerdict`] and, last, the unit's one
+/// [`Event::UnitFinished`]: the only place a sim tap is drained into a
+/// [`UnitRecord`].
 #[allow(clippy::too_many_arguments)]
 fn run_unit<S: Subscriber>(
     bp: &WorldBlueprint,
@@ -543,15 +579,7 @@ fn run_unit<S: Subscriber>(
         if sc.sim.now() < st.start {
             sc.sim.run_until(st.start);
         }
-        let rec = run_trace_observed(
-            &mut sc,
-            unit.vantage,
-            st.batch,
-            chunk_targets,
-            cfg,
-            sub,
-            uid,
-        );
+        let rec = run_trace(&mut sc, unit.vantage, st.batch, chunk_targets, cfg);
         let tr = Instant::now();
         reducers.observe_trace(
             &rec,
@@ -583,15 +611,26 @@ fn run_unit<S: Subscriber>(
         unit_reduce += tr.elapsed();
     }
     if S::ENABLED {
-        let counters = sc.sim.drain_event_counters();
-        sub.on_event(&Event::SimFlushed {
-            unit: uid,
-            counters: &counters,
-        });
+        let sim = sc.sim.drain_event_counters();
+        let record = UnitRecord {
+            traces: sched.len() as u64,
+            observations: (sched.len() * chunk_targets.len()) as u64,
+            delivered: sim.delivered,
+            dropped: sim
+                .dropped
+                .iter()
+                .map(|(k, v)| (k.to_string(), *v))
+                .collect(),
+            ce_marked: sim.ce_marked,
+            ecn_rewritten: sim
+                .ecn_rewritten
+                .iter()
+                .map(|(k, v)| (k.to_string(), *v))
+                .collect(),
+        };
         sub.on_event(&Event::UnitFinished {
             unit: uid,
-            traces: sched.len(),
-            observations: sched.len() * chunk_targets.len(),
+            record: &record,
         });
     }
     // the probe span encloses the reducer segments; report them disjointly

@@ -6,7 +6,7 @@
 //! ```text
 //! {"type":"campaign","scenario":S,"seed":N,"vantages":V,"units":U,"targets":T}
 //! {"type":"unit","vantage":v,"chunk":c,"traces":t,"observations":o,
-//!  "probes":{"udp_plain":..,"udp_ect":..,"tcp_plain":..,"tcp_ecn":..},
+//!  "probes":{"tcp_ecn":o,"tcp_plain":o,"udp_ect":o,"udp_plain":o},
 //!  "delivered":..,"dropped":{<cause>:n,..},"ce_marked":..,
 //!  "ecn_rewritten":{<hop label>:n,..}}                 // one per unit
 //! {"type":"snapshot","units_done":k,"traces":..,"observations":..,
@@ -17,20 +17,26 @@
 //!  "ecn_rewritten_total":..,"wall_ms":..}              // last line
 //! ```
 //!
+//! Every line derives from the [`UnitRecord`]s of
+//! [`Event::UnitFinished`]. `run_trace` sends all four §3 probes to every
+//! target of every trace, so each per-kind `probes` count is the unit's
+//! `observations` and `probes_sent` is four times the observations.
+//!
 //! Unit records appear in canonical `(vantage, chunk)` order and
 //! snapshots are synthesized between them every `snapshot_every` units,
-//! so the stream is **byte-identical for any shard count** — the one
-//! exception is the summary's `wall_ms` field, the stream's only
+//! so the stream is **byte-identical for any shard and process count** —
+//! the one exception is the summary's `wall_ms` field, the stream's only
 //! wall-clock value (tests normalize it; everything else is a pure
 //! function of the scenario).
 //!
-//! ## Supervision lines (multi-process mode only)
+//! ## Supervision lines
 //!
-//! Under the supervised driver the parent-side subscriber sees worker
-//! lifecycle events instead of per-probe events; those surface as extra
-//! typed lines between the header and the unit records, **emitted only
-//! when present** so single-process streams are byte-identical to
-//! earlier schema versions:
+//! Under `processes > 1` the parent-side subscriber also sees worker
+//! lifecycle events; those surface as extra typed lines between the
+//! header and the unit records, **emitted only when present** so
+//! single-process streams are byte-identical to earlier schema versions.
+//! A checkpoint line appears whenever a checkpoint was written, at any
+//! process count:
 //!
 //! ```text
 //! {"type":"workers_clamped","requested":8,"spawned":1}
@@ -43,31 +49,21 @@
 //!
 //! Failure lines are sorted by `(worker, attempt)` and worker lines by
 //! worker index, so the stream stays deterministic for a fixed fault
-//! schedule. The summary line folds in every worker's totals
-//! ([`crate::mp::WorkerCounters`]), so apart from `wall_ms` it reads the
-//! same under any process count.
+//! schedule.
 
-use super::{json_escape, Event, ProbeKind, Subscriber, UnitId};
-use crate::mp::WorkerCounters;
-use ecn_netsim::SimCounters;
+use super::{json_escape, Event, Subscriber, UnitId, UnitRecord};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::{self, Write};
 use std::time::Instant;
 
-/// Accumulated state of one work unit.
-#[derive(Debug, Default, Clone)]
-struct UnitRec {
-    probes: [u64; 4],
-    traces: usize,
-    observations: usize,
-    sim: SimCounters,
-}
+/// The four §3 probes, as the unit line's `probes` object names them.
+const PROBE_LABELS: [&str; 4] = ["udp_plain", "udp_ect", "tcp_plain", "tcp_ecn"];
 
-/// The JSON-lines metrics subscriber. Forks accumulate per-unit records
-/// keyed by [`UnitId`]; the root writes the whole ordered stream in
-/// [`Subscriber::finish`], which is what makes the output deterministic
-/// under work stealing (see the module docs).
+/// The JSON-lines metrics subscriber. Forks keep each unit's
+/// [`UnitRecord`] keyed by [`UnitId`]; the root writes the whole ordered
+/// stream in [`Subscriber::finish`], which is what makes the output
+/// deterministic under work stealing (see the module docs).
 #[derive(Debug)]
 pub struct JsonLinesMetrics<W: Write + Send> {
     /// Only the root holds the sink; forks carry `None`.
@@ -77,10 +73,11 @@ pub struct JsonLinesMetrics<W: Write + Send> {
     snapshot_every: usize,
     started: Instant,
     shape: Option<(usize, usize, usize)>, // vantages, units, targets
-    units: BTreeMap<UnitId, UnitRec>,
-    // supervision records (multi-process mode; all empty in-process)
-    clamped: Option<(usize, usize)>, // requested, spawned
-    workers: BTreeMap<usize, (usize, WorkerCounters)>, // worker -> (units, totals)
+    units: BTreeMap<UnitId, UnitRecord>,
+    // supervision records (multi-process mode; all empty in-process,
+    // apart from `checkpoints`)
+    clamped: Option<(usize, usize)>,        // requested, spawned
+    workers: BTreeMap<usize, (usize, u64)>, // worker -> (units, observations)
     failures: Vec<FailureRec>,
     unit_retries: u64,
     checkpoints: Option<(u64, usize, usize)>, // writes, completed, total
@@ -132,11 +129,6 @@ impl<W: Write + Send> JsonLinesMetrics<W> {
         self
     }
 
-    /// The first write error hit while flushing, if any.
-    pub fn io_error(&self) -> Option<&io::Error> {
-        self.err.as_ref()
-    }
-
     /// Reclaim the sink after [`Subscriber::finish`] (e.g. to append
     /// sampled trace records to the same file). Fails with the recorded
     /// write error if flushing failed.
@@ -180,9 +172,8 @@ fn counter_object<K: AsRef<str>>(map: &BTreeMap<K, u64>) -> String {
 /// Cumulative totals used by snapshot and summary lines.
 #[derive(Default)]
 struct Totals {
-    traces: usize,
-    observations: usize,
-    probes_sent: u64,
+    traces: u64,
+    observations: u64,
     delivered: u64,
     dropped: u64,
     ce_marked: u64,
@@ -190,24 +181,13 @@ struct Totals {
 }
 
 impl Totals {
-    fn add(&mut self, rec: &UnitRec) {
+    fn add(&mut self, rec: &UnitRecord) {
         self.traces += rec.traces;
         self.observations += rec.observations;
-        self.probes_sent += rec.probes.iter().sum::<u64>();
-        self.delivered += rec.sim.delivered;
-        self.dropped += rec.sim.total_dropped();
-        self.ce_marked += rec.sim.ce_marked;
-        self.ecn_rewritten += rec.sim.total_ecn_rewritten();
-    }
-
-    fn add_worker(&mut self, c: &WorkerCounters) {
-        self.traces += c.traces as usize;
-        self.observations += c.observations as usize;
-        self.probes_sent += c.probes_sent;
-        self.delivered += c.delivered;
-        self.dropped += c.dropped.values().sum::<u64>();
-        self.ce_marked += c.ce_marked;
-        self.ecn_rewritten += c.ecn_rewritten.values().sum::<u64>();
+        self.delivered += rec.delivered;
+        self.dropped += rec.dropped.values().sum::<u64>();
+        self.ce_marked += rec.ce_marked;
+        self.ecn_rewritten += rec.ecn_rewritten.values().sum::<u64>();
     }
 
     fn fields(&self) -> String {
@@ -216,7 +196,7 @@ impl Totals {
              \"dropped_total\":{},\"ce_marked\":{},\"ecn_rewritten_total\":{}",
             self.traces,
             self.observations,
-            self.probes_sent,
+            PROBE_LABELS.len() as u64 * self.observations,
             self.delivered,
             self.dropped,
             self.ce_marked,
@@ -251,16 +231,8 @@ impl<W: Write + Send> Subscriber for JsonLinesMetrics<W> {
                 units,
                 targets,
             } => self.shape = Some((*vantages, *units, *targets)),
-            Event::ProbeSent { unit, kind, .. } => {
-                self.units.entry(*unit).or_default().probes[kind.index()] += 1;
-            }
-            Event::TraceVerdict { unit, record, .. } => {
-                let rec = self.units.entry(*unit).or_default();
-                rec.traces += 1;
-                rec.observations += record.outcomes.len();
-            }
-            Event::SimFlushed { unit, counters } => {
-                self.units.entry(*unit).or_default().sim.merge(counters);
+            Event::UnitFinished { unit, record } => {
+                self.units.insert(*unit, (*record).clone());
             }
             Event::WorkersClamped { requested, spawned } => {
                 self.clamped = Some((*requested, *spawned));
@@ -282,11 +254,11 @@ impl<W: Write + Send> Subscriber for JsonLinesMetrics<W> {
             Event::WorkerFinished {
                 worker,
                 units,
-                counters,
+                observations,
             } => {
                 let rec = self.workers.entry(*worker).or_default();
                 rec.0 += units;
-                rec.1.merge(counters);
+                rec.1 += observations;
             }
             Event::CheckpointWritten {
                 completed_units,
@@ -297,27 +269,19 @@ impl<W: Write + Send> Subscriber for JsonLinesMetrics<W> {
                 *completed = *completed_units;
                 *total = *total_units;
             }
-            Event::UnitFinished { .. } | Event::ShardProgress { .. } => {}
+            Event::TraceVerdict { .. } => {}
         }
     }
 
     fn merge(&mut self, other: Self) {
-        // forks observe disjoint units, but stay defensive: fold
-        for (k, v) in other.units {
-            let rec = self.units.entry(k).or_default();
-            for (i, p) in v.probes.iter().enumerate() {
-                rec.probes[i] += p;
-            }
-            rec.traces += v.traces;
-            rec.observations += v.observations;
-            rec.sim.merge(&v.sim);
-        }
+        // forks observe disjoint units, and every unit finishes once
+        self.units.extend(other.units);
         self.shape = self.shape.or(other.shape);
         self.clamped = self.clamped.or(other.clamped);
-        for (worker, (units, counters)) in other.workers {
+        for (worker, (units, observations)) in other.workers {
             let rec = self.workers.entry(worker).or_default();
             rec.0 += units;
-            rec.1.merge(&counters);
+            rec.1 += observations;
         }
         self.failures.extend(other.failures);
         self.unit_retries += other.unit_retries;
@@ -365,16 +329,11 @@ impl<W: Write + Send> Subscriber for JsonLinesMetrics<W> {
                 json_escape(&f.cause),
             ));
         }
-        let mut worker_units = 0;
-        let mut totals = Totals::default();
-        for (worker, (w_units, w_counters)) in std::mem::take(&mut self.workers) {
+        for (worker, (w_units, observations)) in std::mem::take(&mut self.workers) {
             self.write_line(&format!(
                 "{{\"type\":\"worker\",\"worker\":{worker},\"units\":{w_units},\
-                 \"observations\":{}}}",
-                w_counters.observations
+                 \"observations\":{observations}}}"
             ));
-            worker_units += w_units;
-            totals.add_worker(&w_counters);
         }
         if self.unit_retries > 0 {
             self.write_line(&format!(
@@ -390,10 +349,11 @@ impl<W: Write + Send> Subscriber for JsonLinesMetrics<W> {
         }
 
         let units = std::mem::take(&mut self.units);
+        let mut totals = Totals::default();
         for (done, (id, rec)) in units.iter().enumerate() {
-            let probes: BTreeMap<&str, u64> = ProbeKind::ALL
+            let probes: BTreeMap<&str, u64> = PROBE_LABELS
                 .iter()
-                .map(|k| (k.label(), rec.probes[k.index()]))
+                .map(|&label| (label, rec.observations))
                 .collect();
             let line = format!(
                 "{{\"type\":\"unit\",\"vantage\":{},\"chunk\":{},\"traces\":{},\
@@ -404,10 +364,10 @@ impl<W: Write + Send> Subscriber for JsonLinesMetrics<W> {
                 rec.traces,
                 rec.observations,
                 counter_object(&probes),
-                rec.sim.delivered,
-                counter_object(&rec.sim.dropped),
-                rec.sim.ce_marked,
-                counter_object(&rec.sim.ecn_rewritten),
+                rec.delivered,
+                counter_object(&rec.dropped),
+                rec.ce_marked,
+                counter_object(&rec.ecn_rewritten),
             );
             self.write_line(&line);
             totals.add(rec);
@@ -423,7 +383,7 @@ impl<W: Write + Send> Subscriber for JsonLinesMetrics<W> {
         }
         let summary = format!(
             "{{\"type\":\"summary\",\"units\":{},{},\"wall_ms\":{:.3}}}",
-            units.len() + worker_units,
+            units.len(),
             totals.fields(),
             self.started.elapsed().as_secs_f64() * 1e3,
         );
@@ -461,13 +421,17 @@ mod tests {
             units: 2,
             targets: 3,
         });
+        let record = UnitRecord {
+            traces: 1,
+            observations: 3,
+            ..UnitRecord::default()
+        };
         for chunk in [1, 0] {
             // out-of-order arrival must not matter
             let unit = UnitId { vantage: 0, chunk };
-            sub.on_event(&Event::ProbeSent {
+            sub.on_event(&Event::UnitFinished {
                 unit,
-                server: std::net::Ipv4Addr::new(192, 0, 2, 1),
-                kind: ProbeKind::UdpEct,
+                record: &record,
             });
         }
         sub.finish();
@@ -479,6 +443,8 @@ mod tests {
         assert!(lines[2].starts_with("{\"type\":\"snapshot\",\"units_done\":1"));
         assert!(lines[3].contains("\"chunk\":1"));
         assert!(lines[4].starts_with("{\"type\":\"summary\",\"units\":2"));
-        assert!(lines[4].contains("\"probes_sent\":2"));
+        assert!(lines[1]
+            .contains("\"probes\":{\"tcp_ecn\":3,\"tcp_plain\":3,\"udp_ect\":3,\"udp_plain\":3}"));
+        assert!(lines[4].contains("\"probes_sent\":24"));
     }
 }

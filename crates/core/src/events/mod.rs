@@ -7,30 +7,31 @@
 //!
 //! | Event | Emitted from |
 //! |---|---|
-//! | [`Event::CampaignStarted`] | `engine::try_run_engine_observed`, once the unit pool is known |
-//! | [`Event::ProbeSent`] | `campaign::run_trace_observed`, before each of the four probes |
+//! | [`Event::CampaignStarted`] | `engine::try_run_engine_observed`, once the remaining unit pool is known |
 //! | [`Event::TraceVerdict`] | the engine's unit loop, after the trace record is reduced |
-//! | [`Event::SimFlushed`] | the engine's unit loop, draining the netsim tap ([`ecn_netsim::SimCounters`]: datagrams delivered/dropped, CE marks, ECN rewrites at named hops) |
-//! | [`Event::UnitFinished`] | the engine's unit loop, after the unit's traceroute slice |
-//! | [`Event::ShardProgress`] | each engine shard, after every unit it executes |
+//! | [`Event::UnitFinished`] | the engine's unit loop, after the unit's traceroute slice, carrying its [`UnitRecord`]; under `processes > 1`, the parent re-emits each worker's shipped records |
 //! | [`Event::WorkersClamped`] | the supervised driver (`mp`), when `processes` exceeds the unit count |
 //! | [`Event::WorkerFailed`] | the supervised driver, when a worker attempt crashes/hangs/corrupts |
 //! | [`Event::UnitRetried`] | the supervised driver, once per unit re-shipped to a respawned worker |
-//! | [`Event::WorkerFinished`] | the supervised driver, when a worker slot delivers its payload |
-//! | [`Event::CheckpointWritten`] | the supervised driver, after each atomic checkpoint write |
+//! | [`Event::WorkerFinished`] | the supervised driver, when a worker slot delivers its payload (its units' [`Event::UnitFinished`] follow) |
+//! | [`Event::CheckpointWritten`] | the engine, after each atomic checkpoint write |
 //!
-//! The supervision events exist only on the parent's root subscriber in
-//! multi-process mode (workers observe their own units internally); the
-//! in-process engine never emits them, so single-process metrics streams
-//! are unchanged.
+//! Every unit reaches the subscriber once, as one [`Event::UnitFinished`],
+//! whichever process ran it: a worker collects the records its units emit
+//! ([`crate::mp::WorkerCounters`]) and ships them home with its payload.
+//! So the per-unit stream is the same under any `processes`; the
+//! supervision events are the only addition, and the in-process engine
+//! never emits them. [`Event::TraceVerdict`] borrows a raw record and so
+//! never leaves the process that ran the unit.
 //!
 //! ## Zero-cost contract
 //!
 //! `()` implements [`Subscriber`] with [`Subscriber::ENABLED`]` = false`:
 //! every emission site is guarded by `if S::ENABLED`, so the disabled
 //! path is const-folded away by monomorphization — `try_run_engine` *is*
-//! `try_run_engine_observed` with `()`, and the `probe_hot_loop` /
-//! `alloc_regression` gates measure exactly that path. The netsim tap is
+//! `try_run_engine_observed` with `()`. Nothing below `engine::run_unit`
+//! takes a subscriber: the probe loop (`campaign::run_trace`) emits
+//! nothing, and the netsim tap whose counters fill the [`UnitRecord`] is
 //! only installed when `S::ENABLED`.
 //!
 //! ## Determinism guarantee
@@ -39,11 +40,9 @@
 //! the reducer discipline ([`crate::reducers`]): accumulate per-unit
 //! state keyed by the chunk-invariant unit identity, [`Subscriber::merge`]
 //! commutatively, and emit ordered output only in
-//! [`Subscriber::finish`]. Every event except [`Event::ShardProgress`]
-//! is a deterministic function of (plan, config, seed) — `ShardProgress`
-//! depends on the stealing schedule and must never reach a deterministic
-//! export (the built-in subscribers only feed it to the stderr progress
-//! meter).
+//! [`Subscriber::finish`]. Every event is a deterministic function of
+//! (plan, config, seed) in a fault-free run; only its arrival order
+//! depends on the stealing schedule.
 
 mod json;
 mod progress;
@@ -53,14 +52,13 @@ pub use json::JsonLinesMetrics;
 pub use progress::Progress;
 pub use sampler::TraceSampler;
 
-use crate::mp::WorkerCounters;
 use crate::trace::TraceRecord;
-use ecn_netsim::SimCounters;
-use std::net::Ipv4Addr;
+use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// Chunk-invariant identity of one work unit (one vantage's schedule
 /// against one target chunk) — the key subscribers accumulate under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct UnitId {
     /// Vantage index (Table 2 order).
     pub vantage: usize,
@@ -68,47 +66,27 @@ pub struct UnitId {
     pub chunk: usize,
 }
 
-/// Which of the four §3 measurements a probe belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProbeKind {
-    /// NTP over not-ECT UDP.
-    UdpPlain,
-    /// NTP over ECT(0)-marked UDP.
-    UdpEct,
-    /// HTTP over TCP without ECN.
-    TcpPlain,
-    /// HTTP over TCP with an ECN-setup SYN.
-    TcpEcn,
-}
-
-impl ProbeKind {
-    /// Stable schema label (the JSON-lines `probes` object keys).
-    pub fn label(self) -> &'static str {
-        match self {
-            ProbeKind::UdpPlain => "udp_plain",
-            ProbeKind::UdpEct => "udp_ect",
-            ProbeKind::TcpPlain => "tcp_plain",
-            ProbeKind::TcpEcn => "tcp_ecn",
-        }
-    }
-
-    /// Dense index (0..4) for array-backed accumulators.
-    pub fn index(self) -> usize {
-        match self {
-            ProbeKind::UdpPlain => 0,
-            ProbeKind::UdpEct => 1,
-            ProbeKind::TcpPlain => 2,
-            ProbeKind::TcpEcn => 3,
-        }
-    }
-
-    /// All four kinds, in schema order.
-    pub const ALL: [ProbeKind; 4] = [
-        ProbeKind::UdpPlain,
-        ProbeKind::UdpEct,
-        ProbeKind::TcpPlain,
-        ProbeKind::TcpEcn,
-    ];
+/// What one work unit did: the record [`Event::UnitFinished`] carries,
+/// and what a worker process ships home for each unit it ran. The keys
+/// are owned strings because the simulator's
+/// [`ecn_netsim::SimCounters`] keys (`&'static str`, `Arc<str>`) cannot
+/// cross a serialization boundary.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct UnitRecord {
+    /// Traces the unit executed.
+    pub traces: u64,
+    /// Server observations the unit produced (traces × chunk targets).
+    /// Each one is four probes: `run_trace` sends all four §3
+    /// measurements to every target of every trace.
+    pub observations: u64,
+    /// Datagrams delivered end-to-end.
+    pub delivered: u64,
+    /// Datagrams dropped, by cause label.
+    pub dropped: BTreeMap<String, u64>,
+    /// CE congestion marks applied.
+    pub ce_marked: u64,
+    /// ECN rewrites (bleaching, legacy-TOS mangling), by named hop.
+    pub ecn_rewritten: BTreeMap<String, u64>,
 }
 
 /// One typed engine event. Borrowed payloads keep emission allocation-free;
@@ -125,15 +103,6 @@ pub enum Event<'a> {
         /// Discovered probe targets.
         targets: usize,
     },
-    /// A probe is about to be sent (four per server per trace).
-    ProbeSent {
-        /// Emitting unit.
-        unit: UnitId,
-        /// Target server.
-        server: Ipv4Addr,
-        /// Which of the four measurements.
-        kind: ProbeKind,
-    },
     /// A trace finished and its record was reduced. `record` holds this
     /// unit's chunk of the logical trace (all targets when
     /// `target_chunks = 1`).
@@ -145,31 +114,14 @@ pub enum Event<'a> {
         /// The finished (partial) record.
         record: &'a TraceRecord,
     },
-    /// The unit's simulator tap was drained: datagram delivery/drop
-    /// totals, CE marks, and ECN rewrites at named hops.
-    SimFlushed {
-        /// Emitting unit.
-        unit: UnitId,
-        /// Counters since the unit's world was instantiated.
-        counters: &'a SimCounters,
-    },
     /// A work unit ran to completion (emitted after its traceroute
-    /// slice, following `SimFlushed`).
+    /// slice), in this process or in a worker process.
     UnitFinished {
         /// The finished unit.
         unit: UnitId,
-        /// Traces the unit executed.
-        traces: usize,
-        /// Server observations the unit produced (traces × chunk targets).
-        observations: usize,
-    },
-    /// A shard finished another unit. **Nondeterministic** — depends on
-    /// the work-stealing schedule; excluded from deterministic exports.
-    ShardProgress {
-        /// Shard index.
-        shard: usize,
-        /// Units this shard has completed so far.
-        units_done: usize,
+        /// What it did: traces, observations and its simulator's
+        /// delivery, drop, CE-mark and ECN-rewrite counters.
+        record: &'a UnitRecord,
     },
     /// The supervised driver clamped an over-provisioned worker count to
     /// the remaining unit-pool size (spawning idle workers would pay full
@@ -206,18 +158,18 @@ pub enum Event<'a> {
         /// The attempt about to run it (1 = first retry).
         attempt: u32,
     },
-    /// A worker slot delivered its payload (possibly after retries).
+    /// A worker slot delivered its payload (possibly after retries). One
+    /// [`Event::UnitFinished`] per unit it shipped follows.
     WorkerFinished {
         /// Worker slot index.
         worker: usize,
         /// Units the worker executed.
         units: usize,
-        /// The worker's event-stream totals (traces, observations,
-        /// probes, netsim counters).
-        counters: &'a WorkerCounters,
+        /// Server observations across those units.
+        observations: u64,
     },
-    /// The supervised driver persisted a checkpoint (atomic temp+rename;
-    /// see [`crate::mp::Checkpoint`]).
+    /// The engine persisted a checkpoint (atomic temp+rename; see
+    /// [`crate::mp::Checkpoint`]).
     CheckpointWritten {
         /// Canonical units recorded complete.
         completed_units: usize,
@@ -231,9 +183,11 @@ pub enum Event<'a> {
 /// The engine is generic over `S: Subscriber` and guards every emission
 /// with `if S::ENABLED`, so a disabled subscriber costs nothing. Engine
 /// lifecycle: the *root* instance receives [`Event::CampaignStarted`],
-/// each shard runs a [`Subscriber::fork`], forks are
+/// each in-process shard runs a [`Subscriber::fork`], forks are
 /// [`Subscriber::merge`]d back into the root after the shards join, and
-/// [`Subscriber::finish`] runs once on the root. For deterministic
+/// [`Subscriber::finish`] runs once on the root. Under `processes > 1`
+/// the root receives the supervision events and every worker's
+/// [`Event::UnitFinished`] records directly. For deterministic
 /// output, accumulate keyed by [`UnitId`] and order only in `finish`
 /// (see the module docs).
 pub trait Subscriber: Send + Sized {
@@ -340,15 +294,6 @@ mod tests {
             assert!(<Option<TraceSampler> as Subscriber>::ENABLED);
             assert!(<((), Option<TraceSampler>) as Subscriber>::ENABLED);
             assert!(!<((), ()) as Subscriber>::ENABLED);
-        }
-    }
-
-    #[test]
-    fn probe_kind_schema_is_stable() {
-        let labels: Vec<_> = ProbeKind::ALL.iter().map(|k| k.label()).collect();
-        assert_eq!(labels, ["udp_plain", "udp_ect", "tcp_plain", "tcp_ecn"]);
-        for (i, k) in ProbeKind::ALL.iter().enumerate() {
-            assert_eq!(k.index(), i);
         }
     }
 

@@ -125,21 +125,12 @@ impl Subscriber for Progress {
             Event::CampaignStarted { units, .. } => {
                 self.state.units_total.store(*units, Ordering::Relaxed);
             }
-            Event::UnitFinished { observations, .. } => {
+            // in this process or, re-emitted by the parent, in a worker
+            Event::UnitFinished { record, .. } => {
                 self.state
                     .observations
-                    .fetch_add(*observations as u64, Ordering::Relaxed);
+                    .fetch_add(record.observations, Ordering::Relaxed);
                 let done = self.state.units_done.fetch_add(1, Ordering::Relaxed) + 1;
-                self.maybe_print(done, false);
-            }
-            // supervised multi-process mode: units finish worker-at-a-time
-            Event::WorkerFinished {
-                units, counters, ..
-            } => {
-                self.state
-                    .observations
-                    .fetch_add(counters.observations, Ordering::Relaxed);
-                let done = self.state.units_done.fetch_add(*units, Ordering::Relaxed) + units;
                 self.maybe_print(done, false);
             }
             Event::WorkerFailed { .. } => {
@@ -180,8 +171,11 @@ mod tests {
                 vantage: 0,
                 chunk: 0,
             },
-            traces: 1,
-            observations: 10,
+            record: &super::super::UnitRecord {
+                traces: 1,
+                observations: 10,
+                ..Default::default()
+            },
         });
         assert_eq!(root.units_done(), 1);
         assert_eq!(root.observations(), 10);

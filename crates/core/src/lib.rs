@@ -63,15 +63,15 @@ mod naive;
 
 pub use analysis::FullReport;
 pub use campaign::{
-    discover_in, run_discovery, run_trace, run_trace_observed, run_traceroute_survey, schedule,
-    schedule_for, CampaignResult, DiscoveryStats, ScheduledTrace, VantageRoutes,
+    discover_in, run_discovery, run_trace, run_traceroute_survey, schedule, schedule_for,
+    CampaignResult, DiscoveryStats, ScheduledTrace, VantageRoutes,
 };
 pub use config::{CampaignConfig, ProbeConfig, TracerouteConfig};
 pub use discovery::{discover, discovery_names, Discovery};
 pub use engine::{
     try_run_engine, try_run_engine_observed, EngineConfig, EngineRun, EngineTiming, UnitOrder,
 };
-pub use events::{Event, JsonLinesMetrics, ProbeKind, Progress, Subscriber, TraceSampler, UnitId};
+pub use events::{Event, JsonLinesMetrics, Progress, Subscriber, TraceSampler, UnitId, UnitRecord};
 pub use mp::{
     maybe_worker, peak_rss_kb, read_checkpoint, Checkpoint, MpError, MpFailure, WORKER_ARG,
     WORKER_EXE_ENV,

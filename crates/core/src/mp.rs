@@ -1,7 +1,8 @@
-//! Multi-process shard mode: partition the engine's unit pool across
-//! child **processes**, each running its own work-stealing shard pool,
-//! and tree-merge their serialized reducers in the parent — under a
-//! supervisor that retries failed workers and can checkpoint progress.
+//! Multi-process shard mode: partition the engine's remaining unit pool
+//! across child **processes**, each running its own work-stealing shard
+//! pool, and tree-merge their serialized reducers in the parent — under a
+//! supervisor that retries failed workers — plus the checkpoint files
+//! the engine writes and resumes from at any process count.
 //!
 //! ## Why processes
 //!
@@ -15,10 +16,11 @@
 //! - **Every process** holds one [`WorldBlueprint`], about 2.5 KB per
 //!   server (the skeleton, the databases, the DNS zone, the population).
 //!   That is the floor `--processes` does not divide.
-//! - **The parent** builds it, discovers in a world without server
-//!   stacks (1.5 MiB at 8 000 servers, against 29 MiB for a full world),
-//!   and drops both before the workers start. It then holds only the
-//!   targets, the shared databases and the payloads it merges.
+//! - **The parent** (the engine, `crate::engine`) builds it, discovers
+//!   in a world without server stacks (1.5 MiB at 8 000 servers, against
+//!   29 MiB for a full world), and drops both before the workers start.
+//!   It then holds only the targets, the shared databases and the
+//!   payloads it merges.
 //! - **A worker** rebuilds the blueprint, then holds its partition's
 //!   unit worlds and partial aggregates.
 //!
@@ -36,8 +38,10 @@
 //! partition of the canonical unit list — position `p` of the
 //! not-yet-completed units belongs to worker `p % processes` — and
 //! writes one [`WorkerPayload`] as JSON on stdout: its tree-merged
-//! [`ShardReducers`], timing breakdown, peak-RSS gauge, and an
-//! event-stream summary ([`WorkerCounters`]). Worker stderr is piped
+//! [`ShardReducers`], timing breakdown, peak-RSS gauge, and the
+//! [`UnitRecord`] of every unit it ran ([`WorkerCounters`]). The parent
+//! re-emits those records as [`Event::UnitFinished`], so subscribers see
+//! the same per-unit stream under any process count. Worker stderr is piped
 //! through a line-tagging relay, so concurrent panics surface as
 //! `[worker N] …` lines instead of an unattributable interleaving.
 //!
@@ -48,7 +52,9 @@
 //!
 //! ## Supervision
 //!
-//! Each worker slot gets a supervisor thread running a bounded retry
+//! Supervision applies to worker processes only: with `processes = 1`
+//! nothing is spawned, so there is nothing to retry or time out. Each
+//! worker slot gets a supervisor thread running a bounded retry
 //! loop: spawn → feed request → await payload (optionally under
 //! [`EngineConfig::worker_timeout`]) → classify any failure into a typed
 //! [`MpFailure`] (crash, hang, truncated/malformed payload, pipe error)
@@ -64,13 +70,14 @@
 //!
 //! ## Checkpoint / resume
 //!
-//! With [`EngineConfig::checkpoint`] set, the parent persists a
+//! With [`EngineConfig::checkpoint`] set, the engine persists a
 //! [`Checkpoint`] — merged-so-far aggregates plus the completed-unit
-//! bitmap — after every worker payload, via the atomic same-directory
-//! temp+rename pattern. [`EngineConfig::resume`] loads one, verifies its
-//! content checksum and campaign fingerprint, and re-runs only the units
-//! absent from the bitmap; the commutative merge makes the stitched
-//! result byte-identical to an uninterrupted run.
+//! bitmap — via the atomic same-directory temp+rename pattern: after
+//! every worker payload under `processes > 1`, once when the units finish
+//! in-process. [`EngineConfig::resume`] loads one, verifies its content
+//! checksum and campaign fingerprint, and re-runs only the units absent
+//! from the bitmap, at any process count; the commutative merge makes the
+//! stitched result byte-identical to an uninterrupted run.
 //!
 //! ## Determinism
 //!
@@ -80,19 +87,17 @@
 //! partitioning, like shard count and stealing order, cannot change any
 //! result byte.
 
-use crate::campaign::{discover_campaign, plan_with_churn};
 use crate::config::CampaignConfig;
 use crate::engine::{
-    apply_unit_order, per_vantage_schedule, run_unit_pool, EngineConfig, EngineRun, EngineTiming,
-    Unit, UnitOrder,
+    apply_unit_order, per_vantage_schedule, run_unit_pool, units_at, EngineConfig, EngineTiming,
+    Ran, Unit, UnitOrder,
 };
-use crate::events::{Event, Subscriber, UnitId};
+use crate::events::{Event, Subscriber, UnitId, UnitRecord};
 use crate::fault::{FaultPlan, WorkerFault, CRASH_EXIT_CODE, PARENT_EXIT_CODE};
 use crate::reducers::{merge_depth, merge_tree, ShardReducers};
-use ecn_netsim::SimCounters;
 use ecn_pool::{PoolPlan, WorldBlueprint};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::Ipv4Addr;
@@ -144,55 +149,30 @@ pub struct WorkerRequest {
     pub attempt: u32,
 }
 
-/// Event-stream summary a worker sends home: trace, observation and
-/// probe totals plus the merged netsim counters, re-keyed as owned
-/// `String`s (the in-process [`SimCounters`] uses `&'static str` /
-/// `Arc<str>` keys, which cannot cross a serialization boundary). The
-/// parent's `--metrics` summary folds these in, so it reads the same
-/// under any process count.
+/// The per-unit records a worker sends home: one [`UnitRecord`] per unit
+/// it ran, sorted by unit — the records its units emitted as
+/// [`Event::UnitFinished`], collected by this type as the worker's
+/// subscriber. The parent re-emits each one, so `--metrics` and
+/// `--progress` read the same under any process count.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct WorkerCounters {
-    /// Traces run (Σ over units of the vantage's schedule length).
-    pub traces: u64,
-    /// Server observations produced (Σ unit traces × chunk targets).
-    pub observations: u64,
-    /// Probes sent (four per observation).
-    pub probes_sent: u64,
-    /// Datagrams delivered end-to-end.
-    pub delivered: u64,
-    /// Datagrams dropped, by cause label.
-    pub dropped: BTreeMap<String, u64>,
-    /// CE congestion marks applied.
-    pub ce_marked: u64,
-    /// ECN rewrites observed, by hop label.
-    pub ecn_rewritten: BTreeMap<String, u64>,
+    /// `(unit, record)` for every unit the worker ran.
+    pub units: Vec<(UnitId, UnitRecord)>,
 }
 
-impl WorkerCounters {
-    fn absorb_sim(&mut self, c: &SimCounters) {
-        self.delivered += c.delivered;
-        for (k, v) in &c.dropped {
-            *self.dropped.entry((*k).to_string()).or_default() += v;
-        }
-        self.ce_marked += c.ce_marked;
-        for (k, v) in &c.ecn_rewritten {
-            *self.ecn_rewritten.entry(k.to_string()).or_default() += v;
+impl Subscriber for WorkerCounters {
+    fn fork(&self) -> Self {
+        WorkerCounters::default()
+    }
+
+    fn on_event(&mut self, event: &Event<'_>) {
+        if let Event::UnitFinished { unit, record } = event {
+            self.units.push((*unit, (*record).clone()));
         }
     }
 
-    /// Merge another summary (commutative, like everything on the wire).
-    pub fn merge(&mut self, other: &WorkerCounters) {
-        self.traces += other.traces;
-        self.observations += other.observations;
-        self.probes_sent += other.probes_sent;
-        self.delivered += other.delivered;
-        for (k, v) in &other.dropped {
-            *self.dropped.entry(k.clone()).or_default() += v;
-        }
-        self.ce_marked += other.ce_marked;
-        for (k, v) in &other.ecn_rewritten {
-            *self.ecn_rewritten.entry(k.clone()).or_default() += v;
-        }
+    fn merge(&mut self, other: Self) {
+        self.units.extend(other.units);
     }
 }
 
@@ -213,7 +193,7 @@ pub struct WorkerPayload {
     pub peak_resident_traces: usize,
     /// The worker process's `VmHWM` in kB (0 off-Linux).
     pub peak_rss_kb: u64,
-    /// Event-stream summary (observations + netsim counters).
+    /// The per-unit records of every unit the worker ran.
     pub counters: WorkerCounters,
 }
 
@@ -483,42 +463,139 @@ fn write_checkpoint(path: &Path, ck: &Checkpoint) -> Result<(), MpError> {
     })
 }
 
-// ------------------------------------------------------------ worker side
-
-/// The worker-side event collector: taps every unit's [`SimCounters`]
-/// drain and observation totals. Enabled (`ENABLED = true`) but purely
-/// observational, so worker results stay byte-identical to an
-/// unobserved run — the process-determinism suite proves it.
-#[derive(Default)]
-struct WorkerTap {
-    counters: WorkerCounters,
+/// The canonical units a campaign has completed and their aggregates:
+/// nothing for a fresh run, a verified checkpoint's bitmap and
+/// aggregates for a resumed one, and more as units finish — a worker
+/// payload at a time under `processes > 1`, all at once in-process. The
+/// engine keeps one per campaign; it is what a checkpoint persists.
+pub(crate) struct Completed {
+    /// The campaign identity checkpoints are pinned to.
+    fingerprint: u64,
+    /// Canonical units in the campaign.
+    total_units: usize,
+    /// Canonical indices of the completed units.
+    units: BTreeSet<usize>,
+    /// Aggregates of the completed units, one part per resumed
+    /// checkpoint or finished batch, merged only at the end.
+    parts: Vec<ShardReducers>,
 }
 
-impl Subscriber for WorkerTap {
-    fn fork(&self) -> Self {
-        WorkerTap::default()
-    }
-
-    fn on_event(&mut self, event: &Event<'_>) {
-        match event {
-            Event::ProbeSent { .. } => self.counters.probes_sent += 1,
-            Event::SimFlushed { counters, .. } => self.counters.absorb_sim(counters),
-            Event::UnitFinished {
-                traces,
-                observations,
-                ..
-            } => {
-                self.counters.traces += *traces as u64;
-                self.counters.observations += *observations as u64;
-            }
-            _ => {}
+impl Completed {
+    /// Start a campaign of `total_units` units: from nothing, or
+    /// from the checkpoint at `resume` once its version, checksum and
+    /// campaign identity check out.
+    pub(crate) fn start(
+        plan: &PoolPlan,
+        cfg: &CampaignConfig,
+        chunks: usize,
+        total_units: usize,
+        resume: Option<&Path>,
+    ) -> Result<Completed, MpError> {
+        let mut completed = Completed {
+            fingerprint: campaign_fingerprint(plan, cfg, chunks)?,
+            total_units,
+            units: BTreeSet::new(),
+            parts: Vec::new(),
+        };
+        if let Some(path) = resume {
+            let ck = completed.verify(path)?;
+            eprintln!(
+                "resuming from {}: {}/{} units already complete",
+                path.display(),
+                ck.completed.len(),
+                total_units
+            );
+            completed.units.extend(ck.completed);
+            completed.parts.push(ck.aggregates);
         }
+        Ok(completed)
     }
 
-    fn merge(&mut self, other: Self) {
-        self.counters.merge(&other.counters);
+    /// Read the checkpoint at `path` ([`read_checkpoint`]) and check that
+    /// it belongs to this campaign.
+    fn verify(&self, path: &Path) -> Result<Checkpoint, MpError> {
+        let ck = read_checkpoint(path)?;
+        let mismatch = |detail: String| MpError::Checkpoint {
+            path: path.to_path_buf(),
+            detail,
+        };
+        if ck.fingerprint != self.fingerprint {
+            return Err(mismatch(format!(
+                "belongs to a different campaign (fingerprint {:#018x}, this run is {:#018x}); \
+                 resume must use the same scenario, seed, and target_chunks",
+                ck.fingerprint, self.fingerprint
+            )));
+        }
+        if ck.unit_count != self.total_units {
+            return Err(mismatch(format!(
+                "records {} units, this campaign has {}",
+                ck.unit_count, self.total_units
+            )));
+        }
+        if let Some(&bad) = ck.completed.iter().find(|&&i| i >= self.total_units) {
+            return Err(mismatch(format!(
+                "completed unit index {bad} out of range (unit count {})",
+                self.total_units
+            )));
+        }
+        Ok(ck)
+    }
+
+    /// The completed canonical indices, ascending: every partition skips
+    /// them.
+    fn skip(&self) -> Vec<usize> {
+        self.units.iter().copied().collect()
+    }
+
+    /// The canonical indices still to run, ascending.
+    pub(crate) fn remaining(&self) -> Vec<usize> {
+        (0..self.total_units)
+            .filter(|i| !self.units.contains(i))
+            .collect()
+    }
+
+    /// Record `units` (canonical indices) as complete with their
+    /// aggregates.
+    pub(crate) fn add(&mut self, units: &[usize], aggregates: ShardReducers) {
+        self.units.extend(units.iter().copied());
+        self.parts.push(aggregates);
+    }
+
+    /// Persist what is complete so far to `path`, when one is set, and
+    /// tell the subscriber.
+    pub(crate) fn checkpoint<S: Subscriber>(
+        &self,
+        path: Option<&Path>,
+        subscriber: &mut S,
+    ) -> Result<(), MpError> {
+        let Some(path) = path else {
+            return Ok(());
+        };
+        let ck = Checkpoint::new(
+            self.fingerprint,
+            self.total_units,
+            self.skip(),
+            merge_tree(self.parts.clone()),
+        )?;
+        write_checkpoint(path, &ck)?;
+        if S::ENABLED {
+            subscriber.on_event(&Event::CheckpointWritten {
+                completed_units: self.units.len(),
+                total_units: self.total_units,
+            });
+        }
+        Ok(())
+    }
+
+    /// The campaign's aggregates: every part tree-merged, and how many
+    /// parts there were.
+    pub(crate) fn merge(self) -> (ShardReducers, usize) {
+        let parts = self.parts.len();
+        (merge_tree(self.parts), parts)
     }
 }
+
+// ------------------------------------------------------------ worker side
 
 /// This worker's slice of the parent's assignment
 /// ([`partition_assignments`]), each canonical index mapped back to its
@@ -526,16 +603,11 @@ impl Subscriber for WorkerTap {
 /// slice.
 fn worker_partition(req: &WorkerRequest, vantage_count: usize, chunks: usize) -> Vec<Unit> {
     let processes = req.processes.max(1);
-    partition_assignments(vantage_count * chunks, &req.skip, processes)
+    let assigned = partition_assignments(vantage_count * chunks, &req.skip, processes)
         .into_iter()
         .nth(req.index)
-        .unwrap_or_default()
-        .into_iter()
-        .map(|ci| Unit {
-            vantage: ci / chunks,
-            chunk: ci % chunks,
-        })
-        .collect()
+        .unwrap_or_default();
+    units_at(&assigned, chunks)
 }
 
 /// Execute one worker request (the body of worker mode; separated so
@@ -574,7 +646,7 @@ fn run_worker_sabotaged(req: &WorkerRequest, fault: Option<WorkerFault>) -> Work
         shards: req.shards,
         ..EngineConfig::default()
     };
-    let mut tap = WorkerTap::default();
+    let mut counters = WorkerCounters::default();
     let wall0 = Instant::now();
     let pool = run_unit_pool(
         &bp,
@@ -584,9 +656,10 @@ fn run_worker_sabotaged(req: &WorkerRequest, fault: Option<WorkerFault>) -> Work
         chunks,
         &req.cfg,
         &eng,
-        &mut tap,
+        &mut counters,
         &mut timing,
     );
+    counters.units.sort_by_key(|&(unit, _)| unit);
     timing.wall = wall0.elapsed();
     if crash_after {
         eprintln!(
@@ -602,7 +675,7 @@ fn run_worker_sabotaged(req: &WorkerRequest, fault: Option<WorkerFault>) -> Work
         timing,
         peak_resident_traces: 0,
         peak_rss_kb: peak_rss_kb(),
-        counters: tap.counters,
+        counters,
     }
 }
 
@@ -892,89 +965,32 @@ fn supervise_worker(
     }
 }
 
-/// The supervised multi-process engine driver (any configuration with
-/// `processes > 1`, a checkpoint sink, or a resume source): blueprint +
-/// discovery here, probing in spawned workers under per-slot
-/// supervisors, incremental checkpointing, hierarchical merge of the
-/// payloads. Byte-identical to the in-process engine for any process
-/// count, retry schedule, or resume partition.
-pub(crate) fn run_multiprocess<S: Subscriber>(
+/// Run the remaining units of `completed` in `eng.processes` supervised
+/// worker processes (clamped to the units left): probing in spawned
+/// workers under per-slot supervisors, each payload added to `completed`
+/// (and checkpointed) as it lands, and each worker's unit records
+/// re-emitted as [`Event::UnitFinished`]. `plan` is the churned plan the
+/// engine discovered in; the engine has dropped its blueprint, so the
+/// parent stamps no world while the workers run. Byte-identical to the
+/// in-process engine for any process count, retry schedule, or resume
+/// partition.
+pub(crate) fn run_supervised<S: Subscriber>(
     plan: &PoolPlan,
     cfg: &CampaignConfig,
     eng: &EngineConfig,
+    targets: &[Ipv4Addr],
+    completed: &mut Completed,
     subscriber: &mut S,
-) -> Result<EngineRun, MpError> {
-    let wall0 = Instant::now();
-    let mut timing = EngineTiming::default();
-    let plan = plan_with_churn(plan, cfg);
+    timing: &mut EngineTiming,
+) -> Result<Ran, MpError> {
     let faults = FaultPlan::from_env();
     if !faults.is_empty() {
         eprintln!("mp: ECNUDP_FAULT is set — fault injection active");
     }
-
-    // Phase 1–2 (parent): blueprint + discovery, exactly as in-process.
-    // The parent stamps no other world, so the blueprint goes as soon as
-    // discovery returns: from here on the parent holds the targets, the
-    // shared databases and the merged aggregates.
-    let t0 = Instant::now();
-    let bp = WorldBlueprint::build(&plan, cfg.seed);
-    timing.blueprint_build = t0.elapsed();
-    let t0 = Instant::now();
-    let mut result = discover_campaign(&bp, cfg);
-    timing.discovery = t0.elapsed();
-    drop(bp);
-
-    let vantage_count = result.vantage_order.len();
     let chunks = eng.target_chunks.max(1);
-    let total_units = vantage_count * chunks;
-    let fingerprint = campaign_fingerprint(&plan, cfg, chunks)?;
-
-    // Resume: load, verify identity, seed the merge with saved state.
-    let mut completed: BTreeSet<usize> = BTreeSet::new();
-    let mut merged_parts: Vec<ShardReducers> = Vec::new();
-    if let Some(resume_path) = &eng.resume {
-        let ck = read_checkpoint(resume_path)?;
-        let mismatch = |detail: String| MpError::Checkpoint {
-            path: resume_path.clone(),
-            detail,
-        };
-        if ck.fingerprint != fingerprint {
-            return Err(mismatch(format!(
-                "belongs to a different campaign (fingerprint {:#018x}, this run is {:#018x}); \
-                 resume must use the same scenario, seed, and target_chunks",
-                ck.fingerprint, fingerprint
-            )));
-        }
-        if ck.unit_count != total_units {
-            return Err(mismatch(format!(
-                "records {} units, this campaign has {total_units}",
-                ck.unit_count
-            )));
-        }
-        if let Some(&bad) = ck.completed.iter().find(|&&i| i >= total_units) {
-            return Err(mismatch(format!(
-                "completed unit index {bad} out of range (unit count {total_units})"
-            )));
-        }
-        completed = ck.completed.iter().copied().collect();
-        eprintln!(
-            "resuming from {}: {}/{} units already complete",
-            resume_path.display(),
-            completed.len(),
-            total_units
-        );
-        merged_parts.push(ck.aggregates);
-    }
-    let skip: Vec<usize> = completed.iter().copied().collect();
-    let remaining = total_units - completed.len();
-
-    if S::ENABLED {
-        subscriber.on_event(&Event::CampaignStarted {
-            vantages: vantage_count,
-            units: remaining,
-            targets: result.targets.len(),
-        });
-    }
+    let total_units = completed.total_units;
+    let skip = completed.skip();
+    let remaining = total_units - skip.len();
 
     let requested = eng.processes.max(1);
     let processes = clamped_processes(requested, remaining);
@@ -991,167 +1007,142 @@ pub(crate) fn run_multiprocess<S: Subscriber>(
         }
     }
 
-    let mut units_run = 0usize;
-    let mut shards = 0usize;
-    let mut worker_peaks = vec![0u64; processes];
-    let mut worker_merge_depth = 0usize;
+    let mut ran = Ran {
+        shards: 0,
+        processes: processes.max(1),
+        merge_depth: 0,
+        worker_peaks: vec![0; processes],
+    };
+    if processes == 0 {
+        return Ok(ran);
+    }
     let mut fatal: Option<MpError> = None;
+    let exe = worker_exe()?;
+    let assignments = partition_assignments(total_units, &skip, processes);
+    let unit_descs: Vec<String> = assignments
+        .iter()
+        .map(|a| describe_units(a, total_units))
+        .collect();
+    let timeout = eng.worker_timeout;
+    let max_retries = eng.max_worker_retries;
 
-    if processes > 0 {
-        let exe = worker_exe()?;
-        let assignments = partition_assignments(total_units, &skip, processes);
-        let unit_descs: Vec<String> = assignments
-            .iter()
-            .map(|a| describe_units(a, total_units))
-            .collect();
-        let timeout = eng.worker_timeout;
-        let max_retries = eng.max_worker_retries;
+    // One supervisor thread per worker slot; the parent thread sits in
+    // the channel, merging payloads as they land (and writing the
+    // checkpoint after each) so a crash of the *parent* loses at most the
+    // in-flight workers.
+    let (tx, rx) = mpsc::channel::<SupMsg>();
+    let mut payloads_merged = 0usize;
+    crossbeam::thread::scope(|scope| {
+        for (index, units_desc) in unit_descs.iter().enumerate() {
+            let tx = tx.clone();
+            let exe = &exe;
+            let req = WorkerRequest {
+                plan: plan.clone(),
+                cfg: *cfg,
+                targets: targets.to_vec(),
+                target_chunks: eng.target_chunks,
+                shards: eng.shards,
+                unit_order: eng.unit_order,
+                processes,
+                index,
+                skip: skip.clone(),
+                attempt: 0,
+            };
+            scope.spawn(move |_| {
+                supervise_worker(exe, req, units_desc, max_retries, timeout, &tx);
+            });
+        }
+        drop(tx);
 
-        // One supervisor thread per worker slot; the parent thread sits
-        // in the channel, merging payloads as they land (and writing the
-        // checkpoint after each) so a crash of the *parent* loses at
-        // most the in-flight workers.
-        let (tx, rx) = mpsc::channel::<SupMsg>();
-        let mut payloads_merged = 0usize;
-        crossbeam::thread::scope(|scope| {
-            for (index, units_desc) in unit_descs.iter().enumerate() {
-                let tx = tx.clone();
-                let exe = &exe;
-                let req = WorkerRequest {
-                    plan: plan.clone(),
-                    cfg: *cfg,
-                    targets: result.targets.clone(),
-                    target_chunks: eng.target_chunks,
-                    shards: eng.shards,
-                    unit_order: eng.unit_order,
-                    processes,
-                    index,
-                    skip: skip.clone(),
-                    attempt: 0,
-                };
-                scope.spawn(move |_| {
-                    supervise_worker(exe, req, units_desc, max_retries, timeout, &tx);
-                });
-            }
-            drop(tx);
-
-            let mut pending = processes;
-            while pending > 0 {
-                let msg = match rx.recv() {
-                    Ok(msg) => msg,
-                    Err(_) => break, // all supervisors gone
-                };
-                match msg {
-                    SupMsg::Failed {
-                        worker,
-                        attempt,
-                        cause,
-                        will_retry,
-                    } => {
-                        eprintln!(
-                            "mp: worker {worker} attempt {attempt} failed ({cause}); {}",
-                            if will_retry {
-                                "retrying its unit slice"
-                            } else {
-                                "retry budget exhausted"
-                            }
-                        );
-                        if S::ENABLED {
-                            subscriber.on_event(&Event::WorkerFailed {
-                                worker,
-                                attempt,
-                                units: assignments[worker].len(),
-                                cause: &cause,
-                                will_retry,
-                            });
-                            if will_retry {
-                                for &ci in &assignments[worker] {
-                                    subscriber.on_event(&Event::UnitRetried {
-                                        unit: UnitId {
-                                            vantage: ci / chunks,
-                                            chunk: ci % chunks,
-                                        },
-                                        worker,
-                                        attempt: attempt + 1,
-                                    });
-                                }
-                            }
+        let mut pending = processes;
+        while pending > 0 {
+            let msg = match rx.recv() {
+                Ok(msg) => msg,
+                Err(_) => break, // all supervisors gone
+            };
+            match msg {
+                SupMsg::Failed {
+                    worker,
+                    attempt,
+                    cause,
+                    will_retry,
+                } => {
+                    eprintln!(
+                        "mp: worker {worker} attempt {attempt} failed ({cause}); {}",
+                        if will_retry {
+                            "retrying its unit slice"
+                        } else {
+                            "retry budget exhausted"
                         }
-                    }
-                    SupMsg::Done { worker, payload } => {
-                        pending -= 1;
-                        units_run += payload.units;
-                        shards += payload.shards;
-                        worker_peaks[worker] = payload.peak_rss_kb;
-                        worker_merge_depth = worker_merge_depth.max(merge_depth(payload.shards));
-                        timing.instantiate += payload.timing.instantiate;
-                        timing.probe += payload.timing.probe;
-                        timing.reduce += payload.timing.reduce;
-                        if S::ENABLED {
-                            subscriber.on_event(&Event::WorkerFinished {
-                                worker,
-                                units: payload.units,
-                                counters: &payload.counters,
-                            });
-                        }
-                        completed.extend(assignments[worker].iter().copied());
-                        merged_parts.push(payload.aggregates);
-                        payloads_merged += 1;
-                        if let Some(ck_path) = &eng.checkpoint {
-                            let written = Checkpoint::new(
-                                fingerprint,
-                                total_units,
-                                completed.iter().copied().collect(),
-                                merge_tree(merged_parts.clone()),
-                            )
-                            .and_then(|ck| write_checkpoint(ck_path, &ck));
-                            if let Err(e) = written {
-                                fatal.get_or_insert(e);
-                            } else if S::ENABLED {
-                                subscriber.on_event(&Event::CheckpointWritten {
-                                    completed_units: completed.len(),
-                                    total_units,
+                    );
+                    if S::ENABLED {
+                        subscriber.on_event(&Event::WorkerFailed {
+                            worker,
+                            attempt,
+                            units: assignments[worker].len(),
+                            cause: &cause,
+                            will_retry,
+                        });
+                        if will_retry {
+                            for &ci in &assignments[worker] {
+                                subscriber.on_event(&Event::UnitRetried {
+                                    unit: UnitId {
+                                        vantage: ci / chunks,
+                                        chunk: ci % chunks,
+                                    },
+                                    worker,
+                                    attempt: attempt + 1,
                                 });
                             }
                         }
-                        if faults.parent_exit_after_payloads == Some(payloads_merged) {
-                            eprintln!("[fault] parent exiting after {payloads_merged} payload(s)");
-                            std::process::exit(PARENT_EXIT_CODE);
-                        }
-                    }
-                    SupMsg::Fatal { error } => {
-                        pending -= 1;
-                        fatal.get_or_insert(error);
                     }
                 }
+                SupMsg::Done { worker, payload } => {
+                    pending -= 1;
+                    let payload = *payload;
+                    ran.shards += payload.shards;
+                    ran.worker_peaks[worker] = payload.peak_rss_kb;
+                    ran.merge_depth = ran.merge_depth.max(merge_depth(payload.shards));
+                    timing.instantiate += payload.timing.instantiate;
+                    timing.probe += payload.timing.probe;
+                    timing.reduce += payload.timing.reduce;
+                    if S::ENABLED {
+                        let records = &payload.counters.units;
+                        subscriber.on_event(&Event::WorkerFinished {
+                            worker,
+                            units: payload.units,
+                            observations: records.iter().map(|(_, r)| r.observations).sum(),
+                        });
+                        for (unit, record) in records {
+                            subscriber.on_event(&Event::UnitFinished {
+                                unit: *unit,
+                                record,
+                            });
+                        }
+                    }
+                    completed.add(&assignments[worker], payload.aggregates);
+                    payloads_merged += 1;
+                    if let Err(e) = completed.checkpoint(eng.checkpoint.as_deref(), subscriber) {
+                        fatal.get_or_insert(e);
+                    }
+                    if faults.parent_exit_after_payloads == Some(payloads_merged) {
+                        eprintln!("[fault] parent exiting after {payloads_merged} payload(s)");
+                        std::process::exit(PARENT_EXIT_CODE);
+                    }
+                }
+                SupMsg::Fatal { error } => {
+                    pending -= 1;
+                    fatal.get_or_insert(error);
+                }
             }
-        })
-        .map_err(|_| MpError::Internal("a supervisor thread panicked".into()))?;
-    }
-
-    if let Some(error) = fatal {
-        return Err(error);
-    }
-
-    // Phase 5 (parent): hierarchical merge of resumed state + payloads.
-    let t0 = Instant::now();
-    let part_count = merged_parts.len();
-    result.aggregates = merge_tree(merged_parts);
-    timing.reduce += t0.elapsed();
-    timing.wall = wall0.elapsed();
-
-    let mut process_peak_rss_kb = vec![self::peak_rss_kb()];
-    process_peak_rss_kb.extend(worker_peaks);
-    Ok(EngineRun {
-        result,
-        timing,
-        shards,
-        units: units_run,
-        processes: processes.max(1),
-        merge_depth: worker_merge_depth + merge_depth(part_count),
-        peak_rss_kb: process_peak_rss_kb.iter().copied().max().unwrap_or(0),
-        process_peak_rss_kb,
+        }
     })
+    .map_err(|_| MpError::Internal("a supervisor thread panicked".into()))?;
+
+    match fatal {
+        Some(error) => Err(error),
+        None => Ok(ran),
+    }
 }
 
 /// This process's peak resident set size (`VmHWM`) in kB, from
@@ -1174,6 +1165,9 @@ pub fn peak_rss_kb() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::plan_with_churn;
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
 
     fn bare_request(processes: usize, index: usize) -> WorkerRequest {
         WorkerRequest {
@@ -1257,11 +1251,20 @@ mod tests {
         let back: WorkerRequest = serde_json::from_str(&json).unwrap();
         assert_eq!(req, back);
 
-        let counters = WorkerCounters {
+        let record = UnitRecord {
             observations: 5,
             delivered: 17,
             dropped: [("loss".to_string(), 2u64)].into_iter().collect(),
-            ..WorkerCounters::default()
+            ..UnitRecord::default()
+        };
+        let counters = WorkerCounters {
+            units: vec![(
+                UnitId {
+                    vantage: 4,
+                    chunk: 1,
+                },
+                record,
+            )],
         };
         let payload = WorkerPayload {
             aggregates: ShardReducers::default(),
@@ -1276,7 +1279,7 @@ mod tests {
         let back: WorkerPayload = serde_json::from_str(&json).unwrap();
         assert_eq!(back.units, 6);
         assert_eq!(back.peak_rss_kb, 1234);
-        assert_eq!(back.counters.dropped["loss"], 2);
+        assert_eq!(back.counters.units[0].1.dropped["loss"], 2);
         assert_eq!(back.counters, payload.counters);
     }
 
@@ -1400,10 +1403,137 @@ mod tests {
             .collect();
         let total_units: usize = payloads.iter().map(|p| p.units).sum();
         assert_eq!(total_units, 13 * 2, "every (vantage × chunk) unit ran once");
-        let observations: u64 = payloads.iter().map(|p| p.counters.observations).sum();
+        // one record per unit it ran, in unit order, each with traffic
+        for p in &payloads {
+            let records = &p.counters.units;
+            assert_eq!(records.len(), p.units);
+            assert!(records.windows(2).all(|w| w[0].0 < w[1].0));
+            assert!(records
+                .iter()
+                .all(|(_, r)| r.traces == 1 && r.delivered > 0));
+        }
+        let observations: u64 = payloads
+            .iter()
+            .flat_map(|p| &p.counters.units)
+            .map(|(_, r)| r.observations)
+            .sum();
         assert_eq!(observations, 13 * targets.len() as u64);
-        assert!(payloads.iter().all(|p| p.counters.delivered > 0));
         let merged = merge_tree(payloads.into_iter().map(|p| p.aggregates).collect());
         assert_eq!(merged, baseline.aggregates);
+    }
+
+    /// What crosses the worker pipe and the disk, as the real code writes
+    /// it: a serialized worker request, the payload [`run_worker`]
+    /// answers it with, and the checkpoint an in-process run writes —
+    /// plus the same campaign's [`Completed`] to verify checkpoints
+    /// against.
+    struct Wire {
+        request: String,
+        payload: String,
+        checkpoint: Vec<u8>,
+        completed: Completed,
+    }
+
+    fn real_wire() -> &'static Wire {
+        static WIRE: OnceLock<Wire> = OnceLock::new();
+        WIRE.get_or_init(|| {
+            let plan = PoolPlan::scaled(24);
+            let cfg = CampaignConfig {
+                discovery_rounds: 20,
+                traces_per_vantage: Some(1),
+                ..CampaignConfig::quick(5)
+            };
+            let path = scratch_file("real");
+            let eng = EngineConfig {
+                shards: Some(2),
+                target_chunks: 2,
+                checkpoint: Some(path.clone()),
+                ..EngineConfig::default()
+            };
+            let run = crate::engine::try_run_engine(&plan, &cfg, &eng).unwrap();
+            let checkpoint = std::fs::read(&path).unwrap();
+            std::fs::remove_file(&path).unwrap();
+            let plan = plan_with_churn(&plan, &cfg);
+            let req = WorkerRequest {
+                plan: plan.clone(),
+                cfg,
+                targets: run.result.targets,
+                target_chunks: 2,
+                shards: Some(2),
+                unit_order: UnitOrder::AsScheduled,
+                processes: 2,
+                index: 1,
+                skip: vec![0, 5],
+                attempt: 0,
+            };
+            let payload = serde_json::to_string(&run_worker(&req)).unwrap();
+            Wire {
+                request: serde_json::to_string(&req).unwrap(),
+                payload,
+                checkpoint,
+                completed: Completed::start(&plan, &cfg, 2, 26, None).unwrap(),
+            }
+        })
+    }
+
+    /// A path in the temp directory that no other test process uses.
+    fn scratch_file(name: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("ecnudp-wire-{}-{name}.ck", std::process::id()))
+    }
+
+    /// Parse bytes the way the pipe's reader does: text first, then JSON.
+    fn parse<T: for<'de> Deserialize<'de>>(bytes: &[u8]) -> Result<T, String> {
+        let text = std::str::from_utf8(bytes).map_err(|e| e.to_string())?;
+        serde_json::from_str(text).map_err(|e| format!("{e:?}"))
+    }
+
+    proptest! {
+        #[test]
+        fn truncated_or_flipped_pipe_and_checkpoint_bytes_are_refused_never_a_panic(
+            cut in 0.0f64..1.0,
+            flips in proptest::collection::vec((0.0f64..1.0, 1u8..=255), 1..5),
+        ) {
+            let wire = real_wire();
+            let intact: Checkpoint = parse(&wire.checkpoint).unwrap();
+            let file = scratch_file("mutated");
+            let inputs: [(&str, &[u8]); 3] = [
+                ("request", wire.request.as_bytes()),
+                ("payload", wire.payload.as_bytes()),
+                ("checkpoint", &wire.checkpoint),
+            ];
+            for (name, bytes) in inputs {
+                let truncated = bytes[..(cut * bytes.len() as f64) as usize].to_vec();
+                let mut flipped = bytes.to_vec();
+                for &(at, mask) in &flips {
+                    flipped[(at * bytes.len() as f64) as usize] ^= mask;
+                }
+                for (torn, mutated) in [(true, truncated), (false, flipped)] {
+                    let refused = match name {
+                        "request" => parse::<WorkerRequest>(&mutated).is_err(),
+                        "payload" => parse::<WorkerPayload>(&mutated).is_err(),
+                        _ => {
+                            std::fs::write(&file, &mutated).unwrap();
+                            match wire.completed.verify(&file) {
+                                Err(MpError::Checkpoint { path, .. }) => {
+                                    prop_assert_eq!(&path, &file, "the refusal names the file");
+                                    true
+                                }
+                                Err(other) => panic!("untyped refusal: {other}"),
+                                // a flip the parser cannot see (say `e` to
+                                // `E` in a float) leaves the same content
+                                Ok(ck) => {
+                                    prop_assert_eq!(&ck.completed, &intact.completed);
+                                    prop_assert_eq!(&ck.aggregates, &intact.aggregates);
+                                    false
+                                }
+                            }
+                        }
+                    };
+                    // a strict prefix of a JSON document never parses
+                    prop_assert!(refused || !torn, "truncated {} at {} parsed", name, cut);
+                }
+            }
+            let _ = std::fs::remove_file(&file);
+        }
     }
 }

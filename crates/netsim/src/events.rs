@@ -3,11 +3,11 @@
 //! The simulator itself stays observer-agnostic: when a tap is installed
 //! ([`crate::sim::Sim::install_event_tap`]), the deliver/drop/ECN-rewrite
 //! sites of the forwarding pipeline count into a [`SimCounters`], which
-//! the campaign engine drains once per work unit and converts into typed
-//! subscriber events (`ecn-core::events`). With no tap installed every
-//! site is a single `Option` test — no allocation, no label cloning —
-//! which is what keeps the disabled path inside the
-//! `probe_hot_loop`/`alloc_regression` budgets.
+//! the campaign engine drains once per work unit into the unit's record
+//! (`ecn-core::events::UnitRecord`). With no tap installed every site is
+//! a single `Option` test — no allocation, no label cloning — which is
+//! what keeps the disabled path inside the `probe_hot_loop` bound and
+//! the `alloc_regression` budgets.
 //!
 //! Counters use `BTreeMap` keys (stable iteration order) so draining them
 //! into an exported stream is deterministic by construction, mirroring

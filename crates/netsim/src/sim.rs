@@ -622,7 +622,7 @@ impl Sim {
     }
 
     /// Process a single event (plus any same-timestamp arrivals batched
-    /// behind it — see [`Self::dispatch_arrival`]). Returns false if the
+    /// behind it — see the private `dispatch_arrival`). Returns false if the
     /// queue is empty.
     pub fn step(&mut self) -> bool {
         let Some((at, _seq, event)) = self.queue.pop() else {

@@ -72,8 +72,8 @@ pub struct ScenarioSpec {
     pub schedule: ScheduleSpec,
     /// Event-stream observability (metrics export, progress, sampling).
     pub observability: ObservabilitySpec,
-    /// Fault tolerance for supervised campaign execution (worker retries,
-    /// deadlines, checkpointing).
+    /// Fault tolerance for campaign execution (worker retries and
+    /// deadlines under `--processes N > 1`, checkpointing at any count).
     pub resilience: ResilienceSpec,
 }
 
@@ -240,12 +240,14 @@ pub struct ObservabilitySpec {
     pub snapshot_every: usize,
 }
 
-/// `[resilience]`: fault tolerance for supervised campaign execution
-/// (`ecn-core`'s multi-process driver). Pure execution policy — retries
-/// re-run exactly the failed unit slice and the reducer merge is
-/// commutative, so no setting here can change a result byte. CLI flags
-/// (`--max-retries`, `--worker-timeout`, `--checkpoint`) override these
-/// per run.
+/// `[resilience]`: fault tolerance for campaign execution. Pure
+/// execution policy — retries re-run exactly the failed unit slice and
+/// the reducer merge is commutative, so no setting here can change a
+/// result byte. Retries and the worker timeout govern worker processes
+/// (`ecn-core`'s supervised driver, `--processes N > 1`) and do nothing
+/// at one process, which spawns none; the checkpoint applies at any
+/// process count. CLI flags (`--max-retries`, `--worker-timeout`,
+/// `--checkpoint`) override these per run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ResilienceSpec {
     /// Respawn retries per worker slot before the campaign fails with a
@@ -254,10 +256,11 @@ pub struct ResilienceSpec {
     /// Per-worker deadline in seconds; a worker delivering no payload in
     /// time is killed and retried (0 = no deadline).
     pub worker_timeout_s: f64,
-    /// Checkpoint file path: after every worker payload, atomically
-    /// persist merged-so-far aggregates + the completed-unit bitmap
-    /// (empty = no checkpointing). `ecnudp run --resume <path>` picks the
-    /// campaign back up from it.
+    /// Checkpoint file path: atomically persist merged-so-far aggregates
+    /// and the completed-unit bitmap, after every worker payload or, at
+    /// one process, once when the units finish (empty = no
+    /// checkpointing). `ecnudp run --resume <path>` picks the campaign
+    /// back up from it.
     pub checkpoint: String,
 }
 

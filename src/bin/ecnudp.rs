@@ -53,15 +53,17 @@ OPTIONS:
     --shards <N>        engine shards per process (default: available
                         parallelism; any value renders byte-identical
                         output; must be >= 1)
-    --processes <N>     worker processes (default 1 = in-process); the
-                        unit pool is partitioned across spawned workers
-                        under a supervisor and their reducers tree-merged
-                        — output stays byte-identical. Each process holds
-                        one world blueprint (~2.5 KB per server), a floor
-                        this does not divide; the parent drops it after
-                        discovery, each worker adds only its units' worlds
-                        and aggregates. --metrics/--progress then observe
-                        worker lifecycle instead of per-probe events; not
+    --processes <N>     worker processes (default 1 = in-process, with
+                        or without --checkpoint/--resume); with N > 1 the
+                        remaining units are partitioned across spawned
+                        workers under a supervisor and their reducers
+                        tree-merged — output stays byte-identical. Each
+                        process holds one world blueprint (~2.5 KB per
+                        server), a floor this does not divide; the parent
+                        drops it after discovery, each worker adds only
+                        its units' worlds and aggregates. --metrics and
+                        --progress carry the same unit lines at any N,
+                        plus worker lifecycle lines; N > 1 is not
                         combinable with --sample-traces (raw trace records
                         stay inside the worker)
     --json              emit a machine-readable RunSummary instead of the
@@ -76,19 +78,21 @@ OPTIONS:
                         append them to the metrics stream (needs --metrics)
     --max-retries <N>   respawns per failed worker before the campaign
                         fails with a typed error (default 2; retries re-run
-                        exactly the failed unit slice, byte-identically)
+                        exactly the failed unit slice, byte-identically;
+                        worker processes only, so --processes > 1)
     --worker-timeout <S> per-worker deadline in seconds (fractions allowed;
                         default off): a worker delivering no payload in
-                        time is killed and retried
-    --checkpoint <file> after every worker payload, atomically persist
-                        merged-so-far aggregates + the completed-unit
-                        bitmap (enables the supervised driver even at
-                        --processes 1)
+                        time is killed and retried (--processes > 1 only)
+    --checkpoint <file> atomically persist merged-so-far aggregates + the
+                        completed-unit bitmap: after every worker payload
+                        with --processes > 1, once at the end in-process
     --resume <file>     resume from a checkpoint: verify its content
                         checksum and that it matches this campaign, re-run
-                        only units absent from its bitmap
-                        (keeps checkpointing to the same file unless
-                        --checkpoint names another)
+                        only units absent from its bitmap, at any
+                        --processes (keeps checkpointing to the same file
+                        unless --checkpoint names another; not combinable
+                        with --sample-traces, as a checkpoint holds no raw
+                        trace records)
 
 EXIT CODES:
     0  success        2  usage error
@@ -341,21 +345,23 @@ fn cmd_run(args: &Args) -> Result<(), CliError> {
     let spec = load_spec(args)?;
     eprintln!("{}", describe(&spec));
     let obs = spec.observability.clone();
+    let eng = build_engine_config(&spec, args);
+    // Refuse every conflict before opening anything: a refused run must
+    // leave the user's files as they were.
+    if (eng.processes > 1 || eng.resume.is_some()) && obs.sample_traces > 0 {
+        return Err(CliError::from(
+            "--sample-traces keeps raw trace records, which do not cross the \
+             worker-process boundary and are not in a checkpoint; drop it, or \
+             run with --processes 1 and no --resume"
+                .to_string(),
+        ));
+    }
     // Open the metrics sink before the campaign so a bad path fails fast.
     let metrics_file = match obs.metrics.as_str() {
         "" => None,
         path => Some(open_metrics(path)?),
     };
     let observed = metrics_file.is_some() || obs.progress || obs.sample_traces > 0;
-    let eng = build_engine_config(&spec, args);
-    if eng.supervised() && obs.sample_traces > 0 {
-        return Err(CliError::from(
-            "--sample-traces keeps raw trace records, which do not cross the \
-             worker-process boundary; drop it, or run with --processes 1 and \
-             no --checkpoint/--resume"
-                .to_string(),
-        ));
-    }
     let plan = spec.plan();
     let cfg = campaign_config(&spec);
     let (run, subscriber) = if observed {

@@ -1,11 +1,12 @@
 //! Spawned-binary coverage for the engine-topology and supervision flags:
 //! zero-value rejection at parse time (`--shards 0`, `--processes 0`,
-//! non-positive `--worker-timeout`), the supervised-mode ×
-//! `--sample-traces` conflict, metrics/progress streaming worker
-//! lifecycle under `--processes > 1` (with the same summary totals as
-//! one process), and the `validate` metrics probe's
-//! non-destructiveness (a pre-existing metrics file must survive
-//! byte-identical — the probe opens for append, never truncate).
+//! non-positive `--worker-timeout`), the `--sample-traces` conflict with
+//! `--processes > 1` and `--resume` (refused before any file is opened),
+//! metrics/progress streaming worker lifecycle under `--processes > 1`
+//! (with the same unit, snapshot and summary lines as one process), and
+//! the `validate` metrics probe's non-destructiveness (a pre-existing
+//! metrics file must survive byte-identical — the probe opens for
+//! append, never truncate).
 
 use std::path::Path;
 use std::process::Command;
@@ -73,31 +74,44 @@ fn nonpositive_worker_timeout_is_rejected_at_parse_with_the_flag_name() {
 
 #[test]
 fn supervised_mode_refuses_trace_sampling() {
-    // raw trace records stay inside the worker process; the CLI must say
-    // so instead of silently dropping the sampler
-    let out = ecnudp(&[
-        "run",
-        "--scenario",
-        "scenarios/paper2015-mini.toml",
-        "--processes",
-        "2",
-        "--metrics",
-        "target/test-scenarios/refused-metrics.jsonl",
-        "--sample-traces",
-        "4",
-    ]);
-    assert_eq!(out.status.code(), Some(1), "config conflict exits 1");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        err.contains("--sample-traces") && err.contains("--processes 1"),
-        "error must explain the conflict and the way out: {err}"
-    );
+    // raw trace records stay inside the worker process and are not in a
+    // checkpoint; the CLI must say so instead of silently dropping the
+    // sampler, and must refuse before it truncates the metrics file
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("target/test-scenarios");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let metrics = dir.join("refused-metrics.jsonl");
+    let metrics_arg = metrics.to_str().expect("utf8 path");
+    let never_read = dir.join("refused-resume.ckpt");
+    let conflicts: [&[&str]; 2] = [
+        &["--processes", "2"],
+        &["--resume", never_read.to_str().expect("utf8 path")],
+    ];
+    for conflict in conflicts {
+        std::fs::write(&metrics, "precious\nbytes\n").expect("seed metrics file");
+        let mut args = vec!["run", "--scenario", "scenarios/paper2015-mini.toml"];
+        args.extend_from_slice(conflict);
+        args.extend_from_slice(&["--metrics", metrics_arg, "--sample-traces", "4"]);
+        let out = ecnudp(&args);
+        assert_eq!(out.status.code(), Some(1), "config conflict exits 1");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("--sample-traces") && err.contains("--processes 1"),
+            "error must explain the conflict and the way out: {err}"
+        );
+        assert_eq!(
+            std::fs::read_to_string(&metrics).expect("metrics file still there"),
+            "precious\nbytes\n",
+            "a refused run must leave the metrics file as it was ({conflict:?})"
+        );
+    }
+    let _ = std::fs::remove_file(&metrics);
 }
 
 #[test]
 fn multiprocess_metrics_stream_reports_worker_lifecycle() {
-    // --metrics/--progress now ride along with --processes > 1: the
-    // parent's supervision events land on the stream as worker lines
+    // --metrics/--progress ride along with --processes > 1: the parent's
+    // supervision events land on the stream as worker lines, next to the
+    // unit lines of the records the workers ship home
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("target/test-scenarios");
     std::fs::create_dir_all(&dir).expect("mkdir");
     let metrics = dir.join("mp-worker-lifecycle.jsonl");
@@ -121,19 +135,30 @@ fn multiprocess_metrics_stream_reports_worker_lifecycle() {
         stream.contains("\"type\":\"worker\""),
         "supervised metrics stream must carry worker lines: {stream}"
     );
-    assert!(
-        !stream.contains("\"type\":\"unit\""),
-        "per-unit events stay inside the workers: {stream}"
+    assert_eq!(
+        stream.matches("\"type\":\"unit\"").count(),
+        13,
+        "one unit line per unit, whichever worker ran it: {stream}"
     );
     let _ = std::fs::remove_file(&metrics);
 }
 
-/// The `summary` line of a `--metrics` run at `processes`, with its
-/// `wall_ms` field (the stream's one wall-clock value) cut off.
-fn metrics_summary(processes: &str) -> String {
+/// Line types only the supervised driver writes.
+const SUPERVISION_LINES: [&str; 5] = [
+    "workers_clamped",
+    "worker_failed",
+    "worker",
+    "retries",
+    "checkpoint",
+];
+
+/// The `--metrics` stream of a run at `processes`, without its
+/// supervision lines and with the summary's `wall_ms` (the stream's one
+/// wall-clock value) cut off.
+fn metrics_stream(processes: &str) -> String {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("target/test-scenarios");
     std::fs::create_dir_all(&dir).expect("mkdir");
-    let metrics = dir.join(format!("summary-at-{processes}-processes.jsonl"));
+    let metrics = dir.join(format!("stream-at-{processes}-processes.jsonl"));
     let out = ecnudp(&[
         "run",
         "--scenario",
@@ -150,24 +175,40 @@ fn metrics_summary(processes: &str) -> String {
     );
     let stream = std::fs::read_to_string(&metrics).expect("metrics stream");
     let _ = std::fs::remove_file(&metrics);
-    let summary = stream
-        .lines()
-        .find(|l| l.starts_with("{\"type\":\"summary\""))
-        .unwrap_or_else(|| panic!("no summary line: {stream}"));
-    let cut = summary.find(",\"wall_ms\"").expect("wall_ms field");
-    summary[..cut].to_string()
+    let supervision = |line: &str| {
+        SUPERVISION_LINES
+            .iter()
+            .any(|t| line.starts_with(&format!("{{\"type\":\"{t}\",")))
+    };
+    let mut kept = String::new();
+    for line in stream.lines().filter(|l| !supervision(l)) {
+        let line = match line.find(",\"wall_ms\"") {
+            Some(cut) => &line[..cut],
+            None => line,
+        };
+        kept.push_str(line);
+        kept.push('\n');
+    }
+    kept
 }
 
 #[test]
 fn multiprocess_metrics_summary_equals_the_single_process_one() {
-    // the parent sees no unit events under --processes > 1; its summary
-    // must still count every worker's units, traces, probes and packets
-    let single = metrics_summary("1");
+    // every unit reaches the stream once, in this process or shipped home
+    // by a worker: apart from the supervision lines, the stream at any
+    // process count is the one-process stream, unit lines, snapshots and
+    // summary alike
+    let single = metrics_stream("1");
+    assert_eq!(single.matches("\"type\":\"unit\"").count(), 13, "{single}");
+    let summary = single.lines().last().expect("summary line");
     assert!(
-        single.contains("\"units\":13,") && !single.contains("\"observations\":0,"),
+        summary.starts_with("{\"type\":\"summary\",\"units\":13,")
+            && !summary.contains("\"observations\":0,"),
         "{single}"
     );
-    assert_eq!(metrics_summary("2"), single);
+    for processes in ["2", "4"] {
+        assert_eq!(metrics_stream(processes), single, "--processes {processes}");
+    }
 }
 
 #[test]

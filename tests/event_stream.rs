@@ -4,11 +4,13 @@
 //! - **Invisibility**: running the engine with `Subscriber = ()` — or with
 //!   a real metrics subscriber attached — renders byte-for-byte the same
 //!   `FullReport` as the unobserved engine, for every shard count and
-//!   work-stealing order (the alloc side of the zero-cost contract is
-//!   gated in `crates/bench/tests/alloc_regression.rs`).
+//!   work-stealing order (the probe loop takes no subscriber at all;
+//!   its allocations are budgeted in
+//!   `crates/bench/tests/alloc_regression.rs`).
 //! - **Stream determinism**: the JSON-lines metrics stream is
 //!   byte-identical for any shard count once the summary's `wall_ms` —
-//!   its only wall-clock field — is normalized away.
+//!   its only wall-clock field — is normalized away (and for any process
+//!   count, apart from the supervision lines: `tests/cli_flags.rs`).
 //! - **Sampler equivalence** (property): `TraceSampler` at rate 1-in-N
 //!   retains *exactly* the hash-selected subset of the records the naive
 //!   one-unit-at-a-time reference campaign keeps

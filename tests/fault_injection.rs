@@ -8,7 +8,8 @@
 //! - an exhausted retry budget is a typed exit-3 error naming the worker
 //!   and its unit range — never a parent panic;
 //! - a parent killed mid-run resumes from its checkpoint byte-identically,
-//!   re-running only the units absent from the bitmap;
+//!   re-running only the units absent from the bitmap, with workers or
+//!   (at `--processes 1`) in-process without spawning any;
 //! - a checkpoint from a different campaign is refused with a typed error,
 //!   and so is one whose content was edited after it was written;
 //! - over-provisioned worker counts clamp to the unit pool with a warning.
@@ -194,44 +195,82 @@ fn parent_killed_mid_run_resumes_byte_identical_running_only_the_rest() {
     );
     assert!(ckpt.exists(), "the checkpoint must survive the dead parent");
 
-    // phase 2: resume finishes the campaign byte-identically
+    // phase 2: resume finishes the campaign byte-identically, with two
+    // workers and in-process alike, each from its own copy of the
+    // checkpoint (a resume rewrites the file it resumes from)
+    for processes in ["2", "1"] {
+        let copy = scratch(&format!("killed-parent-resume-{processes}.ckpt"));
+        std::fs::copy(&ckpt, &copy).expect("copy checkpoint");
+        let copy_arg = copy.to_str().expect("utf8 path");
+        let out = ecnudp(
+            &[
+                "run",
+                "--scenario",
+                SCENARIO,
+                "--processes",
+                processes,
+                "--resume",
+                copy_arg,
+            ],
+            None,
+        );
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "resume must complete: {err}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            golden_stdout(),
+            "interrupted + resumed at --processes {processes} must render \
+             byte-identical to uninterrupted"
+        );
+        assert!(
+            err.contains("resuming from") && err.contains("already complete"),
+            "resume must say how much of the campaign it skipped: {err}"
+        );
+        // the bitmap held the first payload's partition (about half the
+        // pool); the resume ran only the rest
+        let resumed: usize = err
+            .lines()
+            .find_map(|l| {
+                l.split("resuming from").nth(1)?;
+                let tail = l.split(": ").nth(1)?;
+                tail.split('/').next()?.trim().parse().ok()
+            })
+            .expect("resume line carries completed/total counts");
+        assert!(
+            (1..MINI_UNITS).contains(&resumed),
+            "the merged payload's units were skipped, not all {MINI_UNITS}: got {resumed}"
+        );
+        let _ = std::fs::remove_file(&copy);
+    }
+
+    // a resume at --processes 1 runs in this process: one peak-RSS entry
+    let copy = scratch("killed-parent-resume-json.ckpt");
+    std::fs::copy(&ckpt, &copy).expect("copy checkpoint");
     let out = ecnudp(
         &[
             "run",
             "--scenario",
             SCENARIO,
-            "--processes",
-            "2",
             "--resume",
-            ckpt_arg,
+            copy.to_str().expect("utf8 path"),
+            "--json",
         ],
         None,
     );
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "resume must complete: {err}");
-    assert_eq!(
-        String::from_utf8_lossy(&out.stdout),
-        golden_stdout(),
-        "interrupted + resumed must render byte-identical to uninterrupted"
-    );
+    let summary = String::from_utf8_lossy(&out.stdout);
     assert!(
-        err.contains("resuming from") && err.contains("already complete"),
-        "resume must say how much of the campaign it skipped: {err}"
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
     );
-    // the bitmap held the first payload's partition (about half the
-    // pool); the resume ran only the rest
-    let resumed: usize = err
-        .lines()
-        .find_map(|l| {
-            l.split("resuming from").nth(1)?;
-            let tail = l.split(": ").nth(1)?;
-            tail.split('/').next()?.trim().parse().ok()
-        })
-        .expect("resume line carries completed/total counts");
+    let key = "\"process_peak_rss_kb\":[";
+    let at = summary.find(key).expect("peak list in --json") + key.len();
+    let peaks = &summary[at..at + summary[at..].find(']').expect("closing bracket")];
     assert!(
-        (1..MINI_UNITS).contains(&resumed),
-        "the merged payload's units were skipped, not all {MINI_UNITS}: got {resumed}"
+        !peaks.is_empty() && !peaks.contains(','),
+        "--processes 1 spawns no worker, so one process peaks: [{peaks}]"
     );
+    let _ = std::fs::remove_file(&copy);
     let _ = std::fs::remove_file(&ckpt);
 }
 
