@@ -85,7 +85,7 @@ fn bench_event_loop(c: &mut Criterion) {
             },
             |mut sim| {
                 sim.run_to_idle();
-                sim.stats.delivered
+                sim.counters().delivered
             },
         )
     });

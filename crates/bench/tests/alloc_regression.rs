@@ -4,10 +4,11 @@
 //! the two per-unit costs the engine pays for every work unit, in their
 //! warm steady state (pools filled, capture freelists populated):
 //!
-//! - `instantiate_unit` — stamping a live world from the blueprint
-//!   skeleton. Pooling/`Arc`-sharing took this from 2634 to 564
-//!   allocations per unit at this scale (the remainder is genuinely
-//!   per-world state: node boxes, host stacks, services).
+//! - `instantiate_unit_scoped` — stamping a live world from the
+//!   blueprint skeleton, here with a stack on every server.
+//!   Pooling/`Arc`-sharing took this from 2634 to 564 allocations per
+//!   unit at this scale (the remainder is genuinely per-world state:
+//!   node boxes, host stacks, services).
 //! - `run_trace` — the probe inner loop. Buffer pooling, capture
 //!   freelists, borrow-based verdict scans and no-clone polling took
 //!   this from 176 to ~80 allocations per (server, trace) observation;
@@ -71,9 +72,10 @@ fn unit_instantiation_allocations_stay_within_budget() {
         ..PoolPlan::scaled(40)
     };
     let bp = WorldBlueprint::build(&plan, cfg.seed);
-    let _warm = bp.instantiate_unit(0, 0);
-    let (_, allocs) = count_allocations(|| bp.instantiate_unit(0, 0));
-    println!("instantiate_unit: {allocs} allocations");
+    let every_server: HashSet<_> = bp.server_addrs.iter().copied().collect();
+    let _warm = bp.instantiate_unit_scoped(0, 0, &every_server);
+    let (_, allocs) = count_allocations(|| bp.instantiate_unit_scoped(0, 0, &every_server));
+    println!("instantiate_unit_scoped: {allocs} allocations");
     assert!(
         allocs < INSTANTIATE_BUDGET,
         "unit instantiation allocation regression: {allocs} (budget {INSTANTIATE_BUDGET})"

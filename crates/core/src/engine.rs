@@ -29,11 +29,12 @@ use crate::config::CampaignConfig;
 use crate::events::{Event, Subscriber, UnitId, UnitRecord};
 use crate::mp::Completed;
 use crate::reducers::{Reduce, RouteCtx, ShardReducers, TraceCtx};
+use ecn_netsim::drop_cause_label;
 use ecn_pool::{PoolPlan, VantageSpec, WorldBlueprint};
 use parking_lot::Mutex;
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashSet, VecDeque};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::net::Ipv4Addr;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -221,9 +222,8 @@ pub(crate) fn apply_unit_order(units: &mut [Unit], order: UnitOrder) {
 }
 
 /// Run the full campaign with the no-op `()` subscriber: exactly
-/// [`try_run_engine_observed`] monomorphized over `()`, the zero-cost
-/// path the `probe_hot_loop` bench times against the observed entry
-/// point.
+/// [`try_run_engine_observed`] monomorphized over `()`, whose event hooks
+/// compile away.
 ///
 /// The result carries the streamed aggregates — everything
 /// [`crate::analysis::FullReport`] renders from — and no raw records.
@@ -542,8 +542,8 @@ fn next_unit(s: usize, queues: &[Mutex<VecDeque<Unit>>]) -> Option<Unit> {
 /// then (optionally) its slice of the traceroute survey — streaming every
 /// finished record into the shard's reducers. When `S::ENABLED` it emits
 /// each [`Event::TraceVerdict`] and, last, the unit's one
-/// [`Event::UnitFinished`]: the only place a sim tap is drained into a
-/// [`UnitRecord`].
+/// [`Event::UnitFinished`]: the only place the world's packet counters
+/// are drained into a [`UnitRecord`].
 #[allow(clippy::too_many_arguments)]
 fn run_unit<S: Subscriber>(
     bp: &WorldBlueprint,
@@ -567,10 +567,6 @@ fn run_unit<S: Subscriber>(
     // while cutting stamp cost from O(servers) to O(servers/chunks).
     let probed: HashSet<Ipv4Addr> = chunk_targets.iter().copied().collect();
     let mut sc = bp.instantiate_unit_scoped(unit.vantage, unit.chunk, &probed);
-    if S::ENABLED {
-        // purely observational: the tap counts, it cannot change outcomes
-        sc.sim.install_event_tap();
-    }
     *inst += t0.elapsed();
 
     let t0 = Instant::now();
@@ -612,21 +608,24 @@ fn run_unit<S: Subscriber>(
     }
     if S::ENABLED {
         let sim = sc.sim.drain_event_counters();
+        // routers that share a label share a key
+        let mut ecn_rewritten = BTreeMap::new();
+        for (&node, &n) in &sim.ecn_rewritten {
+            *ecn_rewritten
+                .entry(sc.sim.label_of(node).to_string())
+                .or_insert(0) += n;
+        }
         let record = UnitRecord {
             traces: sched.len() as u64,
             observations: (sched.len() * chunk_targets.len()) as u64,
             delivered: sim.delivered,
             dropped: sim
-                .dropped
-                .iter()
-                .map(|(k, v)| (k.to_string(), *v))
+                .dropped_by_cause()
+                .filter(|&(_, n)| n > 0)
+                .map(|(cause, n)| (drop_cause_label(cause).to_string(), n))
                 .collect(),
             ce_marked: sim.ce_marked,
-            ecn_rewritten: sim
-                .ecn_rewritten
-                .iter()
-                .map(|(k, v)| (k.to_string(), *v))
-                .collect(),
+            ecn_rewritten,
         };
         sub.on_event(&Event::UnitFinished {
             unit: uid,

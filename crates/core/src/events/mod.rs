@@ -31,8 +31,10 @@
 //! path is const-folded away by monomorphization — `try_run_engine` *is*
 //! `try_run_engine_observed` with `()`. Nothing below `engine::run_unit`
 //! takes a subscriber: the probe loop (`campaign::run_trace`) emits
-//! nothing, and the netsim tap whose counters fill the [`UnitRecord`] is
-//! only installed when `S::ENABLED`.
+//! nothing. The simulator counts its packets whether or not anyone
+//! observes (one increment per counting site, see
+//! [`ecn_netsim::SimCounters`]); only building the [`UnitRecord`] from
+//! those counters waits for `S::ENABLED`.
 //!
 //! ## Determinism guarantee
 //!
@@ -67,10 +69,10 @@ pub struct UnitId {
 }
 
 /// What one work unit did: the record [`Event::UnitFinished`] carries,
-/// and what a worker process ships home for each unit it ran. The keys
-/// are owned strings because the simulator's
-/// [`ecn_netsim::SimCounters`] keys (`&'static str`, `Arc<str>`) cannot
-/// cross a serialization boundary.
+/// and what a worker process ships home for each unit it ran. It is the
+/// world's [`ecn_netsim::SimCounters`] keyed by name: drop causes by
+/// their stable label (a cause never seen is absent), ECN rewrites by
+/// router label, so routers that share a label share a key.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct UnitRecord {
     /// Traces the unit executed.

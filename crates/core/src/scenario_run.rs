@@ -78,19 +78,13 @@ pub fn campaign_config(spec: &ScenarioSpec) -> CampaignConfig {
 }
 
 /// Lower a spec to the engine configuration. Only `target_chunks` is part
-/// of the experiment definition; shard count stays a runtime concurrency
-/// knob (CLI `--shards` / default parallelism) because it cannot change
-/// any result byte. The `[resilience]` section lowers to the supervised
-/// driver's knobs (retries, per-worker deadline, checkpoint sink) — all
-/// pure execution policy, also unable to change a result byte.
+/// of the experiment definition; every other field keeps its default.
+/// Shards, worker processes, retries, the per-worker deadline, checkpoint
+/// and resume are run-time settings that cannot change a result byte, so
+/// they come from the caller (the CLI's flags), never from the spec.
 pub fn engine_config(spec: &ScenarioSpec) -> EngineConfig {
-    let res = &spec.resilience;
     EngineConfig {
         target_chunks: spec.schedule.target_chunks,
-        max_worker_retries: res.max_worker_retries as u32,
-        worker_timeout: (res.worker_timeout_s > 0.0)
-            .then(|| std::time::Duration::from_secs_f64(res.worker_timeout_s)),
-        checkpoint: (!res.checkpoint.is_empty()).then(|| res.checkpoint.clone().into()),
         ..EngineConfig::default()
     }
 }

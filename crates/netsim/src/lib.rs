@@ -24,6 +24,12 @@
 //! a full UDP/TCP/ICMP stack agent) and can carry tcpdump-style captures
 //! ([`pcap`]) that export standard libpcap files.
 //!
+//! Every simulator counts what happens to its packets in one always-on
+//! [`events::SimCounters`] (deliveries, hops, drops by cause, CE marks,
+//! ICMP errors, ECN rewrites per router), read with
+//! [`sim::Sim::counters`] — ground truth for tests and the engine's
+//! per-unit records, never visible to the prober.
+//!
 //! Not modelled (documented scope cuts, none observable by the study's
 //! probes): IP fragmentation/MTU, IPv4 options, link-layer addressing,
 //! ICMP rate limiting.
@@ -39,11 +45,10 @@ pub mod prefix;
 pub mod queue;
 pub mod rng;
 pub mod sim;
-pub mod stats;
 pub mod time;
 pub mod wheel;
 
-pub use events::{drop_cause_label, SimCounters};
+pub use events::{drop_cause_label, DropCause, SimCounters};
 pub use link::{LinkId, LinkOutcome, LinkProps, LinkState, NodeId};
 pub use loss::{LossModel, LossProcess};
 pub use node::{flow_key, HostAgent, NodeKind, RouteEntry, Router};
@@ -54,6 +59,5 @@ pub use prefix::{Ipv4Prefix, PrefixMap};
 pub use queue::{QueueDisc, QueueDropCause, QueueState, QueueVerdict};
 pub use rng::{derive_rng, derive_rng_indexed, derive_seed, derive_seed_indexed, LabelBuf};
 pub use sim::{HostApi, Sim, SimConfig, SimSkeleton};
-pub use stats::{DropCause, Stats};
 pub use time::Nanos;
 pub use wheel::EventWheel;

@@ -15,21 +15,21 @@
 //! Per-node state is stored as struct-of-arrays indexed by dense
 //! [`NodeId`]: the dispatch path reads the ECN policy, firewall, route
 //! table and capture flag as direct vector loads, with no `Node` enum
-//! match and no `Box` indirection per hop. Host labels stay in a cold
-//! column only touched by diagnostics and the optional event tap.
+//! match and no `Box` indirection per hop. Node labels stay in a cold
+//! column only touched by diagnostics and the engine's per-unit rewrite
+//! summary ([`Sim::label_of`]).
 //! Consecutive same-timestamp arrivals at one host dispatch as a batch
 //! (one agent checkout, one capture resolution) — safe because any event
 //! scheduled mid-batch carries a larger `seq` and so sorts after the
 //! whole batch anyway.
 
-use crate::events::SimCounters;
+use crate::events::{DropCause, SimCounters};
 use crate::link::{LinkId, LinkOutcome, LinkProps, LinkState, NodeId};
 use crate::node::{flow_key_header, flow_key_raw, HostAgent, NodeKind, RouteEntry, Router};
 use crate::pcap::{new_capture, CaptureRef, Direction};
 use crate::policy::{EcnPolicy, Firewall, FirewallAction};
 use crate::pool::PacketPool;
 use crate::prefix::{Ipv4Prefix, PrefixMap};
-use crate::stats::{DropCause, Stats};
 use crate::time::Nanos;
 use crate::wheel::EventWheel;
 use ecn_wire::{Datagram, DestUnreachCode, Ecn, IcmpMessage, IpProto, Ipv4Header};
@@ -166,7 +166,8 @@ struct Topology {
     kinds: Vec<NodeKind>,
     /// Node address per id.
     addrs: Vec<Ipv4Addr>,
-    /// Human-readable label per id (cold: diagnostics and event tap).
+    /// Human-readable label per id (cold: diagnostics and the engine's
+    /// per-unit rewrite summary).
     labels: Vec<Arc<str>>,
     /// AS number per id (0 for hosts).
     asns: Vec<u32>,
@@ -213,15 +214,12 @@ pub struct Sim {
     /// campaign world) need none, so this grows with the stateful links,
     /// not with the topology.
     link_states: Vec<LinkState>,
-    /// Ground-truth counters (not visible to the measurement application).
-    pub stats: Stats,
+    /// Ground-truth packet counters (not visible to the measurement
+    /// application), zero in every freshly stamped world.
+    counters: SimCounters,
     /// Datagram buffer freelist: checked out on encode, refilled when the
     /// simulator consumes a packet (delivery or drop).
     pub pool: PacketPool,
-    /// Optional event tap ([`crate::events::SimCounters`]), installed by
-    /// observed engine runs; `None` (the default) costs one pointer test
-    /// per deliver/drop site.
-    events: Option<Box<SimCounters>>,
     /// Scratch for batched host-arrival dispatch (capacity reused).
     batch: Vec<Datagram>,
     /// Forwarding route cache (see [`RouteCacheSlot`]): probe traffic is
@@ -277,9 +275,8 @@ impl Sim {
             agents: Vec::new(),
             captures: Vec::new(),
             link_states: Vec::new(),
-            stats: Stats::default(),
+            counters: SimCounters::default(),
             pool: PacketPool::new(),
-            events: None,
             batch: Vec::new(),
             route_cache: vec![RouteCacheSlot::EMPTY; 1 << ROUTE_CACHE_BITS],
             route_gen: 0,
@@ -291,30 +288,22 @@ impl Sim {
         }
     }
 
-    /// Install (or reset) the event tap: from now on the deliver, drop,
-    /// CE-mark, and ECN-rewrite sites count into a [`SimCounters`]
-    /// drained with [`Self::drain_event_counters`]. Purely observational —
-    /// installing a tap cannot change any packet outcome.
+    /// The packet counters since this world was stamped or last
+    /// drained.
+    pub fn counters(&self) -> &SimCounters {
+        &self.counters
+    }
+
+    /// Zero the packet counters, so the next
+    /// [`Self::drain_event_counters`] covers only what follows. Purely
+    /// observational: counting cannot change any packet outcome.
     pub fn install_event_tap(&mut self) {
-        self.events = Some(Box::default());
+        self.counters = SimCounters::default();
     }
 
-    /// Take the tap's counters, leaving a fresh zeroed tap installed.
-    /// Returns the default (empty) counters if no tap was installed.
+    /// Take the packet counters, leaving them zeroed.
     pub fn drain_event_counters(&mut self) -> SimCounters {
-        match &mut self.events {
-            Some(tap) => std::mem::take(&mut **tap),
-            None => SimCounters::default(),
-        }
-    }
-
-    /// Count a discarded packet in both the ground-truth stats and, when
-    /// a tap is installed, the event counters.
-    fn note_drop(&mut self, cause: DropCause) {
-        self.stats.drop(cause);
-        if let Some(tap) = &mut self.events {
-            tap.note_drop(cause);
-        }
+        std::mem::take(&mut self.counters)
     }
 
     /// Check a recycled byte buffer out of the simulator's packet pool
@@ -685,11 +674,11 @@ impl Sim {
                 .record(self.now, Direction::Out, dgram.as_bytes());
         }
         let Some(up) = self.topo.uplinks[idx] else {
-            self.note_drop(DropCause::NoRoute);
+            self.counters.note_drop(DropCause::NoRoute);
             self.pool.recycle_datagram(dgram);
             return;
         };
-        self.stats.originated += 1;
+        self.counters.originated += 1;
         self.transmit(up, dgram);
     }
 
@@ -738,14 +727,11 @@ impl Sim {
                 cap.lock().record(now, Direction::In, dgram.as_bytes());
             }
             if addr != dgram.dst() {
-                self.note_drop(DropCause::HostMismatch);
+                self.counters.note_drop(DropCause::HostMismatch);
                 self.pool.recycle_datagram(dgram);
                 continue;
             }
-            self.stats.delivered += 1;
-            if let Some(tap) = &mut self.events {
-                tap.delivered += 1;
-            }
+            self.counters.delivered += 1;
             if let Some(agent) = agent.as_deref_mut() {
                 let mut api = HostApi { sim: self, node };
                 agent.on_datagram(&mut api, &dgram);
@@ -791,7 +777,7 @@ impl Sim {
         if ttl == 0 {
             // the quote must show the decremented TTL on the wire
             dgram.refresh_header_checksum();
-            self.note_drop(DropCause::TtlExpired);
+            self.counters.note_drop(DropCause::TtlExpired);
             // No ICMP errors about ICMP (RFC 1812 §4.3.2.7 simplification:
             // the study's probes are UDP/TCP, so this only suppresses
             // pathological error-about-error storms).
@@ -801,7 +787,7 @@ impl Sim {
                 let reply = Datagram::compose(self.pool.take(), reply_hdr, |out| {
                     IcmpMessage::encode_time_exceeded_into(dgram.as_bytes(), out)
                 });
-                self.stats.icmp_time_exceeded += 1;
+                self.counters.icmp_time_exceeded += 1;
                 self.route_and_transmit(node, reply, &reply_hdr);
             }
             self.pool.recycle_datagram(dgram);
@@ -812,14 +798,12 @@ impl Sim {
         let action = self.topo.firewalls[idx].evaluate(src, protocol, ecn, &mut self.rng);
         match action {
             FirewallAction::Drop => {
-                self.note_drop(DropCause::Firewall);
-                *self.stats.firewall_drops_by_node.entry(node).or_insert(0) += 1;
+                self.counters.note_drop(DropCause::Firewall);
                 self.pool.recycle_datagram(dgram);
                 return;
             }
             FirewallAction::Reject => {
-                self.note_drop(DropCause::Firewall);
-                *self.stats.firewall_drops_by_node.entry(node).or_insert(0) += 1;
+                self.counters.note_drop(DropCause::Firewall);
                 if protocol != IpProto::Icmp {
                     // the quote shows the packet as this hop saw it
                     dgram.refresh_header_checksum();
@@ -832,7 +816,7 @@ impl Sim {
                             out,
                         )
                     });
-                    self.stats.icmp_dest_unreachable += 1;
+                    self.counters.icmp_dest_unreachable += 1;
                     self.route_and_transmit(node, reply, &reply_hdr);
                 }
                 self.pool.recycle_datagram(dgram);
@@ -845,18 +829,13 @@ impl Sim {
         let policy = self.topo.ecn_policies[idx];
         let (after, dropped) = policy.apply(ecn, &mut self.rng);
         if dropped {
-            self.note_drop(DropCause::PolicyTos);
+            self.counters.note_drop(DropCause::PolicyTos);
             self.pool.recycle_datagram(dgram);
             return;
         }
         if after != ecn {
             dgram.set_ecn_raw(after);
-            *self.stats.bleached_by_node.entry(node).or_insert(0) += 1;
-            if let Some(tap) = self.events.as_mut() {
-                // resolve the named hop only when someone is listening
-                let hop = self.topo.labels[idx].clone();
-                tap.note_ecn_rewrite(hop);
-            }
+            self.counters.note_ecn_rewrite(node);
         }
 
         // 4+5. Route and transmit. The TTL (and possibly ECN) bytes are
@@ -936,7 +915,7 @@ impl Sim {
             if ttl > slot.skip && self.now <= slot.bound {
                 dgram.set_ttl_raw(ttl - slot.skip);
                 dgram.refresh_header_checksum();
-                self.stats.forwarded += 1 + u64::from(slot.skip);
+                self.counters.forwarded += 1 + u64::from(slot.skip);
                 let at = self.now + slot.extra_delay;
                 self.schedule(
                     at,
@@ -951,7 +930,7 @@ impl Sim {
         match slot.link {
             Some(lid) => self.transmit_with(lid, dgram, ecn, needs_refresh),
             None => {
-                self.note_drop(DropCause::NoRoute);
+                self.counters.note_drop(DropCause::NoRoute);
                 self.pool.recycle_datagram(dgram);
             }
         }
@@ -1085,23 +1064,20 @@ impl Sim {
             LinkOutcome::Deliver { at, ce_mark } => {
                 if ce_mark {
                     dgram.set_ecn_raw(Ecn::Ce);
-                    self.stats.ce_marked += 1;
-                    if let Some(tap) = &mut self.events {
-                        tap.ce_marked += 1;
-                    }
+                    self.counters.ce_marked += 1;
                 }
                 if needs_refresh || ce_mark {
                     dgram.refresh_header_checksum();
                 }
-                self.stats.forwarded += 1;
+                self.counters.forwarded += 1;
                 self.schedule(at, Event::Arrival { node: to, dgram });
             }
             LinkOutcome::Lost => {
-                self.note_drop(DropCause::Loss);
+                self.counters.note_drop(DropCause::Loss);
                 self.pool.recycle_datagram(dgram);
             }
             LinkOutcome::Dropped(cause) => {
-                self.note_drop(DropCause::Queue(cause));
+                self.counters.note_drop(DropCause::Queue(cause));
                 self.pool.recycle_datagram(dgram);
             }
         }
@@ -1302,7 +1278,7 @@ mod tests {
         let reply = cap.packets()[1].datagram().unwrap();
         assert_eq!(reply.src(), Ipv4Addr::new(192, 0, 2, 1));
         assert_eq!(reply.ecn(), Ecn::Ect0, "ECT(0) survives clean path");
-        assert_eq!(sim.stats.delivered, 2);
+        assert_eq!(sim.counters().delivered, 2);
     }
 
     #[test]
@@ -1318,7 +1294,7 @@ mod tests {
         );
         sim.send_from(a, d);
         sim.run_to_idle();
-        assert_eq!(sim.stats.icmp_time_exceeded, 1);
+        assert_eq!(sim.counters().icmp_time_exceeded, 1);
         let cap = cap.lock();
         let icmp_pkt = cap
             .packets()
@@ -1351,8 +1327,8 @@ mod tests {
         let cap = cap_b.lock();
         let arrived = cap.packets()[0].datagram().unwrap();
         assert_eq!(arrived.ecn(), Ecn::NotEct, "mark stripped at r1");
-        assert_eq!(sim.stats.total_bleached(), 1);
-        assert_eq!(sim.stats.bleached_by_node.get(&r1), Some(&1));
+        assert_eq!(sim.counters().total_ecn_rewritten(), 1);
+        assert_eq!(sim.counters().ecn_rewritten.get(&r1), Some(&1));
     }
 
     #[test]
@@ -1364,12 +1340,12 @@ mod tests {
         // ECT UDP: dropped at r2.
         sim.send_from(a, probe_dgram(src, dst, 64, Ecn::Ect0));
         sim.run_to_idle();
-        assert_eq!(sim.stats.drops_for(DropCause::Firewall), 1);
-        assert_eq!(sim.stats.delivered, 0);
+        assert_eq!(sim.counters().dropped(DropCause::Firewall), 1);
+        assert_eq!(sim.counters().delivered, 0);
         // not-ECT UDP: delivered.
         sim.send_from(a, probe_dgram(src, dst, 64, Ecn::NotEct));
         sim.run_to_idle();
-        assert_eq!(sim.stats.delivered, 1);
+        assert_eq!(sim.counters().delivered, 1);
         // ECT TCP: delivered (the §4.4 phenomenon).
         let mut h = Ipv4Header::probe(src, dst, IpProto::Tcp, Ecn::Ect0);
         h.ttl = 64;
@@ -1390,7 +1366,7 @@ mod tests {
         );
         sim.send_from(a, Datagram::new(h, &tcp));
         sim.run_to_idle();
-        assert_eq!(sim.stats.delivered, 2);
+        assert_eq!(sim.counters().delivered, 2);
     }
 
     #[test]
@@ -1456,7 +1432,7 @@ mod tests {
             ),
         );
         sim.run_to_idle();
-        assert_eq!(sim.stats.icmp_dest_unreachable, 1);
+        assert_eq!(sim.counters().icmp_dest_unreachable, 1);
         let cap = cap.lock();
         let reply = cap
             .packets()
@@ -1485,7 +1461,7 @@ mod tests {
         let dst = Ipv4Addr::new(192, 0, 2, 1);
         sim.send_from(a, probe_dgram(src, dst, 64, Ecn::Ect0));
         sim.run_to_idle();
-        assert_eq!(sim.stats.drops_for(DropCause::PolicyTos), 1);
+        assert_eq!(sim.counters().dropped(DropCause::PolicyTos), 1);
         assert_eq!(
             cap.lock()
                 .packets()
@@ -1551,7 +1527,7 @@ mod tests {
             ),
         );
         sim.run_to_idle();
-        assert_eq!(sim.stats.drops_for(DropCause::NoRoute), 1);
+        assert_eq!(sim.counters().dropped(DropCause::NoRoute), 1);
     }
 
     #[test]
@@ -1580,7 +1556,7 @@ mod tests {
             ),
         );
         sim.run_to_idle();
-        assert_eq!(sim.stats.drops_for(DropCause::HostMismatch), 1);
+        assert_eq!(sim.counters().dropped(DropCause::HostMismatch), 1);
     }
 
     #[test]
@@ -1641,7 +1617,8 @@ mod tests {
             sim.send_from(a, Datagram::new(h, &payload));
         }
         sim.run_to_idle();
-        assert!(sim.stats.ce_marked > 5, "CE marks: {}", sim.stats.ce_marked);
+        let marks = sim.counters().ce_marked;
+        assert!(marks > 5, "CE marks: {marks}");
         let cap = cap_b.lock();
         let ce_seen = cap
             .packets()

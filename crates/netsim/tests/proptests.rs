@@ -155,12 +155,12 @@ proptest! {
             sim.send_from(a, Datagram::new(h, &seg));
         }
         sim.run_to_idle();
-        let s = &sim.stats;
+        let s = sim.counters();
         let accounted = s.delivered
-            + s.drops_for(DropCause::Loss)
-            + s.drops_for(DropCause::NoRoute)
-            + s.drops_for(DropCause::TtlExpired)
-            + s.drops_for(DropCause::HostMismatch);
+            + s.dropped(DropCause::Loss)
+            + s.dropped(DropCause::NoRoute)
+            + s.dropped(DropCause::TtlExpired)
+            + s.dropped(DropCause::HostMismatch);
         prop_assert_eq!(s.originated as usize, packets);
         prop_assert_eq!(accounted as usize, packets, "all packets accounted for");
     }

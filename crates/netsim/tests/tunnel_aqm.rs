@@ -109,7 +109,7 @@ fn ect1_round_trips_the_tunnelled_fast_path() {
         let cap_b = sim.attach_capture(b);
         sim.send_from(a, probe(ecn, 64, 40_000, b"round-trip"));
         sim.run_to_idle();
-        assert_eq!(sim.stats.delivered, 2, "{ecn:?}: probe and echo");
+        assert_eq!(sim.counters().delivered, 2, "{ecn:?}: probe and echo");
         let arrived = cap_b.lock().packets()[0].datagram().unwrap();
         assert_eq!(
             arrived.ecn(),
@@ -135,7 +135,7 @@ fn ect1_is_distinct_from_ect0_at_policy_and_firewall_hops() {
         sim.run_to_idle();
         let arrived = cap_b.lock().packets()[0].datagram().unwrap();
         assert_eq!(arrived.ecn(), want, "sent {sent:?}");
-        let rewrites = sim.stats.bleached_by_node.get(&routers[3]).copied();
+        let rewrites = sim.counters().ecn_rewritten.get(&routers[3]).copied();
         assert_eq!(
             rewrites,
             (sent == Ecn::Ect1).then_some(1),
@@ -159,9 +159,9 @@ fn ect1_is_distinct_from_ect0_at_policy_and_firewall_hops() {
         );
         sim.send_from(a, probe(sent, 64, 40_002, b"l4s-select"));
         sim.run_to_idle();
-        assert_eq!(sim.stats.delivered, delivered, "sent {sent:?}");
+        assert_eq!(sim.counters().delivered, delivered, "sent {sent:?}");
         assert_eq!(
-            sim.stats.drops_for(DropCause::Firewall),
+            sim.counters().dropped(DropCause::Firewall),
             1 - delivered,
             "sent {sent:?}"
         );
@@ -196,9 +196,10 @@ fn tunnel_collapse_does_not_skip_a_markprob_hop() {
         let arrived = cap.packets()[i].datagram().unwrap();
         assert_eq!(arrived.ecn(), want, "sent {sent:?}");
     }
-    assert_eq!(sim.stats.delivered, 4);
+    assert_eq!(sim.counters().delivered, 4);
     assert_eq!(
-        sim.stats.ce_marked, 2,
+        sim.counters().ce_marked,
+        2,
         "exactly the two ECT packets drew marks — CE is not re-marked"
     );
 }
@@ -222,8 +223,8 @@ fn tunnel_collapse_does_not_skip_a_codel_bottleneck_hop() {
             sim.send_from(a, probe(sent, 64, sport, &payload));
         }
         sim.run_to_idle();
-        assert_eq!(sim.stats.delivered, 3, "sent {sent:?}");
-        assert_eq!(sim.stats.ce_marked, want_marks, "sent {sent:?}");
+        assert_eq!(sim.counters().delivered, 3, "sent {sent:?}");
+        assert_eq!(sim.counters().ce_marked, want_marks, "sent {sent:?}");
         let cap = cap_b.lock();
         let marks: Vec<Ecn> = cap
             .packets()
@@ -263,7 +264,7 @@ fn ttl_expiry_around_the_aqm_hop_answers_from_the_right_router() {
         let cap_a = sim.attach_capture(a);
         sim.send_from(a, probe(Ecn::Ect1, ttl, 43_000, b"ttl-probe"));
         sim.run_to_idle();
-        assert_eq!(sim.stats.icmp_time_exceeded, 1, "ttl {ttl}");
+        assert_eq!(sim.counters().icmp_time_exceeded, 1, "ttl {ttl}");
         let cap = cap_a.lock();
         let icmp = cap.packets()[1].datagram().unwrap();
         assert_eq!(icmp.src(), want_src, "ttl {ttl}: wrong expiring router");
@@ -305,9 +306,9 @@ fn hop_by_hop_and_tunnelled_runs_agree_byte_for_byte() {
             .collect();
         (
             packets,
-            sim.stats.delivered,
-            sim.stats.forwarded,
-            sim.stats.ce_marked,
+            sim.counters().delivered,
+            sim.counters().forwarded,
+            sim.counters().ce_marked,
         )
     };
     let tunnelled = run(Nanos::from_secs(120));

@@ -15,11 +15,12 @@
 //! `build(..).instantiate()` composition) still produces the same world,
 //! packet for packet, for a given (plan, seed).
 //!
-//! Per-shard RNG domains: [`WorldBlueprint::instantiate_domain`] gives the
-//! world's *packet* randomness its own stream derived from the seed and a
-//! stable label (`ecn_netsim::Sim::with_domain`), so an execution engine
-//! can give every work unit an independent stream whose identity depends
-//! only on the unit label — never on shard count or scheduling order.
+//! Per-unit RNG domains: [`WorldBlueprint::instantiate_unit_scoped`]
+//! gives the world's *packet* randomness its own stream derived from the
+//! seed and the unit's stable label (as `ecn_netsim::Sim::with_domain`
+//! does), so the execution engine gives every work unit an independent
+//! stream whose identity depends only on the unit — never on shard count
+//! or scheduling order.
 
 use crate::plan::{PoolPlan, ServerProfile, SpecialBehaviour};
 use crate::scenario::{BleachSite, GroundTruth, Scenario, ServerInfo, Vantage, EC2_SUPER_PREFIX};
@@ -672,10 +673,13 @@ impl WorldBlueprint {
     /// Instantiate the canonical world: packet randomness on the root
     /// stream, exactly as `build_scenario` always produced.
     pub fn instantiate(&self) -> Scenario {
-        self.instantiate_config(SimConfig {
-            seed: self.seed,
-            ..SimConfig::default()
-        })
+        self.instantiate_scoped(
+            SimConfig {
+                seed: self.seed,
+                ..SimConfig::default()
+            },
+            None,
+        )
     }
 
     /// The world discovery runs in: [`instantiate`](Self::instantiate)'s
@@ -696,29 +700,15 @@ impl WorldBlueprint {
         )
     }
 
-    /// Instantiate a world whose packet randomness lives in its own
-    /// domain derived from the seed and `domain`. The topology, stacks,
-    /// services, flap schedules and ground truth are identical to
-    /// [`instantiate`](Self::instantiate); only per-packet noise (loss,
-    /// probabilistic firewalls/bleachers, queue marking) differs — and
-    /// depends only on the label, never on how many sibling worlds exist.
-    pub fn instantiate_domain(&self, domain: &str) -> Scenario {
-        self.instantiate_config(SimConfig {
-            seed: derive_seed(self.seed, domain),
-            ..SimConfig::default()
-        })
-    }
-
-    /// Instantiate the world for engine unit `(vantage, chunk)`: the
-    /// packet-RNG domain label `engine/unit/v{vantage}/c{chunk}` is
-    /// formatted on the stack (same bytes, same seed, no allocation).
-    pub fn instantiate_unit(&self, vantage: usize, chunk: usize) -> Scenario {
-        let label = LabelBuf::format(format_args!("engine/unit/v{vantage}/c{chunk}"));
-        self.instantiate_domain(label.as_str())
-    }
-
-    /// [`instantiate_unit`](Self::instantiate_unit), but install server
-    /// stacks only on the hosts in `probed` (the unit's target chunk).
+    /// Instantiate the world for engine unit `(vantage, chunk)`, with
+    /// server stacks only on the hosts in `probed` (the unit's target
+    /// chunk). The topology, flap schedules and ground truth are
+    /// identical to [`instantiate`](Self::instantiate); the packet
+    /// randomness lives in its own domain, derived from the seed and the
+    /// label `engine/unit/v{vantage}/c{chunk}` (formatted on the stack),
+    /// so per-packet noise (loss, probabilistic firewalls/bleachers,
+    /// queue marking) depends only on the unit, never on how many sibling
+    /// worlds exist.
     ///
     /// A unit world only ever exchanges packets with its own chunk's
     /// targets, and installing a stack is side-effect-free (no events
@@ -746,12 +736,9 @@ impl WorldBlueprint {
     }
 
     /// The per-world construction phase: stamp a simulator from the
-    /// skeleton and install what is genuinely per-world — host stacks,
-    /// services, and the vantage handles.
-    fn instantiate_config(&self, config: SimConfig) -> Scenario {
-        self.instantiate_scoped(config, None)
-    }
-
+    /// skeleton and install what is genuinely per-world — host stacks
+    /// (on every server, or only on those in `probed`), services, and the
+    /// vantage handles.
     fn instantiate_scoped(
         &self,
         config: SimConfig,
@@ -1274,8 +1261,9 @@ mod tests {
     #[test]
     fn domain_instantiation_shares_world_but_not_packet_noise() {
         let bp = WorldBlueprint::build(&PoolPlan::scaled(30), 11);
+        let every_server: HashSet<Ipv4Addr> = bp.server_addrs.iter().copied().collect();
         let a = bp.instantiate();
-        let b = bp.instantiate_domain("engine/unit/v0/c0");
+        let b = bp.instantiate_unit_scoped(0, 0, &every_server);
         // identical topology and ground truth
         assert_eq!(a.sim.node_count(), b.sim.node_count());
         assert_eq!(a.truth.ect_blocked, b.truth.ect_blocked);
@@ -1283,8 +1271,8 @@ mod tests {
             a.truth.bleach_always, b.truth.bleach_always,
             "bleach node ids are sim-order-deterministic"
         );
-        // same label, same world again
-        let c = bp.instantiate_domain("engine/unit/v0/c0");
+        // same unit, same world again
+        let c = bp.instantiate_unit_scoped(0, 0, &every_server);
         assert_eq!(b.sim.node_count(), c.sim.node_count());
     }
 

@@ -28,8 +28,8 @@ pub use scenario::{
     build_scenario, BleachSite, GroundTruth, Scenario, ServerInfo, Vantage, EC2_SUPER_PREFIX,
 };
 pub use spec::{
-    LinkSpec, MiddleboxSpec, ObservabilitySpec, PopulationSpec, ResilienceSpec, ScenarioSpec,
-    ScheduleProfile, ScheduleSpec, SpecError, TopologySpec, ValidatorSpec,
+    LinkSpec, MiddleboxSpec, PopulationSpec, ScenarioSpec, ScheduleProfile, ScheduleSpec,
+    SpecError, TopologySpec, ValidatorSpec,
 };
 pub use vantage::{
     all_vantages, total_traces, TraceAllocation, VantageSpec, UDP_RETRIES, UDP_TIMEOUT,

@@ -8,6 +8,11 @@
 //! lowers to exactly [`PoolPlan::paper`], bit for bit, so the spec layer
 //! adds no noise to the reproduction (the golden suite gates this).
 //!
+//! The spec describes only the experiment. Run-time settings that cannot
+//! change a result byte — shard and worker-process counts, metrics
+//! export, progress, trace sampling, worker retries and deadlines,
+//! checkpoints — are `ecnudp run` flags, not spec keys.
+//!
 //! The `ecnudp` CLI binary loads spec files and runs them through the
 //! sharded engine; `scenarios/` in the repository root is the documented
 //! preset library. File loading is *lenient*: every omitted key keeps its
@@ -70,11 +75,6 @@ pub struct ScenarioSpec {
     pub links: LinkSpec,
     /// Campaign schedule profile.
     pub schedule: ScheduleSpec,
-    /// Event-stream observability (metrics export, progress, sampling).
-    pub observability: ObservabilitySpec,
-    /// Fault tolerance for campaign execution (worker retries and
-    /// deadlines under `--processes N > 1`, checkpointing at any count).
-    pub resilience: ResilienceSpec,
 }
 
 /// `[population]`: who is in the pool and what they run.
@@ -221,49 +221,6 @@ pub struct ScheduleSpec {
     pub target_chunks: usize,
 }
 
-/// `[observability]`: the typed event stream (see `ecn-core`'s `events`
-/// module). Pure observation — no setting here can change a result byte;
-/// the spec section exists so a scenario file can carry its own metrics
-/// wiring. CLI flags (`--metrics`, `--progress`, `--sample-traces`)
-/// override these per run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ObservabilitySpec {
-    /// JSON-lines metrics file path (empty = no metrics export).
-    pub metrics: String,
-    /// Print live progress to stderr.
-    pub progress: bool,
-    /// Keep 1-in-N logical traces by identity hash (`0` = no sampling).
-    /// Requires `metrics`: sampled records ride the metrics stream.
-    pub sample_traces: usize,
-    /// Emit a cumulative snapshot line every N units in the metrics
-    /// stream.
-    pub snapshot_every: usize,
-}
-
-/// `[resilience]`: fault tolerance for campaign execution. Pure
-/// execution policy — retries re-run exactly the failed unit slice and
-/// the reducer merge is commutative, so no setting here can change a
-/// result byte. Retries and the worker timeout govern worker processes
-/// (`ecn-core`'s supervised driver, `--processes N > 1`) and do nothing
-/// at one process, which spawns none; the checkpoint applies at any
-/// process count. CLI flags (`--max-retries`, `--worker-timeout`,
-/// `--checkpoint`) override these per run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ResilienceSpec {
-    /// Respawn retries per worker slot before the campaign fails with a
-    /// typed error (0 = fail on the first worker fault).
-    pub max_worker_retries: usize,
-    /// Per-worker deadline in seconds; a worker delivering no payload in
-    /// time is killed and retried (0 = no deadline).
-    pub worker_timeout_s: f64,
-    /// Checkpoint file path: atomically persist merged-so-far aggregates
-    /// and the completed-unit bitmap, after every worker payload or, at
-    /// one process, once when the units finish (empty = no
-    /// checkpointing). `ecnudp run --resume <path>` picks the campaign
-    /// back up from it.
-    pub checkpoint: String,
-}
-
 /// The two built-in campaign calendars.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ScheduleProfile {
@@ -342,17 +299,6 @@ impl ScenarioSpec {
                 traces_per_vantage: 0,
                 discovery_rounds: 0,
                 target_chunks: 1,
-            },
-            observability: ObservabilitySpec {
-                metrics: String::new(),
-                progress: false,
-                sample_traces: 0,
-                snapshot_every: 10,
-            },
-            resilience: ResilienceSpec {
-                max_worker_retries: 2,
-                worker_timeout_s: 0.0,
-                checkpoint: String::new(),
             },
         }
     }
@@ -579,29 +525,16 @@ impl ScenarioSpec {
                 format!("{} outside [8, 100000000]", m.aqm_rate_kbps),
             );
         }
-        if self.schedule.target_chunks < 1 {
-            return err("schedule.target_chunks", "must be >= 1".into());
-        }
-        if self.observability.snapshot_every < 1 {
-            return err("observability.snapshot_every", "must be >= 1".into());
-        }
-        if self.observability.sample_traces > 0 && self.observability.metrics.is_empty() {
+        // targets never outnumber servers, so a larger chunk count only
+        // adds empty units (and a pool of units no run can allocate)
+        let chunks = self.schedule.target_chunks;
+        if chunks < 1 || chunks > p.servers {
             return err(
-                "observability.sample_traces",
-                "requires observability.metrics (sampled traces ride the metrics stream)".into(),
-            );
-        }
-        let res = &self.resilience;
-        if res.max_worker_retries > 1000 {
-            return err(
-                "resilience.max_worker_retries",
-                format!("{} exceeds 1000", res.max_worker_retries),
-            );
-        }
-        if !res.worker_timeout_s.is_finite() || !(0.0..=86_400.0).contains(&res.worker_timeout_s) {
-            return err(
-                "resilience.worker_timeout_s",
-                format!("{} outside [0, 86400] seconds", res.worker_timeout_s),
+                "schedule.target_chunks",
+                format!(
+                    "{chunks} outside 1..={} (population.servers: targets never outnumber servers)",
+                    p.servers
+                ),
             );
         }
         // the special population must leave room for the dead/churned
@@ -807,8 +740,6 @@ fn apply_root(spec: &mut ScenarioSpec, value: &SpecValue) -> Result<(), SpecErro
         "validator" => |v, p: &str| apply_validator(&mut spec.validator, want_table(v, p)?, p),
         "links" => |v, p: &str| apply_links(&mut spec.links, want_table(v, p)?, p),
         "schedule" => |v, p: &str| apply_schedule(&mut spec.schedule, want_table(v, p)?, p),
-        "observability" => |v, p: &str| apply_observability(&mut spec.observability, want_table(v, p)?, p),
-        "resilience" => |v, p: &str| apply_resilience(&mut spec.resilience, want_table(v, p)?, p),
     })
 }
 
@@ -915,31 +846,6 @@ fn apply_schedule(
         "traces_per_vantage" => |v, p| { out.traces_per_vantage = want_usize(v, p)?; Ok(()) },
         "discovery_rounds" => |v, p| { out.discovery_rounds = want_usize(v, p)?; Ok(()) },
         "target_chunks" => |v, p| { out.target_chunks = want_usize(v, p)?; Ok(()) },
-    })
-}
-
-fn apply_observability(
-    out: &mut ObservabilitySpec,
-    table: &[(String, SpecValue)],
-    prefix: &str,
-) -> Result<(), SpecError> {
-    apply_table!(table, prefix, {
-        "metrics" => |v, p| { out.metrics = want_str(v, p)?; Ok(()) },
-        "progress" => |v, p| { out.progress = want_bool(v, p)?; Ok(()) },
-        "sample_traces" => |v, p| { out.sample_traces = want_usize(v, p)?; Ok(()) },
-        "snapshot_every" => |v, p| { out.snapshot_every = want_usize(v, p)?; Ok(()) },
-    })
-}
-
-fn apply_resilience(
-    out: &mut ResilienceSpec,
-    table: &[(String, SpecValue)],
-    prefix: &str,
-) -> Result<(), SpecError> {
-    apply_table!(table, prefix, {
-        "max_worker_retries" => |v, p| { out.max_worker_retries = want_usize(v, p)?; Ok(()) },
-        "worker_timeout_s" => |v, p| { out.worker_timeout_s = want_f64(v, p)?; Ok(()) },
-        "checkpoint" => |v, p| { out.checkpoint = want_str(v, p)?; Ok(()) },
     })
 }
 
@@ -1365,6 +1271,16 @@ mod tests {
         let e = ScenarioSpec::from_json_str(r#"{"links": 3}"#).unwrap_err();
         assert_eq!(e.path, "links");
         assert!(e.message.contains("table"), "{e}");
+
+        // run-time settings are CLI flags, not spec sections
+        for (input, path) in [
+            ("[observability]\nmetrics = \"x\"", "observability"),
+            ("[resilience]\ncheckpoint = \"x\"", "resilience"),
+        ] {
+            let e = ScenarioSpec::from_toml_str(input).unwrap_err();
+            assert_eq!(e.path, path, "{input}");
+            assert!(e.message.contains("unknown key"), "{e}");
+        }
     }
 
     #[test]
@@ -1389,6 +1305,19 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(e.path, "middleboxes");
+        // target chunks: at least one, at most one per server
+        let chunks = |n: u64| {
+            ScenarioSpec::from_toml_str(&format!(
+                "[population]\nservers = 40\n[schedule]\ntarget_chunks = {n}"
+            ))
+        };
+        assert!(chunks(1).is_ok());
+        assert!(chunks(40).is_ok(), "one chunk per server fits");
+        for n in [0, 41, 100_000_000_000] {
+            let e = chunks(n).unwrap_err();
+            assert_eq!(e.path, "schedule.target_chunks", "{n}: {e}");
+            assert!(e.message.contains(&n.to_string()), "{e}");
+        }
     }
 
     #[test]

@@ -234,6 +234,49 @@ proptest! {
         let _ = HttpResponse::is_complete(&noise);
     }
 
+    /// Captured bytes (`ecn_netsim::CapturedPacket::{datagram,
+    /// ip_header}`) and every decoder behind them refuse noise with an
+    /// error, never a panic. Half the cases lead with an IPv4 version
+    /// nibble, and half of those with a whole header that verifies
+    /// (length and checksum) over noise, so the parse gets past its first
+    /// checks and into the datagram and transport paths.
+    #[test]
+    fn capture_decoders_never_panic_on_noise(
+        ipv4_lead in any::<bool>(),
+        ihl in 0u8..16,
+        valid_header in any::<bool>(),
+        src in arb_ipv4(), dst in arb_ipv4(),
+        mut noise in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        if ipv4_lead && !noise.is_empty() {
+            noise[0] = 0x40 | ihl;
+            if valid_header && noise.len() >= IPV4_HEADER_LEN {
+                noise[0] = 0x45;
+                let total_len = noise.len() as u16;
+                noise[2..4].copy_from_slice(&total_len.to_be_bytes());
+                noise[10..12].fill(0);
+                let ck = internet_checksum(&noise[..IPV4_HEADER_LEN]);
+                noise[10..12].copy_from_slice(&ck.to_be_bytes());
+            }
+        }
+        let transport = &noise[IPV4_HEADER_LEN.min(noise.len())..];
+        for bytes in [&noise[..], transport] {
+            let _ = Ipv4Header::decode(bytes);
+            let _ = Ipv4Header::decode_trusted(bytes);
+            let _ = UdpHeader::decode(src, dst, bytes);
+            let _ = UdpHeader::decode_unverified(bytes);
+            let _ = NtpPacket::decode(bytes);
+            let _ = TcpHeader::decode_ports(bytes);
+            let _ = RtpHeader::decode(bytes);
+            let _ = EcnFeedback::decode(bytes);
+        }
+        if let Ok(d) = Datagram::from_bytes(noise.clone()) {
+            let h = d.header();
+            prop_assert_eq!((d.src(), d.dst(), d.ecn(), d.ttl()), (h.src, h.dst, h.ecn, h.ttl));
+            let _ = UdpHeader::decode(h.src, h.dst, d.payload());
+        }
+    }
+
     /// `encode_into` is the primary codec surface; the owned-`Vec` legacy
     /// `encode()` wrappers must stay byte-identical for every wire type —
     /// the contract that lets the simulator swap to pooled buffers without

@@ -20,8 +20,8 @@
 //! stderr, so `ecnudp run ... > report.txt` captures a clean artefact.
 
 use ecnudp::core::{
-    campaign_config, engine_config, try_run_engine, try_run_engine_observed, FullReport,
-    JsonLinesMetrics, MpError, Progress, RunSummary, TraceSampler,
+    campaign_config, engine_config, try_run_engine, try_run_engine_observed, EngineConfig,
+    FullReport, JsonLinesMetrics, MpError, Progress, RunSummary, TraceSampler,
 };
 use ecnudp::pool::ScenarioSpec;
 use std::fs::File;
@@ -77,12 +77,14 @@ OPTIONS:
     --sample-traces <N> keep 1-in-N logical traces by identity hash and
                         append them to the metrics stream (needs --metrics)
     --max-retries <N>   respawns per failed worker before the campaign
-                        fails with a typed error (default 2; retries re-run
-                        exactly the failed unit slice, byte-identically;
-                        worker processes only, so --processes > 1)
-    --worker-timeout <S> per-worker deadline in seconds (fractions allowed;
-                        default off): a worker delivering no payload in
-                        time is killed and retried (--processes > 1 only)
+                        fails with a typed error (default 2, at most 1000;
+                        retries re-run exactly the failed unit slice,
+                        byte-identically; worker processes only, so
+                        --processes > 1)
+    --worker-timeout <S> per-worker deadline in seconds, above 0 and at
+                        most 86400 (fractions allowed; default off): a
+                        worker delivering no payload in time is killed and
+                        retried (--processes > 1 only)
     --checkpoint <file> atomically persist merged-so-far aggregates + the
                         completed-unit bitmap: after every worker payload
                         with --processes > 1, once at the end in-process
@@ -212,19 +214,22 @@ fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
                 )
             }
             "--max-retries" => {
-                args.max_retries = Some(
-                    value("--max-retries")?
-                        .parse()
-                        .map_err(|e| format!("--max-retries: {e}"))?,
-                )
+                let n: u32 = value("--max-retries")?
+                    .parse()
+                    .map_err(|e| format!("--max-retries: {e}"))?;
+                if n > 1000 {
+                    return Err(format!("--max-retries must be at most 1000 (got {n})"));
+                }
+                args.max_retries = Some(n);
             }
             "--worker-timeout" => {
-                let s: f64 = value("--worker-timeout")?
-                    .parse()
-                    .map_err(|e| format!("--worker-timeout: {e}"))?;
-                if !s.is_finite() || s <= 0.0 {
+                let raw = value("--worker-timeout")?;
+                let s: f64 = raw.parse().map_err(|e| format!("--worker-timeout: {e}"))?;
+                // a day bounds the deadline well inside what a Duration holds
+                if s.is_nan() || s <= 0.0 || s > 86_400.0 {
                     return Err(format!(
-                        "--worker-timeout must be a positive number of seconds (got {s})"
+                        "--worker-timeout must be a positive number of seconds, \
+                         at most 86400 (got {raw})"
                     ));
                 }
                 args.worker_timeout = Some(s);
@@ -238,7 +243,8 @@ fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
 }
 
 /// Load the spec file (format chosen by extension, JSON sniffed as a
-/// fallback) and apply the CLI overrides.
+/// fallback) and apply the flags that change the experiment: `--seed`,
+/// `--servers` and `--quick`.
 fn load_spec(args: &Args) -> Result<ScenarioSpec, String> {
     let path = args
         .scenario
@@ -261,32 +267,21 @@ fn load_spec(args: &Args) -> Result<ScenarioSpec, String> {
     if args.quick {
         spec.schedule.profile = ecnudp::pool::ScheduleProfile::Quick;
     }
-    if let Some(metrics) = &args.metrics {
-        spec.observability.metrics = metrics.clone();
-    }
-    if args.progress {
-        spec.observability.progress = true;
-    }
-    if let Some(every) = args.sample_traces {
-        spec.observability.sample_traces = every;
-    }
-    if spec.observability.sample_traces > 0 && spec.observability.metrics.is_empty() {
-        return Err(
-            "--sample-traces needs a metrics sink: pass --metrics <file> \
-             (or set observability.metrics in the spec)"
-                .into(),
-        );
-    }
-    let overridden = args.seed.is_some()
-        || args.servers.is_some()
-        || args.quick
-        || args.metrics.is_some()
-        || args.progress
-        || args.sample_traces.is_some();
-    if overridden {
+    if args.seed.is_some() || args.servers.is_some() || args.quick {
         spec.validate().map_err(|e| format!("{path}: {e}"))?;
     }
     Ok(spec)
+}
+
+/// The `--sample-traces` rate (0 = off). Sampled records ride the
+/// metrics stream, so sampling without `--metrics` is an error.
+fn sample_traces(args: &Args) -> Result<usize, String> {
+    match (args.sample_traces.unwrap_or(0), &args.metrics) {
+        (n, None) if n > 0 => {
+            Err("--sample-traces needs a metrics sink: pass --metrics <file>".into())
+        }
+        (n, _) => Ok(n),
+    }
 }
 
 /// Create/truncate the metrics file up front, so an unwritable path fails
@@ -315,40 +310,35 @@ fn describe(spec: &ScenarioSpec) -> String {
     )
 }
 
-/// Lower the spec's `[resilience]` section plus the CLI's supervision
-/// flags into the engine configuration. `--resume` doubles as the
-/// checkpoint sink so an interrupted resume can itself be resumed, unless
-/// `--checkpoint` names another file.
-fn build_engine_config(spec: &ScenarioSpec, args: &Args) -> ecnudp::core::EngineConfig {
+/// Lower the spec plus the CLI's concurrency and supervision flags into
+/// the engine configuration. `--resume` doubles as the checkpoint sink so
+/// an interrupted resume can itself be resumed, unless `--checkpoint`
+/// names another file.
+fn build_engine_config(spec: &ScenarioSpec, args: &Args) -> EngineConfig {
     let mut eng = engine_config(spec);
     eng.shards = args.shards;
     eng.processes = args.processes;
     if let Some(n) = args.max_retries {
         eng.max_worker_retries = n;
     }
-    if let Some(s) = args.worker_timeout {
-        eng.worker_timeout = Some(Duration::from_secs_f64(s));
-    }
-    if let Some(path) = &args.checkpoint {
-        eng.checkpoint = Some(path.into());
-    }
-    if let Some(path) = &args.resume {
-        eng.resume = Some(path.into());
-        if eng.checkpoint.is_none() {
-            eng.checkpoint = Some(path.into());
-        }
-    }
+    eng.worker_timeout = args.worker_timeout.map(Duration::from_secs_f64);
+    eng.checkpoint = args
+        .checkpoint
+        .as_ref()
+        .or(args.resume.as_ref())
+        .map(Into::into);
+    eng.resume = args.resume.as_ref().map(Into::into);
     eng
 }
 
 fn cmd_run(args: &Args) -> Result<(), CliError> {
     let spec = load_spec(args)?;
+    let sample_traces = sample_traces(args)?;
     eprintln!("{}", describe(&spec));
-    let obs = spec.observability.clone();
     let eng = build_engine_config(&spec, args);
     // Refuse every conflict before opening anything: a refused run must
     // leave the user's files as they were.
-    if (eng.processes > 1 || eng.resume.is_some()) && obs.sample_traces > 0 {
+    if (eng.processes > 1 || eng.resume.is_some()) && sample_traces > 0 {
         return Err(CliError::from(
             "--sample-traces keeps raw trace records, which do not cross the \
              worker-process boundary and are not in a checkpoint; drop it, or \
@@ -357,21 +347,15 @@ fn cmd_run(args: &Args) -> Result<(), CliError> {
         ));
     }
     // Open the metrics sink before the campaign so a bad path fails fast.
-    let metrics_file = match obs.metrics.as_str() {
-        "" => None,
-        path => Some(open_metrics(path)?),
-    };
-    let observed = metrics_file.is_some() || obs.progress || obs.sample_traces > 0;
+    let metrics_file = args.metrics.as_deref().map(open_metrics).transpose()?;
+    let observed = metrics_file.is_some() || args.progress;
     let plan = spec.plan();
     let cfg = campaign_config(&spec);
     let (run, subscriber) = if observed {
-        let metrics = metrics_file.map(|f| {
-            JsonLinesMetrics::new(f)
-                .with_header(&spec.name, spec.seed)
-                .snapshot_every(obs.snapshot_every)
-        });
-        let progress = obs.progress.then(Progress::new);
-        let sampler = (obs.sample_traces > 0).then(|| TraceSampler::new(obs.sample_traces));
+        let metrics =
+            metrics_file.map(|f| JsonLinesMetrics::new(f).with_header(&spec.name, spec.seed));
+        let progress = args.progress.then(Progress::new);
+        let sampler = (sample_traces > 0).then(|| TraceSampler::new(sample_traces));
         let (run, sub) = try_run_engine_observed(&plan, &cfg, &eng, (metrics, (progress, sampler)))
             .map_err(CliError::campaign)?;
         (run, Some(sub))
@@ -380,8 +364,8 @@ fn cmd_run(args: &Args) -> Result<(), CliError> {
         let run = try_run_engine(&plan, &cfg, &eng).map_err(CliError::campaign)?;
         (run, None)
     };
-    if let Some((Some(m), (_progress, sampler))) = subscriber {
-        let write_err = |e| format!("cannot write metrics file `{}`: {e}", obs.metrics);
+    if let (Some(path), Some((Some(m), (_progress, sampler)))) = (&args.metrics, subscriber) {
+        let write_err = |e| format!("cannot write metrics file `{path}`: {e}");
         let mut sink = m.into_writer().map_err(write_err)?;
         let sampled = sampler.as_ref().map_or(0, |s| s.records().len());
         if let Some(s) = &sampler {
@@ -391,10 +375,7 @@ fn cmd_run(args: &Args) -> Result<(), CliError> {
             }
             sink.flush().map_err(write_err)?;
         }
-        eprintln!(
-            "metrics: {} ({} sampled trace records)",
-            obs.metrics, sampled
-        );
+        eprintln!("metrics: {path} ({sampled} sampled trace records)");
     }
     let report = FullReport::from_campaign(&run.result);
     eprintln!(
@@ -422,6 +403,7 @@ fn cmd_run(args: &Args) -> Result<(), CliError> {
 
 fn cmd_validate(args: &Args) -> Result<(), String> {
     let spec = load_spec(args)?;
+    let sample_traces = sample_traces(args)?;
     println!("{}", describe(&spec));
     let cfg = ecnudp::core::campaign_config(&spec);
     println!(
@@ -434,17 +416,13 @@ fn cmd_validate(args: &Args) -> Result<(), String> {
         spec.schedule.target_chunks,
         cfg.batch2_start.0 / 1_000_000_000,
     );
-    let obs = &spec.observability;
-    if !obs.metrics.is_empty() {
-        probe_metrics_writable(&obs.metrics)?;
-        let sampling = match obs.sample_traces {
+    if let Some(path) = &args.metrics {
+        probe_metrics_writable(path)?;
+        let sampling = match sample_traces {
             0 => "no trace sampling".to_string(),
             n => format!("sampling 1-in-{n} traces"),
         };
-        println!(
-            "observability: metrics to {} (writable), snapshot every {} units, {}",
-            obs.metrics, obs.snapshot_every, sampling
-        );
+        println!("observability: metrics to {path} (writable), {sampling}");
     }
     println!("ok");
     Ok(())

@@ -1,6 +1,7 @@
 //! Spawned-binary coverage for the engine-topology and supervision flags:
-//! zero-value rejection at parse time (`--shards 0`, `--processes 0`,
-//! non-positive `--worker-timeout`), the `--sample-traces` conflict with
+//! out-of-range rejection at parse time (`--shards 0`, `--processes 0`,
+//! a `--worker-timeout` outside (0, 86400] s, `--max-retries` above
+//! 1000), the `--sample-traces` conflict with
 //! `--processes > 1` and `--resume` (refused before any file is opened),
 //! metrics/progress streaming worker lifecycle under `--processes > 1`
 //! (with the same unit, snapshot and summary lines as one process), and
@@ -54,20 +55,30 @@ fn zero_processes_is_rejected_at_parse_with_the_flag_name() {
 }
 
 #[test]
-fn nonpositive_worker_timeout_is_rejected_at_parse_with_the_flag_name() {
-    for bad in ["0", "-1.5", "inf", "nan"] {
+fn out_of_range_supervision_flags_are_rejected_at_parse_with_the_flag_name() {
+    // 1e300 s would overflow the deadline's Duration
+    let bad_timeouts = ["0", "-1.5", "inf", "nan", "1e300", "86401"];
+    let cases = bad_timeouts
+        .iter()
+        .map(|&s| ("--worker-timeout", s))
+        .chain([("--max-retries", "1001")]);
+    for (flag, bad) in cases {
         let out = ecnudp(&[
             "run",
             "--scenario",
             "scenarios/paper2015-mini.toml",
-            "--worker-timeout",
+            flag,
             bad,
         ]);
-        assert_eq!(out.status.code(), Some(2), "usage errors exit 2 ({bad})");
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "usage errors exit 2 ({flag} {bad})"
+        );
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(
-            err.contains("--worker-timeout"),
-            "error must name the flag ({bad}): {err}"
+            err.contains(flag),
+            "error must name the flag ({flag} {bad}): {err}"
         );
     }
 }

@@ -279,9 +279,8 @@ fn sampler_at_rate_one_is_keeping_traces() {
 fn paper2015_mini_metrics_stream_matches_golden() {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("scenarios/paper2015-mini.toml");
     let spec = ScenarioSpec::from_toml_str(&std::fs::read_to_string(path).unwrap()).unwrap();
-    let sub = JsonLinesMetrics::new(Vec::new())
-        .with_header(&spec.name, spec.seed)
-        .snapshot_every(spec.observability.snapshot_every);
+    // the default snapshot cadence (10 units), as `ecnudp run --metrics`
+    let sub = JsonLinesMetrics::new(Vec::new()).with_header(&spec.name, spec.seed);
     let eng = EngineConfig {
         shards: Some(3),
         ..engine_config(&spec)

@@ -354,17 +354,33 @@ fn cli_json_validate_and_errors() {
 }
 
 #[test]
-fn cli_run_rejects_a_population_the_address_plan_cannot_number() {
+fn cli_rejects_a_population_or_chunk_count_no_run_can_build() {
     // validate and run share one check: a population past the address
-    // plan is a named spec error (exit 1), never a panic in world building
+    // plan, or more target chunks than servers (1.3e12 unit indices at
+    // 13 vantages), is a named spec error (exit 1), never a panic or an
+    // allocation abort in the run
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("target/test-scenarios");
     std::fs::create_dir_all(&dir).expect("mkdir");
-    let huge = dir.join("huge-population.toml");
-    std::fs::write(&huge, "[population]\nservers = 18446744073709551615\n").expect("write");
-    for cmd in ["validate", "run"] {
-        let out = ecnudp(&[cmd, "--scenario", huge.to_str().unwrap()]);
-        assert_eq!(out.status.code(), Some(1), "{cmd} must exit 1");
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains("population.servers"), "{cmd}: {err}");
+    let specs = [
+        (
+            "huge-population.toml",
+            "[population]\nservers = 18446744073709551615\n",
+            "population.servers",
+        ),
+        (
+            "huge-chunk-count.toml",
+            "[population]\nservers = 40\n[schedule]\ntarget_chunks = 100000000000\n",
+            "schedule.target_chunks",
+        ),
+    ];
+    for (file, text, key) in specs {
+        let path = dir.join(file);
+        std::fs::write(&path, text).expect("write");
+        for cmd in ["validate", "run"] {
+            let out = ecnudp(&[cmd, "--scenario", path.to_str().unwrap()]);
+            assert_eq!(out.status.code(), Some(1), "{cmd} {file} must exit 1");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(err.contains(key), "{cmd} {file}: {err}");
+        }
     }
 }
