@@ -166,8 +166,8 @@ fn droptail_vs_red() {
         let mut sim = Sim::new(BENCH_SEED);
         let a = sim.add_host("a", Ipv4Addr::new(10, 0, 0, 1));
         let b = sim.add_host("b", Ipv4Addr::new(192, 0, 2, 1));
-        let r1 = sim.add_router(Router::new("r1", Ipv4Addr::new(10, 0, 0, 254), 1));
-        let r2 = sim.add_router(Router::new("r2", Ipv4Addr::new(192, 0, 2, 254), 2));
+        let r1 = sim.add_router(Router::new("r1", Ipv4Addr::new(10, 0, 0, 254)));
+        let r2 = sim.add_router(Router::new("r2", Ipv4Addr::new(192, 0, 2, 254)));
         sim.attach_host(a, r1, LinkProps::clean(Nanos::from_millis(1)));
         sim.attach_host(b, r2, LinkProps::clean(Nanos::from_millis(1)));
         let (l12, l21) = sim.add_duplex(

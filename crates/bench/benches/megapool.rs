@@ -1,8 +1,8 @@
 //! Megapool scaling bench: drive the 10⁵-server `scenarios/megapool.toml`
 //! campaign through the engine at several `--processes` counts and record
 //! servers/sec, peak RSS (the max, and each process's own: parent first,
-//! then the workers), and merge depth into the `megapool` section of
-//! `BENCH_campaign.json`.
+//! then the workers), and merge depth as the `megapool` section of
+//! `BENCH_campaign.json`. Each run rewrites the whole file.
 //!
 //! Each configuration runs in a **spawned copy of this bench binary**
 //! (hidden `__measure` argv), because peak RSS is read from `VmHWM` — a
@@ -116,19 +116,15 @@ fn main() -> ExitCode {
         rows.push((p, gauges));
     }
 
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"scenario\": \"{scenario}\",\n"));
-    json.push_str("  \"by_processes\": {\n");
+    let mut json = String::from("{\n  \"megapool\": {\n");
+    json.push_str(&format!("    \"scenario\": \"{scenario}\",\n"));
+    json.push_str("    \"by_processes\": {\n");
     for (i, (p, gauges)) in rows.iter().enumerate() {
         let comma = if i + 1 == rows.len() { "" } else { "," };
-        json.push_str(&format!("    \"{p}\": {gauges}{comma}\n"));
+        json.push_str(&format!("      \"{p}\": {gauges}{comma}\n"));
     }
-    json.push_str("  }\n}");
-    ecn_bench::update_bench_json(
-        &workspace_root().join("BENCH_campaign.json"),
-        "megapool",
-        &json,
-    );
+    json.push_str("    }\n  }\n}\n");
+    ecn_bench::write_bench_json(&workspace_root().join("BENCH_campaign.json"), &json);
     println!("[megapool] scaling table -> BENCH_campaign.json");
     ExitCode::SUCCESS
 }

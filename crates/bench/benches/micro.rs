@@ -58,8 +58,8 @@ fn bench_event_loop(c: &mut Criterion) {
                 let mut sim = Sim::new(1);
                 let a = sim.add_host("a", Ipv4Addr::new(10, 0, 0, 1));
                 let z = sim.add_host("z", Ipv4Addr::new(192, 0, 2, 1));
-                let r1 = sim.add_router(Router::new("r1", Ipv4Addr::new(10, 0, 0, 254), 1));
-                let r2 = sim.add_router(Router::new("r2", Ipv4Addr::new(192, 0, 2, 254), 2));
+                let r1 = sim.add_router(Router::new("r1", Ipv4Addr::new(10, 0, 0, 254)));
+                let r2 = sim.add_router(Router::new("r2", Ipv4Addr::new(192, 0, 2, 254)));
                 sim.attach_host(a, r1, LinkProps::clean(Nanos::from_millis(1)));
                 sim.attach_host(z, r2, LinkProps::clean(Nanos::from_millis(1)));
                 let (l12, l21) = sim.add_duplex(r1, r2, LinkProps::clean(Nanos::from_millis(5)));

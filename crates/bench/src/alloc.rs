@@ -9,10 +9,9 @@
 //! static ALLOC: ecn_bench::alloc::CountingAlloc = ecn_bench::alloc::CountingAlloc;
 //! ```
 //!
-//! The `probe_hot_loop` bench installs it behind the `alloc-count`
-//! feature (so default bench runs measure undisturbed wall clock), and
-//! the `alloc_regression` integration test installs it unconditionally —
-//! its whole point is the count.
+//! `ecnbench`'s traced runs install it for their per-observation
+//! allocation rows, and the `alloc_regression` integration test installs
+//! it to gate the allocation budgets.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

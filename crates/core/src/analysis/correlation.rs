@@ -24,6 +24,11 @@ pub struct Table2Row {
 }
 
 /// The Table 2 dataset.
+///
+/// Paper rows, as (avg. unreachable UDP w/ECT) / (…of those, fail to
+/// negotiate ECN w/TCP): Perkins home 8/3, McQuistin home 160/20,
+/// U. Glasgow wired 10/2, U. Glasgow w'less 43/4, and the EC2 locations
+/// 10..16 / 2..5.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Table2 {
     /// Rows in vantage first-seen order.

@@ -453,14 +453,14 @@ pub(crate) fn run_unit_pool<S: Subscriber>(
     };
     type ShardYield<S> = (ShardReducers, S, Duration, Duration, Duration);
     let mut shard_yields: Vec<ShardYield<S>> = Vec::with_capacity(shard_count);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(shard_count);
         for s in 0..shard_count {
             let queues = &queues;
             let per_vantage_sched = &per_vantage_sched;
             // forked here, on the spawning thread, so `S` needs only Send
             let mut sub = subscriber.fork();
-            handles.push(scope.spawn(move |_| {
+            handles.push(scope.spawn(move || {
                 let mut reducers = ShardReducers::default();
                 let mut inst = Duration::ZERO;
                 let mut probe = Duration::ZERO;
@@ -484,8 +484,7 @@ pub(crate) fn run_unit_pool<S: Subscriber>(
         for h in handles {
             shard_yields.push(h.join().expect("engine shard"));
         }
-    })
-    .expect("engine threads");
+    });
 
     // Deterministic merge. Reducers merge as a pairwise tree
     // (⌈log₂ shards⌉ rounds; commutativity + associativity make it equal

@@ -438,9 +438,9 @@ pub fn read_checkpoint(path: &Path) -> Result<Checkpoint, MpError> {
 }
 
 /// Atomically write a checkpoint: serialize to a same-directory temp
-/// file, then rename over the target (the `update_bench_json` pattern —
-/// a reader, or a resume after a crash mid-write, sees either the old
-/// complete file or the new complete file, never a torn one).
+/// file, then rename over the target (a reader, or a resume after a
+/// crash mid-write, sees either the old complete file or the new
+/// complete file, never a torn one).
 fn write_checkpoint(path: &Path, ck: &Checkpoint) -> Result<(), MpError> {
     let err = |detail: String| MpError::Checkpoint {
         path: path.to_path_buf(),
@@ -1032,7 +1032,7 @@ pub(crate) fn run_supervised<S: Subscriber>(
     // in-flight workers.
     let (tx, rx) = mpsc::channel::<SupMsg>();
     let mut payloads_merged = 0usize;
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (index, units_desc) in unit_descs.iter().enumerate() {
             let tx = tx.clone();
             let exe = &exe;
@@ -1048,7 +1048,7 @@ pub(crate) fn run_supervised<S: Subscriber>(
                 skip: skip.clone(),
                 attempt: 0,
             };
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 supervise_worker(exe, req, units_desc, max_retries, timeout, &tx);
             });
         }
@@ -1136,8 +1136,7 @@ pub(crate) fn run_supervised<S: Subscriber>(
                 }
             }
         }
-    })
-    .map_err(|_| MpError::Internal("a supervisor thread panicked".into()))?;
+    });
 
     match fatal {
         Some(error) => Err(error),

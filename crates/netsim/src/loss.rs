@@ -256,11 +256,6 @@ impl LossProcess {
             self.state_until = Nanos(self.state_until.0.saturating_add(dwell.0));
         }
     }
-
-    /// Is the process currently in the Bad (bursty) state? Test hook.
-    pub fn in_bad_state(&self) -> bool {
-        self.in_bad
-    }
 }
 
 /// Draw from Exp(mean) as virtual-time nanoseconds.

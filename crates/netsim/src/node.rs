@@ -59,18 +59,13 @@ impl RouteEntry {
 ///
 /// The label and the compiled forwarding table are `Arc`-shared: cloning a
 /// router (the blueprint-skeleton instantiation path) costs two reference
-/// bumps, not a name allocation plus a table rebuild. Construction-time
-/// mutation still works transparently via [`Router::table_mut`]
-/// (copy-on-write while unshared, which is always the case during world
-/// construction).
+/// bumps, not a name allocation plus a table rebuild.
 #[derive(Debug, Clone)]
 pub struct Router {
     /// Human-readable label (also used to derive per-router randomness).
     pub label: Arc<str>,
     /// The address this router answers ICMP from (its "hop IP").
     pub addr: Ipv4Addr,
-    /// AS this router belongs to.
-    pub asn: u32,
     /// ECN treatment applied to forwarded packets.
     pub ecn_policy: EcnPolicy,
     /// Firewall applied to forwarded packets.
@@ -85,22 +80,15 @@ pub struct Router {
 
 impl Router {
     /// A plain RFC-compliant router.
-    pub fn new(label: impl Into<Arc<str>>, addr: Ipv4Addr, asn: u32) -> Router {
+    pub fn new(label: impl Into<Arc<str>>, addr: Ipv4Addr) -> Router {
         Router {
             label: label.into(),
             addr,
-            asn,
             ecn_policy: EcnPolicy::Pass,
             firewall: Firewall::allow_all(),
             responds_ttl_exceeded: true,
             table: Arc::new(PrefixMap::new()),
         }
-    }
-
-    /// Mutable access to the forwarding table (construction-time only;
-    /// clones the table if it is currently shared with another world).
-    pub fn table_mut(&mut self) -> &mut PrefixMap<RouteEntry> {
-        Arc::make_mut(&mut self.table)
     }
 }
 

@@ -163,17 +163,6 @@ impl FirewallRule {
         }
     }
 
-    /// Drop ECN-capable packets of every protocol.
-    pub fn drop_ect_all() -> FirewallRule {
-        FirewallRule {
-            proto: None,
-            ecn: EcnMatch::EcnCapable,
-            src_within: None,
-            action: FirewallAction::Drop,
-            probability: 1.0,
-        }
-    }
-
     /// Drop *not-ECT* UDP — the inexplicable Figure 3b behaviour.
     pub fn drop_not_ect_udp() -> FirewallRule {
         FirewallRule {

@@ -60,8 +60,7 @@ impl PacketPool {
         self.recycle(dgram.into_bytes());
     }
 
-    /// (total takes, takes served by reuse) — the recycling hit rate the
-    /// `probe_hot_loop` bench reports.
+    /// (total takes, takes served by reuse) — the recycling hit rate.
     pub fn stats(&self) -> (u64, u64) {
         (self.taken, self.reused)
     }

@@ -169,8 +169,6 @@ struct Topology {
     /// Human-readable label per id (cold: diagnostics and the engine's
     /// per-unit rewrite summary).
     labels: Vec<Arc<str>>,
-    /// AS number per id (0 for hosts).
-    asns: Vec<u32>,
     /// Router ECN treatment per id.
     ecn_policies: Vec<EcnPolicy>,
     /// Router ICMP time-exceeded behaviour per id.
@@ -330,7 +328,6 @@ impl Sim {
         t.kinds.reserve(nodes);
         t.addrs.reserve(nodes);
         t.labels.reserve(nodes);
-        t.asns.reserve(nodes);
         t.ecn_policies.reserve(nodes);
         t.responds_ttl.reserve(nodes);
         t.firewalls.reserve(nodes);
@@ -361,11 +358,6 @@ impl Sim {
         }
     }
 
-    /// Number of pending events.
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
-
     // ---- topology construction -------------------------------------------------
 
     #[allow(clippy::too_many_arguments)] // private: one call site per node kind
@@ -374,7 +366,6 @@ impl Sim {
         kind: NodeKind,
         label: Arc<str>,
         addr: Ipv4Addr,
-        asn: u32,
         ecn_policy: EcnPolicy,
         responds_ttl: bool,
         firewall: Firewall,
@@ -385,7 +376,6 @@ impl Sim {
         t.kinds.push(kind);
         t.addrs.push(addr);
         t.labels.push(label);
-        t.asns.push(asn);
         t.ecn_policies.push(ecn_policy);
         t.responds_ttl.push(responds_ttl);
         t.firewalls.push(firewall);
@@ -402,7 +392,6 @@ impl Sim {
         let Router {
             label,
             addr,
-            asn,
             ecn_policy,
             firewall,
             responds_ttl_exceeded,
@@ -412,7 +401,6 @@ impl Sim {
             NodeKind::Router,
             label,
             addr,
-            asn,
             ecn_policy,
             responds_ttl_exceeded,
             firewall,
@@ -426,7 +414,6 @@ impl Sim {
             NodeKind::Host,
             label.into(),
             addr,
-            0,
             EcnPolicy::Pass,
             false,
             Firewall::allow_all(),
@@ -506,11 +493,6 @@ impl Sim {
         &self.topo.labels[node.0 as usize]
     }
 
-    /// The node's AS number (0 for hosts).
-    pub fn asn_of(&self, node: NodeId) -> u32 {
-        self.topo.asns[node.0 as usize]
-    }
-
     /// The host's access link, if set.
     pub fn uplink_of(&self, node: NodeId) -> Option<LinkId> {
         self.topo.uplinks[node.0 as usize]
@@ -520,11 +502,6 @@ impl Sim {
     pub fn set_uplink(&mut self, host: NodeId, link: LinkId) {
         assert!(!self.is_router(host), "set_uplink: {host:?} is a router");
         self.topo_mut().uplinks[host.0 as usize] = Some(link);
-    }
-
-    /// A router's ECN treatment.
-    pub fn ecn_policy_of(&self, router: NodeId) -> EcnPolicy {
-        self.topo.ecn_policies[router.0 as usize]
     }
 
     /// Set a router's ECN treatment.
@@ -1235,8 +1212,8 @@ mod tests {
         let mut sim = Sim::new(seed);
         let a = sim.add_host("A", Ipv4Addr::new(10, 0, 0, 1));
         let b = sim.add_host("B", Ipv4Addr::new(192, 0, 2, 1));
-        let r1 = sim.add_router(Router::new("r1", Ipv4Addr::new(10, 0, 0, 254), 65001));
-        let r2 = sim.add_router(Router::new("r2", Ipv4Addr::new(192, 0, 2, 254), 65002));
+        let r1 = sim.add_router(Router::new("r1", Ipv4Addr::new(10, 0, 0, 254)));
+        let r2 = sim.add_router(Router::new("r2", Ipv4Addr::new(192, 0, 2, 254)));
         sim.attach_host(a, r1, LinkProps::clean(Nanos::from_millis(1)));
         sim.attach_host(b, r2, LinkProps::clean(Nanos::from_millis(1)));
         let (l12, l21) = sim.add_duplex(r1, r2, LinkProps::clean(Nanos::from_millis(5)));
@@ -1515,7 +1492,7 @@ mod tests {
     fn no_route_is_counted() {
         let mut sim = Sim::new(7);
         let a = sim.add_host("A", Ipv4Addr::new(10, 0, 0, 1));
-        let r = sim.add_router(Router::new("r", Ipv4Addr::new(10, 0, 0, 254), 65001));
+        let r = sim.add_router(Router::new("r", Ipv4Addr::new(10, 0, 0, 254)));
         sim.attach_host(a, r, LinkProps::clean(Nanos::from_millis(1)));
         sim.send_from(
             a,
@@ -1575,8 +1552,8 @@ mod tests {
         let mut sim = Sim::new(9);
         let a = sim.add_host("A", Ipv4Addr::new(10, 0, 0, 1));
         let b = sim.add_host("B", Ipv4Addr::new(192, 0, 2, 1));
-        let r1 = sim.add_router(Router::new("r1", Ipv4Addr::new(10, 0, 0, 254), 65001));
-        let r2 = sim.add_router(Router::new("r2", Ipv4Addr::new(192, 0, 2, 254), 65002));
+        let r1 = sim.add_router(Router::new("r1", Ipv4Addr::new(10, 0, 0, 254)));
+        let r2 = sim.add_router(Router::new("r2", Ipv4Addr::new(192, 0, 2, 254)));
         sim.attach_host(a, r1, LinkProps::clean(Nanos::from_micros(10)));
         sim.attach_host(b, r2, LinkProps::clean(Nanos::from_micros(10)));
         // narrow RED bottleneck between r1 and r2 with a responsive average

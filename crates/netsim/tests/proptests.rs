@@ -112,11 +112,7 @@ proptest! {
         let b = sim.add_host("B", Ipv4Addr::new(192, 0, 2, 1));
         let routers: Vec<_> = (0..hops)
             .map(|i| {
-                sim.add_router(Router::new(
-                    format!("r{i}"),
-                    Ipv4Addr::new(100, 64, i as u8, 1),
-                    100 + i as u32,
-                ))
+                sim.add_router(Router::new(format!("r{i}"), Ipv4Addr::new(100, 64, i as u8, 1)))
             })
             .collect();
         sim.attach_host(a, routers[0], LinkProps::clean(Nanos::from_millis(1)));

@@ -26,17 +26,13 @@ fn colliding_flows_alternate_without_wrong_hits() {
     let mut sim = Sim::new(5);
     let a = sim.add_host("A", A_ADDR);
     let b = sim.add_host("B", B_ADDR);
-    let r = sim.add_router(Router::new("r", Ipv4Addr::new(10, 0, 0, 254), 65001));
-    let r2 = sim.add_router(Router::new("r2", Ipv4Addr::new(192, 0, 2, 254), 65002));
+    let r = sim.add_router(Router::new("r", Ipv4Addr::new(10, 0, 0, 254)));
+    let r2 = sim.add_router(Router::new("r2", Ipv4Addr::new(192, 0, 2, 254)));
     sim.attach_host(a, r, LinkProps::clean(Nanos::from_millis(1)));
     sim.attach_host(b, r2, LinkProps::clean(Nanos::from_millis(1)));
     let branches: Vec<LinkId> = (0..4u8)
         .map(|i| {
-            let m = sim.add_router(Router::new(
-                format!("m{i}"),
-                Ipv4Addr::new(100, 64, i, 1),
-                65003,
-            ));
+            let m = sim.add_router(Router::new(format!("m{i}"), Ipv4Addr::new(100, 64, i, 1)));
             let r_m = sim.add_link(r, m, LinkProps::clean(Nanos::from_millis(1 + u64::from(i))));
             let m_r2 = sim.add_link(m, r2, LinkProps::clean(Nanos::from_millis(10)));
             sim.route(m, "0.0.0.0/0".parse().unwrap(), RouteEntry::Link(m_r2));

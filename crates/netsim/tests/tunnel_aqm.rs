@@ -45,7 +45,6 @@ fn chain(
             sim.add_router(Router::new(
                 format!("r{i}"),
                 Ipv4Addr::new(100, 64, i as u8, 1),
-                65_000 + i as u32,
             ))
         })
         .collect();

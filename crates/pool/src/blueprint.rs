@@ -887,7 +887,7 @@ fn compile_topology(
     let t1_count = plan.t1_count.max(2);
     let mut t1_nodes = Vec::with_capacity(t1_count);
     for i in 0..t1_count {
-        let node = sim.add_router(Router::new(format!("t1-{i}"), t1_addr(i), 100 + i as u32));
+        let node = sim.add_router(Router::new(format!("t1-{i}"), t1_addr(i)));
         t1_nodes.push(node);
     }
     // full mesh peer links: peer[i][j] = link i->j
@@ -906,8 +906,7 @@ fn compile_topology(
     let mut t2_nodes = Vec::with_capacity(t2_count);
     let mut t1_downlink = Vec::with_capacity(t2_count); // T1 -> core
     for j in 0..t2_count {
-        let asn = 1000 + j as u32;
-        let node = sim.add_router(Router::new(format!("t2-{j}"), t2_core_addr(j), asn));
+        let node = sim.add_router(Router::new(format!("t2-{j}"), t2_core_addr(j)));
         let primary = d.t2_primary_t1[j];
         let (up, down) = sim.add_duplex(node, t1_nodes[primary], LinkProps::clean(core_delay));
         sim.route(node, default_route, RouteEntry::Link(up));
@@ -920,22 +919,18 @@ fn compile_topology(
     let mut vantage_hosts = Vec::with_capacity(specs.len());
     let mut vantage_routes: Vec<(Ipv4Prefix, usize, ecn_netsim::LinkId)> = Vec::new();
     for (vi, spec) in specs.iter().enumerate() {
-        let asn = 30_000 + spec.net_index as u32;
         let prefix = vantage_prefix(spec);
         let cpe = sim.add_router(Router::new(
             format!("{}-cpe", spec.key),
             vantage_addr(spec, 1),
-            asn,
         ));
         let isp_a = sim.add_router(Router::new(
             format!("{}-isp-a", spec.key),
             vantage_addr(spec, 2),
-            asn,
         ));
         let isp_b = sim.add_router(Router::new(
             format!("{}-isp-b", spec.key),
             vantage_addr(spec, 3),
-            asn,
         ));
         let host_addr = vantage_addr(spec, 100);
         let host = sim.add_host(format!("{}-host", spec.key), host_addr);
@@ -996,27 +991,20 @@ fn compile_topology(
     }
 
     for (k, das) in d.dest_as.iter().enumerate() {
-        let asn = 20_000 + k as u32;
         let prefix = dest_prefix(k);
         let j = das.provider_t2;
         let customer = t2_customer_count[j];
         t2_customer_count[j] += 1;
-        let t2_asn = 1000 + j as u32;
 
         // routers: PE (provider AS) + B + I1 + I2 + I3
         let pe = sim.add_router(Router::new(
             format!("pe-{j}-{customer}"),
             t2_pe_addr(j, customer),
-            t2_asn,
         ));
-        let b = sim.add_router(Router::new(
-            format!("d{k}-border"),
-            dest_router_addr(k, 1),
-            asn,
-        ));
-        let i1 = sim.add_router(Router::new(format!("d{k}-i1"), dest_router_addr(k, 2), asn));
-        let i2 = sim.add_router(Router::new(format!("d{k}-i2"), dest_router_addr(k, 3), asn));
-        let i3 = sim.add_router(Router::new(format!("d{k}-i3"), dest_router_addr(k, 4), asn));
+        let b = sim.add_router(Router::new(format!("d{k}-border"), dest_router_addr(k, 1)));
+        let i1 = sim.add_router(Router::new(format!("d{k}-i1"), dest_router_addr(k, 2)));
+        let i2 = sim.add_router(Router::new(format!("d{k}-i2"), dest_router_addr(k, 3)));
+        let i3 = sim.add_router(Router::new(format!("d{k}-i3"), dest_router_addr(k, 4)));
 
         let (t2_to_pe, pe_to_t2) = sim.add_duplex(t2_nodes[j], pe, LinkProps::clean(edge_delay));
         // An AQM-marking AS runs its marker on the inbound PE→border edge
@@ -1073,12 +1061,10 @@ fn compile_topology(
                 let a_fw = sim.add_router(Router::new(
                     format!("d{k}-s{s_in_as}-fw"),
                     dest_router_addr(k, access_slot),
-                    asn,
                 ));
                 let a_clean = sim.add_router(Router::new(
                     format!("d{k}-s{s_in_as}-alt"),
                     dest_router_addr(k, access_slot + 1),
-                    asn,
                 ));
                 access_slot += 2;
                 sim.set_firewall(a_fw, Firewall::single(FirewallRule::drop_ect_udp()));
@@ -1111,7 +1097,6 @@ fn compile_topology(
                     let r = sim.add_router(Router::new(
                         format!("d{k}-s{s_in_as}-a{c}"),
                         dest_router_addr(k, access_slot),
-                        asn,
                     ));
                     access_slot += 1;
                     chain.push(r);

@@ -755,31 +755,6 @@ impl HostHandle {
         }
     }
 
-    /// Abort the connection with RST.
-    pub fn tcp_abort(&self, sim: &mut Sim, id: ConnId) {
-        let out = {
-            let sh = &mut *self.shared.lock();
-            let mut emits = std::mem::take(&mut sh.emit_scratch);
-            emits.clear();
-            let Some(entry) = sh.conns.get_mut(&id) else {
-                sh.emit_scratch = emits;
-                return;
-            };
-            entry.conn.abort_into(&mut emits);
-            let remote = entry.conn.remote.0;
-            let out = emits
-                .iter()
-                .map(|e| sh.tcp_datagram(sim.take_buf(), remote, e))
-                .collect::<Vec<_>>();
-            emits.clear();
-            sh.emit_scratch = emits;
-            out
-        };
-        for d in out {
-            sim.send_from(self.node, d);
-        }
-    }
-
     /// The connection's protocol state alone — the cheap polling
     /// companion of [`HostHandle::conn`], which clones the receive buffer
     /// on every call. Handshake wait-loops should poll this.
@@ -832,15 +807,6 @@ impl HostHandle {
             ce_received: e.conn.ce_received,
             congestion_events: e.conn.congestion_events,
         })
-    }
-
-    /// Drain received bytes from a connection.
-    pub fn tcp_take_received(&self, id: ConnId) -> Vec<u8> {
-        let mut sh = self.shared.lock();
-        sh.conns
-            .get_mut(&id)
-            .map(|e| e.conn.take_received())
-            .unwrap_or_default()
     }
 
     /// Forget a finished connection (frees its port for reuse).

@@ -30,8 +30,8 @@ fn build(seed: u64, client_cfg: StackConfig, server_cfg: StackConfig) -> World {
     let mut sim = Sim::new(seed);
     let c = sim.add_host("client", CLIENT);
     let s = sim.add_host("server", SERVER);
-    let r1 = sim.add_router(Router::new("r1", Ipv4Addr::new(10, 0, 0, 254), 65001));
-    let r2 = sim.add_router(Router::new("r2", Ipv4Addr::new(192, 0, 2, 254), 65002));
+    let r1 = sim.add_router(Router::new("r1", Ipv4Addr::new(10, 0, 0, 254)));
+    let r2 = sim.add_router(Router::new("r2", Ipv4Addr::new(192, 0, 2, 254)));
     sim.attach_host(c, r1, LinkProps::clean(Nanos::from_millis(2)));
     sim.attach_host(s, r2, LinkProps::clean(Nanos::from_millis(2)));
     let (l12, l21) = sim.add_duplex(r1, r2, LinkProps::clean(Nanos::from_millis(20)));
@@ -232,8 +232,8 @@ fn tcp_syn_retransmits_through_loss_and_eventually_connects() {
     let mut sim = Sim::new(99);
     let c = sim.add_host("client", CLIENT);
     let s = sim.add_host("server", SERVER);
-    let r1 = sim.add_router(Router::new("r1", Ipv4Addr::new(10, 0, 0, 254), 65001));
-    let r2 = sim.add_router(Router::new("r2", Ipv4Addr::new(192, 0, 2, 254), 65002));
+    let r1 = sim.add_router(Router::new("r1", Ipv4Addr::new(10, 0, 0, 254)));
+    let r2 = sim.add_router(Router::new("r2", Ipv4Addr::new(192, 0, 2, 254)));
     sim.attach_host(c, r1, LinkProps::clean(Nanos::from_millis(1)));
     sim.attach_host(s, r2, LinkProps::clean(Nanos::from_millis(1)));
     let (l12, l21) = sim.add_duplex(r1, r2, LinkProps::lossy(Nanos::from_millis(10), 0.6));

@@ -32,8 +32,8 @@ impl ecnudp::stack::TcpService for LineEcho {
 fn build(seed: u64, servers: &[(Ipv4Addr, EcnMode)]) -> (Sim, HostHandle, Vec<HostHandle>) {
     let mut sim = Sim::new(seed);
     let c = sim.add_host("client", CLIENT);
-    let r1 = sim.add_router(Router::new("r1", Ipv4Addr::new(10, 0, 0, 254), 65001));
-    let r2 = sim.add_router(Router::new("r2", Ipv4Addr::new(192, 0, 2, 254), 65002));
+    let r1 = sim.add_router(Router::new("r1", Ipv4Addr::new(10, 0, 0, 254)));
+    let r2 = sim.add_router(Router::new("r2", Ipv4Addr::new(192, 0, 2, 254)));
     sim.attach_host(c, r1, LinkProps::clean(Nanos::from_millis(2)));
     let (l12, l21) = sim.add_duplex(r1, r2, LinkProps::clean(Nanos::from_millis(15)));
     sim.route(r1, "0.0.0.0/0".parse().unwrap(), RouteEntry::Link(l12));

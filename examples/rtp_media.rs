@@ -27,8 +27,8 @@ fn build_path(seed: u64) -> (Sim, HostHandle, HostHandle) {
     let mut sim = Sim::new(seed);
     let s = sim.add_host("sender", SENDER);
     let r = sim.add_host("receiver", RECEIVER);
-    let r1 = sim.add_router(Router::new("r1", Ipv4Addr::new(10, 0, 0, 254), 65001));
-    let r2 = sim.add_router(Router::new("r2", Ipv4Addr::new(192, 0, 2, 254), 65002));
+    let r1 = sim.add_router(Router::new("r1", Ipv4Addr::new(10, 0, 0, 254)));
+    let r2 = sim.add_router(Router::new("r2", Ipv4Addr::new(192, 0, 2, 254)));
     sim.attach_host(s, r1, LinkProps::clean(Nanos::from_millis(2)));
     sim.attach_host(r, r2, LinkProps::clean(Nanos::from_millis(2)));
     // 2 Mbit/s bottleneck with a RED+ECN queue (~25 kB band)

@@ -11,7 +11,9 @@
 //!   byte-identical to `tests/golden/full_report_seed2015.txt`.
 //! - every other preset has its own golden snapshot
 //!   (`tests/golden/scenario_<name>.txt`), regenerated with
-//!   `ECNUDP_BLESS=1 cargo test --test scenario_presets`.
+//!   `ECNUDP_BLESS=1 cargo test --test scenario_presets`. `paper2015`
+//!   has one too, at full scale, which runs (and is blessed) only in
+//!   release: `cargo test --release --test scenario_presets`.
 
 #[path = "util/golden.rs"]
 mod golden;
@@ -141,6 +143,16 @@ fn paper2015_mini_renders_the_preexisting_golden_bytes() {
         *report, golden,
         "spec-driven world diverged from the hard-wired one"
     );
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "full scale: runs in release")]
+fn paper2015_matches_golden() {
+    // The only golden on the paper's own calendar
+    // (`CampaignConfig::default()`: 75 days, 700 discovery rounds); every
+    // other one runs the quick profile, so a change to the default
+    // calendar shows only here.
+    check_golden("scenario_paper2015", &preset_run("paper2015").render);
 }
 
 #[test]
