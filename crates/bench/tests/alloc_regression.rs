@@ -18,7 +18,9 @@
 //!
 //! A third, allocation-free count rides along: the simulator events one
 //! observation dispatches (`Sim::events_dispatched`), the deterministic
-//! reading of the event loop's cost.
+//! reading of the event loop's cost. Two memory gates close the file: the
+//! heap bytes a blueprint holds per server, and those its shared flap
+//! marks hold per flapping server once a paper-calendar campaign ran.
 //!
 //! The budgets sit ~50% above the measured numbers: enough headroom for
 //! allocator jitter across platforms, tight enough that reintroducing
@@ -31,8 +33,9 @@
 //! allocations.
 
 use ecn_bench::alloc::{allocated_bytes, count_allocations, live_bytes, CountingAlloc};
-use ecn_core::{run_discovery, run_trace, CampaignConfig};
+use ecn_core::{discover_in, run_discovery, run_trace, schedule_for, CampaignConfig};
 use ecn_pool::{PoolPlan, WorldBlueprint};
+use ecn_stack::AvailabilityModel;
 use std::collections::HashSet;
 use std::sync::{Mutex, MutexGuard};
 
@@ -155,6 +158,60 @@ fn blueprint_bytes_per_server_stay_within_budget() {
              (budget {BLUEPRINT_BYTES_PER_SERVER})"
         );
     }
+}
+
+/// Most heap bytes one flapping server's shared flap marks may hold once
+/// every unit of a paper-calendar campaign has run (measured: 240, five
+/// 48-byte marks; 384 when the list grew by doubling).
+const FLAP_MARK_BYTES_PER_FLAPPER: f64 = 360.0;
+
+#[test]
+fn flap_mark_bytes_per_flapping_server_stay_within_budget() {
+    // The marks are the one thing unit worlds leave behind in the
+    // blueprint: after all 13 units ran the paper calendar (last trace
+    // near day 113, ~2 700 flips per flapping server), they hold about
+    // five 48-byte marks per flapping server.
+    let _serial = serial();
+    let cfg = CampaignConfig {
+        traces_per_vantage: Some(2),
+        discovery_rounds: 25,
+        run_traceroute: false,
+        ..CampaignConfig::default()
+    };
+    let plan = PoolPlan {
+        churn_at: cfg.batch2_start,
+        ..PoolPlan::scaled(40)
+    };
+    let bp = WorldBlueprint::build(&plan, cfg.seed);
+    let targets = discover_in(&mut bp.instantiate_discovery(), &cfg).targets;
+    let schedule = schedule_for(&plan.vantages(), &cfg);
+    let probed: HashSet<_> = targets.iter().copied().collect();
+    let flappers = bp
+        .profiles
+        .iter()
+        .filter(|p| matches!(p.availability, AvailabilityModel::Flapping { .. }))
+        .count();
+    let before = live_bytes();
+    for v in 0..plan.vantages().len() {
+        let mut sc = bp.instantiate_unit_scoped(v, 0, &probed);
+        for st in schedule.iter().filter(|st| st.vantage == v) {
+            if sc.sim.now() < st.start {
+                sc.sim.run_until(st.start);
+            }
+            run_trace(&mut sc, v, st.batch, &targets, &cfg);
+        }
+    }
+    let per_flapper = live_bytes().wrapping_sub(before) as f64 / flappers as f64;
+    println!("flap marks: {per_flapper:.0} B per flapping server ({flappers} flappers)");
+    assert!(
+        flappers > 10,
+        "the plan has only {flappers} flapping servers"
+    );
+    assert!(
+        per_flapper < FLAP_MARK_BYTES_PER_FLAPPER,
+        "flap-mark memory regression: {per_flapper:.0} B per flapping server \
+         (budget {FLAP_MARK_BYTES_PER_FLAPPER})"
+    );
 }
 
 #[test]

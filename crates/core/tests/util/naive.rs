@@ -33,7 +33,10 @@ use std::net::Ipv4Addr;
 /// Run the campaign one unit at a time, keeping every raw record:
 /// discovery in the blueprint's canonical world, then for each vantage
 /// and each of `target_chunks` target slices a scoped unit world running
-/// the vantage's schedule and (when enabled) its traceroute slice. Chunk
+/// the vantage's schedule and (when enabled) its traceroute slice. Each
+/// unit world is stamped from a blueprint of its own, so no unit reads
+/// flap marks another wrote: every flapping server replays its
+/// availability chain from t = 0, as if marks did not exist. Chunk
 /// 0's record of a trace carries the header and later chunks append
 /// their outcomes, as later chunks' paths append to the vantage's routes.
 /// Every field of the result is filled: records sorted by
@@ -66,7 +69,8 @@ pub fn naive_campaign(
         for c in 0..chunks {
             let chunk = &targets[c * n / chunks..(c + 1) * n / chunks];
             let probed: HashSet<Ipv4Addr> = chunk.iter().copied().collect();
-            let mut sc = bp.instantiate_unit_scoped(v, c, &probed);
+            let unit_bp = WorldBlueprint::build(&plan, cfg.seed);
+            let mut sc = unit_bp.instantiate_unit_scoped(v, c, &probed);
             for (i, st) in schedule.iter().filter(|st| st.vantage == v).enumerate() {
                 if sc.sim.now() < st.start {
                     sc.sim.run_until(st.start);

@@ -37,7 +37,7 @@ use ecn_services::{
     EcnEchoService, HttpServerKind, NtpServerConfig, NtpServerService, PoolDnsService,
     PoolHttpService, ECN_ECHO_PORT,
 };
-use ecn_stack::{install, AvailabilityModel, EcnMode, HostHandle, StackConfig};
+use ecn_stack::{install, AvailabilityModel, EcnMode, FlapMarks, HostHandle, StackConfig};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -289,7 +289,7 @@ pub struct WorldBlueprint {
     /// every world.
     truth: Arc<GroundTruth>,
     /// The built server population (node ids are skeleton-deterministic),
-    /// shared with every world.
+    /// shared with every world, as are the flapping servers' flap marks.
     servers: Arc<Vec<ServerInfo>>,
     /// The pool DNS zone, shared with every instantiated world's DNS
     /// service.
@@ -633,6 +633,14 @@ impl WorldBlueprint {
                     profile: profile.clone(),
                     node: topo.server_hosts[pidx],
                     as_index: as_index[pidx],
+                    flap_marks: matches!(profile.availability, AvailabilityModel::Flapping { .. })
+                        .then(|| {
+                            Arc::new(FlapMarks::for_host(
+                                profile.availability,
+                                server_stack_seed(seed, profile.index),
+                                server_addrs[pidx],
+                            ))
+                        }),
                 })
                 .collect()
         };
@@ -713,12 +721,13 @@ impl WorldBlueprint {
     /// A unit world only ever exchanges packets with its own chunk's
     /// targets, and installing a stack is side-effect-free (no events
     /// scheduled, no shared RNG consumed; availability is evaluated
-    /// on demand) — so skipping the other stacks is invisible to every
-    /// probe while cutting per-unit stamp cost from O(servers) to
-    /// O(servers/chunks). At megapool scale this is the difference
-    /// between instantiation dominating the campaign and vanishing from
-    /// its profile; `tests/determinism.rs` and the goldens pin the
-    /// byte-identity.
+    /// on demand, from the latest of the server's shared flap marks at or
+    /// before the query, which any unit world may have written) — so
+    /// skipping the other stacks is invisible to every probe while
+    /// cutting per-unit stamp cost from O(servers) to O(servers/chunks).
+    /// At megapool scale this is the difference between instantiation
+    /// dominating the campaign and vanishing from its profile;
+    /// `tests/determinism.rs` and the goldens pin the byte-identity.
     pub fn instantiate_unit_scoped(
         &self,
         vantage: usize,
@@ -785,7 +794,8 @@ impl WorldBlueprint {
                     tcp_rst_on_closed: true,
                     echo_replies: true,
                     availability: profile.availability,
-                    seed: seed ^ 0x5e17_0000 ^ profile.index as u64,
+                    seed: server_stack_seed(seed, profile.index),
+                    flap_marks: info.flap_marks.clone(),
                 },
             );
             handle.register_udp_service(
@@ -836,6 +846,11 @@ impl WorldBlueprint {
             plan: self.plan.clone(),
         }
     }
+}
+
+/// [`StackConfig::seed`] of the server with profile index `index`.
+fn server_stack_seed(seed: u64, index: usize) -> u64 {
+    seed ^ 0x5e17_0000 ^ index as u64
 }
 
 /// The decision-phase outputs `compile_topology` replays.

@@ -12,7 +12,7 @@ use crate::plan::{PoolPlan, ServerProfile};
 use ecn_asdb::AsDb;
 use ecn_geo::GeoDb;
 use ecn_netsim::{NodeId, Sim};
-use ecn_stack::HostHandle;
+use ecn_stack::{FlapMarks, HostHandle};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -97,6 +97,10 @@ pub struct ServerInfo {
     pub node: NodeId,
     /// Destination-AS index the server lives in.
     pub as_index: usize,
+    /// Checkpoints of a flapping server's availability chain, shared by
+    /// the server's stack in every world stamped from the blueprint
+    /// (`None` for every other availability model).
+    pub flap_marks: Option<Arc<FlapMarks>>,
 }
 
 /// The assembled world.

@@ -221,6 +221,10 @@ pub struct ScheduleSpec {
     pub target_chunks: usize,
 }
 
+/// Most DNS discovery rounds a spec may ask for (see
+/// [`ScenarioSpec::validate`]).
+const MAX_DISCOVERY_ROUNDS: usize = 100_000;
+
 /// The two built-in campaign calendars.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ScheduleProfile {
@@ -523,6 +527,17 @@ impl ScenarioSpec {
             return err(
                 "middleboxes.aqm_rate_kbps",
                 format!("{} outside [8, 100000000]", m.aqm_rate_kbps),
+            );
+        }
+        // each round queries every pool zone name, ~0.11 ms of run time
+        // on a 2-vCPU VM, and discovery runs before any unit: the bound is
+        // ~11 s of discovery, 67x the largest preset's 1 500 rounds, where
+        // u64::MAX rounds would pass and then never finish
+        let rounds = self.schedule.discovery_rounds;
+        if rounds > MAX_DISCOVERY_ROUNDS {
+            return err(
+                "schedule.discovery_rounds",
+                format!("{rounds} exceeds {MAX_DISCOVERY_ROUNDS}"),
             );
         }
         // targets never outnumber servers, so a larger chunk count only
@@ -1316,6 +1331,18 @@ mod tests {
         for n in [0, 41, 100_000_000_000] {
             let e = chunks(n).unwrap_err();
             assert_eq!(e.path, "schedule.target_chunks", "{n}: {e}");
+            assert!(e.message.contains(&n.to_string()), "{e}");
+        }
+        // discovery rounds: the bound passes, one more does not
+        let rounds = |n: u64| {
+            ScenarioSpec::from_toml_str(&format!(
+                "[population]\nservers = 40\n[schedule]\ndiscovery_rounds = {n}"
+            ))
+        };
+        assert!(rounds(MAX_DISCOVERY_ROUNDS as u64).is_ok());
+        for n in [MAX_DISCOVERY_ROUNDS as u64 + 1, u64::MAX] {
+            let e = rounds(n).unwrap_err();
+            assert_eq!(e.path, "schedule.discovery_rounds", "{n}: {e}");
             assert!(e.message.contains(&n.to_string()), "{e}");
         }
     }

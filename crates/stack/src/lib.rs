@@ -26,7 +26,7 @@ pub mod stack;
 pub mod tcp;
 pub mod validator;
 
-pub use availability::{Availability, AvailabilityModel};
+pub use availability::{Availability, AvailabilityModel, FlapMarks};
 pub use services::{TcpService, TcpServiceAction, UdpService};
 pub use stack::{
     install, ConnId, ConnSnapshot, HostHandle, IcmpReceived, StackAgent, StackConfig, StackShared,

@@ -7,7 +7,7 @@
 //! and TTL, receive, plus an ICMP inbox — so the measurement application
 //! above it would port to real raw sockets without structural change.
 
-use crate::availability::{Availability, AvailabilityModel};
+use crate::availability::{host_label, Availability, AvailabilityModel, FlapMarks};
 use crate::services::{TcpService, TcpServiceAction, UdpService};
 use crate::tcp::{CloseReason, EcnMode, Emit, HandshakeRecord, TcpConn, TcpState};
 use ecn_netsim::{HostAgent, HostApi, Nanos, NodeId, Sim};
@@ -25,7 +25,7 @@ use std::sync::Arc;
 pub type ConnId = u64;
 
 /// Stack-wide configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct StackConfig {
     /// Answer UDP to closed ports with ICMP port-unreachable. Pool servers
     /// sit behind filters that don't, which is why "traces stop generally
@@ -39,6 +39,10 @@ pub struct StackConfig {
     pub availability: AvailabilityModel,
     /// Seed for ISS/ephemeral-port randomness and the flap schedule.
     pub seed: u64,
+    /// Checkpoints of the flap schedule, shared with every other stack
+    /// that evaluates the same chain (see [`FlapMarks::for_host`]); `None`
+    /// replays it alone.
+    pub flap_marks: Option<Arc<FlapMarks>>,
 }
 
 impl Default for StackConfig {
@@ -49,6 +53,7 @@ impl Default for StackConfig {
             echo_replies: true,
             availability: AvailabilityModel::AlwaysUp,
             seed: 0,
+            flap_marks: None,
         }
     }
 }
@@ -140,15 +145,15 @@ pub struct StackShared {
 }
 
 impl StackShared {
-    fn new(addr: Ipv4Addr, config: StackConfig) -> StackShared {
+    fn new(addr: Ipv4Addr, mut config: StackConfig) -> StackShared {
+        let mut availability =
+            Availability::new(config.availability, config.seed, host_label(addr).as_str());
+        if let Some(marks) = config.flap_marks.take() {
+            availability = availability.sharing(marks);
+        }
         StackShared {
             addr,
-            config,
-            availability: Availability::new(
-                config.availability,
-                config.seed,
-                ecn_netsim::LabelBuf::format(format_args!("avail-{addr}")).as_str(),
-            ),
+            availability,
             udp_socks: HashMap::new(),
             udp_sinks: HashSet::with_capacity(4),
             udp_services: HashMap::new(),
@@ -164,6 +169,7 @@ impl StackShared {
             // handful of segments per pump) so the scratch never reallocates
             // mid-run — the exact-alloc-equality gate depends on that.
             emit_scratch: Vec::with_capacity(32),
+            config,
         }
     }
 

@@ -1,12 +1,17 @@
 //! Property-based tests of the TCP state machine: arbitrary segment fuzz
 //! must never panic, data must arrive intact under arbitrary chunking, and
 //! the ECN handshake matrix must follow RFC 3168 for every mode pairing.
+//! Evaluators of one flap chain that share checkpoints must answer as if
+//! each replayed the chain alone.
 
 use ecn_netsim::Nanos;
-use ecn_stack::{EcnMode, TcpConn, TcpState};
+use ecn_stack::{Availability, AvailabilityModel, EcnMode, FlapMarks, TcpConn, TcpState};
 use ecn_wire::{Ecn, TcpFlags, TcpHeader};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 const C: (Ipv4Addr, u16) = (Ipv4Addr::new(10, 0, 0, 1), 40000);
 const S: (Ipv4Addr, u16) = (Ipv4Addr::new(192, 0, 2, 80), 80);
@@ -328,5 +333,72 @@ proptest! {
             "a path delivering no intact mark must never validate (got {:?})",
             got
         );
+    }
+}
+
+proptest! {
+    #[test]
+    fn evaluators_sharing_flap_marks_answer_as_unshared_ones(
+        evaluators in 2usize..=5,
+        seed in any::<u64>(),
+        mean_up_s in 3_600u64..=3 * 3_600,
+        mean_down_s in 15u64..=120,
+        schedule in any::<u64>(),
+    ) {
+        let model = AvailabilityModel::Flapping {
+            mean_up: Nanos::from_secs(mean_up_s),
+            mean_down: Nanos::from_secs(mean_down_s),
+        };
+        // two flips per up/down cycle: ~12 × SPACING flips by the horizon
+        // (about 250 days at the pool's 2 h / 45 s)
+        let horizon = Nanos::from_secs(6 * FlapMarks::SPACING * (mean_up_s + mean_down_s));
+        let label = "avail-192.0.2.1";
+        let mut rng = SmallRng::seed_from_u64(schedule);
+        // per evaluator, non-decreasing query times ending at the horizon:
+        // scattered over it, with bursts inside one residence interval
+        let queries: Vec<Vec<Nanos>> = (0..evaluators)
+            .map(|_| {
+                let mut times = vec![horizon];
+                for _ in 0..rng.gen_range(1..60) {
+                    let at = if rng.gen_bool(0.25) {
+                        let back = rng.gen_range(0..Nanos::from_secs(mean_down_s).0);
+                        times[times.len() - 1].0.saturating_sub(back)
+                    } else {
+                        rng.gen_range(0..=horizon.0)
+                    };
+                    times.push(Nanos(at));
+                }
+                times.sort();
+                times
+            })
+            .collect();
+        let marks = Arc::new(FlapMarks::new(model, seed, label));
+        let mut shared: Vec<Availability> = (0..evaluators)
+            .map(|_| Availability::new(model, seed, label).sharing(marks.clone()))
+            .collect();
+        let mut alone: Vec<Availability> = (0..evaluators)
+            .map(|_| Availability::new(model, seed, label))
+            .collect();
+        let mut next = vec![0usize; evaluators];
+        // interleave the evaluators' queries in random order
+        loop {
+            let open: Vec<usize> = (0..evaluators)
+                .filter(|&e| next[e] < queries[e].len())
+                .collect();
+            if open.is_empty() {
+                break;
+            }
+            let e = open[rng.gen_range(0..open.len())];
+            let at = queries[e][next[e]];
+            next[e] += 1;
+            prop_assert_eq!(
+                shared[e].is_up(at),
+                alone[e].is_up(at),
+                "evaluator {} at {:?}",
+                e,
+                at
+            );
+        }
+        prop_assert!(marks.kept() >= 10, "only {} marks by the horizon", marks.kept());
     }
 }

@@ -7,13 +7,14 @@
 //! invariance, not just same-seed stability).
 //!
 //! Every engine render below comes from the streamed aggregates (the
-//! engine keeps no raw records); the last test pins it to the naive
+//! engine keeps no raw records); the last two tests pin it to the naive
 //! one-unit-at-a-time reference, which walks every raw record.
 
 #[path = "../crates/core/tests/util/naive.rs"]
 mod naive;
 
 use ecnudp::core::{try_run_engine, CampaignConfig, EngineConfig, FullReport, UnitOrder};
+use ecnudp::netsim::Nanos;
 use ecnudp::pool::PoolPlan;
 use naive::{naive_campaign, naive_report};
 use std::sync::OnceLock;
@@ -104,4 +105,51 @@ fn trace_free_report_matches_trace_derived_report() {
         trace_derived,
         "aggregates-first and trace-walk derivations diverge"
     );
+}
+
+#[test]
+fn paper_calendar_report_matches_the_naive_walk_at_any_shard_count_and_unit_order() {
+    // The quick calendar ends after ~3 flips per flapping server, so only
+    // the paper calendar (batch 2 at day 75, last trace near day 113, ~2 700
+    // flips) makes the engine's unit worlds share flap marks. The naive
+    // walk stamps every unit from a blueprint of its own and shares none.
+    let cfg = CampaignConfig {
+        traces_per_vantage: Some(2),
+        discovery_rounds: 25,
+        ..CampaignConfig::default()
+    };
+    let paper = PoolPlan::scaled(40);
+    // The pool's servers are down 0.6% of the time, so a mark that
+    // restores a wrong but plausible chain rarely moves a 40-server
+    // report; servers down a third of the time (~10 800 flips by day 113)
+    // show any wrong restore.
+    let fast = PoolPlan {
+        flap_mean_up: Nanos::from_secs(20 * 60),
+        flap_mean_down: Nanos::from_secs(10 * 60),
+        ..PoolPlan::scaled(40)
+    };
+    for plan in [paper, fast] {
+        let naive = naive_report(&naive_campaign(&plan, &cfg, 1)).render();
+        let engines = [1usize, 4, 13]
+            .map(EngineConfig::with_shards)
+            .into_iter()
+            .chain(
+                [UnitOrder::Reversed, UnitOrder::Shuffled(7)].map(|unit_order| EngineConfig {
+                    shards: Some(4),
+                    unit_order,
+                    ..EngineConfig::default()
+                }),
+            );
+        for eng in engines {
+            let run = try_run_engine(&plan, &cfg, &eng).expect("in-process campaign");
+            assert_eq!(
+                FullReport::from_campaign(&run.result).render(),
+                naive,
+                "the engine ({eng:?}) diverges from the naive walk on the paper calendar \
+                 (flaps {:?} up, {:?} down)",
+                plan.flap_mean_up,
+                plan.flap_mean_down
+            );
+        }
+    }
 }

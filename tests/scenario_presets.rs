@@ -368,9 +368,10 @@ fn cli_json_validate_and_errors() {
 #[test]
 fn cli_rejects_a_population_or_chunk_count_no_run_can_build() {
     // validate and run share one check: a population past the address
-    // plan, or more target chunks than servers (1.3e12 unit indices at
-    // 13 vantages), is a named spec error (exit 1), never a panic or an
-    // allocation abort in the run
+    // plan, more target chunks than servers (1.3e12 unit indices at
+    // 13 vantages), or discovery rounds past the bound (u64::MAX rounds
+    // never finish) is a named spec error (exit 1), never a panic, an
+    // allocation abort or a hang in the run
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("target/test-scenarios");
     std::fs::create_dir_all(&dir).expect("mkdir");
     let specs = [
@@ -383,6 +384,11 @@ fn cli_rejects_a_population_or_chunk_count_no_run_can_build() {
             "huge-chunk-count.toml",
             "[population]\nservers = 40\n[schedule]\ntarget_chunks = 100000000000\n",
             "schedule.target_chunks",
+        ),
+        (
+            "endless-discovery.toml",
+            "[population]\nservers = 40\n[schedule]\ndiscovery_rounds = 18446744073709551615\n",
+            "schedule.discovery_rounds",
         ),
     ];
     for (file, text, key) in specs {
