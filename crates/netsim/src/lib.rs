@@ -3,6 +3,9 @@
 //! The substrate the measurement study runs on, substituting for the public
 //! Internet of McQuistin & Perkins (IMC 2015). Everything is discrete-event
 //! and seeded: the same seed reproduces the same packet-by-packet run.
+//! Packet arrivals and host timers wait in one binary heap and dispatch
+//! one at a time, earliest first and, within one instant, in the order
+//! they were scheduled; every random draw follows that order.
 //!
 //! What a packet experiences per hop (see [`sim::Sim`]):
 //!
@@ -46,7 +49,6 @@ pub mod queue;
 pub mod rng;
 pub mod sim;
 pub mod time;
-pub mod wheel;
 
 pub use events::{drop_cause_label, DropCause, SimCounters};
 pub use link::{LinkId, LinkOutcome, LinkProps, LinkState, NodeId};
@@ -60,4 +62,3 @@ pub use queue::{QueueDisc, QueueDropCause, QueueState, QueueVerdict};
 pub use rng::{derive_rng, derive_rng_indexed, derive_seed, derive_seed_indexed, LabelBuf};
 pub use sim::{HostApi, Sim, SimConfig, SimSkeleton};
 pub use time::Nanos;
-pub use wheel::EventWheel;

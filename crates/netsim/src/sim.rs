@@ -2,15 +2,16 @@
 //! and implements the router forwarding pipeline (TTL/ICMP, firewall, ECN
 //! policy, route lookup, link transmission).
 //!
-//! # The flat event loop
+//! # The event loop
 //!
-//! Events live in an [`EventWheel`] (hierarchical timer wheel + sorted
-//! ready-run, see [`crate::wheel`]) and dispatch in exact `(at, seq)`
-//! order — earliest timestamp first, insertion order within a timestamp.
-//! That contract is load-bearing: the per-packet RNG stream is shared by
-//! every firewall, policy, loss and queue decision, so any reordering
-//! would change packet outcomes (and golden report bytes), not just
-//! interleavings.
+//! Pending events live in one `BinaryHeap` and dispatch one at a time in
+//! exact `(at, seq)` order — earliest timestamp first, the order they
+//! were scheduled in within a timestamp. That contract is load-bearing:
+//! the per-packet RNG stream is shared by every firewall, policy, loss
+//! and queue decision, so any reordering would change packet outcomes
+//! (and golden report bytes), not just interleavings. A unit world holds
+//! a few dozen pending events at most, so the heap stays a few levels
+//! deep.
 //!
 //! Per-node state is stored as struct-of-arrays indexed by dense
 //! [`NodeId`]: the dispatch path reads the ECN policy, firewall, route
@@ -18,10 +19,6 @@
 //! match and no `Box` indirection per hop. Node labels stay in a cold
 //! column only touched by diagnostics and the engine's per-unit rewrite
 //! summary ([`Sim::label_of`]).
-//! Consecutive same-timestamp arrivals at one host dispatch as a batch
-//! (one agent checkout, one capture resolution) — safe because any event
-//! scheduled mid-batch carries a larger `seq` and so sorts after the
-//! whole batch anyway.
 
 use crate::events::{DropCause, SimCounters};
 use crate::link::{LinkId, LinkOutcome, LinkProps, LinkState, NodeId};
@@ -31,11 +28,11 @@ use crate::policy::{EcnPolicy, Firewall, FirewallAction};
 use crate::pool::PacketPool;
 use crate::prefix::{Ipv4Prefix, PrefixMap};
 use crate::time::Nanos;
-use crate::wheel::EventWheel;
 use ecn_wire::{Datagram, DestUnreachCode, Ecn, IcmpMessage, IpProto, Ipv4Header};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, HashMap};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -62,6 +59,32 @@ impl Default for SimConfig {
 enum Event {
     Arrival { node: NodeId, dgram: Datagram },
     Timer { node: NodeId, token: u64 },
+}
+
+/// A pending event with its dispatch key: `at`, then `seq` (the global
+/// schedule counter). `Ord` is inverted so the std max-heap pops the
+/// earliest `(at, seq)` first.
+struct Scheduled {
+    at: Nanos,
+    seq: u64,
+    event: Event,
+}
+
+impl PartialEq for Scheduled {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at, self.seq) == (other.at, other.seq)
+    }
+}
+impl Eq for Scheduled {}
+impl PartialOrd for Scheduled {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Scheduled {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.at, other.seq).cmp(&(self.at, self.seq))
+    }
 }
 
 /// log2 of the slots in a world's forwarding route cache. One table per
@@ -195,7 +218,7 @@ struct Topology {
 pub struct Sim {
     now: Nanos,
     seq: u64,
-    queue: EventWheel<Event>,
+    queue: BinaryHeap<Scheduled>,
     /// Per-node topology, immutable once the world is stamped. Behind an
     /// `Arc` so sibling unit worlds share one copy instead of cloning
     /// ~10 node-indexed vectors each (the dominant stamp cost at 10⁵
@@ -218,8 +241,6 @@ pub struct Sim {
     /// Datagram buffer freelist: checked out on encode, refilled when the
     /// simulator consumes a packet (delivery or drop).
     pub pool: PacketPool,
-    /// Scratch for batched host-arrival dispatch (capacity reused).
-    batch: Vec<Datagram>,
     /// Forwarding route cache (see [`RouteCacheSlot`]): probe traffic is
     /// a handful of long flows, so recent lookups answer most of the next
     /// ones without walking the prefix trie. A fixed table of
@@ -268,14 +289,13 @@ impl Sim {
         Sim {
             now: Nanos::ZERO,
             seq: 0,
-            queue: EventWheel::new(),
+            queue: BinaryHeap::new(),
             topo: Arc::new(Topology::default()),
             agents: Vec::new(),
             captures: Vec::new(),
             link_states: Vec::new(),
             counters: SimCounters::default(),
             pool: PacketPool::new(),
-            batch: Vec::new(),
             route_cache: vec![RouteCacheSlot::EMPTY; 1 << ROUTE_CACHE_BITS],
             route_gen: 0,
             epoch: 0,
@@ -345,17 +365,6 @@ impl Sim {
     /// stamped world is (unusually) edited after instantiation.
     fn topo_mut(&mut self) -> &mut Topology {
         Arc::make_mut(&mut self.topo)
-    }
-
-    /// Pre-size the event queue (the wheel's ready-run and the dispatch
-    /// batch scratch) so the first probe bursts don't grow them
-    /// incrementally.
-    pub fn reserve_events(&mut self, events: usize) {
-        self.queue.reserve(events);
-        let have = self.batch.capacity();
-        if events / 4 > have {
-            self.batch.reserve(events / 4 - have);
-        }
     }
 
     // ---- topology construction -------------------------------------------------
@@ -584,20 +593,24 @@ impl Sim {
         debug_assert!(at >= self.now, "scheduling into the past");
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(at, seq, event);
+        self.queue.push(Scheduled { at, seq, event });
     }
 
-    /// Process a single event (plus any same-timestamp arrivals batched
-    /// behind it — see the private `dispatch_arrival`). Returns false if the
-    /// queue is empty.
+    /// Process a single event. Returns false if the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some((at, _seq, event)) = self.queue.pop() else {
+        let Some(Scheduled { at, event, .. }) = self.queue.pop() else {
             return false;
         };
         self.now = at;
         self.dispatched += 1;
         match event {
-            Event::Arrival { node, dgram } => self.dispatch_arrival(node, dgram),
+            Event::Arrival { node, dgram } => {
+                if self.topo.kinds[node.0 as usize] == NodeKind::Router {
+                    self.router_receive(node, dgram);
+                } else {
+                    self.host_receive(node, dgram);
+                }
+            }
             Event::Timer { node, token } => self.dispatch_timer(node, token),
         }
         true
@@ -606,10 +619,7 @@ impl Sim {
     /// Run until virtual time `t`: all events at or before `t` are
     /// processed, and the clock is left at exactly `t`.
     pub fn run_until(&mut self, t: Nanos) {
-        while let Some(at) = self.queue.next_at() {
-            if at > t {
-                break;
-            }
+        while self.queue.peek().is_some_and(|next| next.at <= t) {
             self.step();
         }
         self.now = self.now.max(t);
@@ -659,66 +669,25 @@ impl Sim {
         self.transmit(up, dgram);
     }
 
-    /// Dispatch one arrival. For hosts, consecutive pending arrivals at
-    /// the same `(timestamp, node)` are drained into one batch and
-    /// delivered together: one agent checkout and one capture resolution
-    /// for the whole link burst. This cannot change any outcome — batched
-    /// entries are exactly the events that would have dispatched
-    /// back-to-back anyway (anything scheduled from inside a handler
-    /// carries a larger `seq` and sorts after the batch), and the
-    /// per-packet capture/deliver/agent sequence is preserved within it.
-    fn dispatch_arrival(&mut self, node: NodeId, dgram: Datagram) {
+    /// Hand an arrival to its host: capture it, count it (or drop it if
+    /// it is addressed elsewhere), and run the host's agent on it.
+    fn host_receive(&mut self, node: NodeId, dgram: Datagram) {
         let idx = node.0 as usize;
-        if self.topo.kinds[idx] == NodeKind::Router {
-            self.router_receive(node, dgram);
-            return;
+        if let Some(cap) = &self.captures[idx] {
+            cap.lock().record(self.now, Direction::In, dgram.as_bytes());
         }
-        let at = self.now;
-        let mut batch = std::mem::take(&mut self.batch);
-        debug_assert!(batch.is_empty());
-        batch.push(dgram);
-        while let Some((next_at, _seq, ev)) = self.queue.peek() {
-            if next_at != at || !matches!(ev, Event::Arrival { node: n, .. } if *n == node) {
-                break;
-            }
-            match self.queue.pop() {
-                Some((_, _, Event::Arrival { dgram, .. })) => {
-                    self.dispatched += 1;
-                    batch.push(dgram);
-                }
-                _ => unreachable!("peeked arrival"),
-            }
-        }
-        self.host_receive_batch(node, &mut batch);
-        batch.clear();
-        self.batch = batch;
-    }
-
-    fn host_receive_batch(&mut self, node: NodeId, batch: &mut Vec<Datagram>) {
-        let idx = node.0 as usize;
-        let addr = self.topo.addrs[idx];
-        let now = self.now;
-        let mut agent = self.agents[idx].take();
-        for dgram in batch.drain(..) {
-            if let Some(cap) = &self.captures[idx] {
-                cap.lock().record(now, Direction::In, dgram.as_bytes());
-            }
-            if addr != dgram.dst() {
-                self.counters.note_drop(DropCause::HostMismatch);
-                self.pool.recycle_datagram(dgram);
-                continue;
-            }
+        if self.topo.addrs[idx] != dgram.dst() {
+            self.counters.note_drop(DropCause::HostMismatch);
+        } else {
             self.counters.delivered += 1;
-            if let Some(agent) = agent.as_deref_mut() {
+            if let Some(mut agent) = self.agents[idx].take() {
                 let mut api = HostApi { sim: self, node };
                 agent.on_datagram(&mut api, &dgram);
+                self.agents[idx] = Some(agent);
             }
-            // the packet's life ends here; its buffer goes back to the pool
-            self.pool.recycle_datagram(dgram);
         }
-        if agent.is_some() {
-            self.agents[idx] = agent;
-        }
+        // the packet's life ends here; its buffer goes back to the pool
+        self.pool.recycle_datagram(dgram);
     }
 
     fn dispatch_timer(&mut self, node: NodeId, token: u64) {
@@ -1377,11 +1346,71 @@ mod tests {
             };
             api.set_timer(Nanos::from_millis(10), 2);
             api.set_timer(Nanos::from_millis(5), 1);
+            // two timers for one instant fire in the order they were set
+            api.set_timer(Nanos::from_millis(20), 5);
+            api.set_timer(Nanos::from_millis(20), 4);
+            api.set_timer(Nanos::from_millis(40), 6);
         }
+        // stop short of token 6, then set an earlier timer from outside
+        sim.run_until(Nanos::from_millis(30));
+        assert_eq!(*fired.lock(), vec![1, 3, 2, 5, 4]);
+        sim.set_timer(a, Nanos::from_millis(1), 7);
         sim.run_to_idle();
         // token 1 at 5 ms, token 3 set from within token 1's handler for
-        // 6 ms, token 2 at 10 ms.
-        assert_eq!(*fired.lock(), vec![1, 3, 2]);
+        // 6 ms, token 2 at 10 ms, tokens 5 and 4 at 20 ms in set order,
+        // token 7 at 31 ms ahead of token 6 at 40 ms.
+        assert_eq!(*fired.lock(), vec![1, 3, 2, 5, 4, 7, 6]);
+    }
+
+    #[test]
+    fn a_burst_at_one_host_is_delivered_in_send_order_before_its_replies() {
+        use parking_lot::Mutex;
+        use std::sync::Arc;
+        /// What the host saw, in dispatch order: datagram `id`, or the
+        /// zero-delay timer its handler set for that `id`.
+        #[derive(Debug, PartialEq)]
+        enum Seen {
+            Datagram(u16),
+            Reply(u64),
+        }
+        struct BurstAgent {
+            seen: Arc<Mutex<Vec<(Nanos, Seen)>>>,
+        }
+        impl HostAgent for BurstAgent {
+            fn on_datagram(&mut self, api: &mut HostApi<'_>, d: &Datagram) {
+                let id = d.header().identification;
+                self.seen.lock().push((api.now(), Seen::Datagram(id)));
+                api.set_timer(Nanos::ZERO, u64::from(id));
+            }
+            fn on_timer(&mut self, api: &mut HostApi<'_>, token: u64) {
+                self.seen.lock().push((api.now(), Seen::Reply(token)));
+            }
+        }
+        const N: u16 = 12;
+        let (mut sim, a, b, _r1, _r2) = line_topology(22);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        sim.set_agent(b, Box::new(BurstAgent { seen: seen.clone() }));
+        let src = Ipv4Addr::new(10, 0, 0, 1);
+        let dst = Ipv4Addr::new(192, 0, 2, 1);
+        // ids in a send order that is not their numeric order
+        let ids: Vec<u16> = (0..N).map(|i| (i * 7) % N).collect();
+        for &id in &ids {
+            let mut h = Ipv4Header::probe(src, dst, IpProto::Udp, Ecn::Ect0);
+            h.identification = id;
+            let seg = ecn_wire::udp::udp_segment(src, dst, 40000, 123, b"burst");
+            sim.send_from(a, Datagram::new(h, &seg));
+        }
+        sim.run_to_idle();
+        // every packet crossed the same clean path, so all reach B at one
+        // instant, and so do the replies set for `now`
+        let at = Nanos::from_millis(7);
+        let want: Vec<(Nanos, Seen)> = ids
+            .iter()
+            .map(|&id| (at, Seen::Datagram(id)))
+            .chain(ids.iter().map(|&id| (at, Seen::Reply(u64::from(id)))))
+            .collect();
+        assert_eq!(*seen.lock(), want);
+        assert_eq!(sim.counters().delivered, u64::from(N));
     }
 
     #[test]

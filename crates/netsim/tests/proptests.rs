@@ -1,7 +1,7 @@
 //! Property-based tests for the simulator's data structures and models:
 //! the LPM trie against a naive reference, loss-model convergence, ECMP
-//! selection bounds, and packet-conservation through random line
-//! topologies.
+//! selection bounds, packet-conservation through random line
+//! topologies, and the event loop's `(at, order set)` dispatch order.
 
 use ecn_netsim::{
     derive_rng, DropCause, Ipv4Prefix, LinkProps, LossModel, LossProcess, Nanos, PrefixMap,
@@ -312,5 +312,128 @@ proptest! {
             sojourn > target,
             "CoDel marks exactly above the sojourn target"
         );
+    }
+}
+
+// ------------------------------------------------------ dispatch order
+//
+// Every event dispatches in `(at, seq)` order: earliest first, and in the
+// order it was scheduled within one instant. Whatever the schedule, the
+// timers a host sees must therefore fire exactly in the order of sorting
+// every timer ever set by (fire time, order set).
+
+use ecn_netsim::{HostAgent, HostApi};
+use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::rc::Rc;
+
+/// Every timer set so far as (fire time, token), where the token counts
+/// set order; what fired, as (dispatch time, token); and the re-arm plan
+/// a handler consumes, one delay list per firing.
+#[derive(Default)]
+struct TimerLog {
+    set: Vec<(Nanos, u64)>,
+    fired: Vec<(Nanos, u64)>,
+    rearms: VecDeque<Vec<u64>>,
+}
+
+impl TimerLog {
+    /// Log a timer set at `now` for `now + delay`; returns its token.
+    fn arm(&mut self, now: Nanos, delay: u64) -> u64 {
+        let token = self.set.len() as u64;
+        self.set.push((now + Nanos(delay), token));
+        token
+    }
+}
+
+struct Rearmer(Rc<RefCell<TimerLog>>);
+
+impl HostAgent for Rearmer {
+    fn on_datagram(&mut self, _api: &mut HostApi<'_>, _dgram: &Datagram) {}
+    fn on_timer(&mut self, api: &mut HostApi<'_>, token: u64) {
+        let mut log = self.0.borrow_mut();
+        log.fired.push((api.now(), token));
+        for delay in log.rearms.pop_front().unwrap_or_default() {
+            let token = log.arm(api.now(), delay);
+            api.set_timer(Nanos(delay), token);
+        }
+    }
+}
+
+/// One step taken from outside the event loop.
+#[derive(Debug, Clone)]
+enum TimerOp {
+    /// Set timers at `now + delay` each.
+    Set(Vec<u64>),
+    /// `run_until(now + d)`, which may stop short of pending timers.
+    RunFor(u64),
+    /// Dispatch one event.
+    Step,
+}
+
+/// Delays with many exact ties (0 and a few fixed values) among
+/// spread-out ones; run lengths draw from the same mix, so a run often
+/// ends exactly on a pending timer's instant.
+fn timer_delay() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        3 => Just(0u64),
+        3 => (0u64..4).prop_map(|k| k * 1_000_000),
+        2 => 1u64..5_000_000,
+        1 => 1_000_000_000u64..3_000_000_000,
+    ]
+}
+
+fn timer_op() -> impl Strategy<Value = TimerOp> {
+    prop_oneof![
+        3 => proptest::collection::vec(timer_delay(), 1..6).prop_map(TimerOp::Set),
+        2 => timer_delay().prop_map(TimerOp::RunFor),
+        2 => Just(TimerOp::Step),
+    ]
+}
+
+proptest! {
+    #[test]
+    fn timers_fire_in_time_then_set_order(
+        ops in proptest::collection::vec(timer_op(), 1..40),
+        rearms in proptest::collection::vec(
+            proptest::collection::vec(timer_delay(), 0..3),
+            0..40,
+        ),
+    ) {
+        let mut sim = Sim::new(1);
+        let host = sim.add_host("h", Ipv4Addr::new(10, 0, 0, 1));
+        let log = Rc::new(RefCell::new(TimerLog {
+            rearms: rearms.into(),
+            ..TimerLog::default()
+        }));
+        sim.set_agent(host, Box::new(Rearmer(log.clone())));
+        for op in ops {
+            match op {
+                TimerOp::Set(delays) => {
+                    for delay in delays {
+                        let token = log.borrow_mut().arm(sim.now(), delay);
+                        sim.set_timer(host, Nanos(delay), token);
+                    }
+                }
+                TimerOp::RunFor(d) => {
+                    let t = sim.now() + Nanos(d);
+                    sim.run_until(t);
+                    prop_assert_eq!(sim.now(), t);
+                    // everything due has fired, nothing later has
+                    let log = log.borrow();
+                    let due = log.set.iter().filter(|(at, _)| *at <= t).count();
+                    prop_assert_eq!(log.fired.len(), due);
+                }
+                TimerOp::Step => {
+                    let pending = log.borrow().set.len() > log.borrow().fired.len();
+                    prop_assert_eq!(sim.step(), pending);
+                }
+            }
+        }
+        sim.run_to_idle();
+        let log = log.borrow();
+        let mut want = log.set.clone();
+        want.sort();
+        prop_assert_eq!(&log.fired, &want);
     }
 }

@@ -12,11 +12,11 @@
 //!   middle of an otherwise tunnelable chain is never skipped: its
 //!   marks land whether or not the surrounding hops collapse.
 //!
-//! The last test is a `wheel_equivalence`-style oracle: the *same*
-//! topology, seed and packet schedule driven twice — once with tunnels
-//! live, once forced hop-by-hop (a 1 ns routing epoch makes every
-//! cached tunnel miss its epoch bound) — must produce byte- and
-//! timestamp-identical captures and identical mark/forward counters.
+//! The last test is a differential oracle: the *same* topology, seed
+//! and packet schedule driven twice — once with tunnels live, once
+//! forced hop-by-hop (a 1 ns routing epoch makes every cached tunnel
+//! miss its epoch bound) — must produce byte- and timestamp-identical
+//! captures and identical mark/forward counters.
 
 use ecn_netsim::{
     DropCause, EcnMatch, EcnPolicy, Firewall, FirewallAction, FirewallRule, HostAgent, HostApi,

@@ -755,7 +755,6 @@ impl WorldBlueprint {
     ) -> Scenario {
         let seed = self.seed;
         let mut sim = self.skeleton.instantiate(config);
-        sim.reserve_events(256);
 
         let specs = self.plan.vantages();
         let mut vantages = Vec::with_capacity(specs.len());

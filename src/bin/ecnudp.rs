@@ -26,6 +26,7 @@ use ecnudp::core::{
 use ecnudp::pool::ScenarioSpec;
 use std::fs::File;
 use std::io::Write as _;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -52,10 +53,10 @@ OPTIONS:
     --scenario <file>   TOML or JSON scenario spec (see scenarios/)
     --shards <N>        engine shards per process (default: available
                         parallelism; any value renders byte-identical
-                        output; must be >= 1)
-    --processes <N>     worker processes (default 1 = in-process, with
-                        or without --checkpoint/--resume); with N > 1 the
-                        remaining units are partitioned across spawned
+                        output; 1 to 1024)
+    --processes <N>     worker processes, 1 to 256 (default 1 = in-process,
+                        with or without --checkpoint/--resume); with N > 1
+                        the remaining units are partitioned across spawned
                         workers under a supervisor and their reducers
                         tree-merged — output stays byte-identical. Each
                         process holds one world blueprint (~2.5 KB per
@@ -72,7 +73,8 @@ OPTIONS:
     --servers <N>       override the spec's population size
     --quick             override the schedule profile to `quick`
     --metrics <file>    write a JSON-lines metrics stream (deterministic
-                        except the summary's wall_ms; schema in DESIGN.md)
+                        except the summary's wall_ms; schema in DESIGN.md;
+                        never the --scenario, --checkpoint or --resume file)
     --progress          print live unit/observation progress to stderr
     --sample-traces <N> keep 1-in-N logical traces by identity hash and
                         append them to the metrics stream (needs --metrics)
@@ -171,22 +173,10 @@ fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
         match flag.as_str() {
             "--scenario" => args.scenario = Some(value("--scenario")?),
             "--shards" => {
-                let n: usize = value("--shards")?
-                    .parse()
-                    .map_err(|e| format!("--shards: {e}"))?;
-                if n == 0 {
-                    return Err("--shards must be at least 1 (got 0)".into());
-                }
-                args.shards = Some(n);
+                args.shards = Some(count_flag("--shards", &value("--shards")?, MAX_SHARDS)?)
             }
             "--processes" => {
-                let n: usize = value("--processes")?
-                    .parse()
-                    .map_err(|e| format!("--processes: {e}"))?;
-                if n == 0 {
-                    return Err("--processes must be at least 1 (got 0)".into());
-                }
-                args.processes = n;
+                args.processes = count_flag("--processes", &value("--processes")?, MAX_PROCESSES)?
             }
             "--json" => args.json = true,
             "--seed" => {
@@ -242,6 +232,21 @@ fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
     Ok(args)
 }
 
+/// Most engine shards (threads) one process may ask for.
+const MAX_SHARDS: usize = 1024;
+/// Most worker processes one run may ask for (each rebuilds the world
+/// blueprint).
+const MAX_PROCESSES: usize = 256;
+
+/// Parse a count flag that must lie in `1..=max`.
+fn count_flag(name: &str, raw: &str, max: usize) -> Result<usize, String> {
+    match raw.parse().map_err(|e| format!("{name}: {e}"))? {
+        0 => Err(format!("{name} must be at least 1 (got 0)")),
+        n if n > max => Err(format!("{name} must be at most {max} (got {n})")),
+        n => Ok(n),
+    }
+}
+
 /// Load the spec file (format chosen by extension, JSON sniffed as a
 /// fallback) and apply the flags that change the experiment: `--seed`,
 /// `--servers` and `--quick`.
@@ -282,6 +287,45 @@ fn sample_traces(args: &Args) -> Result<usize, String> {
         }
         (n, _) => Ok(n),
     }
+}
+
+/// Refuse a `--metrics` path that names the `--scenario`, `--checkpoint`
+/// or `--resume` file, however it is spelled: opening the metrics stream
+/// truncates it.
+fn metrics_apart_from_run_files(args: &Args) -> Result<(), String> {
+    let Some(metrics) = &args.metrics else {
+        return Ok(());
+    };
+    let at = resolved(metrics);
+    for (flag, path) in [
+        ("--scenario", &args.scenario),
+        ("--checkpoint", &args.checkpoint),
+        ("--resume", &args.resume),
+    ] {
+        if let Some(path) = path {
+            if path == metrics || (at.is_some() && at == resolved(path)) {
+                return Err(format!(
+                    "--metrics `{metrics}` is the {flag} file `{path}`; the metrics \
+                     stream would overwrite it: write the metrics to another file"
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// `path` made absolute with every symlink resolved, whether or not the
+/// file exists yet (then only its directory must); `None` if neither.
+fn resolved(path: &str) -> Option<PathBuf> {
+    let path = Path::new(path);
+    if let Ok(full) = path.canonicalize() {
+        return Some(full);
+    }
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    Some(dir.canonicalize().ok()?.join(path.file_name()?))
 }
 
 /// Create/truncate the metrics file up front, so an unwritable path fails
@@ -346,6 +390,7 @@ fn cmd_run(args: &Args) -> Result<(), CliError> {
                 .to_string(),
         ));
     }
+    metrics_apart_from_run_files(args)?;
     // Open the metrics sink before the campaign so a bad path fails fast.
     let metrics_file = args.metrics.as_deref().map(open_metrics).transpose()?;
     let observed = metrics_file.is_some() || args.progress;

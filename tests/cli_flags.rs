@@ -1,8 +1,10 @@
 //! Spawned-binary coverage for the engine-topology and supervision flags:
-//! out-of-range rejection at parse time (`--shards 0`, `--processes 0`,
-//! a `--worker-timeout` outside (0, 86400] s, `--max-retries` above
-//! 1000), the `--sample-traces` conflict with
-//! `--processes > 1` and `--resume` (refused before any file is opened),
+//! out-of-range rejection at parse time (`--shards` outside 1..=1024,
+//! `--processes` outside 1..=256, a `--worker-timeout` outside
+//! (0, 86400] s, `--max-retries` above 1000), the `--sample-traces`
+//! conflict with `--processes > 1` and `--resume` and a `--metrics` path
+//! naming the spec or checkpoint file (both refused before any file is
+//! opened),
 //! metrics/progress streaming worker lifecycle under `--processes > 1`
 //! (with the same unit, snapshot and summary lines as one process), and
 //! the `validate` metrics probe's non-destructiveness (a pre-existing
@@ -20,38 +22,44 @@ fn ecnudp(args: &[&str]) -> std::process::Output {
         .expect("spawn ecnudp")
 }
 
-#[test]
-fn zero_shards_is_rejected_at_parse_with_the_flag_name() {
+/// Run with `flag value` and assert a usage error (exit 2) whose message
+/// names the flag and contains `bound`. Every value here is refused at
+/// parse, so no campaign, thread or worker process ever starts.
+fn assert_refused_at_parse(flag: &str, value: &str, bound: &str) {
     let out = ecnudp(&[
         "run",
         "--scenario",
         "scenarios/paper2015-mini.toml",
-        "--shards",
-        "0",
+        flag,
+        value,
     ]);
-    assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "usage errors exit 2 ({flag} {value})"
+    );
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(
-        err.contains("--shards") && err.contains("at least 1"),
-        "error must name the flag and the floor: {err}"
+        err.contains(flag) && err.contains(bound),
+        "error must name the flag and the bound ({flag} {value}): {err}"
     );
 }
 
 #[test]
+fn zero_shards_is_rejected_at_parse_with_the_flag_name() {
+    assert_refused_at_parse("--shards", "0", "at least 1");
+    // one thread per shard: the engine clamps only to the unit count,
+    // which a spec can raise to 13 x population.servers
+    assert_refused_at_parse("--shards", "1025", "at most 1024");
+    assert_refused_at_parse("--shards", "18446744073709551615", "at most 1024");
+}
+
+#[test]
 fn zero_processes_is_rejected_at_parse_with_the_flag_name() {
-    let out = ecnudp(&[
-        "run",
-        "--scenario",
-        "scenarios/paper2015-mini.toml",
-        "--processes",
-        "0",
-    ]);
-    assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        err.contains("--processes") && err.contains("at least 1"),
-        "error must name the flag and the floor: {err}"
-    );
+    assert_refused_at_parse("--processes", "0", "at least 1");
+    // one worker process, and one blueprint build, per process
+    assert_refused_at_parse("--processes", "257", "at most 256");
+    assert_refused_at_parse("--processes", "18446744073709551615", "at most 256");
 }
 
 #[test]
@@ -116,6 +124,79 @@ fn supervised_mode_refuses_trace_sampling() {
         );
     }
     let _ = std::fs::remove_file(&metrics);
+}
+
+#[test]
+fn metrics_naming_the_spec_or_checkpoint_file_is_refused_before_it_is_opened() {
+    // the metrics stream truncates its file when the run starts: on the
+    // --resume file that empties the checkpoint before the engine reads
+    // it, on the --checkpoint file the stream is lost under the
+    // checkpoint, on the --scenario file the spec is lost. Each time the
+    // run must stop before touching the file.
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("target/test-scenarios");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let spec = dir.join("metrics-clash.toml");
+    let preset = Path::new(env!("CARGO_MANIFEST_DIR")).join("scenarios/paper2015-mini.toml");
+    std::fs::copy(preset, &spec).expect("copy spec");
+    let spec_arg = spec.to_str().expect("utf8 path");
+    let ckpt = dir.join("metrics-clash.ckpt");
+    let ckpt_arg = ckpt.to_str().expect("utf8 path");
+    // the same file by another spelling
+    let respelled = dir.join("../test-scenarios/./metrics-clash.ckpt");
+    let respelled_arg = respelled.to_str().expect("utf8 path");
+    let body = "{\"checkpoint\":\"from an earlier run\"}\n";
+    // (the flag whose file --metrics names, its arguments, --metrics)
+    let cases: [(&str, &[&str], &str); 4] = [
+        ("--resume", &["--resume", ckpt_arg], ckpt_arg),
+        ("--checkpoint", &["--checkpoint", ckpt_arg], ckpt_arg),
+        ("--checkpoint", &["--checkpoint", ckpt_arg], respelled_arg),
+        ("--scenario", &[], spec_arg),
+    ];
+    let spec_body = std::fs::read_to_string(&spec).expect("spec");
+    for (flag, flag_args, metrics_arg) in cases {
+        std::fs::write(&ckpt, body).expect("seed checkpoint file");
+        let mut args = vec!["run", "--scenario", spec_arg];
+        args.extend_from_slice(flag_args);
+        args.extend_from_slice(&["--metrics", metrics_arg]);
+        let out = ecnudp(&args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "config conflict exits 1 ({flag} {metrics_arg}): {err}"
+        );
+        assert!(
+            err.contains("--metrics") && err.contains(flag),
+            "error must name both flags ({flag} {metrics_arg}): {err}"
+        );
+        assert_eq!(
+            std::fs::read_to_string(&ckpt).expect("checkpoint still there"),
+            body,
+            "a refused run must leave the checkpoint as it was ({flag} {metrics_arg})"
+        );
+        assert_eq!(
+            std::fs::read_to_string(&spec).expect("spec still there"),
+            spec_body,
+            "a refused run must leave the spec as it was ({flag} {metrics_arg})"
+        );
+    }
+    // a checkpoint that does not exist yet, spelled two ways
+    let fresh = dir.join("metrics-clash-fresh.ckpt");
+    let _ = std::fs::remove_file(&fresh);
+    let fresh_respelled = dir.join("./metrics-clash-fresh.ckpt");
+    let out = ecnudp(&[
+        "run",
+        "--scenario",
+        spec_arg,
+        "--checkpoint",
+        fresh.to_str().expect("utf8 path"),
+        "--metrics",
+        fresh_respelled.to_str().expect("utf8 path"),
+    ]);
+    assert_eq!(out.status.code(), Some(1), "config conflict exits 1");
+    assert!(!fresh.exists(), "a refused run must create no file");
+    let _ = std::fs::remove_file(&ckpt);
+    let _ = std::fs::remove_file(&spec);
 }
 
 #[test]
