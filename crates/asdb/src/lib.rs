@@ -109,19 +109,6 @@ impl AsDb {
             },
         }
     }
-
-    /// Distinct ASNs along a path of hop addresses (unmapped hops skipped).
-    pub fn path_as_set(&self, hops: &[Ipv4Addr]) -> Vec<u32> {
-        let mut out: Vec<u32> = Vec::new();
-        for h in hops {
-            if let Some(asn) = self.lookup(*h) {
-                if out.last() != Some(&asn) {
-                    out.push(asn);
-                }
-            }
-        }
-        out
-    }
 }
 
 /// AS classification of one traceroute hop.
@@ -209,20 +196,6 @@ mod tests {
             db.classify_hop(Some(x), c),
             HopAsClass::Interior { asn: 65002 }
         );
-    }
-
-    #[test]
-    fn path_as_set_deduplicates_runs() {
-        let db = db();
-        let path = [
-            Ipv4Addr::new(10, 0, 0, 1),
-            Ipv4Addr::new(10, 0, 0, 2),
-            Ipv4Addr::new(10, 1, 0, 1),
-            Ipv4Addr::new(10, 1, 0, 2),
-            Ipv4Addr::new(10, 1, 200, 1),
-            Ipv4Addr::new(192, 0, 2, 1), // unmapped, skipped
-        ];
-        assert_eq!(db.path_as_set(&path), vec![65001, 65002, 65003]);
     }
 
     #[test]

@@ -77,11 +77,6 @@ impl BatchComparison {
         }
     }
 
-    /// Drop in mean reachability from batch 1 to batch 2.
-    pub fn reachability_drop(&self) -> f64 {
-        self.batch1_avg_reachable - self.batch2_avg_reachable
-    }
-
     /// Paper-style text rendering.
     pub fn render(&self) -> String {
         let rows = vec![
@@ -174,7 +169,6 @@ mod tests {
         assert!((b.batch2_avg_reachable - 1.0).abs() < 1e-9);
         assert_eq!(b.churned, vec![Ipv4Addr::new(10, 0, 0, 0)]);
         assert_eq!(b.never_reachable, 1);
-        assert!((b.reachability_drop() - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! execution (all four probes against every target), the per-vantage
 //! traceroute survey, and the discovery phase — paper §3's mechanics.
 //!
-//! Campaign *execution* lives in [`crate::engine`]: a sharded,
-//! work-stealing engine over (vantage × target-chunk) units that replaced
+//! Campaign *execution* lives in [`crate::engine`]: a sharded engine
+//! over (vantage × target-chunk) units that replaced
 //! the two divergent runners this module used to carry. Sequential
 //! execution is the `shards = 1` special case of the same code path.
 
@@ -202,7 +202,7 @@ pub fn run_trace(
 /// Which codepoint a vantage's validation rounds test. A fixed fraction
 /// of vantages (per 1000, chosen by a pure hash of the vantage index so
 /// the assignment is identical across shard counts, process counts and
-/// stealing orders) sends L4S-style ECT(1) trains; the rest send ECT(0).
+/// unit orders) sends L4S-style ECT(1) trains; the rest send ECT(0).
 fn validation_session_ecn(vantage: usize, ect1_per_1000: u32) -> Ecn {
     let h = (vantage as u32).wrapping_mul(2_654_435_761) >> 16;
     if h % 1000 < ect1_per_1000 {

@@ -2,13 +2,15 @@
 //!
 //! One blueprint, many worlds: the engine builds the seeded
 //! [`WorldBlueprint`] **once**, then executes the campaign as a pool of
-//! independent work units — one per (vantage × target-chunk) — scheduled
-//! across a configurable number of work-stealing shards. Each unit
-//! instantiates its own live world from the shared blueprint under an RNG
-//! domain label derived from the *unit identity* (never the shard), so:
+//! independent work units — one per (vantage × target-chunk) — that a
+//! configurable number of shards take in turn from one shared cursor.
+//! Each unit instantiates its own live world from the shared blueprint
+//! under an RNG domain label derived from the *unit identity* (never the
+//! shard), so:
 //!
-//! - shard count and work-stealing order cannot change any result byte —
-//!   sequential execution is literally the `shards = 1` special case;
+//! - shard count and the order units are taken in cannot change any
+//!   result byte — sequential execution is literally the `shards = 1`
+//!   special case;
 //! - N shards pay one decision phase plus N cheap instantiations, not N
 //!   full world builds (what the old per-vantage-thread runner did);
 //! - finished records stream straight into shard-local reducers
@@ -28,23 +30,23 @@ use crate::campaign::{
 use crate::config::CampaignConfig;
 use crate::events::{Event, Subscriber, UnitId, UnitRecord};
 use crate::mp::Completed;
-use crate::reducers::{Reduce, RouteCtx, ShardReducers, TraceCtx};
+use crate::reducers::{CampaignAggregates, Reduce, RouteCtx, TraceCtx};
 use ecn_netsim::drop_cause_label;
 use ecn_pool::{PoolPlan, VantageSpec, WorldBlueprint};
-use parking_lot::Mutex;
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashSet};
 use std::net::Ipv4Addr;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 pub use crate::mp::MpError;
 
-/// How the unit list is ordered before being dealt to the shards. Results
-/// are invariant under this knob (the determinism suite enforces it); it
-/// exists so tests can prove scheduling-order independence. Serializes so
-/// the multi-process worker request can carry it across the pipe.
+/// The order the shards take the unit list in. Results are invariant
+/// under this knob (the determinism suite enforces it); it exists so
+/// tests can prove scheduling-order independence. Serializes so the
+/// multi-process worker request can carry it across the pipe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum UnitOrder {
     /// Vantage-major, chunk-minor (the canonical order).
@@ -65,8 +67,8 @@ pub struct EngineConfig {
     /// Worker **processes**. `1` (the default) runs everything in this
     /// process, checkpoint and resume included; `N > 1` partitions the
     /// remaining unit list round-robin across `N` supervised child
-    /// processes (each running its own `shards`-wide work-stealing pool)
-    /// and tree-merges their serialized [`ShardReducers`] — see
+    /// processes (each running its own `shards`-wide unit pool) and
+    /// tree-merges their serialized [`CampaignAggregates`] — see
     /// [`crate::mp`]. Like `shards`, a pure concurrency/memory knob: any
     /// value renders byte-identical reports, and subscribers see the same
     /// per-unit events, plus the supervision events (worker lifecycle,
@@ -188,30 +190,9 @@ pub struct EngineRun {
     pub process_peak_rss_kb: Vec<u64>,
 }
 
-/// One work unit: one vantage's full schedule against one target chunk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Unit {
-    pub(crate) vantage: usize,
-    pub(crate) chunk: usize,
-}
-
-/// The units at canonical indices `indices`: the canonical order is
-/// vantage-major, chunk-minor, so index `i` is unit
-/// `(i / chunks, i % chunks)`. Resume skip lists and the multi-process
-/// partition (`crate::mp`) are both defined over these indices.
-pub(crate) fn units_at(indices: &[usize], chunks: usize) -> Vec<Unit> {
-    indices
-        .iter()
-        .map(|&i| Unit {
-            vantage: i / chunks,
-            chunk: i % chunks,
-        })
-        .collect()
-}
-
 /// Apply the scheduling-order knob (a pure permutation; results are
 /// invariant — the determinism suite sweeps it).
-pub(crate) fn apply_unit_order(units: &mut [Unit], order: UnitOrder) {
+pub(crate) fn apply_unit_order(units: &mut [UnitId], order: UnitOrder) {
     match order {
         UnitOrder::AsScheduled => {}
         UnitOrder::Reversed => units.reverse(),
@@ -319,13 +300,13 @@ pub fn try_run_engine_observed<S: Subscriber>(
 
     // Phase 4: run the remaining units, here or in worker processes.
     let ran = if let Some(bp) = in_process {
-        let mut units = units_at(&remaining, chunks);
+        let mut units: Vec<UnitId> = remaining.iter().map(|&i| UnitId::at(i, chunks)).collect();
         apply_unit_order(&mut units, eng.unit_order);
         let pool = run_unit_pool(
             &bp,
             &result.targets,
             &per_vantage_schedule(&plan.vantages(), cfg),
-            units,
+            &units,
             chunks,
             cfg,
             eng,
@@ -411,21 +392,22 @@ pub(crate) fn per_vantage_schedule(
 /// What the unit pool produced, after the deterministic merge.
 pub(crate) struct PoolOutcome {
     /// Tree-merged shard reducers.
-    pub(crate) reducers: ShardReducers,
+    pub(crate) reducers: CampaignAggregates,
     /// Shards actually used.
     pub(crate) shard_count: usize,
 }
 
-/// Phase 4 of the engine: execute `units` over a work-stealing shard
-/// pool, then tree-merge the (commutative) shard reducers. Shared by the
-/// in-process engine and the multi-process worker (which passes its
-/// round-robin partition of the canonical unit list).
+/// Phase 4 of the engine: execute `units` on a pool of shards, each
+/// taking the next unit in list order until none is left, then
+/// tree-merge the (commutative) shard reducers. Shared by the in-process
+/// engine and the multi-process worker (which passes its round-robin
+/// partition of the canonical unit list).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_unit_pool<S: Subscriber>(
     bp: &WorldBlueprint,
     targets: &[Ipv4Addr],
     per_vantage_sched: &[Vec<ScheduledTrace>],
-    units: Vec<Unit>,
+    units: &[UnitId],
     chunks: usize,
     cfg: &CampaignConfig,
     eng: &EngineConfig,
@@ -442,30 +424,24 @@ pub(crate) fn run_unit_pool<S: Subscriber>(
         })
         .clamp(1, unit_count.max(1));
 
-    // Phase 4: work-stealing execution. Each shard owns a deque, takes
-    // from its front, and steals from the back of a round-robin victim.
-    let queues: Vec<Mutex<VecDeque<Unit>>> = {
-        let mut qs: Vec<VecDeque<Unit>> = (0..shard_count).map(|_| VecDeque::new()).collect();
-        for (i, u) in units.into_iter().enumerate() {
-            qs[i % shard_count].push_back(u);
-        }
-        qs.into_iter().map(Mutex::new).collect()
-    };
-    type ShardYield<S> = (ShardReducers, S, Duration, Duration, Duration);
+    // The cursor only hands out indices into the shared, read-only unit
+    // list, so it publishes no data: Relaxed suffices.
+    let cursor = AtomicUsize::new(0);
+    type ShardYield<S> = (CampaignAggregates, S, Duration, Duration, Duration);
     let mut shard_yields: Vec<ShardYield<S>> = Vec::with_capacity(shard_count);
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(shard_count);
-        for s in 0..shard_count {
-            let queues = &queues;
+        for _ in 0..shard_count {
+            let cursor = &cursor;
             let per_vantage_sched = &per_vantage_sched;
             // forked here, on the spawning thread, so `S` needs only Send
             let mut sub = subscriber.fork();
             handles.push(scope.spawn(move || {
-                let mut reducers = ShardReducers::default();
+                let mut reducers = CampaignAggregates::default();
                 let mut inst = Duration::ZERO;
                 let mut probe = Duration::ZERO;
                 let mut reduce = Duration::ZERO;
-                while let Some(unit) = next_unit(s, queues) {
+                while let Some(&unit) = units.get(cursor.fetch_add(1, Ordering::Relaxed)) {
                     let chunk_targets = chunk_slice(targets, unit.chunk, chunks);
                     run_unit(
                         bp,
@@ -490,7 +466,7 @@ pub(crate) fn run_unit_pool<S: Subscriber>(
     // (⌈log₂ shards⌉ rounds; commutativity + associativity make it equal
     // to any fold — `reducers::tree_merge_equals_flat_fold` pins that).
     let t0 = Instant::now();
-    let mut shard_reducers: Vec<ShardReducers> = Vec::with_capacity(shard_count);
+    let mut shard_reducers: Vec<CampaignAggregates> = Vec::with_capacity(shard_count);
     for (red, sub, inst, probe, reduce) in shard_yields {
         shard_reducers.push(red);
         subscriber.merge(sub);
@@ -514,28 +490,6 @@ fn chunk_slice(targets: &[Ipv4Addr], c: usize, chunks: usize) -> &[Ipv4Addr] {
     &targets[c * n / chunks..(c + 1) * n / chunks]
 }
 
-/// Pop local work, else steal from the back of a victim.
-///
-/// Victims are visited round-robin starting at the shard's right-hand
-/// neighbour, and each visit is a single lock-and-pop. The previous
-/// "steal from the fullest" policy locked every queue once to measure
-/// lengths and then re-locked the chosen victim — O(shards²) lock
-/// traffic per steal across the drain phase, for no placement benefit
-/// (results are order-invariant and units are uniform).
-fn next_unit(s: usize, queues: &[Mutex<VecDeque<Unit>>]) -> Option<Unit> {
-    if let Some(u) = queues[s].lock().pop_front() {
-        return Some(u);
-    }
-    let n = queues.len();
-    for off in 1..n {
-        let v = (s + off) % n;
-        if let Some(u) = queues[v].lock().pop_back() {
-            return Some(u);
-        }
-    }
-    None
-}
-
 /// Execute one unit: instantiate its world under the unit-identity RNG
 /// domain, run the vantage's schedule against the unit's target chunk,
 /// then (optionally) its slice of the traceroute survey — streaming every
@@ -546,19 +500,15 @@ fn next_unit(s: usize, queues: &[Mutex<VecDeque<Unit>>]) -> Option<Unit> {
 #[allow(clippy::too_many_arguments)]
 fn run_unit<S: Subscriber>(
     bp: &WorldBlueprint,
-    unit: Unit,
+    unit: UnitId,
     sched: &[ScheduledTrace],
     chunk_targets: &[Ipv4Addr],
     cfg: &CampaignConfig,
-    reducers: &mut ShardReducers,
+    reducers: &mut CampaignAggregates,
     sub: &mut S,
     (inst, probe, reduce): (&mut Duration, &mut Duration, &mut Duration),
 ) {
     let first_chunk = unit.chunk == 0;
-    let uid = UnitId {
-        vantage: unit.vantage,
-        chunk: unit.chunk,
-    };
     let t0 = Instant::now();
     // Scoped stamp: only this chunk's targets get server stacks. Packets
     // in a unit world flow exclusively between the vantages and the
@@ -587,7 +537,7 @@ fn run_unit<S: Subscriber>(
         unit_reduce += tr.elapsed();
         if S::ENABLED {
             sub.on_event(&Event::TraceVerdict {
-                unit: uid,
+                unit,
                 trace_index,
                 record: &rec,
             });
@@ -627,7 +577,7 @@ fn run_unit<S: Subscriber>(
             ecn_rewritten,
         };
         sub.on_event(&Event::UnitFinished {
-            unit: uid,
+            unit,
             record: &record,
         });
     }

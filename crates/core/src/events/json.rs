@@ -63,7 +63,7 @@ const PROBE_LABELS: [&str; 4] = ["udp_plain", "udp_ect", "tcp_plain", "tcp_ecn"]
 /// The JSON-lines metrics subscriber. Forks keep each unit's
 /// [`UnitRecord`] keyed by [`UnitId`]; the root writes the whole ordered
 /// stream in [`Subscriber::finish`], which is what makes the output
-/// deterministic under work stealing (see the module docs).
+/// deterministic whichever shard runs which unit (see the module docs).
 #[derive(Debug)]
 pub struct JsonLinesMetrics<W: Write + Send> {
     /// Only the root holds the sink; forks carry `None`.

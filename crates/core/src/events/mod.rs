@@ -38,13 +38,13 @@
 //!
 //! ## Determinism guarantee
 //!
-//! Shards deliver events in work-stealing order, so subscribers follow
-//! the reducer discipline ([`crate::reducers`]): accumulate per-unit
-//! state keyed by the chunk-invariant unit identity, [`Subscriber::merge`]
-//! commutatively, and emit ordered output only in
+//! Shards deliver events in the order they finish units, so subscribers
+//! follow the reducer discipline ([`crate::reducers`]): accumulate
+//! per-unit state keyed by the chunk-invariant unit identity,
+//! [`Subscriber::merge`] commutatively, and emit ordered output only in
 //! [`Subscriber::finish`]. Every event is a deterministic function of
 //! (plan, config, seed) in a fault-free run; only its arrival order
-//! depends on the stealing schedule.
+//! depends on which shard took which unit.
 
 mod json;
 mod progress;
@@ -66,6 +66,19 @@ pub struct UnitId {
     pub vantage: usize,
     /// Target-chunk index within the vantage.
     pub chunk: usize,
+}
+
+impl UnitId {
+    /// The unit at canonical index `index` with `chunks` target chunks
+    /// per vantage. The canonical order is vantage-major, chunk-minor;
+    /// resume skip lists and the multi-process partition (`crate::mp`)
+    /// are both defined over these indices.
+    pub(crate) fn at(index: usize, chunks: usize) -> UnitId {
+        UnitId {
+            vantage: index / chunks,
+            chunk: index % chunks,
+        }
+    }
 }
 
 /// What one work unit did: the record [`Event::UnitFinished`] carries,

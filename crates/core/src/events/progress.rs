@@ -2,8 +2,8 @@
 //! stderr while the campaign runs.
 //!
 //! This is the one built-in subscriber whose *output timing* is
-//! nondeterministic (it reads the wall clock and the work-stealing
-//! interleaving), which is why it writes to stderr and never into a
+//! nondeterministic (it reads the wall clock and the order the shards
+//! finish units in), which is why it writes to stderr and never into a
 //! metrics export: `ecnudp run … --progress > report.txt` still captures
 //! a clean, deterministic artefact on stdout.
 

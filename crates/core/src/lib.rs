@@ -18,8 +18,8 @@
 //!    revealing where marks are bleached (§4.2).
 //! 4. [`campaign`] — the full 210-trace schedule across 13 vantages and
 //!    two collection batches, plus the traceroute survey; [`engine`]
-//!    executes it as blueprint-backed work units over work-stealing
-//!    shards, streaming records into [`reducers`].
+//!    executes it as blueprint-backed work units that its shards take
+//!    from one shared cursor, streaming records into [`reducers`].
 //! 5. [`analysis`] — Table 1/2 and Figures 2–6, each with a
 //!    paper-style text rendering; [`analysis::FullReport`] bundles them.
 //!
@@ -79,7 +79,7 @@ pub use mp::{
 pub use probes::{probe_tcp, probe_udp, TcpProbeResult, UdpProbeResult};
 pub use reducers::{
     merge_depth, merge_tree, BatchCounts, CampaignAggregates, DifferentialCounts, HopSurveyCounts,
-    Reduce, RouteCtx, ShardReducers, Table2Counts, TraceCounters, TraceCtx, TraceStats,
+    Reduce, RouteCtx, Table2Counts, TraceCounters, TraceCtx, TraceStats,
 };
 pub use scenario_run::{campaign_config, engine_config, RunSummary};
 pub use trace::{ServerOutcome, TraceRecord};

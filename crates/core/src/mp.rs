@@ -1,6 +1,6 @@
 //! Multi-process shard mode: partition the engine's remaining unit pool
-//! across child **processes**, each running its own work-stealing shard
-//! pool, and tree-merge their serialized reducers in the parent — under a
+//! across child **processes**, each running its own shard pool, and
+//! tree-merge their serialized reducers in the parent — under a
 //! supervisor that retries failed workers — plus the checkpoint files
 //! the engine writes and resumes from at any process count.
 //!
@@ -38,7 +38,7 @@
 //! partition of the canonical unit list — position `p` of the
 //! not-yet-completed units belongs to worker `p % processes` — and
 //! writes one [`WorkerPayload`] as JSON on stdout: its tree-merged
-//! [`ShardReducers`], timing breakdown, peak-RSS gauge, and the
+//! [`CampaignAggregates`], timing breakdown, peak-RSS gauge, and the
 //! [`UnitRecord`] of every unit it ran ([`WorkerCounters`]). The parent
 //! re-emits those records as [`Event::UnitFinished`], so subscribers see
 //! the same per-unit stream under any process count. Worker stderr is piped
@@ -84,17 +84,17 @@
 //! The partition is over *canonical* unit indices, reducers are
 //! commutative and associative, and every unit's RNG domain derives from
 //! its identity — so process count, retry schedule, and resume
-//! partitioning, like shard count and stealing order, cannot change any
+//! partitioning, like shard count and unit order, cannot change any
 //! result byte.
 
 use crate::config::CampaignConfig;
 use crate::engine::{
-    apply_unit_order, per_vantage_schedule, run_unit_pool, units_at, EngineConfig, EngineTiming,
-    Ran, Unit, UnitOrder,
+    apply_unit_order, per_vantage_schedule, run_unit_pool, EngineConfig, EngineTiming, Ran,
+    UnitOrder,
 };
 use crate::events::{Event, Subscriber, UnitId, UnitRecord};
 use crate::fault::{FaultPlan, WorkerFault, CRASH_EXIT_CODE, PARENT_EXIT_CODE};
-use crate::reducers::{merge_depth, merge_tree, ShardReducers};
+use crate::reducers::{merge_depth, merge_tree, CampaignAggregates};
 use ecn_pool::{PoolPlan, WorldBlueprint};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -180,7 +180,7 @@ impl Subscriber for WorkerCounters {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WorkerPayload {
     /// The worker's tree-merged partial aggregates.
-    pub aggregates: ShardReducers,
+    pub aggregates: CampaignAggregates,
     /// Units the worker executed.
     pub units: usize,
     /// Shards the worker actually used.
@@ -343,7 +343,7 @@ pub struct Checkpoint {
     /// Completed canonical unit indices, sorted ascending.
     pub completed: Vec<usize>,
     /// Merge of every completed worker payload (plus any resumed state).
-    pub aggregates: ShardReducers,
+    pub aggregates: CampaignAggregates,
     /// FNV-1a over the serialized `completed` list, then the serialized
     /// `aggregates`.
     pub checksum: u64,
@@ -355,7 +355,7 @@ impl Checkpoint {
         fingerprint: u64,
         unit_count: usize,
         completed: Vec<usize>,
-        aggregates: ShardReducers,
+        aggregates: CampaignAggregates,
     ) -> Result<Checkpoint, MpError> {
         let mut ck = Checkpoint {
             version: CHECKPOINT_VERSION,
@@ -477,7 +477,7 @@ pub(crate) struct Completed {
     units: BTreeSet<usize>,
     /// Aggregates of the completed units, one part per resumed
     /// checkpoint or finished batch, merged only at the end.
-    parts: Vec<ShardReducers>,
+    parts: Vec<CampaignAggregates>,
 }
 
 impl Completed {
@@ -556,7 +556,7 @@ impl Completed {
 
     /// Record `units` (canonical indices) as complete with their
     /// aggregates.
-    pub(crate) fn add(&mut self, units: &[usize], aggregates: ShardReducers) {
+    pub(crate) fn add(&mut self, units: &[usize], aggregates: CampaignAggregates) {
         self.units.extend(units.iter().copied());
         self.parts.push(aggregates);
     }
@@ -589,7 +589,7 @@ impl Completed {
 
     /// The campaign's aggregates: every part tree-merged, and how many
     /// parts there were.
-    pub(crate) fn merge(self) -> (ShardReducers, usize) {
+    pub(crate) fn merge(self) -> (CampaignAggregates, usize) {
         let parts = self.parts.len();
         (merge_tree(self.parts), parts)
     }
@@ -601,13 +601,13 @@ impl Completed {
 /// ([`partition_assignments`]), each canonical index mapped back to its
 /// (vantage, chunk) unit. An `index` at or past `processes` gets an empty
 /// slice.
-fn worker_partition(req: &WorkerRequest, vantage_count: usize, chunks: usize) -> Vec<Unit> {
+fn worker_partition(req: &WorkerRequest, vantage_count: usize, chunks: usize) -> Vec<UnitId> {
     let processes = req.processes.max(1);
     let assigned = partition_assignments(vantage_count * chunks, &req.skip, processes)
         .into_iter()
         .nth(req.index)
         .unwrap_or_default();
-    units_at(&assigned, chunks)
+    assigned.iter().map(|&i| UnitId::at(i, chunks)).collect()
 }
 
 /// Execute one worker request (the body of worker mode; separated so
@@ -652,7 +652,7 @@ fn run_worker_sabotaged(req: &WorkerRequest, fault: Option<WorkerFault>) -> Work
         &bp,
         &req.targets,
         &per_vantage_sched,
-        units,
+        &units,
         chunks,
         &req.cfg,
         &eng,
@@ -1086,10 +1086,7 @@ pub(crate) fn run_supervised<S: Subscriber>(
                         if will_retry {
                             for &ci in &assignments[worker] {
                                 subscriber.on_event(&Event::UnitRetried {
-                                    unit: UnitId {
-                                        vantage: ci / chunks,
-                                        chunk: ci % chunks,
-                                    },
+                                    unit: UnitId::at(ci, chunks),
                                     worker,
                                     attempt: attempt + 1,
                                 });
@@ -1266,7 +1263,7 @@ mod tests {
             )],
         };
         let payload = WorkerPayload {
-            aggregates: ShardReducers::default(),
+            aggregates: CampaignAggregates::default(),
             units: 6,
             shards: 2,
             timing: EngineTiming::default(),
@@ -1287,7 +1284,13 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ecnudp-ck-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("campaign.ck");
-        let ck = Checkpoint::new(0xdead_beef, 26, vec![0, 3, 7], ShardReducers::default()).unwrap();
+        let ck = Checkpoint::new(
+            0xdead_beef,
+            26,
+            vec![0, 3, 7],
+            CampaignAggregates::default(),
+        )
+        .unwrap();
         write_checkpoint(&path, &ck).unwrap();
         let back = read_checkpoint(&path).unwrap();
         assert_eq!(back.fingerprint, 0xdead_beef);

@@ -11,10 +11,11 @@
 //!
 //! ## Reducer contract
 //!
-//! Each shard of the execution engine owns one [`ShardReducers`] instance
-//! and feeds it records the moment a work unit finishes them; at the end
-//! the engine merges the shard instances. Because work stealing makes the
-//! observation *order* nondeterministic, a reducer must be
+//! Each shard of the execution engine owns one [`CampaignAggregates`]
+//! instance and feeds it records the moment a work unit finishes them; at
+//! the end the engine merges the shard instances. Because which shard
+//! takes which unit varies from run to run, the observation *order* is
+//! nondeterministic, so a reducer must be
 //! **order-invariant**: observation and [`Reduce::merge`] must be
 //! commutative and associative. In practice that means integer counters
 //! (never running `f64` sums, whose rounding depends on order) and keyed
@@ -318,12 +319,6 @@ impl TraceStats {
         });
         v.into_iter().map(|(_, t)| t).collect()
     }
-
-    /// Vantage display names in first-seen campaign order — the row order
-    /// of Table 2 / Figure 3 and the bar order of the per-vantage figures.
-    pub fn location_order(&self) -> Vec<String> {
-        location_order_of(&self.ordered())
-    }
 }
 
 /// Vantage display names in first-seen order over an already-sorted trace
@@ -540,8 +535,8 @@ impl Reduce for ValidationCounts {
 // ---------------------------------------------------------------- composite
 
 /// The full streamed-aggregate set: everything the report path needs,
-/// finalized. Each engine shard owns one instance (see [`ShardReducers`])
-/// and the engine merges them; the result rides on
+/// finalized. Each engine shard owns one instance and the engine merges
+/// them; the result rides on
 /// `CampaignResult::aggregates`.
 ///
 /// Serializes (vendored-serde JSON) so a whole instance can cross a
@@ -586,10 +581,6 @@ impl Reduce for CampaignAggregates {
         self.validation.merge(other.validation);
     }
 }
-
-/// The reducer set each engine shard owns — the same type as the merged
-/// result: a shard's accumulator *is* a partial [`CampaignAggregates`].
-pub type ShardReducers = CampaignAggregates;
 
 /// Hierarchically merge partial accumulators: pairwise rounds until one
 /// remains, so `n` parts take [`merge_depth`]`(n)` = ⌈log₂ n⌉ rounds
@@ -682,7 +673,7 @@ mod tests {
             ),
             rec("B", vec![outcome(4, true, false, false, false)]),
         ];
-        let mut streamed = ShardReducers::default();
+        let mut streamed = CampaignAggregates::default();
         for (i, t) in traces.iter().enumerate() {
             streamed.observe_trace(t, &TraceCtx::whole(i, 0));
         }
@@ -717,16 +708,16 @@ mod tests {
             TraceCtx::whole(0, 1)
         });
 
-        let mut left = ShardReducers::default();
+        let mut left = CampaignAggregates::default();
         left.observe_trace(&a, &ka);
         left.observe_trace(&b, &kb);
-        let mut right = ShardReducers::default();
+        let mut right = CampaignAggregates::default();
         right.observe_trace(&c, &kc);
         left.merge(right);
 
-        let mut other_order = ShardReducers::default();
+        let mut other_order = CampaignAggregates::default();
         other_order.observe_trace(&c, &kc);
-        let mut rest = ShardReducers::default();
+        let mut rest = CampaignAggregates::default();
         rest.observe_trace(&b, &kb);
         rest.observe_trace(&a, &ka);
         other_order.merge(rest);
@@ -747,7 +738,7 @@ mod tests {
             first_chunk: false,
             ..first
         };
-        let mut r = ShardReducers::default();
+        let mut r = CampaignAggregates::default();
         r.observe_trace(&rec("A", vec![outcome(1, true, false, true, true)]), &first);
         r.observe_trace(
             &rec("A", vec![outcome(2, true, false, false, false)]),
@@ -773,7 +764,7 @@ mod tests {
             first_chunk: false,
             ..first
         };
-        // chunk 1 observed before chunk 0 (stealing order): identity and
+        // chunk 1 observed before chunk 0 (any unit order): identity and
         // counters must come out the same
         let mut s = TraceStats::default();
         s.observe_trace(&rec("A", vec![outcome(2, true, false, true, false)]), &rest);
@@ -790,9 +781,9 @@ mod tests {
     fn tree_merge_equals_flat_fold() {
         // 7 parts (odd, forces carry legs at every round): tree merge and
         // the old left-fold must agree exactly
-        let parts: Vec<ShardReducers> = (0..7u8)
+        let parts: Vec<CampaignAggregates> = (0..7u8)
             .map(|i| {
-                let mut r = ShardReducers::default();
+                let mut r = CampaignAggregates::default();
                 let name = ["A", "B", "C"][usize::from(i) % 3];
                 r.observe_trace(
                     &rec(
@@ -804,7 +795,7 @@ mod tests {
                 r
             })
             .collect();
-        let mut flat = ShardReducers::default();
+        let mut flat = CampaignAggregates::default();
         for p in parts.clone() {
             flat.merge(p);
         }
@@ -831,7 +822,7 @@ mod tests {
     fn aggregates_round_trip_through_json() {
         // the multi-process wire format: a populated aggregate set must
         // survive serialize → parse bit-exactly
-        let mut r = ShardReducers::default();
+        let mut r = CampaignAggregates::default();
         r.observe_trace(
             &rec("A", vec![outcome(1, true, false, true, true)]),
             &TraceCtx::whole(0, 0),
@@ -841,7 +832,7 @@ mod tests {
             &TraceCtx::whole(1, 3),
         );
         let json = serde_json::to_string(&r).expect("serialize aggregates");
-        let back: ShardReducers = serde_json::from_str(&json).expect("parse aggregates");
+        let back: CampaignAggregates = serde_json::from_str(&json).expect("parse aggregates");
         assert_eq!(r, back);
     }
 
@@ -891,7 +882,7 @@ mod tests {
 
     #[test]
     fn batch_counts_split_by_batch() {
-        let mut r = ShardReducers::default();
+        let mut r = CampaignAggregates::default();
         let mut t1 = rec("A", vec![outcome(1, true, true, false, false)]);
         t1.batch = 1;
         r.observe_trace(&t1, &TraceCtx::whole(0, 0));

@@ -211,24 +211,6 @@ impl GeoDb {
             .map(|r| (*r, counts.get(r).copied().unwrap_or(0)))
             .collect()
     }
-
-    /// Figure 1 scatter data: `(lat, lon, region)` rows for plotting.
-    pub fn scatter(&self, addrs: &[Ipv4Addr]) -> Vec<(f64, f64, Region)> {
-        addrs
-            .iter()
-            .filter_map(|a| self.lookup(*a))
-            .map(|r| (r.lat, r.lon, r.region))
-            .collect()
-    }
-
-    /// Figure 1 scatter as CSV (`lat,lon,region` with header).
-    pub fn scatter_csv(&self, addrs: &[Ipv4Addr]) -> String {
-        let mut s = String::from("lat,lon,region\n");
-        for (lat, lon, region) in self.scatter(addrs) {
-            s.push_str(&format!("{lat:.3},{lon:.3},{region}\n"));
-        }
-        s
-    }
 }
 
 /// Sample a plausible location for a server in `region`: 70% clustered
@@ -314,24 +296,6 @@ mod tests {
                 assert!(lon >= lon_lo && lon <= lon_hi, "{region} lon {lon}");
             }
         }
-    }
-
-    #[test]
-    fn scatter_csv_has_header_and_rows() {
-        let mut db = GeoDb::new();
-        db.insert(
-            Ipv4Addr::new(1, 1, 1, 1),
-            GeoRecord {
-                region: Region::Europe,
-                country: "de".into(),
-                lat: 52.5,
-                lon: 13.4,
-            },
-        );
-        let csv = db.scatter_csv(&[Ipv4Addr::new(1, 1, 1, 1)]);
-        let mut lines = csv.lines();
-        assert_eq!(lines.next(), Some("lat,lon,region"));
-        assert_eq!(lines.next(), Some("52.500,13.400,Europe"));
     }
 
     #[test]

@@ -15,7 +15,7 @@ use ecn_wire as _;
 /// `PoolPlan::scaled(n)` shrinks everything proportionally for tests.
 ///
 /// Plans are usually not written by hand: [`crate::ScenarioSpec`] is the
-/// declarative front-end (TOML/JSON spec files, rate-based middlebox
+/// declarative front-end (TOML spec files, rate-based middlebox
 /// deployment) and lowers to a `PoolPlan` via
 /// [`crate::ScenarioSpec::plan`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -3,7 +3,7 @@
 //! A [`ScenarioSpec`] describes a complete ECN-measurement world — target
 //! population size and service mix, vantage count, middlebox deployment
 //! *rates*, link loss/latency, schedule profile, seed — as plain data that
-//! can live in a TOML or JSON file. It lowers to the imperative
+//! lives in a TOML file. It lowers to the imperative
 //! [`PoolPlan`] via [`ScenarioSpec::plan`]; [`ScenarioSpec::paper2015`]
 //! lowers to exactly [`PoolPlan::paper`], bit for bit, so the spec layer
 //! adds no noise to the reproduction (the golden suite gates this).
@@ -15,10 +15,15 @@
 //!
 //! The `ecnudp` CLI binary loads spec files and runs them through the
 //! sharded engine; `scenarios/` in the repository root is the documented
-//! preset library. File loading is *lenient*: every omitted key keeps its
-//! [`ScenarioSpec::paper2015`] default, so a preset only states its deltas
-//! — and *strict* about what is present: unknown keys and type mismatches
-//! are errors that name the offending path.
+//! preset library. [`ScenarioSpec::from_toml_str`] is the one reader: it
+//! applies each `key = value` line, prefixed by its `[section]`, straight
+//! onto [`ScenarioSpec::paper2015`] through one table of the 44 dotted key
+//! paths, then runs [`ScenarioSpec::validate`]. Loading is *lenient*:
+//! every omitted key keeps its default, so a preset only states its
+//! deltas — and *strict* about what is present: unknown keys, duplicate
+//! keys and type mismatches are errors that name the offending path or
+//! line (the earliest bad line wins), and an unknown key's error lists the
+//! valid keys.
 //!
 //! ```
 //! use ecn_pool::{PoolPlan, ScenarioSpec};
@@ -42,7 +47,6 @@
 
 use crate::plan::PoolPlan;
 use ecn_netsim::Nanos;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 // ------------------------------------------------------------------ structs
@@ -50,7 +54,7 @@ use std::fmt;
 /// A declarative scenario: everything the campaign needs to build and
 /// measure a world, expressed as data. See the module docs for the file
 /// format and `scenarios/` for the preset library.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Scenario name (used in logs and machine-readable summaries; never
     /// rendered into the report, so renaming cannot break goldens).
@@ -69,7 +73,6 @@ pub struct ScenarioSpec {
     /// Middlebox deployment rates (per 1000 servers).
     pub middleboxes: MiddleboxSpec,
     /// Endpoint ECN validation pass (off by default).
-    #[serde(default)]
     pub validator: ValidatorSpec,
     /// Link loss and latency.
     pub links: LinkSpec,
@@ -78,7 +81,7 @@ pub struct ScenarioSpec {
 }
 
 /// `[population]`: who is in the pool and what they run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PopulationSpec {
     /// Pool servers (paper: 2500).
     pub servers: usize,
@@ -99,7 +102,7 @@ pub struct PopulationSpec {
 }
 
 /// `[topology]`: AS-level structure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TopologySpec {
     /// Tier-1 transit ASes (fully meshed core).
     pub t1_count: usize,
@@ -107,7 +110,8 @@ pub struct TopologySpec {
     pub t2_count: usize,
     /// Destination-AS bookkeeping target (reported via
     /// `PoolPlan::total_as_count`; the actual count is drawn during the
-    /// blueprint's packing phase).
+    /// blueprint's packing phase). At most 524 288, the address plan's
+    /// destination-AS ceiling.
     pub dest_as_count: usize,
 }
 
@@ -116,7 +120,7 @@ pub struct TopologySpec {
 /// Rates lower to integer counts with round-half-up at the spec's
 /// population size ([`ScenarioSpec::plan`]), so the same file scales with
 /// `population.servers`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MiddleboxSpec {
     /// Servers behind an always-on ECT-dropping middlebox.
     pub ect_droppers_per_1000: f64,
@@ -142,26 +146,19 @@ pub struct MiddleboxSpec {
     pub bleach_prob: f64,
     /// Destination-AS edges with a RED-style probabilistic CE marker
     /// (the modern-ECN family; `0` = the paper's 2015 world).
-    #[serde(default)]
     pub aqm_red_per_1000: f64,
     /// Destination-AS edges with a CoDel-style sojourn-marking
     /// bottleneck.
-    #[serde(default)]
     pub aqm_codel_per_1000: f64,
     /// CE-suppressing (CE→ECT(0)) middleboxes at provider edges.
-    #[serde(default)]
     pub ce_suppressors_per_1000: f64,
     /// ECT(1)→ECT(0) downgrading middleboxes at provider edges.
-    #[serde(default)]
     pub ect1_downgrade_per_1000: f64,
     /// Per-markable-packet CE probability of the RED-style markers.
-    #[serde(default)]
     pub aqm_red_prob: f64,
     /// Sojourn threshold of the CoDel-style markers, microseconds.
-    #[serde(default)]
     pub aqm_codel_target_us: u64,
     /// Serialisation rate of CoDel-marked bottleneck edges, kbit/s.
-    #[serde(default)]
     pub aqm_rate_kbps: u64,
 }
 
@@ -169,7 +166,7 @@ pub struct MiddleboxSpec {
 /// state machine probing each target through the validation echo
 /// service). `packets = 0` (the default) disables the pass entirely —
 /// the campaign then runs byte-identically to pre-validator builds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ValidatorSpec {
     /// Marked packets per validation round (s2n-quic tests 10;
     /// `0` = validation off).
@@ -192,7 +189,7 @@ impl Default for ValidatorSpec {
 }
 
 /// `[links]`: loss and latency distributions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkSpec {
     /// Multiplier on every vantage access-link loss probability
     /// (`1.0` = the calibrated Table 2 noise).
@@ -207,7 +204,7 @@ pub struct LinkSpec {
 }
 
 /// `[schedule]`: how the campaign maps onto virtual time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScheduleSpec {
     /// Base schedule: the paper's 75-day two-batch calendar, or the
     /// compressed `quick` profile used by tests and presets.
@@ -226,7 +223,7 @@ pub struct ScheduleSpec {
 const MAX_DISCOVERY_ROUNDS: usize = 100_000;
 
 /// The two built-in campaign calendars.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScheduleProfile {
     /// The paper's §3 calendar: two batches 75 days apart, 40-day windows.
     Paper,
@@ -360,18 +357,7 @@ impl ScenarioSpec {
     /// [`Self::paper2015`] defaults), strict on presence (unknown keys
     /// and type mismatches are errors naming the offending path).
     pub fn from_toml_str(input: &str) -> Result<ScenarioSpec, SpecError> {
-        Self::from_value(parse_toml(input)?)
-    }
-
-    /// Load a spec from JSON text, with the same lenient-on-absence,
-    /// strict-on-presence semantics as [`Self::from_toml_str`].
-    pub fn from_json_str(input: &str) -> Result<ScenarioSpec, SpecError> {
-        Self::from_value(parse_json(input)?)
-    }
-
-    fn from_value(value: SpecValue) -> Result<ScenarioSpec, SpecError> {
-        let mut spec = ScenarioSpec::paper2015();
-        apply_root(&mut spec, &value)?;
+        let spec = read_toml(input)?;
         spec.validate()?;
         Ok(spec)
     }
@@ -386,16 +372,22 @@ impl ScenarioSpec {
         }
         // The address plan numbers destination AS k at the /20
         // 0x8000_0000 | k << 12, so AS 2^19 would reuse AS 0's prefix;
-        // n servers never pack into more than n ASes.
-        const MAX_SERVERS: usize = 1 << 19;
-        if p.servers > MAX_SERVERS {
-            return err(
-                "population.servers",
-                format!(
-                    "{} > {MAX_SERVERS} (the address plan numbers at most {MAX_SERVERS} destination ASes)",
-                    p.servers
-                ),
-            );
+        // n servers never pack into more than n ASes. `dest_as_count`
+        // feeds only the "~N ASes" estimate (packing draws the real
+        // count), which must not overflow either.
+        const MAX_DEST_ASES: usize = 1 << 19;
+        for (path, count) in [
+            ("population.servers", p.servers),
+            ("topology.dest_as_count", self.topology.dest_as_count),
+        ] {
+            if count > MAX_DEST_ASES {
+                return err(
+                    path,
+                    format!(
+                        "{count} > {MAX_DEST_ASES} (the address plan numbers at most {MAX_DEST_ASES} destination ASes)"
+                    ),
+                );
+            }
         }
         if self.vantage_count < 1 || self.vantage_count > 13 {
             return err(
@@ -630,252 +622,128 @@ impl fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
-// -------------------------------------------------------------- value model
+// ------------------------------------------------------------------- reader
 
-/// The common shape both file formats parse into: a tree of tables whose
-/// leaves are strings, numbers (kept as text and parsed per target type,
-/// so integers never round-trip through `f64`), and booleans.
-#[derive(Debug, Clone, PartialEq)]
-enum SpecValue {
+/// Where a key's value lands, and the type its token parses into.
+#[derive(Clone, Copy)]
+enum Slot {
+    Str(fn(&mut ScenarioSpec) -> &mut String),
+    Bool(fn(&mut ScenarioSpec) -> &mut bool),
+    U64(fn(&mut ScenarioSpec) -> &mut u64),
+    Usize(fn(&mut ScenarioSpec) -> &mut usize),
+    F64(fn(&mut ScenarioSpec) -> &mut f64),
+    Profile(fn(&mut ScenarioSpec) -> &mut ScheduleProfile),
+}
+
+impl Slot {
+    /// What the key takes, for type-mismatch errors.
+    fn expects(self) -> &'static str {
+        match self {
+            Slot::Str(_) | Slot::Profile(_) => "a string",
+            Slot::Bool(_) => "true/false",
+            Slot::U64(_) | Slot::Usize(_) => "an integer",
+            Slot::F64(_) => "a number",
+        }
+    }
+}
+
+/// One row of [`KEYS`]: the key's dotted path is its field path in
+/// [`ScenarioSpec`].
+macro_rules! key {
+    ($slot:ident: $first:ident $(. $rest:ident)*) => {
+        (
+            concat!(stringify!($first) $(, ".", stringify!($rest))*),
+            Slot::$slot(|s| &mut s.$first $(.$rest)*),
+        )
+    };
+}
+
+/// Every key of the format, in section order. The reader resolves each
+/// `key = value` line here, and unknown-key errors list the valid keys
+/// from here.
+const KEYS: [(&str, Slot); 44] = [
+    key!(Str: name),
+    key!(U64: seed),
+    key!(Usize: vantage_count),
+    key!(Bool: traceroute),
+    key!(Usize: population.servers),
+    key!(F64: population.web_fraction),
+    key!(F64: population.web_ecn_on),
+    key!(F64: population.web_ecn_reflect),
+    key!(F64: population.plain_ok_fraction),
+    key!(F64: population.always_down_per_1000),
+    key!(F64: population.churn_per_1000),
+    key!(F64: population.flapping_fraction),
+    key!(Usize: topology.t1_count),
+    key!(Usize: topology.t2_count),
+    key!(Usize: topology.dest_as_count),
+    key!(F64: middleboxes.ect_droppers_per_1000),
+    key!(F64: middleboxes.flaky_ect_droppers_per_1000),
+    key!(F64: middleboxes.not_ect_droppers_per_1000),
+    key!(F64: middleboxes.ec2_not_ect_droppers_per_1000),
+    key!(F64: middleboxes.bleach_pe_per_1000),
+    key!(F64: middleboxes.bleach_border_per_1000),
+    key!(F64: middleboxes.bleach_interior_per_1000),
+    key!(F64: middleboxes.bleach_access_per_1000),
+    key!(F64: middleboxes.bleach_prob_pe_per_1000),
+    key!(F64: middleboxes.bleach_prob_access_per_1000),
+    key!(F64: middleboxes.bleach_prob),
+    key!(F64: middleboxes.aqm_red_per_1000),
+    key!(F64: middleboxes.aqm_codel_per_1000),
+    key!(F64: middleboxes.ce_suppressors_per_1000),
+    key!(F64: middleboxes.ect1_downgrade_per_1000),
+    key!(F64: middleboxes.aqm_red_prob),
+    key!(U64: middleboxes.aqm_codel_target_us),
+    key!(U64: middleboxes.aqm_rate_kbps),
+    key!(Usize: validator.packets),
+    key!(Bool: validator.ce_canary),
+    key!(F64: validator.ect1_per_1000),
+    key!(F64: links.vantage_loss_scale),
+    key!(F64: links.edge_loss),
+    key!(U64: links.core_delay_us),
+    key!(U64: links.edge_delay_us),
+    key!(Profile: schedule.profile),
+    key!(Usize: schedule.traces_per_vantage),
+    key!(Usize: schedule.discovery_rounds),
+    key!(Usize: schedule.target_chunks),
+];
+
+/// A value token: strings unescaped, numbers kept as text (so each parses
+/// straight into its key's type and integers never round-trip through
+/// `f64`).
+enum Token {
     Str(String),
     Num(String),
     Bool(bool),
-    Table(Vec<(String, SpecValue)>),
 }
 
-impl SpecValue {
+impl Token {
     fn kind(&self) -> &'static str {
         match self {
-            SpecValue::Str(_) => "string",
-            SpecValue::Num(_) => "number",
-            SpecValue::Bool(_) => "boolean",
-            SpecValue::Table(_) => "table",
+            Token::Str(_) => "string",
+            Token::Num(_) => "number",
+            Token::Bool(_) => "boolean",
         }
     }
 }
 
-fn want_str(v: &SpecValue, path: &str) -> Result<String, SpecError> {
-    match v {
-        SpecValue::Str(s) => Ok(s.clone()),
-        other => Err(SpecError::new(
-            path,
-            format!("expected a string, found {}", other.kind()),
-        )),
-    }
+fn mismatch(path: &str, expects: &str, found: &str) -> SpecError {
+    SpecError::new(path, format!("expected {expects}, found {found}"))
 }
 
-fn want_bool(v: &SpecValue, path: &str) -> Result<bool, SpecError> {
-    match v {
-        SpecValue::Bool(b) => Ok(*b),
-        other => Err(SpecError::new(
-            path,
-            format!("expected true/false, found {}", other.kind()),
-        )),
-    }
-}
-
-fn want_f64(v: &SpecValue, path: &str) -> Result<f64, SpecError> {
-    match v {
-        SpecValue::Num(s) => s
-            .parse::<f64>()
-            .map_err(|e| SpecError::new(path, format!("bad number `{s}`: {e}"))),
-        other => Err(SpecError::new(
-            path,
-            format!("expected a number, found {}", other.kind()),
-        )),
-    }
-}
-
-fn want_u64(v: &SpecValue, path: &str) -> Result<u64, SpecError> {
-    match v {
-        SpecValue::Num(s) => s.parse::<u64>().map_err(|_| {
-            SpecError::new(path, format!("expected a non-negative integer, got `{s}`"))
-        }),
-        other => Err(SpecError::new(
-            path,
-            format!("expected an integer, found {}", other.kind()),
-        )),
-    }
-}
-
-fn want_usize(v: &SpecValue, path: &str) -> Result<usize, SpecError> {
-    want_u64(v, path).map(|n| n as usize)
-}
-
-// ----------------------------------------------------------------- applying
-
-macro_rules! apply_table {
-    ($table:expr, $prefix:expr, { $($key:literal => $set:expr),+ $(,)? }) => {{
-        for (key, value) in $table {
-            let path = if $prefix.is_empty() {
-                key.clone()
-            } else {
-                format!("{}.{key}", $prefix)
-            };
-            match key.as_str() {
-                $($key => {
-                    let mut apply = $set;
-                    apply(value, path.as_str())?
-                })+
-                _ => {
-                    return Err(SpecError::new(
-                        path,
-                        format!(
-                            "unknown key (expected one of: {})",
-                            [$($key),+].join(", ")
-                        ),
-                    ))
-                }
-            }
-        }
-        Ok::<(), SpecError>(())
-    }};
-}
-
-fn want_table<'v>(v: &'v SpecValue, path: &str) -> Result<&'v [(String, SpecValue)], SpecError> {
-    match v {
-        SpecValue::Table(entries) => Ok(entries),
-        other => Err(SpecError::new(
-            path,
-            format!("expected a table/object, found {}", other.kind()),
-        )),
-    }
-}
-
-fn apply_root(spec: &mut ScenarioSpec, value: &SpecValue) -> Result<(), SpecError> {
-    let root = want_table(value, "<root>")?;
-    apply_table!(root, "", {
-        "name" => |v, p| { spec.name = want_str(v, p)?; Ok(()) },
-        "seed" => |v, p| { spec.seed = want_u64(v, p)?; Ok(()) },
-        "vantage_count" => |v, p| { spec.vantage_count = want_usize(v, p)?; Ok(()) },
-        "traceroute" => |v, p| { spec.traceroute = want_bool(v, p)?; Ok(()) },
-        "population" => |v, p: &str| apply_population(&mut spec.population, want_table(v, p)?, p),
-        "topology" => |v, p: &str| apply_topology(&mut spec.topology, want_table(v, p)?, p),
-        "middleboxes" => |v, p: &str| apply_middleboxes(&mut spec.middleboxes, want_table(v, p)?, p),
-        "validator" => |v, p: &str| apply_validator(&mut spec.validator, want_table(v, p)?, p),
-        "links" => |v, p: &str| apply_links(&mut spec.links, want_table(v, p)?, p),
-        "schedule" => |v, p: &str| apply_schedule(&mut spec.schedule, want_table(v, p)?, p),
-    })
-}
-
-fn apply_population(
-    out: &mut PopulationSpec,
-    table: &[(String, SpecValue)],
-    prefix: &str,
-) -> Result<(), SpecError> {
-    apply_table!(table, prefix, {
-        "servers" => |v, p| { out.servers = want_usize(v, p)?; Ok(()) },
-        "web_fraction" => |v, p| { out.web_fraction = want_f64(v, p)?; Ok(()) },
-        "web_ecn_on" => |v, p| { out.web_ecn_on = want_f64(v, p)?; Ok(()) },
-        "web_ecn_reflect" => |v, p| { out.web_ecn_reflect = want_f64(v, p)?; Ok(()) },
-        "plain_ok_fraction" => |v, p| { out.plain_ok_fraction = want_f64(v, p)?; Ok(()) },
-        "always_down_per_1000" => |v, p| { out.always_down_per_1000 = want_f64(v, p)?; Ok(()) },
-        "churn_per_1000" => |v, p| { out.churn_per_1000 = want_f64(v, p)?; Ok(()) },
-        "flapping_fraction" => |v, p| { out.flapping_fraction = want_f64(v, p)?; Ok(()) },
-    })
-}
-
-fn apply_topology(
-    out: &mut TopologySpec,
-    table: &[(String, SpecValue)],
-    prefix: &str,
-) -> Result<(), SpecError> {
-    apply_table!(table, prefix, {
-        "t1_count" => |v, p| { out.t1_count = want_usize(v, p)?; Ok(()) },
-        "t2_count" => |v, p| { out.t2_count = want_usize(v, p)?; Ok(()) },
-        "dest_as_count" => |v, p| { out.dest_as_count = want_usize(v, p)?; Ok(()) },
-    })
-}
-
-fn apply_middleboxes(
-    out: &mut MiddleboxSpec,
-    table: &[(String, SpecValue)],
-    prefix: &str,
-) -> Result<(), SpecError> {
-    apply_table!(table, prefix, {
-        "ect_droppers_per_1000" => |v, p| { out.ect_droppers_per_1000 = want_f64(v, p)?; Ok(()) },
-        "flaky_ect_droppers_per_1000" => |v, p| { out.flaky_ect_droppers_per_1000 = want_f64(v, p)?; Ok(()) },
-        "not_ect_droppers_per_1000" => |v, p| { out.not_ect_droppers_per_1000 = want_f64(v, p)?; Ok(()) },
-        "ec2_not_ect_droppers_per_1000" => |v, p| { out.ec2_not_ect_droppers_per_1000 = want_f64(v, p)?; Ok(()) },
-        "bleach_pe_per_1000" => |v, p| { out.bleach_pe_per_1000 = want_f64(v, p)?; Ok(()) },
-        "bleach_border_per_1000" => |v, p| { out.bleach_border_per_1000 = want_f64(v, p)?; Ok(()) },
-        "bleach_interior_per_1000" => |v, p| { out.bleach_interior_per_1000 = want_f64(v, p)?; Ok(()) },
-        "bleach_access_per_1000" => |v, p| { out.bleach_access_per_1000 = want_f64(v, p)?; Ok(()) },
-        "bleach_prob_pe_per_1000" => |v, p| { out.bleach_prob_pe_per_1000 = want_f64(v, p)?; Ok(()) },
-        "bleach_prob_access_per_1000" => |v, p| { out.bleach_prob_access_per_1000 = want_f64(v, p)?; Ok(()) },
-        "bleach_prob" => |v, p| { out.bleach_prob = want_f64(v, p)?; Ok(()) },
-        "aqm_red_per_1000" => |v, p| { out.aqm_red_per_1000 = want_f64(v, p)?; Ok(()) },
-        "aqm_codel_per_1000" => |v, p| { out.aqm_codel_per_1000 = want_f64(v, p)?; Ok(()) },
-        "ce_suppressors_per_1000" => |v, p| { out.ce_suppressors_per_1000 = want_f64(v, p)?; Ok(()) },
-        "ect1_downgrade_per_1000" => |v, p| { out.ect1_downgrade_per_1000 = want_f64(v, p)?; Ok(()) },
-        "aqm_red_prob" => |v, p| { out.aqm_red_prob = want_f64(v, p)?; Ok(()) },
-        "aqm_codel_target_us" => |v, p| { out.aqm_codel_target_us = want_u64(v, p)?; Ok(()) },
-        "aqm_rate_kbps" => |v, p| { out.aqm_rate_kbps = want_u64(v, p)?; Ok(()) },
-    })
-}
-
-fn apply_validator(
-    out: &mut ValidatorSpec,
-    table: &[(String, SpecValue)],
-    prefix: &str,
-) -> Result<(), SpecError> {
-    apply_table!(table, prefix, {
-        "packets" => |v, p| { out.packets = want_usize(v, p)?; Ok(()) },
-        "ce_canary" => |v, p| { out.ce_canary = want_bool(v, p)?; Ok(()) },
-        "ect1_per_1000" => |v, p| { out.ect1_per_1000 = want_f64(v, p)?; Ok(()) },
-    })
-}
-
-fn apply_links(
-    out: &mut LinkSpec,
-    table: &[(String, SpecValue)],
-    prefix: &str,
-) -> Result<(), SpecError> {
-    apply_table!(table, prefix, {
-        "vantage_loss_scale" => |v, p| { out.vantage_loss_scale = want_f64(v, p)?; Ok(()) },
-        "edge_loss" => |v, p| { out.edge_loss = want_f64(v, p)?; Ok(()) },
-        "core_delay_us" => |v, p| { out.core_delay_us = want_u64(v, p)?; Ok(()) },
-        "edge_delay_us" => |v, p| { out.edge_delay_us = want_u64(v, p)?; Ok(()) },
-    })
-}
-
-fn apply_schedule(
-    out: &mut ScheduleSpec,
-    table: &[(String, SpecValue)],
-    prefix: &str,
-) -> Result<(), SpecError> {
-    apply_table!(table, prefix, {
-        "profile" => |v, p: &str| {
-            out.profile = match want_str(v, p)?.to_ascii_lowercase().as_str() {
-                "paper" => ScheduleProfile::Paper,
-                "quick" => ScheduleProfile::Quick,
-                other => {
-                    return Err(SpecError::new(
-                        p,
-                        format!("unknown profile `{other}` (expected `paper` or `quick`)"),
-                    ))
-                }
-            };
-            Ok(())
-        },
-        "traces_per_vantage" => |v, p| { out.traces_per_vantage = want_usize(v, p)?; Ok(()) },
-        "discovery_rounds" => |v, p| { out.discovery_rounds = want_usize(v, p)?; Ok(()) },
-        "target_chunks" => |v, p| { out.target_chunks = want_usize(v, p)?; Ok(()) },
-    })
-}
-
-// -------------------------------------------------------------- TOML parser
-
-/// Parse the TOML subset the spec format uses: `#` comments, `[section]`
-/// headers (dotted), `key = value` pairs (dotted keys allowed) with
-/// basic-string, integer/float, and boolean values. No arrays, no inline
-/// tables, no multi-line strings — the format is deliberately flat.
-fn parse_toml(input: &str) -> Result<SpecValue, SpecError> {
-    let mut root: Vec<(String, SpecValue)> = Vec::new();
-    let mut section: Vec<String> = Vec::new();
+/// Read the TOML subset the spec format uses, applying each value onto
+/// the defaults as its line is read: `#` comments, `[section]` headers
+/// (dotted), `key = value` pairs (dotted keys allowed) with basic-string,
+/// integer/float and boolean values. No arrays, no inline tables, no
+/// multi-line strings — the format is deliberately flat. The earliest bad
+/// line is the error.
+fn read_toml(input: &str) -> Result<ScenarioSpec, SpecError> {
+    let mut spec = ScenarioSpec::paper2015();
+    let mut seen = [false; KEYS.len()];
+    let mut section = String::new();
     for (idx, raw) in input.lines().enumerate() {
         let lineno = idx + 1;
-        let line = strip_toml_comment(raw).trim().to_string();
+        let line = strip_toml_comment(raw).trim();
         if line.is_empty() {
             continue;
         }
@@ -887,26 +755,111 @@ fn parse_toml(input: &str) -> Result<SpecValue, SpecError> {
             if header.starts_with('[') {
                 return err("array-of-tables `[[...]]` is not part of the spec format".into());
             }
-            section = split_keys(header, lineno)?;
-            // materialise the (possibly empty) table so `[links]` alone
-            // is accepted
-            let _ = ensure_tables(&mut root, &section, lineno)?;
+            section = bare_path(header, lineno)?;
+            if let Some(k) = lookup(&section)? {
+                return Err(mismatch(&section, KEYS[k].1.expects(), "table"));
+            }
             continue;
         }
         let Some(eq) = line.find('=') else {
             return err(format!("expected `key = value`, found `{line}`"));
         };
-        let mut keys = section.clone();
-        keys.extend(split_keys(&line[..eq], lineno)?);
-        let value = parse_toml_value(line[eq + 1..].trim(), lineno)?;
-        let (leaf, parents) = keys.split_last().expect("split_keys yields >= 1 key");
-        let table = ensure_tables(&mut root, parents, lineno)?;
-        if table.iter().any(|(k, _)| k == leaf) {
-            return err(format!("duplicate key `{}`", keys.join(".")));
+        let key = bare_path(&line[..eq], lineno)?;
+        let path = match section.as_str() {
+            "" => key,
+            section => format!("{section}.{key}"),
+        };
+        let token = parse_toml_value(line[eq + 1..].trim(), lineno)?;
+        let Some(k) = lookup(&path)? else {
+            return Err(mismatch(&path, "a table", token.kind()));
+        };
+        if std::mem::replace(&mut seen[k], true) {
+            return err(format!("duplicate key `{path}`"));
         }
-        table.push((leaf.clone(), value));
+        set(&mut spec, KEYS[k].1, token, &path)?;
     }
-    Ok(SpecValue::Table(root))
+    Ok(spec)
+}
+
+/// The index in [`KEYS`] of the key at `path`, `None` if `path` is a
+/// section, or the error naming where `path` leaves the format.
+fn lookup(path: &str) -> Result<Option<usize>, SpecError> {
+    let mut table = "";
+    for (end, _) in path.match_indices('.').chain([(path.len(), "")]) {
+        let here = &path[..end];
+        if let Some(k) = KEYS.iter().position(|&(key, _)| key == here) {
+            if end < path.len() {
+                return Err(mismatch(here, KEYS[k].1.expects(), "table"));
+            }
+            return Ok(Some(k));
+        }
+        let inside = |key: &str| key.strip_prefix(here).is_some_and(|k| k.starts_with('.'));
+        if !KEYS.iter().any(|&(key, _)| inside(key)) {
+            let valid = children(table).join(", ");
+            return Err(SpecError::new(
+                here,
+                format!("unknown key (expected one of: {valid})"),
+            ));
+        }
+        table = here;
+    }
+    Ok(None)
+}
+
+/// The keys and sections directly inside `table` (`""` is the root), in
+/// [`KEYS`] order.
+fn children(table: &str) -> Vec<&'static str> {
+    let mut out = Vec::new();
+    for &(key, _) in &KEYS {
+        let inside = match table {
+            "" => Some(key),
+            table => key.strip_prefix(table).and_then(|k| k.strip_prefix('.')),
+        };
+        if let Some(rest) = inside {
+            let child = rest.split_once('.').map_or(rest, |(head, _)| head);
+            if !out.contains(&child) {
+                out.push(child);
+            }
+        }
+    }
+    out
+}
+
+/// Parse `token` into the type of `slot` and store it in `spec`.
+fn set(spec: &mut ScenarioSpec, slot: Slot, token: Token, path: &str) -> Result<(), SpecError> {
+    fn int<T: std::str::FromStr>(digits: &str, path: &str) -> Result<T, SpecError> {
+        digits.parse().map_err(|_| {
+            SpecError::new(
+                path,
+                format!("expected a non-negative integer, got `{digits}`"),
+            )
+        })
+    }
+    match (slot, token) {
+        (Slot::Str(field), Token::Str(s)) => *field(spec) = s,
+        (Slot::Bool(field), Token::Bool(b)) => *field(spec) = b,
+        (Slot::U64(field), Token::Num(n)) => *field(spec) = int(&n, path)?,
+        (Slot::Usize(field), Token::Num(n)) => *field(spec) = int(&n, path)?,
+        (Slot::F64(field), Token::Num(n)) => {
+            *field(spec) = n
+                .parse()
+                .map_err(|e| SpecError::new(path, format!("bad number `{n}`: {e}")))?
+        }
+        (Slot::Profile(field), Token::Str(s)) => {
+            *field(spec) = match s.to_ascii_lowercase().as_str() {
+                "paper" => ScheduleProfile::Paper,
+                "quick" => ScheduleProfile::Quick,
+                other => {
+                    return Err(SpecError::new(
+                        path,
+                        format!("unknown profile `{other}` (expected `paper` or `quick`)"),
+                    ))
+                }
+            }
+        }
+        (slot, token) => return Err(mismatch(path, slot.expects(), token.kind())),
+    }
+    Ok(())
 }
 
 /// Remove a `#` comment, respecting basic strings.
@@ -928,7 +881,8 @@ fn strip_toml_comment(line: &str) -> &str {
     line
 }
 
-fn split_keys(dotted: &str, lineno: usize) -> Result<Vec<String>, SpecError> {
+/// A dotted key with the spaces around its dots removed.
+fn bare_path(dotted: &str, lineno: usize) -> Result<String, SpecError> {
     let mut keys = Vec::new();
     for part in dotted.split('.') {
         let key = part.trim();
@@ -942,41 +896,12 @@ fn split_keys(dotted: &str, lineno: usize) -> Result<Vec<String>, SpecError> {
                 format!("bad key `{dotted}` (bare keys only: [A-Za-z0-9_-])"),
             ));
         }
-        keys.push(key.to_string());
+        keys.push(key);
     }
-    Ok(keys)
+    Ok(keys.join("."))
 }
 
-/// Walk (creating) nested tables down `keys`, returning the final table.
-fn ensure_tables<'t>(
-    root: &'t mut Vec<(String, SpecValue)>,
-    keys: &[String],
-    lineno: usize,
-) -> Result<&'t mut Vec<(String, SpecValue)>, SpecError> {
-    let mut table = root;
-    for key in keys {
-        if !table.iter().any(|(k, _)| k == key) {
-            table.push((key.clone(), SpecValue::Table(Vec::new())));
-        }
-        let entry = table
-            .iter_mut()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .expect("just ensured");
-        table = match entry {
-            SpecValue::Table(t) => t,
-            other => {
-                return Err(SpecError::new(
-                    format!("line {lineno}"),
-                    format!("key `{key}` already holds a {}", other.kind()),
-                ))
-            }
-        };
-    }
-    Ok(table)
-}
-
-fn parse_toml_value(text: &str, lineno: usize) -> Result<SpecValue, SpecError> {
+fn parse_toml_value(text: &str, lineno: usize) -> Result<Token, SpecError> {
     let err = |message: String| Err(SpecError::new(format!("line {lineno}"), message));
     if text.is_empty() {
         return err("missing value".into());
@@ -986,11 +911,11 @@ fn parse_toml_value(text: &str, lineno: usize) -> Result<SpecValue, SpecError> {
         if !rest[consumed..].trim().is_empty() {
             return err(format!("trailing characters after string: `{text}`"));
         }
-        return Ok(SpecValue::Str(s));
+        return Ok(Token::Str(s));
     }
     match text {
-        "true" => return Ok(SpecValue::Bool(true)),
-        "false" => return Ok(SpecValue::Bool(false)),
+        "true" => return Ok(Token::Bool(true)),
+        "false" => return Ok(Token::Bool(false)),
         _ => {}
     }
     let digits: String = text.chars().filter(|c| *c != '_').collect();
@@ -999,7 +924,7 @@ fn parse_toml_value(text: &str, lineno: usize) -> Result<SpecValue, SpecError> {
         .all(|c| c.is_ascii_digit() || matches!(c, '.' | 'e' | 'E' | '+' | '-'))
         && digits.parse::<f64>().is_ok()
     {
-        return Ok(SpecValue::Num(digits));
+        return Ok(Token::Num(digits));
     }
     err(format!(
         "unsupported value `{text}` (strings, numbers, and booleans only)"
@@ -1028,159 +953,6 @@ fn parse_basic_string(body: &str, lineno: usize) -> Result<(String, usize), Spec
         }
     }
     err("unterminated string".into())
-}
-
-// -------------------------------------------------------------- JSON parser
-
-/// Parse JSON text into the shared value model. Self-contained (does not
-/// rely on any serde implementation detail) so the loader keeps working
-/// if the vendor stub is swapped for the real crates.
-fn parse_json(input: &str) -> Result<SpecValue, SpecError> {
-    let mut p = JsonCursor {
-        bytes: input.as_bytes(),
-        text: input,
-        pos: 0,
-    };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters"));
-    }
-    Ok(v)
-}
-
-struct JsonCursor<'a> {
-    bytes: &'a [u8],
-    text: &'a str,
-    pos: usize,
-}
-
-impl JsonCursor<'_> {
-    fn err(&self, message: impl Into<String>) -> SpecError {
-        SpecError::new(format!("byte {}", self.pos), message)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), SpecError> {
-        if self.peek() == Some(c) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(format!("expected `{}`", c as char)))
-        }
-    }
-
-    fn keyword(&mut self, kw: &str) -> Result<(), SpecError> {
-        self.skip_ws();
-        if self.text[self.pos..].starts_with(kw) {
-            self.pos += kw.len();
-            Ok(())
-        } else {
-            Err(self.err(format!("expected `{kw}`")))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, SpecError> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            let rest = &self.text[self.pos..];
-            let Some(c) = rest.chars().next() else {
-                return Err(self.err("unterminated string"));
-            };
-            self.pos += c.len_utf8();
-            match c {
-                '"' => return Ok(out),
-                '\\' => {
-                    let Some(esc) = self.text[self.pos..].chars().next() else {
-                        return Err(self.err("unterminated escape"));
-                    };
-                    self.pos += esc.len_utf8();
-                    match esc {
-                        '"' => out.push('"'),
-                        '\\' => out.push('\\'),
-                        '/' => out.push('/'),
-                        'n' => out.push('\n'),
-                        't' => out.push('\t'),
-                        'r' => out.push('\r'),
-                        'b' => out.push('\u{8}'),
-                        'f' => out.push('\u{c}'),
-                        'u' => {
-                            let hex = self
-                                .text
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            out.push(
-                                char::from_u32(code).ok_or_else(|| self.err("bad code point"))?,
-                            );
-                        }
-                        other => return Err(self.err(format!("unknown escape `\\{other}`"))),
-                    }
-                }
-                c => out.push(c),
-            }
-        }
-    }
-
-    fn value(&mut self) -> Result<SpecValue, SpecError> {
-        match self.peek() {
-            Some(b'"') => Ok(SpecValue::Str(self.string()?)),
-            Some(b'{') => {
-                self.eat(b'{')?;
-                let mut table = Vec::new();
-                if self.peek() != Some(b'}') {
-                    loop {
-                        let key = self.string()?;
-                        self.eat(b':')?;
-                        let v = self.value()?;
-                        if table.iter().any(|(k, _)| *k == key) {
-                            return Err(self.err(format!("duplicate key `{key}`")));
-                        }
-                        table.push((key, v));
-                        if self.peek() != Some(b',') {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                }
-                self.eat(b'}')?;
-                Ok(SpecValue::Table(table))
-            }
-            Some(b't') => self.keyword("true").map(|_| SpecValue::Bool(true)),
-            Some(b'f') => self.keyword("false").map(|_| SpecValue::Bool(false)),
-            Some(b'[') => Err(self.err("arrays are not part of the spec format")),
-            Some(b'n') => Err(self.err("null is not part of the spec format")),
-            Some(_) => {
-                self.skip_ws();
-                let start = self.pos;
-                while matches!(
-                    self.bytes.get(self.pos),
-                    Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-                ) {
-                    self.pos += 1;
-                }
-                let token = &self.text[start..self.pos];
-                if token.is_empty() || token.parse::<f64>().is_err() {
-                    return Err(self.err(format!("bad number `{token}`")));
-                }
-                Ok(SpecValue::Num(token.to_string()))
-            }
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
 }
 
 // -------------------------------------------------------------------- tests
@@ -1262,18 +1034,6 @@ mod tests {
     }
 
     #[test]
-    fn json_specs_load_with_the_same_semantics() {
-        let spec = ScenarioSpec::from_json_str(
-            r#"{"seed": 7, "population": {"servers": 200}, "schedule": {"profile": "quick"}}"#,
-        )
-        .unwrap();
-        assert_eq!(spec.seed, 7);
-        assert_eq!(spec.population.servers, 200);
-        assert_eq!(spec.schedule.profile, ScheduleProfile::Quick);
-        assert_eq!(spec.vantage_count, 13, "omitted keys keep defaults");
-    }
-
-    #[test]
     fn unknown_keys_and_type_mismatches_name_the_path() {
         let e = ScenarioSpec::from_toml_str("[population]\nwebb_fraction = 0.5").unwrap_err();
         assert_eq!(e.path, "population.webb_fraction");
@@ -1283,7 +1043,7 @@ mod tests {
         let e = ScenarioSpec::from_toml_str("seed = \"twenty\"").unwrap_err();
         assert_eq!(e.path, "seed");
 
-        let e = ScenarioSpec::from_json_str(r#"{"links": 3}"#).unwrap_err();
+        let e = ScenarioSpec::from_toml_str("links = 3").unwrap_err();
         assert_eq!(e.path, "links");
         assert!(e.message.contains("table"), "{e}");
 
@@ -1345,6 +1105,15 @@ mod tests {
             assert_eq!(e.path, "schedule.discovery_rounds", "{n}: {e}");
             assert!(e.message.contains(&n.to_string()), "{e}");
         }
+        // the destination-AS estimate: the address plan's ceiling passes,
+        // one more does not, and u64::MAX cannot overflow the ~N ASes sum
+        let ases = |n: u64| ScenarioSpec::from_toml_str(&format!("topology.dest_as_count = {n}"));
+        assert!(ases(524_288).is_ok());
+        for n in [524_289, u64::MAX] {
+            let e = ases(n).unwrap_err();
+            assert_eq!(e.path, "topology.dest_as_count", "{n}: {e}");
+            assert!(e.message.contains(&n.to_string()), "{e}");
+        }
     }
 
     #[test]
@@ -1356,6 +1125,10 @@ mod tests {
         let e = ScenarioSpec::from_toml_str("seed = 1\nseed = 2\n").unwrap_err();
         assert_eq!(e.path, "line 2");
         assert!(e.message.contains("duplicate"), "{e}");
+        // the earliest bad line is the error, whatever its kind
+        let e = ScenarioSpec::from_toml_str("[population]\nwebb_fraction = 0.5\nnot a pair\n")
+            .unwrap_err();
+        assert_eq!(e.path, "population.webb_fraction");
     }
 
     #[test]
@@ -1390,16 +1163,6 @@ mod tests {
             assert_eq!(err.path, format!("topology.{key}"), "{err}");
             assert!(err.message.contains("257"), "{err}");
         }
-    }
-
-    #[test]
-    fn serde_roundtrip_preserves_the_spec() {
-        let mut spec = ScenarioSpec::paper2015();
-        spec.name = "round\"trip".into();
-        spec.links.edge_loss = 0.125;
-        let json = serde_json::to_string(&spec).unwrap();
-        let back: ScenarioSpec = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, spec);
     }
 
     #[test]

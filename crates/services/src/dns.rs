@@ -5,7 +5,7 @@
 
 use ecn_netsim::Nanos;
 use ecn_stack::UdpService;
-use ecn_wire::{DnsMessage, Ecn};
+use ecn_wire::Ecn;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -90,27 +90,14 @@ impl UdpService for PoolDnsService {
     ) -> Option<Vec<u8>> {
         let mut name = std::mem::take(&mut self.name_scratch);
         let view = match ecn_wire::dns::read_query(payload, &mut name) {
-            Ok(Some(v)) => v,
-            other => {
+            // discovery asks one question per query; a query with none or
+            // several gets no answer, like malformed input
+            Ok(Some(v)) if v.questions == 1 => v,
+            _ => {
                 self.name_scratch = name;
-                // `Ok(None)`: valid message, no question — same silence
-                // as the owned path's `questions.first()?`
-                let _ = other.ok()?;
                 return None;
             }
         };
-        if view.questions != 1 {
-            // Multi-question queries take the owned path so the echoed
-            // question section stays byte-identical (never sent in-sim).
-            self.name_scratch = name;
-            let query = DnsMessage::decode(payload).ok()?;
-            let qname = query.questions.first()?.name.clone();
-            let mut addrs = std::mem::take(&mut self.addr_scratch);
-            self.rotate_into(&qname, &mut addrs);
-            let rsp = DnsMessage::a_response(&query, POOL_TTL, &addrs).encode();
-            self.addr_scratch = addrs;
-            return Some(rsp);
-        }
         let mut addrs = std::mem::take(&mut self.addr_scratch);
         self.rotate_into(&name, &mut addrs);
         let mut out = Vec::with_capacity(64);
@@ -138,6 +125,7 @@ pub fn pool_query_names(subdomains: &[&str]) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ecn_wire::DnsMessage;
 
     fn addrs(n: u8) -> Vec<Ipv4Addr> {
         (0..n).map(|i| Ipv4Addr::new(192, 0, 2, i)).collect()
@@ -256,6 +244,21 @@ mod tests {
         assert!(s
             .handle(Nanos::ZERO, SRC, Ecn::NotEct, b"\x00\x01")
             .is_none());
+    }
+
+    #[test]
+    fn queries_without_exactly_one_question_get_no_answer() {
+        let mut s = srv();
+        let mut query = DnsMessage::a_query(7, "pool.ntp.org");
+        query
+            .questions
+            .extend(DnsMessage::a_query(7, "uk.pool.ntp.org").questions);
+        let two = query.encode();
+        query.questions.clear();
+        let none = query.encode();
+        for payload in [two, none] {
+            assert!(s.handle(Nanos::ZERO, SRC, Ecn::NotEct, &payload).is_none());
+        }
     }
 
     #[test]

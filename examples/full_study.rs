@@ -8,12 +8,10 @@
 //! cargo run --release --example full_study                 # paper scale (2500 servers)
 //! cargo run --release --example full_study -- 250          # scaled-down population
 //! cargo run --release --example full_study -- 250 42       # custom seed
-//! ECNUDP_SHARDS=4 cargo run --release --example full_study # pin the shard count
 //! ```
 //!
-//! `ECNUDP_SHARDS` selects the engine's shard count (default: available
-//! parallelism). Any value yields byte-identical reports; it only changes
-//! how the work units spread across threads.
+//! The engine runs on as many shards as the machine has CPUs; the shard
+//! count cannot change a report byte.
 //!
 //! Every table and figure is rendered from the engine's streamed
 //! aggregates, so memory stays O(aggregates) no matter how many traces
@@ -32,9 +30,6 @@ fn main() {
     let mut args = std::env::args().skip(1);
     let servers: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(2500);
     let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(2015);
-    let shards: Option<usize> = std::env::var("ECNUDP_SHARDS")
-        .ok()
-        .and_then(|s| s.parse().ok());
 
     let plan = if servers == 2500 {
         PoolPlan::paper()
@@ -45,10 +40,6 @@ fn main() {
         seed,
         ..CampaignConfig::default()
     };
-    let eng = EngineConfig {
-        shards,
-        ..EngineConfig::default()
-    };
 
     eprintln!(
         "building the simulated Internet: {} servers, ~{} ASes, 13 vantages…",
@@ -56,7 +47,8 @@ fn main() {
         plan.total_as_count()
     );
     let t0 = std::time::Instant::now();
-    let run = try_run_engine(&plan, &cfg, &eng).expect("an in-process campaign cannot fail");
+    let run = try_run_engine(&plan, &cfg, &EngineConfig::default())
+        .expect("an in-process campaign cannot fail");
     let result = &run.result;
     eprintln!(
         "campaign done in {:.1}s wall ({} shards over {} work units): {} targets discovered, {} traces, {} traceroute paths",

@@ -4,7 +4,6 @@
 //! ```text
 //! cargo run --release --example scenario_file                          # paper2015-mini
 //! cargo run --release --example scenario_file -- scenarios/lossy-edge.toml
-//! ECNUDP_SHARDS=4 cargo run --release --example scenario_file -- my.toml
 //! ```
 //!
 //! Demonstrates the three-step spec pipeline: parse (lenient on absence,
@@ -12,18 +11,13 @@
 //! `CampaignConfig` + `EngineConfig`), run (sharded engine, streamed
 //! aggregates).
 
-use ecnudp::core::{
-    campaign_config, engine_config, try_run_engine, EngineConfig, FullReport, RunSummary,
-};
+use ecnudp::core::{campaign_config, engine_config, try_run_engine, FullReport, RunSummary};
 use ecnudp::pool::ScenarioSpec;
 
 fn main() {
     let path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "scenarios/paper2015-mini.toml".into());
-    let shards: Option<usize> = std::env::var("ECNUDP_SHARDS")
-        .ok()
-        .and_then(|s| s.parse().ok());
 
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");
@@ -43,14 +37,11 @@ fn main() {
         plan.vantage_count,
         spec.seed
     );
-    let eng = EngineConfig {
-        shards,
-        ..engine_config(&spec)
-    };
-    let run = try_run_engine(&plan, &campaign_config(&spec), &eng).unwrap_or_else(|e| {
-        eprintln!("{path}: campaign failed: {e}");
-        std::process::exit(3);
-    });
+    let run =
+        try_run_engine(&plan, &campaign_config(&spec), &engine_config(&spec)).unwrap_or_else(|e| {
+            eprintln!("{path}: campaign failed: {e}");
+            std::process::exit(3);
+        });
     let report = FullReport::from_campaign(&run.result);
     print!("{}", report.render());
 

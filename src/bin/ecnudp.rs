@@ -10,9 +10,8 @@
 //! ecnudp validate --scenario my.toml                        # parse + lower + summarise, no run
 //! ```
 //!
-//! Spec files are TOML (or JSON with `--json`-style objects); every
-//! omitted key keeps its `paper2015` default, so a file only states its
-//! deltas. See the "Scenario cookbook" section of README.md for the full
+//! Spec files are TOML; every omitted key keeps its `paper2015` default,
+//! so a file only states its deltas. See the "Scenario cookbook" section of README.md for the full
 //! schema and `scenarios/` for the documented preset library.
 //!
 //! The report goes to **stdout** (exactly `FullReport::render()`, byte-
@@ -50,7 +49,7 @@ COMMANDS:
                and exit without running anything
 
 OPTIONS:
-    --scenario <file>   TOML or JSON scenario spec (see scenarios/)
+    --scenario <file>   TOML scenario spec (see scenarios/)
     --shards <N>        engine shards per process (default: available
                         parallelism; any value renders byte-identical
                         output; 1 to 1024)
@@ -247,22 +246,15 @@ fn count_flag(name: &str, raw: &str, max: usize) -> Result<usize, String> {
     }
 }
 
-/// Load the spec file (format chosen by extension, JSON sniffed as a
-/// fallback) and apply the flags that change the experiment: `--seed`,
-/// `--servers` and `--quick`.
+/// Load the TOML spec file and apply the flags that change the
+/// experiment: `--seed`, `--servers` and `--quick`.
 fn load_spec(args: &Args) -> Result<ScenarioSpec, String> {
     let path = args
         .scenario
         .as_deref()
         .ok_or("missing --scenario <file> (presets live in scenarios/)")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let json = path.ends_with(".json") || text.trim_start().starts_with('{');
-    let mut spec = if json {
-        ScenarioSpec::from_json_str(&text)
-    } else {
-        ScenarioSpec::from_toml_str(&text)
-    }
-    .map_err(|e| format!("{path}: {e}"))?;
+    let mut spec = ScenarioSpec::from_toml_str(&text).map_err(|e| format!("{path}: {e}"))?;
     if let Some(seed) = args.seed {
         spec.seed = seed;
     }

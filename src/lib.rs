@@ -9,7 +9,7 @@
 //! use ecnudp::core::{try_run_engine, CampaignConfig, EngineConfig, FullReport};
 //! use ecnudp::pool::PoolPlan;
 //!
-//! // One blueprint, work-stealing shards, byte-identical for any shard count.
+//! // One blueprint, many shards, byte-identical for any shard count.
 //! // The report renders from streamed aggregates: the engine keeps no raw
 //! // TraceRecords (subscribe a `TraceSampler` to export them).
 //! let run = try_run_engine(

@@ -312,19 +312,27 @@ fn cli_json_validate_and_errors() {
     // --json on a tiny throwaway spec (fast): summary fields present
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("target/test-scenarios");
     std::fs::create_dir_all(&dir).expect("mkdir");
-    let tiny = dir.join("tiny.json");
+    let tiny = dir.join("tiny.toml");
     std::fs::write(
         &tiny,
-        r#"{
-            "name": "tiny",
-            "seed": 5,
-            "traceroute": false,
-            "population": {"servers": 16},
-            "topology": {"t1_count": 2, "t2_count": 2},
-            "middleboxes": {"ect_droppers_per_1000": 63},
-            "schedule": {"profile": "quick", "traces_per_vantage": 1,
-                         "discovery_rounds": 8}
-        }"#,
+        r#"
+name = "tiny"
+seed = 5
+traceroute = false
+population.servers = 16
+
+[topology]
+t1_count = 2
+t2_count = 2
+
+[middleboxes]
+ect_droppers_per_1000 = 63
+
+[schedule]
+profile = "quick"
+traces_per_vantage = 1
+discovery_rounds = 8
+"#,
     )
     .expect("write tiny spec");
     let out = ecnudp(&["run", "--scenario", tiny.to_str().unwrap(), "--json"]);
@@ -367,11 +375,12 @@ fn cli_json_validate_and_errors() {
 
 #[test]
 fn cli_rejects_a_population_or_chunk_count_no_run_can_build() {
-    // validate and run share one check: a population past the address
-    // plan, more target chunks than servers (1.3e12 unit indices at
-    // 13 vantages), or discovery rounds past the bound (u64::MAX rounds
-    // never finish) is a named spec error (exit 1), never a panic, an
-    // allocation abort or a hang in the run
+    // validate and run share one check: a population or destination-AS
+    // estimate past the address plan (u64::MAX ASes would overflow the
+    // "~N ASes" sum), more target chunks than servers (1.3e12 unit
+    // indices at 13 vantages), or discovery rounds past the bound
+    // (u64::MAX rounds never finish) is a named spec error (exit 1),
+    // never a panic, an allocation abort or a hang in the run
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("target/test-scenarios");
     std::fs::create_dir_all(&dir).expect("mkdir");
     let specs = [
@@ -379,6 +388,11 @@ fn cli_rejects_a_population_or_chunk_count_no_run_can_build() {
             "huge-population.toml",
             "[population]\nservers = 18446744073709551615\n",
             "population.servers",
+        ),
+        (
+            "huge-dest-as-count.toml",
+            "[topology]\ndest_as_count = 18446744073709551615\n",
+            "topology.dest_as_count",
         ),
         (
             "huge-chunk-count.toml",
