@@ -190,14 +190,12 @@ fn droptail_vs_red() {
                 Ecn::Ect0,
             );
             h.identification = i as u16;
-            let seg = ecn_wire::udp::udp_segment(
-                Ipv4Addr::new(10, 0, 0, 1),
-                Ipv4Addr::new(192, 0, 2, 1),
-                5000,
-                5001,
-                &vec![0u8; 1160],
+            sim.send_from(
+                a,
+                Datagram::compose(Vec::new(), h, |o| {
+                    ecn_wire::udp::udp_segment_into(h.src, h.dst, 5000, 5001, &[0; 1160], o)
+                }),
             );
-            sim.send_from(a, Datagram::new(h, &seg));
         }
         sim.run_to_idle();
         let cap = cap.lock();

@@ -71,15 +71,11 @@ fn bench_event_loop(c: &mut Criterion) {
                     IpProto::Udp,
                     Ecn::Ect0,
                 );
-                let seg = ecn_wire::udp::udp_segment(
-                    Ipv4Addr::new(10, 0, 0, 1),
-                    Ipv4Addr::new(192, 0, 2, 1),
-                    40000,
-                    123,
-                    &[0u8; 48],
-                );
+                let probe = Datagram::compose(Vec::new(), h, |o| {
+                    ecn_wire::udp::udp_segment_into(h.src, h.dst, 40000, 123, &[0; 48], o)
+                });
                 for _ in 0..1000 {
-                    sim.send_from(a, Datagram::new(h, &seg));
+                    sim.send_from(a, probe.clone());
                 }
                 sim
             },

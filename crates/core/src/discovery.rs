@@ -66,7 +66,7 @@ pub fn discover(
             let mut answered = false;
             while let Some(got) = handle.udp_recv(sock) {
                 // Collect before committing so a malformed tail discards
-                // the whole message, exactly like the owned decode did.
+                // the whole message.
                 answer_scratch.clear();
                 let a = &mut answer_scratch;
                 if ecn_wire::dns::for_each_a_record(&got.payload, |addr| a.push(addr)).is_ok() {

@@ -249,7 +249,7 @@ pub fn try_run_engine(
 /// process count. With `eng.processes > 1` it drops the blueprint after
 /// discovery and hands the remaining units to supervised worker processes
 /// ([`crate::mp`]); the subscriber then also observes the supervision
-/// events ([`Event::WorkerFailed`], [`Event::UnitRetried`], …), and the
+/// events ([`Event::WorkerFailed`], [`Event::WorkerFinished`], …), and the
 /// workers' per-unit records reach it as the same
 /// [`Event::UnitFinished`] events an in-process run emits. The run fails
 /// with a typed [`MpError`] when a worker slot exhausts its retry budget

@@ -79,7 +79,6 @@ pub struct JsonLinesMetrics<W: Write + Send> {
     clamped: Option<(usize, usize)>,        // requested, spawned
     workers: BTreeMap<usize, (usize, u64)>, // worker -> (units, observations)
     failures: Vec<FailureRec>,
-    unit_retries: u64,
     checkpoints: Option<(u64, usize, usize)>, // writes, completed, total
     err: Option<io::Error>,
 }
@@ -109,7 +108,6 @@ impl<W: Write + Send> JsonLinesMetrics<W> {
             clamped: None,
             workers: BTreeMap::new(),
             failures: Vec::new(),
-            unit_retries: 0,
             checkpoints: None,
             err: None,
         }
@@ -218,7 +216,6 @@ impl<W: Write + Send> Subscriber for JsonLinesMetrics<W> {
             clamped: None,
             workers: BTreeMap::new(),
             failures: Vec::new(),
-            unit_retries: 0,
             checkpoints: None,
             err: None,
         }
@@ -250,7 +247,6 @@ impl<W: Write + Send> Subscriber for JsonLinesMetrics<W> {
                 cause: cause.to_string(),
                 will_retry: *will_retry,
             }),
-            Event::UnitRetried { .. } => self.unit_retries += 1,
             Event::WorkerFinished {
                 worker,
                 units,
@@ -284,7 +280,6 @@ impl<W: Write + Send> Subscriber for JsonLinesMetrics<W> {
             rec.1 += observations;
         }
         self.failures.extend(other.failures);
-        self.unit_retries += other.unit_retries;
         if let Some((w, c, t)) = other.checkpoints {
             let (writes, completed, total) = self.checkpoints.get_or_insert((0, 0, 0));
             *writes += w;
@@ -318,6 +313,9 @@ impl<W: Write + Send> Subscriber for JsonLinesMetrics<W> {
         }
         let mut failures = std::mem::take(&mut self.failures);
         failures.sort_by_key(|f| (f.worker, f.attempt));
+        // a retried attempt re-ships every unit of the worker's slice
+        let retried = failures.iter().filter(|f| f.will_retry);
+        let unit_retries: usize = retried.map(|f| f.units).sum();
         for f in failures {
             self.write_line(&format!(
                 "{{\"type\":\"worker_failed\",\"worker\":{},\"attempt\":{},\"units\":{},\
@@ -335,10 +333,9 @@ impl<W: Write + Send> Subscriber for JsonLinesMetrics<W> {
                  \"observations\":{observations}}}"
             ));
         }
-        if self.unit_retries > 0 {
+        if unit_retries > 0 {
             self.write_line(&format!(
-                "{{\"type\":\"retries\",\"unit_retries\":{}}}",
-                self.unit_retries
+                "{{\"type\":\"retries\",\"unit_retries\":{unit_retries}}}"
             ));
         }
         if let Some((writes, completed, total)) = self.checkpoints.take() {

@@ -12,7 +12,6 @@
 //! | [`Event::UnitFinished`] | the engine's unit loop, after the unit's traceroute slice, carrying its [`UnitRecord`]; under `processes > 1`, the parent re-emits each worker's shipped records |
 //! | [`Event::WorkersClamped`] | the supervised driver (`mp`), when `processes` exceeds the unit count |
 //! | [`Event::WorkerFailed`] | the supervised driver, when a worker attempt crashes/hangs/corrupts |
-//! | [`Event::UnitRetried`] | the supervised driver, once per unit re-shipped to a respawned worker |
 //! | [`Event::WorkerFinished`] | the supervised driver, when a worker slot delivers its payload (its units' [`Event::UnitFinished`] follow) |
 //! | [`Event::CheckpointWritten`] | the engine, after each atomic checkpoint write |
 //!
@@ -162,16 +161,6 @@ pub enum Event<'a> {
         cause: &'a str,
         /// Whether the supervisor will respawn the worker.
         will_retry: bool,
-    },
-    /// A unit is being re-shipped to a respawned worker (one per unit in
-    /// the failed worker's slice, following [`Event::WorkerFailed`]).
-    UnitRetried {
-        /// The unit being retried.
-        unit: UnitId,
-        /// The worker slot retrying it.
-        worker: usize,
-        /// The attempt about to run it (1 = first retry).
-        attempt: u32,
     },
     /// A worker slot delivered its payload (possibly after retries). One
     /// [`Event::UnitFinished`] per unit it shipped follows.

@@ -133,11 +133,15 @@ impl Subscriber for Progress {
                 let done = self.state.units_done.fetch_add(1, Ordering::Relaxed) + 1;
                 self.maybe_print(done, false);
             }
-            Event::WorkerFailed { .. } => {
+            Event::WorkerFailed {
+                units, will_retry, ..
+            } => {
                 self.state.worker_failures.fetch_add(1, Ordering::Relaxed);
-            }
-            Event::UnitRetried { .. } => {
-                self.state.unit_retries.fetch_add(1, Ordering::Relaxed);
+                if *will_retry {
+                    self.state
+                        .unit_retries
+                        .fetch_add(*units as u64, Ordering::Relaxed);
+                }
             }
             _ => {}
         }

@@ -987,7 +987,6 @@ pub(crate) fn run_supervised<S: Subscriber>(
     if !faults.is_empty() {
         eprintln!("mp: ECNUDP_FAULT is set — fault injection active");
     }
-    let chunks = eng.target_chunks.max(1);
     let total_units = completed.total_units;
     let skip = completed.skip();
     let remaining = total_units - skip.len();
@@ -1083,15 +1082,6 @@ pub(crate) fn run_supervised<S: Subscriber>(
                             cause: &cause,
                             will_retry,
                         });
-                        if will_retry {
-                            for &ci in &assignments[worker] {
-                                subscriber.on_event(&Event::UnitRetried {
-                                    unit: UnitId::at(ci, chunks),
-                                    worker,
-                                    attempt: attempt + 1,
-                                });
-                            }
-                        }
                     }
                 }
                 SupMsg::Done { worker, payload } => {

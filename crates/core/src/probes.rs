@@ -207,16 +207,9 @@ pub fn probe_tcp(
 
     let established = matches!(handle.conn_state(conn), Some(TcpState::Established));
     if established {
-        // Issue the GET and wait for a complete response or teardown. The
-        // request bytes are `HttpRequest::get_root(&server.to_string())
-        // .encode()` formatted in one pass — same wire bytes, one buffer
-        // instead of an owned request struct's dozen small strings.
-        use std::io::Write as _;
+        // Issue the GET and wait for a complete response or teardown.
         let mut req = Vec::with_capacity(96);
-        let _ = write!(
-            req,
-            "GET / HTTP/1.1\r\nHost: {server}\r\nUser-Agent: ecn-udp-study/1.0\r\nConnection: close\r\n\r\n"
-        );
+        ecn_wire::http::encode_get_root_into(server, &mut req);
         handle.tcp_send(sim, conn, &req);
         let deadline = sim.now() + cfg.http_wait;
         while let Some((state, peer_closed, done)) =
@@ -269,23 +262,6 @@ mod tests {
     use super::*;
     use ecn_pool::{build_scenario, PoolPlan, SpecialBehaviour};
     use ecn_stack::AvailabilityModel;
-
-    #[test]
-    fn inline_get_matches_http_request_encoding() {
-        // probe_tcp formats the GET in one pass; it must stay
-        // byte-identical to the structured request it replaced, or the
-        // probe silently diverges from the documented methodology.
-        use std::io::Write as _;
-        for server in [Ipv4Addr::new(192, 0, 2, 80), Ipv4Addr::new(128, 1, 24, 0)] {
-            let mut inline = Vec::with_capacity(96);
-            let _ = write!(
-                inline,
-                "GET / HTTP/1.1\r\nHost: {server}\r\nUser-Agent: ecn-udp-study/1.0\r\nConnection: close\r\n\r\n"
-            );
-            let structured = ecn_wire::HttpRequest::get_root(&server.to_string()).encode();
-            assert_eq!(inline, structured);
-        }
-    }
 
     #[test]
     fn udp_probe_reaches_healthy_server_and_reports_rtt() {

@@ -33,11 +33,6 @@ impl HopObservation {
     pub fn modified(&self, sent: Ecn) -> bool {
         self.quoted_ecn.iter().any(|e| *e != sent)
     }
-
-    /// Did probes disagree (the "sometimes strips" signature)?
-    pub fn mixed(&self, sent: Ecn) -> bool {
-        self.modified(sent) && self.quoted_ecn.contains(&sent)
-    }
 }
 
 /// One traceroute run.
@@ -247,7 +242,5 @@ mod tests {
         };
         assert!(hop(vec![Ecn::Ect0, Ecn::Ect0]).unmodified(Ecn::Ect0));
         assert!(hop(vec![Ecn::NotEct]).modified(Ecn::Ect0));
-        assert!(!hop(vec![Ecn::NotEct]).mixed(Ecn::Ect0));
-        assert!(hop(vec![Ecn::Ect0, Ecn::NotEct]).mixed(Ecn::Ect0));
     }
 }

@@ -287,13 +287,6 @@ impl<T> PrefixMap<T> {
             node = child;
         }
     }
-
-    /// Longest-prefix-match, also returning the matched prefix.
-    pub fn lookup_prefix(&self, ip: Ipv4Addr) -> Option<(Ipv4Prefix, &T)> {
-        let node = self.lookup_node(u32::from(ip))?;
-        let n = &self.nodes[node];
-        Some((Ipv4Prefix::new(ip, n.plen), n.value.as_ref()?))
-    }
 }
 
 #[cfg(test)]
@@ -360,16 +353,6 @@ mod tests {
         assert_eq!(m.get(p("10.0.0.0/9")), None);
     }
 
-    #[test]
-    fn lookup_prefix_reports_match_length() {
-        let mut m = PrefixMap::new();
-        m.insert(p("10.0.0.0/8"), "a");
-        m.insert(p("10.128.0.0/9"), "b");
-        let (matched, v) = m.lookup_prefix(Ipv4Addr::new(10, 200, 1, 1)).unwrap();
-        assert_eq!(v, &"b");
-        assert_eq!(matched, p("10.128.0.0/9"));
-    }
-
     /// Dense sibling host routes under one branch node — the forwarding
     /// shape every dest-AS router table has (many /32s, one default).
     #[test]
@@ -424,13 +407,8 @@ mod tests {
                     .iter()
                     .filter(|(q, _)| q.contains(ip))
                     .max_by_key(|(q, _)| q.len())
-                    .map(|(q, v)| (*q, v));
-                assert_eq!(
-                    m.lookup_prefix(ip),
-                    want,
-                    "seed {seed}: lookup_prefix({ip}) diverged from reference"
-                );
-                assert_eq!(m.lookup(ip), want.map(|(_, v)| v), "seed {seed}");
+                    .map(|(_, v)| v);
+                assert_eq!(m.lookup(ip), want, "seed {seed}: lookup({ip})");
             }
         }
     }

@@ -100,19 +100,6 @@ impl QueueDisc {
             limit_bytes: 64 * 1024 * 1024,
         }
     }
-
-    /// True for the disciplines that can CE-mark traffic: RED with `ecn`
-    /// on, and both AQM markers. A link carrying one of these is an
-    /// active middlebox the multi-hop tunnelling fast path must not
-    /// collapse away (see `LinkProps::is_passive`).
-    pub fn can_mark(&self) -> bool {
-        matches!(
-            self,
-            QueueDisc::Red { ecn: true, .. }
-                | QueueDisc::MarkProb { .. }
-                | QueueDisc::CodelMark { .. }
-        )
-    }
 }
 
 /// What the queue decided for an arriving packet.
@@ -454,23 +441,6 @@ mod tests {
             q.on_arrival(900, 200, Nanos::from_secs(1), true, &mut rng),
             QueueVerdict::Drop(QueueDropCause::Overflow)
         );
-    }
-
-    #[test]
-    fn can_mark_identifies_active_disciplines() {
-        assert!(!QueueDisc::deep_fifo().can_mark());
-        assert!(QueueDisc::red_ecn(10_000).can_mark());
-        assert!(QueueDisc::aqm_mark(0.1).can_mark());
-        assert!(QueueDisc::l4s_mark(Nanos::from_millis(1)).can_mark());
-        let red_drop = QueueDisc::Red {
-            min_th_bytes: 1,
-            max_th_bytes: 2,
-            max_p: 0.1,
-            weight: 0.5,
-            ecn: false,
-            limit_bytes: 100,
-        };
-        assert!(!red_drop.can_mark());
     }
 
     #[test]

@@ -573,15 +573,6 @@ impl Sim {
         self.captures[host.0 as usize] = capture;
     }
 
-    /// Node id of the host with address `addr` (indexed; O(1)).
-    pub fn find_host(&self, addr: Ipv4Addr) -> Option<NodeId> {
-        self.topo
-            .addr_index
-            .get(&addr)
-            .copied()
-            .filter(|&n| !self.is_router(n))
-    }
-
     /// Node id of the node (host or router) with address `addr`.
     pub fn find_node(&self, addr: Ipv4Addr) -> Option<NodeId> {
         self.topo.addr_index.get(&addr).copied()
@@ -1170,10 +1161,9 @@ mod tests {
     fn probe_dgram(src: Ipv4Addr, dst: Ipv4Addr, ttl: u8, ecn: Ecn) -> Datagram {
         let mut h = Ipv4Header::probe(src, dst, IpProto::Udp, ecn);
         h.ttl = ttl;
-        Datagram::new(
-            h,
-            &ecn_wire::udp::udp_segment(src, dst, 40000, 123, b"test-payload"),
-        )
+        Datagram::compose(Vec::new(), h, |o| {
+            ecn_wire::udp::udp_segment_into(src, dst, 40000, 123, b"test-payload", o)
+        })
     }
 
     /// host A -- r1 -- r2 -- host B, clean links, default routes.
@@ -1295,22 +1285,20 @@ mod tests {
         // ECT TCP: delivered (the §4.4 phenomenon).
         let mut h = Ipv4Header::probe(src, dst, IpProto::Tcp, Ecn::Ect0);
         h.ttl = 64;
-        let tcp = ecn_wire::tcp::tcp_segment(
-            src,
-            dst,
-            &ecn_wire::TcpHeader {
-                src_port: 1,
-                dst_port: 80,
-                seq: 0,
-                ack: 0,
-                flags: ecn_wire::TcpFlags::SYN,
-                window: 1000,
-                urgent: 0,
-                options: vec![],
-            },
-            b"",
-        );
-        sim.send_from(a, Datagram::new(h, &tcp));
+        let syn = ecn_wire::TcpHeader {
+            src_port: 1,
+            dst_port: 80,
+            seq: 0,
+            ack: 0,
+            flags: ecn_wire::TcpFlags::SYN,
+            window: 1000,
+            urgent: 0,
+            options: vec![],
+        };
+        let tcp = Datagram::compose(Vec::new(), h, |o| {
+            ecn_wire::tcp::tcp_segment_into(src, dst, &syn, b"", o)
+        });
+        sim.send_from(a, tcp);
         sim.run_to_idle();
         assert_eq!(sim.counters().delivered, 2);
     }
@@ -1397,8 +1385,12 @@ mod tests {
         for &id in &ids {
             let mut h = Ipv4Header::probe(src, dst, IpProto::Udp, Ecn::Ect0);
             h.identification = id;
-            let seg = ecn_wire::udp::udp_segment(src, dst, 40000, 123, b"burst");
-            sim.send_from(a, Datagram::new(h, &seg));
+            sim.send_from(
+                a,
+                Datagram::compose(Vec::new(), h, |o| {
+                    ecn_wire::udp::udp_segment_into(src, dst, 40000, 123, b"burst", o)
+                }),
+            );
         }
         sim.run_to_idle();
         // every packet crossed the same clean path, so all reach B at one
@@ -1566,14 +1558,12 @@ mod tests {
     }
 
     #[test]
-    fn find_host_and_find_node_use_the_addr_index() {
+    fn find_node_uses_the_addr_index() {
         let (sim, a, b, r1, _r2) = line_topology(30);
-        assert_eq!(sim.find_host(Ipv4Addr::new(10, 0, 0, 1)), Some(a));
-        assert_eq!(sim.find_host(Ipv4Addr::new(192, 0, 2, 1)), Some(b));
-        // routers are reachable through find_node but not find_host
+        assert_eq!(sim.find_node(Ipv4Addr::new(10, 0, 0, 1)), Some(a));
+        assert_eq!(sim.find_node(Ipv4Addr::new(192, 0, 2, 1)), Some(b));
         assert_eq!(sim.find_node(Ipv4Addr::new(10, 0, 0, 254)), Some(r1));
-        assert_eq!(sim.find_host(Ipv4Addr::new(10, 0, 0, 254)), None);
-        assert_eq!(sim.find_host(Ipv4Addr::new(203, 0, 113, 7)), None);
+        assert_eq!(sim.find_node(Ipv4Addr::new(203, 0, 113, 7)), None);
     }
 
     #[test]
@@ -1612,15 +1602,11 @@ mod tests {
                 Ecn::Ect0,
             );
             h.identification = i as u16;
-            let payload = ecn_wire::udp::udp_segment(
-                Ipv4Addr::new(10, 0, 0, 1),
-                Ipv4Addr::new(192, 0, 2, 1),
-                5000,
-                5001,
-                &vec![0u8; 460],
-            );
+            let dgram = Datagram::compose(Vec::new(), h, |o| {
+                ecn_wire::udp::udp_segment_into(h.src, h.dst, 5000, 5001, &[0; 460], o)
+            });
             sim.run_until(Nanos::from_millis(2 * u64::from(i)));
-            sim.send_from(a, Datagram::new(h, &payload));
+            sim.send_from(a, dgram);
         }
         sim.run_to_idle();
         let marks = sim.counters().ce_marked;

@@ -33,11 +33,6 @@ impl Nanos {
         Nanos(us * 1_000)
     }
 
-    /// As (truncated) whole seconds.
-    pub fn as_secs(self) -> u64 {
-        self.0 / 1_000_000_000
-    }
-
     /// As (truncated) milliseconds.
     pub fn as_millis(self) -> u64 {
         self.0 / 1_000_000
@@ -95,7 +90,6 @@ mod tests {
         assert_eq!(Nanos::from_secs(2).0, 2_000_000_000);
         assert_eq!(Nanos::from_millis(5).as_millis(), 5);
         assert_eq!(Nanos::from_micros(7).0, 7_000);
-        assert_eq!(Nanos::from_secs(3).as_secs(), 3);
     }
 
     #[test]

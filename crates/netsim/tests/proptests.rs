@@ -140,15 +140,11 @@ proptest! {
             IpProto::Udp,
             Ecn::Ect0,
         );
-        let seg = ecn_wire::udp::udp_segment(
-            Ipv4Addr::new(10, 0, 0, 1),
-            Ipv4Addr::new(192, 0, 2, 1),
-            1,
-            2,
-            b"conservation",
-        );
+        let probe = Datagram::compose(Vec::new(), h, |o| {
+            ecn_wire::udp::udp_segment_into(h.src, h.dst, 1, 2, b"conservation", o)
+        });
         for _ in 0..packets {
-            sim.send_from(a, Datagram::new(h, &seg));
+            sim.send_from(a, probe.clone());
         }
         sim.run_to_idle();
         let s = sim.counters();

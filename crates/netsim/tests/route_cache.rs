@@ -12,10 +12,9 @@ const B_ADDR: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
 
 fn udp_from(src: Ipv4Addr) -> Datagram {
     let h = Ipv4Header::probe(src, B_ADDR, IpProto::Udp, Ecn::NotEct);
-    Datagram::new(
-        h,
-        &ecn_wire::udp::udp_segment(src, B_ADDR, 40000, 123, b"route-cache"),
-    )
+    Datagram::compose(Vec::new(), h, |o| {
+        ecn_wire::udp::udp_segment_into(src, B_ADDR, 40000, 123, b"route-cache", o)
+    })
 }
 
 #[test]

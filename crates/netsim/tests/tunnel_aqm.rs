@@ -77,10 +77,9 @@ fn chain(
 fn probe(ecn: Ecn, ttl: u8, sport: u16, payload: &[u8]) -> Datagram {
     let mut h = Ipv4Header::probe(A_ADDR, B_ADDR, IpProto::Udp, ecn);
     h.ttl = ttl;
-    Datagram::new(
-        h,
-        &ecn_wire::udp::udp_segment(A_ADDR, B_ADDR, sport, 123, payload),
-    )
+    Datagram::compose(Vec::new(), h, |o| {
+        ecn_wire::udp::udp_segment_into(A_ADDR, B_ADDR, sport, 123, payload, o)
+    })
 }
 
 /// Reflects every datagram back to its source, preserving the ECN mark

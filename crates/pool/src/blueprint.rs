@@ -802,7 +802,6 @@ impl WorldBlueprint {
                 Box::new(NtpServerService::new(NtpServerConfig {
                     stratum: profile.stratum,
                     reference_id: *b"POOL",
-                    kod: None,
                 })),
             );
             // ECN-validation feedback responder: registration is inert

@@ -733,14 +733,15 @@ fn mismatch(path: &str, expects: &str, found: &str) -> SpecError {
 
 /// Read the TOML subset the spec format uses, applying each value onto
 /// the defaults as its line is read: `#` comments, `[section]` headers
-/// (dotted), `key = value` pairs (dotted keys allowed) with basic-string,
-/// integer/float and boolean values. No arrays, no inline tables, no
-/// multi-line strings — the format is deliberately flat. The earliest bad
-/// line is the error.
+/// (dotted, each opened once), `key = value` pairs (dotted keys allowed)
+/// with basic-string, integer/float and boolean values. No arrays, no
+/// inline tables, no multi-line strings — the format is deliberately
+/// flat. The earliest bad line is the error.
 fn read_toml(input: &str) -> Result<ScenarioSpec, SpecError> {
     let mut spec = ScenarioSpec::paper2015();
     let mut seen = [false; KEYS.len()];
     let mut section = String::new();
+    let mut opened: Vec<(String, usize)> = Vec::new(); // header, its line
     for (idx, raw) in input.lines().enumerate() {
         let lineno = idx + 1;
         let line = strip_toml_comment(raw).trim();
@@ -759,6 +760,12 @@ fn read_toml(input: &str) -> Result<ScenarioSpec, SpecError> {
             if let Some(k) = lookup(&section)? {
                 return Err(mismatch(&section, KEYS[k].1.expects(), "table"));
             }
+            if let Some((_, first)) = opened.iter().find(|(s, _)| *s == section) {
+                return err(format!(
+                    "table `[{section}]` already opened at line {first}"
+                ));
+            }
+            opened.push((section.clone(), lineno));
             continue;
         }
         let Some(eq) = line.find('=') else {

@@ -6,7 +6,9 @@ use ecn_netsim::Nanos;
 use ecn_pool::{build_scenario, PoolPlan, Scenario, SpecialBehaviour};
 use ecn_services::NtpClient;
 use ecn_stack::{AvailabilityModel, TcpState};
-use ecn_wire::{DnsMessage, Ecn, HttpResponse, IcmpMessage, Ipv4Header};
+use ecn_wire::dns::{encode_a_query_into, for_each_a_record};
+use ecn_wire::http::encode_get_root_into;
+use ecn_wire::{Ecn, HttpResponse, IcmpMessage, Ipv4Header};
 use std::collections::HashSet;
 use std::net::Ipv4Addr;
 
@@ -62,14 +64,15 @@ fn dns_discovery_enumerates_pool() {
     let sock = handle.udp_bind(0);
     let mut found: HashSet<Ipv4Addr> = HashSet::new();
     for qid in 0..40u16 {
-        let q = DnsMessage::a_query(qid, "pool.ntp.org");
-        handle.udp_send(&mut sc.sim, sock, (dns, 53), &q.encode(), Ecn::NotEct);
+        let mut q = Vec::new();
+        encode_a_query_into(qid, "pool.ntp.org", &mut q);
+        handle.udp_send(&mut sc.sim, sock, (dns, 53), &q, Ecn::NotEct);
         let deadline = sc.sim.now() + Nanos::from_millis(500);
         sc.sim.run_until(deadline);
         while let Some(got) = handle.udp_recv(sock) {
-            if let Ok(m) = DnsMessage::decode(&got.payload) {
-                found.extend(m.a_records());
-            }
+            let _ = for_each_a_record(&got.payload, |a| {
+                found.insert(a);
+            });
         }
     }
     // 40 queries x 4 answers with rotation cover the 60-server zone
@@ -211,13 +214,14 @@ fn http_probe_with_ecn_negotiation_works_against_pool_web_server() {
     let snap = handle.conn(conn).expect("conn");
     assert_eq!(snap.state, TcpState::Established);
     assert!(snap.ecn_negotiated, "ECN-setup SYN-ACK received");
-    let req = ecn_wire::HttpRequest::get_root(&addr.to_string()).encode();
+    let mut req = Vec::new();
+    encode_get_root_into(addr, &mut req);
     handle.tcp_send(&mut sc.sim, conn, &req);
     let deadline = sc.sim.now() + Nanos::from_secs(5);
     sc.sim.run_until(deadline);
     let snap = handle.conn(conn).expect("conn");
-    let rsp = HttpResponse::decode(&snap.received).expect("http response");
-    assert!(rsp.status == 302 || rsp.status == 200);
+    let status = HttpResponse::status_of(&snap.received).expect("http response");
+    assert!(status == 302 || status == 200);
     handle.tcp_close(&mut sc.sim, conn);
 }
 

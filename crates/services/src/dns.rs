@@ -125,14 +125,31 @@ pub fn pool_query_names(subdomains: &[&str]) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ecn_wire::DnsMessage;
+    use ecn_wire::dns::{encode_a_query_into, for_each_a_record, read_query};
+    use ecn_wire::Rcode;
 
     fn addrs(n: u8) -> Vec<Ipv4Addr> {
         (0..n).map(|i| Ipv4Addr::new(192, 0, 2, i)).collect()
     }
 
     fn query_bytes(id: u16, name: &str) -> Vec<u8> {
-        DnsMessage::a_query(id, name).encode()
+        let mut out = Vec::new();
+        encode_a_query_into(id, name, &mut out);
+        out
+    }
+
+    fn a_records(rsp: &[u8]) -> Vec<Ipv4Addr> {
+        let mut out = Vec::new();
+        for_each_a_record(rsp, |a| out.push(a)).unwrap();
+        out
+    }
+
+    fn rcode(rsp: &[u8]) -> Rcode {
+        read_query(rsp, &mut String::new())
+            .unwrap()
+            .unwrap()
+            .flags
+            .rcode
     }
 
     fn srv() -> PoolDnsService {
@@ -145,30 +162,30 @@ mod tests {
 
     const SRC: (Ipv4Addr, u16) = (Ipv4Addr::new(10, 0, 0, 1), 53053);
 
+    fn ask(s: &mut PoolDnsService, id: u16, name: &str) -> Vec<u8> {
+        s.handle(Nanos::ZERO, SRC, Ecn::NotEct, &query_bytes(id, name))
+            .unwrap()
+    }
+
     #[test]
     fn serves_four_answers_and_rotates() {
         let mut s = srv();
-        let r1 = s
-            .handle(
-                Nanos::ZERO,
-                SRC,
-                Ecn::NotEct,
-                &query_bytes(1, "pool.ntp.org"),
-            )
-            .unwrap();
-        let m1 = DnsMessage::decode(&r1).unwrap();
-        assert_eq!(m1.a_records().len(), ANSWERS_PER_QUERY);
-        assert_eq!(m1.answers[0].ttl, POOL_TTL);
-        let r2 = s
-            .handle(
-                Nanos::ZERO,
-                SRC,
-                Ecn::NotEct,
-                &query_bytes(2, "pool.ntp.org"),
-            )
-            .unwrap();
-        let m2 = DnsMessage::decode(&r2).unwrap();
-        assert_ne!(m1.a_records(), m2.a_records(), "rotation advances");
+        let r1 = a_records(&ask(&mut s, 1, "pool.ntp.org"));
+        assert_eq!(r1.len(), ANSWERS_PER_QUERY);
+        let r2 = a_records(&ask(&mut s, 2, "pool.ntp.org"));
+        assert_ne!(r1, r2, "rotation advances");
+    }
+
+    #[test]
+    fn answers_carry_the_pool_ttl() {
+        let mut s = srv();
+        let rsp = ask(&mut s, 1, "uk.pool.ntp.org");
+        // the first answer follows the echoed question; its TTL sits after
+        // the owner name, type and class
+        let question = 12 + "uk.pool.ntp.org".len() + 2 + 4;
+        let ttl_at = question + "uk.pool.ntp.org".len() + 2 + 4;
+        let ttl = u32::from_be_bytes(rsp[ttl_at..ttl_at + 4].try_into().unwrap());
+        assert_eq!(ttl, POOL_TTL);
     }
 
     #[test]
@@ -176,17 +193,7 @@ mod tests {
         let mut s = srv();
         let mut seen = std::collections::HashSet::new();
         for id in 0..10u16 {
-            let r = s
-                .handle(
-                    Nanos::ZERO,
-                    SRC,
-                    Ecn::NotEct,
-                    &query_bytes(id, "pool.ntp.org"),
-                )
-                .unwrap();
-            for a in DnsMessage::decode(&r).unwrap().a_records() {
-                seen.insert(a);
-            }
+            seen.extend(a_records(&ask(&mut s, id, "pool.ntp.org")));
         }
         assert_eq!(seen.len(), 10, "all 10 members discovered");
     }
@@ -194,48 +201,26 @@ mod tests {
     #[test]
     fn small_zones_return_each_member_once() {
         let mut s = srv();
-        let r = s
-            .handle(
-                Nanos::ZERO,
-                SRC,
-                Ecn::NotEct,
-                &query_bytes(1, "uk.pool.ntp.org"),
-            )
-            .unwrap();
-        let m = DnsMessage::decode(&r).unwrap();
-        assert_eq!(m.a_records().len(), 3);
-        let unique: std::collections::HashSet<_> = m.a_records().into_iter().collect();
+        let answers = a_records(&ask(&mut s, 1, "uk.pool.ntp.org"));
+        assert_eq!(answers.len(), 3);
+        let unique: std::collections::HashSet<_> = answers.into_iter().collect();
         assert_eq!(unique.len(), 3);
     }
 
     #[test]
     fn unknown_name_is_nxdomain() {
         let mut s = srv();
-        let r = s
-            .handle(
-                Nanos::ZERO,
-                SRC,
-                Ecn::NotEct,
-                &query_bytes(1, "nosuch.example"),
-            )
-            .unwrap();
-        let m = DnsMessage::decode(&r).unwrap();
-        assert!(m.a_records().is_empty());
-        assert_eq!(m.flags.rcode, ecn_wire::Rcode::NxDomain);
+        let rsp = ask(&mut s, 1, "nosuch.example");
+        assert!(a_records(&rsp).is_empty());
+        assert_eq!(rcode(&rsp), Rcode::NxDomain);
     }
 
     #[test]
     fn empty_zone_is_nxdomain_too() {
         let mut s = srv();
-        let r = s
-            .handle(
-                Nanos::ZERO,
-                SRC,
-                Ecn::NotEct,
-                &query_bytes(1, "empty.pool.ntp.org"),
-            )
-            .unwrap();
-        assert!(DnsMessage::decode(&r).unwrap().a_records().is_empty());
+        let rsp = ask(&mut s, 1, "empty.pool.ntp.org");
+        assert!(a_records(&rsp).is_empty());
+        assert_eq!(rcode(&rsp), Rcode::NxDomain);
     }
 
     #[test]
@@ -249,13 +234,12 @@ mod tests {
     #[test]
     fn queries_without_exactly_one_question_get_no_answer() {
         let mut s = srv();
-        let mut query = DnsMessage::a_query(7, "pool.ntp.org");
-        query
-            .questions
-            .extend(DnsMessage::a_query(7, "uk.pool.ntp.org").questions);
-        let two = query.encode();
-        query.questions.clear();
-        let none = query.encode();
+        let mut two = query_bytes(7, "pool.ntp.org");
+        two[4..6].copy_from_slice(&2u16.to_be_bytes());
+        two.extend_from_slice(&query_bytes(7, "uk.pool.ntp.org")[12..]);
+        let mut none = query_bytes(7, "pool.ntp.org");
+        none.truncate(12);
+        none[4..6].copy_from_slice(&0u16.to_be_bytes());
         for payload in [two, none] {
             assert!(s.handle(Nanos::ZERO, SRC, Ecn::NotEct, &payload).is_none());
         }

@@ -4,7 +4,8 @@
 
 use ecn_netsim::Nanos;
 use ecn_stack::{TcpService, TcpServiceAction};
-use ecn_wire::{HttpRequest, HttpResponse};
+use ecn_wire::http::parse_meta;
+use ecn_wire::HttpResponse;
 
 /// Behaviour of a pool member's web server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,7 +50,7 @@ impl TcpService for PoolHttpService {
             }
             return TcpServiceAction::Wait;
         }
-        match HttpRequest::parse_meta(received) {
+        match parse_meta(received) {
             Ok(("GET", _)) => TcpServiceAction::Respond {
                 bytes: self.canned.clone(),
                 close: true,
@@ -71,19 +72,26 @@ impl TcpService for PoolHttpService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ecn_wire::http::encode_get_root_into;
+    use std::net::Ipv4Addr;
+
+    fn get_root() -> Vec<u8> {
+        let mut req = Vec::new();
+        encode_get_root_into(Ipv4Addr::new(192, 0, 2, 80), &mut req);
+        req
+    }
 
     #[test]
     fn redirect_service_answers_get_root() {
         let mut s = PoolHttpService::new(HttpServerKind::PoolRedirect);
-        let req = HttpRequest::get_root("192.0.2.80").encode();
+        let req = get_root();
         // partial head: wait
         assert_eq!(s.on_data(Nanos::ZERO, &req[..10]), TcpServiceAction::Wait);
         match s.on_data(Nanos::ZERO, &req) {
             TcpServiceAction::Respond { bytes, close } => {
                 assert!(close);
-                let rsp = HttpResponse::decode(&bytes).unwrap();
-                assert_eq!(rsp.status, 302);
-                assert_eq!(rsp.header("Location"), Some("http://www.pool.ntp.org/"));
+                assert_eq!(HttpResponse::status_of(&bytes), Ok(302));
+                assert_eq!(bytes, HttpResponse::pool_redirect().encode());
             }
             other => panic!("{other:?}"),
         }
@@ -92,11 +100,9 @@ mod tests {
     #[test]
     fn plain_ok_variant() {
         let mut s = PoolHttpService::new(HttpServerKind::PlainOk);
-        let req = HttpRequest::get_root("x").encode();
-        match s.on_data(Nanos::ZERO, &req) {
+        match s.on_data(Nanos::ZERO, &get_root()) {
             TcpServiceAction::Respond { bytes, .. } => {
-                let rsp = HttpResponse::decode(&bytes).unwrap();
-                assert_eq!(rsp.status, 200);
+                assert_eq!(HttpResponse::status_of(&bytes), Ok(200));
             }
             other => panic!("{other:?}"),
         }
@@ -108,7 +114,7 @@ mod tests {
         let req = b"POST / HTTP/1.1\r\nHost: x\r\n\r\n";
         match s.on_data(Nanos::ZERO, req) {
             TcpServiceAction::Respond { bytes, .. } => {
-                assert_eq!(HttpResponse::decode(&bytes).unwrap().status, 405);
+                assert_eq!(HttpResponse::status_of(&bytes), Ok(405));
             }
             other => panic!("{other:?}"),
         }

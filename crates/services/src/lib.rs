@@ -3,8 +3,8 @@
 //! The three protocols the measurement study touches at the application
 //! layer, implemented as in-sim services and client helpers:
 //!
-//! * [`ntp`] — the RFC 5905 responder every pool member runs (with
-//!   kiss-o'-death rate limiting), plus the custom NTP client of paper §3,
+//! * [`ntp`] — the RFC 5905 responder every pool member runs, plus the
+//!   custom NTP client of paper §3,
 //! * [`dns`] — the pool.ntp.org authoritative zone with round-robin
 //!   answers, the discovery mechanism for the 2500 measurement targets,
 //! * [`http`] — the co-located web server answering `GET /` with a

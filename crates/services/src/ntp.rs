@@ -4,7 +4,6 @@
 use ecn_netsim::Nanos;
 use ecn_stack::UdpService;
 use ecn_wire::{Ecn, NtpPacket, NtpTimestamp};
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// Offset between the simulation epoch and the NTP epoch, so simulated
@@ -24,9 +23,6 @@ pub struct NtpServerConfig {
     pub stratum: u8,
     /// Reference identifier.
     pub reference_id: [u8; 4],
-    /// Rate limit: if a single client sends more than `limit` requests in
-    /// `window`, answer with kiss-o'-death `RATE` instead. `None` disables.
-    pub kod: Option<(u32, Nanos)>,
 }
 
 impl Default for NtpServerConfig {
@@ -34,7 +30,6 @@ impl Default for NtpServerConfig {
         NtpServerConfig {
             stratum: 2,
             reference_id: *b"GPS\0",
-            kod: None,
         }
     }
 }
@@ -42,27 +37,12 @@ impl Default for NtpServerConfig {
 /// An RFC 5905 mode-3→mode-4 responder, run as a [`UdpService`] on port 123.
 pub struct NtpServerService {
     config: NtpServerConfig,
-    /// Per-client request timestamps within the KoD window.
-    history: HashMap<Ipv4Addr, Vec<Nanos>>,
 }
 
 impl NtpServerService {
     /// Build a responder.
     pub fn new(config: NtpServerConfig) -> NtpServerService {
-        NtpServerService {
-            config,
-            history: HashMap::new(),
-        }
-    }
-
-    fn rate_limited(&mut self, now: Nanos, src: Ipv4Addr) -> bool {
-        let Some((limit, window)) = self.config.kod else {
-            return false;
-        };
-        let hist = self.history.entry(src).or_default();
-        hist.retain(|t| now.saturating_sub(*t) < window);
-        hist.push(now);
-        hist.len() as u32 > limit
+        NtpServerService { config }
     }
 }
 
@@ -70,7 +50,7 @@ impl UdpService for NtpServerService {
     fn handle(
         &mut self,
         now: Nanos,
-        src: (Ipv4Addr, u16),
+        _src: (Ipv4Addr, u16),
         _ecn: Ecn,
         payload: &[u8],
     ) -> Option<Vec<u8>> {
@@ -80,9 +60,6 @@ impl UdpService for NtpServerService {
             return None;
         }
         let ts = ntp_now(now);
-        if self.rate_limited(now, src.0) {
-            return Some(NtpPacket::kiss_of_death_rate(&req, ts).encode());
-        }
         Some(
             NtpPacket::server_response(&req, self.config.stratum, self.config.reference_id, ts, ts)
                 .encode(),
@@ -151,63 +128,5 @@ mod tests {
             .unwrap();
         assert!(NtpClient::matches(&req1, &rsp));
         assert!(!NtpClient::matches(&req2, &rsp));
-    }
-
-    #[test]
-    fn kod_fires_after_limit_and_still_answers() {
-        let mut s = NtpServerService::new(NtpServerConfig {
-            kod: Some((3, Nanos::from_secs(10))),
-            ..NtpServerConfig::default()
-        });
-        let req = NtpClient::request(Nanos::ZERO);
-        let mut kods = 0;
-        for i in 0..5u64 {
-            let rsp = s
-                .handle(Nanos::from_secs(i), SRC, Ecn::NotEct, &req.encode())
-                .unwrap();
-            let parsed = NtpPacket::decode(&rsp).unwrap();
-            if parsed.kod_code() == Some(b"RATE") {
-                kods += 1;
-            }
-            // Either way the server responded — the reachability probe
-            // counts it (paper: "if an NTP response is received after any
-            // request, we mark the server as reachable").
-            assert!(NtpClient::matches(&req, &rsp));
-        }
-        assert_eq!(kods, 2, "requests 4 and 5 exceed limit 3 in window");
-    }
-
-    #[test]
-    fn kod_window_slides() {
-        let mut s = NtpServerService::new(NtpServerConfig {
-            kod: Some((1, Nanos::from_secs(5))),
-            ..NtpServerConfig::default()
-        });
-        let req = NtpClient::request(Nanos::ZERO);
-        let r1 = s
-            .handle(Nanos::ZERO, SRC, Ecn::NotEct, &req.encode())
-            .unwrap();
-        assert_eq!(NtpPacket::decode(&r1).unwrap().kod_code(), None);
-        // far outside the window: no KoD again
-        let r2 = s
-            .handle(Nanos::from_secs(60), SRC, Ecn::NotEct, &req.encode())
-            .unwrap();
-        assert_eq!(NtpPacket::decode(&r2).unwrap().kod_code(), None);
-    }
-
-    #[test]
-    fn distinct_clients_rate_limited_independently() {
-        let mut s = NtpServerService::new(NtpServerConfig {
-            kod: Some((1, Nanos::from_secs(10))),
-            ..NtpServerConfig::default()
-        });
-        let req = NtpClient::request(Nanos::ZERO);
-        let a = (Ipv4Addr::new(1, 1, 1, 1), 1000);
-        let b = (Ipv4Addr::new(2, 2, 2, 2), 1000);
-        let _ = s.handle(Nanos::ZERO, a, Ecn::NotEct, &req.encode());
-        let rb = s
-            .handle(Nanos::from_millis(1), b, Ecn::NotEct, &req.encode())
-            .unwrap();
-        assert_eq!(NtpPacket::decode(&rb).unwrap().kod_code(), None);
     }
 }

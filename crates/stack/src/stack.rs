@@ -457,16 +457,9 @@ impl StackAgent {
             if sh.config.echo_replies {
                 let mut h = Ipv4Header::probe(sh.addr, header.src, IpProto::Icmp, Ecn::NotEct);
                 h.identification = sh.next_ident();
-                // same bytes as IcmpMessage::EchoReply{..}.encode(), minus
-                // the owned round-trip through a cloned payload
+                let rest = ((u32::from(*id) << 16) | u32::from(*seq)).to_be_bytes();
                 out.push(Datagram::compose(api.take_buf(), h, |o| {
-                    let start = o.len();
-                    o.extend_from_slice(&[0, 0, 0, 0]);
-                    o.extend_from_slice(&id.to_be_bytes());
-                    o.extend_from_slice(&seq.to_be_bytes());
-                    o.extend_from_slice(payload);
-                    let ck = ecn_wire::internet_checksum(&o[start..]);
-                    o[start + 2..start + 4].copy_from_slice(&ck.to_be_bytes());
+                    ecn_wire::icmp::encode_message_into(0, 0, rest, payload, o)
                 }));
                 return;
             }

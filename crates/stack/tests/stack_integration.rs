@@ -345,13 +345,10 @@ fn flapping_server_misses_requests_while_down() {
 #[test]
 fn icmp_echo_is_answered() {
     let mut w = build(13, StackConfig::default(), StackConfig::default());
-    let msg = IcmpMessage::EchoRequest {
-        id: 7,
-        seq: 1,
-        payload: b"ping".to_vec(),
-    };
     let h = Ipv4Header::probe(CLIENT, SERVER, ecn_wire::IpProto::Icmp, Ecn::NotEct);
-    let d = ecn_wire::Datagram::new(h, &msg.encode());
+    let d = ecn_wire::Datagram::compose(Vec::new(), h, |o| {
+        ecn_wire::icmp::encode_message_into(8, 0, [0, 7, 0, 1], b"ping", o)
+    });
     let node = w.client.node();
     w.sim.send_from(node, d);
     w.sim.run_for(Nanos::from_millis(200));

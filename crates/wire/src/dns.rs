@@ -3,11 +3,10 @@
 //! subdomains, with round-robin answers.
 
 use crate::error::WireError;
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// Query types used by the study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QType {
     /// A host address (1).
     A,
@@ -31,7 +30,7 @@ impl QType {
 }
 
 /// Query classes (IN is the only one in live use).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QClass {
     /// The Internet (1).
     In,
@@ -55,7 +54,7 @@ impl QClass {
 }
 
 /// Response codes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rcode {
     /// 0 — no error.
     NoError,
@@ -99,7 +98,7 @@ impl Rcode {
 }
 
 /// Header flag word, decomposed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DnsFlags {
     /// Response (true) or query (false).
     pub response: bool,
@@ -179,216 +178,21 @@ impl DnsFlags {
     }
 }
 
-/// One question section entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DnsQuestion {
-    /// Fully-qualified name, stored lowercase without the trailing dot.
-    pub name: String,
-    /// Query type.
-    pub qtype: QType,
-    /// Query class.
-    pub qclass: QClass,
-}
-
-/// Resource-record payloads the codec understands.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DnsRecordData {
-    /// An IPv4 address.
-    A(Ipv4Addr),
-    /// Opaque rdata, preserved.
-    Raw(Vec<u8>),
-}
-
-/// One answer/authority/additional record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DnsRecord {
-    /// Owner name.
-    pub name: String,
-    /// Record type.
-    pub rtype: QType,
-    /// Record class.
-    pub rclass: QClass,
-    /// Time to live, seconds. The pool uses short TTLs (~150 s) so clients
-    /// re-resolve and rotate through servers.
-    pub ttl: u32,
-    /// Payload.
-    pub data: DnsRecordData,
-}
-
-/// A DNS message: header + sections. Authority/additional sections are
-/// carried as answers-like records.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DnsMessage {
-    /// Transaction ID.
-    pub id: u16,
-    /// Header flags.
-    pub flags: DnsFlags,
-    /// Question section.
-    pub questions: Vec<DnsQuestion>,
-    /// Answer section.
-    pub answers: Vec<DnsRecord>,
-}
-
-impl DnsMessage {
-    /// Build a standard A query for `name`.
-    pub fn a_query(id: u16, name: &str) -> DnsMessage {
-        DnsMessage {
-            id,
-            flags: DnsFlags::query(),
-            questions: vec![DnsQuestion {
-                name: name.trim_end_matches('.').to_ascii_lowercase(),
-                qtype: QType::A,
-                qclass: QClass::In,
-            }],
-            answers: Vec::new(),
-        }
-    }
-
-    /// Build an authoritative response to `query` with the given A records.
-    pub fn a_response(query: &DnsMessage, ttl: u32, addrs: &[Ipv4Addr]) -> DnsMessage {
-        let rcode = if addrs.is_empty() {
-            Rcode::NxDomain
-        } else {
-            Rcode::NoError
-        };
-        let name = query
-            .questions
-            .first()
-            .map(|q| q.name.clone())
-            .unwrap_or_default();
-        DnsMessage {
-            id: query.id,
-            flags: DnsFlags::answer_to(query.flags, rcode),
-            questions: query.questions.clone(),
-            answers: addrs
-                .iter()
-                .map(|&a| DnsRecord {
-                    name: name.clone(),
-                    rtype: QType::A,
-                    rclass: QClass::In,
-                    ttl,
-                    data: DnsRecordData::A(a),
-                })
-                .collect(),
-        }
-    }
-
-    /// All IPv4 addresses in the answer section.
-    pub fn a_records(&self) -> Vec<Ipv4Addr> {
-        self.answers
-            .iter()
-            .filter_map(|r| match r.data {
-                DnsRecordData::A(a) => Some(a),
-                DnsRecordData::Raw(_) => None,
-            })
-            .collect()
-    }
-
-    /// Encode to wire bytes, no name compression (convenience wrapper;
-    /// prefer [`DnsMessage::encode_into`] on hot paths).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
-        self.encode_into(&mut out);
-        out
-    }
-
-    /// Append the wire bytes (no name compression) to `out`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.id.to_be_bytes());
-        out.extend_from_slice(&self.flags.encode().to_be_bytes());
-        out.extend_from_slice(&(self.questions.len() as u16).to_be_bytes());
-        out.extend_from_slice(&(self.answers.len() as u16).to_be_bytes());
-        out.extend_from_slice(&0u16.to_be_bytes()); // nscount
-        out.extend_from_slice(&0u16.to_be_bytes()); // arcount
-        for q in &self.questions {
-            encode_name(&q.name, out);
-            out.extend_from_slice(&q.qtype.value().to_be_bytes());
-            out.extend_from_slice(&q.qclass.value().to_be_bytes());
-        }
-        for r in &self.answers {
-            encode_name(&r.name, out);
-            out.extend_from_slice(&r.rtype.value().to_be_bytes());
-            out.extend_from_slice(&r.rclass.value().to_be_bytes());
-            out.extend_from_slice(&r.ttl.to_be_bytes());
-            match &r.data {
-                DnsRecordData::A(a) => {
-                    out.extend_from_slice(&4u16.to_be_bytes());
-                    out.extend_from_slice(&a.octets());
-                }
-                DnsRecordData::Raw(raw) => {
-                    out.extend_from_slice(&(raw.len() as u16).to_be_bytes());
-                    out.extend_from_slice(raw);
-                }
-            }
-        }
-    }
-
-    /// Decode from wire bytes. Handles compression pointers in names.
-    pub fn decode(buf: &[u8]) -> Result<DnsMessage, WireError> {
-        if buf.len() < 12 {
-            return Err(WireError::Truncated {
-                layer: "dns",
-                needed: 12,
-                got: buf.len(),
-            });
-        }
-        let id = u16::from_be_bytes([buf[0], buf[1]]);
-        let flags = DnsFlags::decode(u16::from_be_bytes([buf[2], buf[3]]));
-        let qdcount = u16::from_be_bytes([buf[4], buf[5]]) as usize;
-        let ancount = u16::from_be_bytes([buf[6], buf[7]]) as usize;
-        // NS/AR records are parsed and discarded.
-        let nscount = u16::from_be_bytes([buf[8], buf[9]]) as usize;
-        let arcount = u16::from_be_bytes([buf[10], buf[11]]) as usize;
-
-        let mut pos = 12;
-        let mut questions = Vec::with_capacity(qdcount);
-        for _ in 0..qdcount {
-            let (name, next) = decode_name(buf, pos)?;
-            pos = next;
-            if buf.len() < pos + 4 {
-                return Err(WireError::Truncated {
-                    layer: "dns",
-                    needed: pos + 4,
-                    got: buf.len(),
-                });
-            }
-            questions.push(DnsQuestion {
-                name,
-                qtype: QType::from_value(u16::from_be_bytes([buf[pos], buf[pos + 1]])),
-                qclass: QClass::from_value(u16::from_be_bytes([buf[pos + 2], buf[pos + 3]])),
-            });
-            pos += 4;
-        }
-        let mut answers = Vec::with_capacity(ancount);
-        for i in 0..(ancount + nscount + arcount) {
-            let (record, next) = decode_record(buf, pos)?;
-            pos = next;
-            if i < ancount {
-                answers.push(record);
-            }
-        }
-        Ok(DnsMessage {
-            id,
-            flags,
-            questions,
-            answers,
-        })
-    }
-}
-
+/// Append `name` as wire labels, case-folded, each cut to 63 bytes, with
+/// empty labels (a trailing dot, `a..b`) skipped.
 fn encode_name(name: &str, out: &mut Vec<u8>) {
     for label in name.split('.').filter(|l| !l.is_empty()) {
         let bytes = label.as_bytes();
-        out.push(bytes.len().min(63) as u8);
-        out.extend_from_slice(&bytes[..bytes.len().min(63)]);
+        let n = bytes.len().min(63);
+        out.push(n as u8);
+        out.extend(bytes[..n].iter().map(|b| b.to_ascii_lowercase()));
     }
     out.push(0);
 }
 
 /// Walk a possibly-compressed name starting at `pos`, invoking `on_label`
 /// for each raw label, and return the offset just past the name in the
-/// *original* stream. The single validation path behind both the owned
-/// decode and the allocation-free scans.
+/// *original* stream.
 fn walk_name(
     buf: &[u8],
     mut pos: usize,
@@ -453,31 +257,9 @@ fn walk_name(
     Ok(if jumped { after_jump } else { pos })
 }
 
-/// Append a name's labels (dot-separated, case-folded) to `out`.
-fn decode_name_into(buf: &[u8], pos: usize, out: &mut String) -> Result<usize, WireError> {
-    walk_name(buf, pos, |label| {
-        if !out.is_empty() {
-            out.push('.');
-        }
-        match std::str::from_utf8(label) {
-            Ok(s) => out.extend(s.chars().map(|c| c.to_ascii_lowercase())),
-            // rare: preserve the historical lossy replacement exactly
-            Err(_) => out.push_str(&String::from_utf8_lossy(label).to_ascii_lowercase()),
-        }
-    })
-}
-
-/// Decode a possibly-compressed name starting at `pos`; returns the name and
-/// the offset just past it in the *original* stream.
-fn decode_name(buf: &[u8], pos: usize) -> Result<(String, usize), WireError> {
-    let mut name = String::new();
-    let next = decode_name_into(buf, pos, &mut name)?;
-    Ok((name, next))
-}
-
-/// Append the wire bytes of a standard A query for `name` to `out` —
-/// byte-identical to `DnsMessage::a_query(id, name).encode()` without
-/// building the owned message. The discovery loop's per-query path.
+/// Append the wire bytes of a standard recursive A/IN query for `name`
+/// (case-folded, without the trailing dot) to `out`. The discovery
+/// loop's per-query path.
 pub fn encode_a_query_into(id: u16, name: &str, out: &mut Vec<u8>) {
     out.extend_from_slice(&id.to_be_bytes());
     out.extend_from_slice(&DnsFlags::query().encode().to_be_bytes());
@@ -485,14 +267,7 @@ pub fn encode_a_query_into(id: u16, name: &str, out: &mut Vec<u8>) {
     out.extend_from_slice(&0u16.to_be_bytes());
     out.extend_from_slice(&0u16.to_be_bytes());
     out.extend_from_slice(&0u16.to_be_bytes());
-    // encode_name with the a_query case fold applied per label
-    for label in name.split('.').filter(|l| !l.is_empty()) {
-        let bytes = label.as_bytes();
-        let n = bytes.len().min(63);
-        out.push(n as u8);
-        out.extend(bytes[..n].iter().map(|b| b.to_ascii_lowercase()));
-    }
-    out.push(0);
+    encode_name(name, out);
     out.extend_from_slice(&QType::A.value().to_be_bytes());
     out.extend_from_slice(&QClass::In.value().to_be_bytes());
 }
@@ -505,8 +280,7 @@ pub struct QueryView {
     pub id: u16,
     /// Header flags.
     pub flags: DnsFlags,
-    /// Question count (callers needing more than one question fall back
-    /// to [`DnsMessage::decode`]).
+    /// Question count (only the first question is read).
     pub questions: u16,
     /// First question's type.
     pub qtype: QType,
@@ -515,63 +289,34 @@ pub struct QueryView {
 }
 
 /// Parse a message's header and first question, folding the question name
-/// into `name_out` (cleared first), while validating the *whole* message
-/// exactly as [`DnsMessage::decode`] does. Returns `Ok(None)` for a valid
-/// message with an empty question section.
+/// into `name_out` (cleared first: labels joined by dots, ASCII
+/// lowercased), while validating the *whole* message. Returns `Ok(None)`
+/// for a valid message with an empty question section.
 pub fn read_query(buf: &[u8], name_out: &mut String) -> Result<Option<QueryView>, WireError> {
     name_out.clear();
-    if buf.len() < 12 {
-        return Err(WireError::Truncated {
-            layer: "dns",
-            needed: 12,
-            got: buf.len(),
-        });
-    }
-    let id = u16::from_be_bytes([buf[0], buf[1]]);
-    let flags = DnsFlags::decode(u16::from_be_bytes([buf[2], buf[3]]));
-    let qdcount = u16::from_be_bytes([buf[4], buf[5]]) as usize;
-    let ancount = u16::from_be_bytes([buf[6], buf[7]]) as usize;
-    let nscount = u16::from_be_bytes([buf[8], buf[9]]) as usize;
-    let arcount = u16::from_be_bytes([buf[10], buf[11]]) as usize;
-
-    let mut pos = 12;
-    let mut first: Option<(QType, QClass)> = None;
-    for q in 0..qdcount {
-        pos = if q == 0 {
-            decode_name_into(buf, pos, name_out)?
-        } else {
-            walk_name(buf, pos, |_| {})?
-        };
-        if buf.len() < pos + 4 {
-            return Err(WireError::Truncated {
-                layer: "dns",
-                needed: pos + 4,
-                got: buf.len(),
-            });
+    let fold = |label: &[u8]| {
+        if !name_out.is_empty() {
+            name_out.push('.');
         }
-        if q == 0 {
-            first = Some((
-                QType::from_value(u16::from_be_bytes([buf[pos], buf[pos + 1]])),
-                QClass::from_value(u16::from_be_bytes([buf[pos + 2], buf[pos + 3]])),
-            ));
+        match std::str::from_utf8(label) {
+            Ok(s) => name_out.extend(s.chars().map(|c| c.to_ascii_lowercase())),
+            // rare: non-UTF-8 bytes become U+FFFD
+            Err(_) => name_out.push_str(&String::from_utf8_lossy(label).to_ascii_lowercase()),
         }
-        pos += 4;
-    }
-    for _ in 0..(ancount + nscount + arcount) {
-        pos = skip_record(buf, pos)?;
-    }
-    Ok(first.map(|(qtype, qclass)| QueryView {
-        id,
-        flags,
-        questions: qdcount as u16,
+    };
+    let walk = walk_message(buf, fold, |_| {})?;
+    Ok(walk.first.map(|(qtype, qclass)| QueryView {
+        id: walk.id,
+        flags: walk.flags,
+        questions: walk.questions,
         qtype,
         qclass,
     }))
 }
 
-/// Append an authoritative single-question A response to `out` —
-/// byte-identical to `DnsMessage::a_response(&query, ttl, addrs).encode()`
-/// when `query` has exactly one question matching `view`/`name`.
+/// Append an authoritative single-question A response to `out`: the
+/// question `view`/`name` echoed, then one A record per address with
+/// `ttl`; `NXDOMAIN` when `addrs` is empty.
 pub fn encode_a_response_into(
     view: &QueryView,
     name: &str,
@@ -607,10 +352,31 @@ pub fn encode_a_response_into(
     }
 }
 
-/// Walk a whole message exactly as [`DnsMessage::decode`] does — same
-/// accept/reject behaviour — invoking `f` with each A record in the answer
-/// section, without allocating. The discovery loop's per-response path.
-pub fn for_each_a_record(buf: &[u8], mut f: impl FnMut(Ipv4Addr)) -> Result<(), WireError> {
+/// Validate a whole message, invoking `f` with each A record of the
+/// answer section (authority and additional records are checked and
+/// skipped), without allocating. The discovery loop's per-response path.
+pub fn for_each_a_record(buf: &[u8], f: impl FnMut(Ipv4Addr)) -> Result<(), WireError> {
+    walk_message(buf, |_| {}, f).map(|_| ())
+}
+
+/// What [`walk_message`] reads off a message besides its callbacks.
+struct Walked {
+    id: u16,
+    flags: DnsFlags,
+    questions: u16,
+    /// The first question's type and class.
+    first: Option<(QType, QClass)>,
+}
+
+/// The one pass behind [`read_query`] and [`for_each_a_record`]: validate
+/// the header, every question and every record (answer, authority and
+/// additional), handing the first question's labels to `first_name` and
+/// each well-formed A record of the answer section to `on_a`.
+fn walk_message(
+    buf: &[u8],
+    mut first_name: impl FnMut(&[u8]),
+    mut on_a: impl FnMut(Ipv4Addr),
+) -> Result<Walked, WireError> {
     if buf.len() < 12 {
         return Err(WireError::Truncated {
             layer: "dns",
@@ -618,13 +384,23 @@ pub fn for_each_a_record(buf: &[u8], mut f: impl FnMut(Ipv4Addr)) -> Result<(), 
             got: buf.len(),
         });
     }
-    let qdcount = u16::from_be_bytes([buf[4], buf[5]]) as usize;
-    let ancount = u16::from_be_bytes([buf[6], buf[7]]) as usize;
-    let nscount = u16::from_be_bytes([buf[8], buf[9]]) as usize;
-    let arcount = u16::from_be_bytes([buf[10], buf[11]]) as usize;
+    let count = |at: usize| u16::from_be_bytes([buf[at], buf[at + 1]]);
+    let (qdcount, ancount) = (count(4), usize::from(count(6)));
+    let records = ancount + usize::from(count(8)) + usize::from(count(10));
+    let mut walked = Walked {
+        id: count(0),
+        flags: DnsFlags::decode(count(2)),
+        questions: qdcount,
+        first: None,
+    };
+
     let mut pos = 12;
-    for _ in 0..qdcount {
-        pos = walk_name(buf, pos, |_| {})?;
+    for q in 0..qdcount {
+        pos = if q == 0 {
+            walk_name(buf, pos, &mut first_name)?
+        } else {
+            walk_name(buf, pos, |_| {})?
+        };
         if buf.len() < pos + 4 {
             return Err(WireError::Truncated {
                 layer: "dns",
@@ -632,293 +408,101 @@ pub fn for_each_a_record(buf: &[u8], mut f: impl FnMut(Ipv4Addr)) -> Result<(), 
                 got: buf.len(),
             });
         }
-        pos += 4;
-    }
-    for i in 0..(ancount + nscount + arcount) {
-        let (rtype, rdstart, rdlen, next) = record_fields(buf, pos)?;
-        if i < ancount && rtype == QType::A && rdlen == 4 {
-            f(Ipv4Addr::new(
-                buf[rdstart],
-                buf[rdstart + 1],
-                buf[rdstart + 2],
-                buf[rdstart + 3],
+        if q == 0 {
+            walked.first = Some((
+                QType::from_value(count(pos)),
+                QClass::from_value(count(pos + 2)),
             ));
         }
-        pos = next;
+        pos += 4;
     }
-    Ok(())
-}
-
-/// Validate one resource record without materialising it; returns
-/// `(rtype, rdata offset, rdata length, offset past the record)`.
-fn record_fields(buf: &[u8], pos: usize) -> Result<(QType, usize, usize, usize), WireError> {
-    let mut pos = walk_name(buf, pos, |_| {})?;
-    if buf.len() < pos + 10 {
-        return Err(WireError::Truncated {
-            layer: "dns",
-            needed: pos + 10,
-            got: buf.len(),
-        });
+    for i in 0..records {
+        pos = walk_name(buf, pos, |_| {})?;
+        if buf.len() < pos + 10 {
+            return Err(WireError::Truncated {
+                layer: "dns",
+                needed: pos + 10,
+                got: buf.len(),
+            });
+        }
+        let rtype = QType::from_value(count(pos));
+        let rdlen = usize::from(count(pos + 8));
+        pos += 10;
+        if buf.len() < pos + rdlen {
+            return Err(WireError::Truncated {
+                layer: "dns",
+                needed: pos + rdlen,
+                got: buf.len(),
+            });
+        }
+        if i < ancount && rtype == QType::A && rdlen == 4 {
+            on_a(Ipv4Addr::new(
+                buf[pos],
+                buf[pos + 1],
+                buf[pos + 2],
+                buf[pos + 3],
+            ));
+        }
+        pos += rdlen;
     }
-    let rtype = QType::from_value(u16::from_be_bytes([buf[pos], buf[pos + 1]]));
-    let rdlen = u16::from_be_bytes([buf[pos + 8], buf[pos + 9]]) as usize;
-    pos += 10;
-    if buf.len() < pos + rdlen {
-        return Err(WireError::Truncated {
-            layer: "dns",
-            needed: pos + rdlen,
-            got: buf.len(),
-        });
-    }
-    Ok((rtype, pos, rdlen, pos + rdlen))
-}
-
-/// Validate one resource record, returning the offset just past it.
-fn skip_record(buf: &[u8], pos: usize) -> Result<usize, WireError> {
-    record_fields(buf, pos).map(|(_, _, _, next)| next)
-}
-
-fn decode_record(buf: &[u8], pos: usize) -> Result<(DnsRecord, usize), WireError> {
-    let (name, mut pos) = decode_name(buf, pos)?;
-    if buf.len() < pos + 10 {
-        return Err(WireError::Truncated {
-            layer: "dns",
-            needed: pos + 10,
-            got: buf.len(),
-        });
-    }
-    let rtype = QType::from_value(u16::from_be_bytes([buf[pos], buf[pos + 1]]));
-    let rclass = QClass::from_value(u16::from_be_bytes([buf[pos + 2], buf[pos + 3]]));
-    let ttl = u32::from_be_bytes([buf[pos + 4], buf[pos + 5], buf[pos + 6], buf[pos + 7]]);
-    let rdlen = u16::from_be_bytes([buf[pos + 8], buf[pos + 9]]) as usize;
-    pos += 10;
-    if buf.len() < pos + rdlen {
-        return Err(WireError::Truncated {
-            layer: "dns",
-            needed: pos + rdlen,
-            got: buf.len(),
-        });
-    }
-    let rdata = &buf[pos..pos + rdlen];
-    pos += rdlen;
-    let data = match (rtype, rdlen) {
-        (QType::A, 4) => DnsRecordData::A(Ipv4Addr::new(rdata[0], rdata[1], rdata[2], rdata[3])),
-        _ => DnsRecordData::Raw(rdata.to_vec()),
-    };
-    Ok((
-        DnsRecord {
-            name,
-            rtype,
-            rclass,
-            ttl,
-            data,
-        },
-        pos,
-    ))
+    Ok(walked)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn query_roundtrip() {
-        let q = DnsMessage::a_query(0x5151, "uk.pool.ntp.org");
-        let bytes = q.encode();
-        let d = DnsMessage::decode(&bytes).unwrap();
-        assert_eq!(d, q);
-        assert_eq!(d.questions[0].name, "uk.pool.ntp.org");
-        assert!(!d.flags.response);
+    fn view_of(bytes: &[u8], name: &mut String) -> QueryView {
+        read_query(bytes, name).unwrap().unwrap()
     }
 
     #[test]
-    fn response_roundtrip_with_multiple_answers() {
-        let q = DnsMessage::a_query(7, "pool.ntp.org");
-        let addrs = vec![
-            Ipv4Addr::new(192, 0, 2, 1),
-            Ipv4Addr::new(192, 0, 2, 2),
-            Ipv4Addr::new(192, 0, 2, 3),
-            Ipv4Addr::new(192, 0, 2, 4),
-        ];
-        let r = DnsMessage::a_response(&q, 150, &addrs);
-        let d = DnsMessage::decode(&r.encode()).unwrap();
-        assert_eq!(d.a_records(), addrs);
-        assert!(d.flags.response);
-        assert!(d.flags.authoritative);
-        assert_eq!(d.id, 7);
-        assert_eq!(d.flags.rcode, Rcode::NoError);
-        assert_eq!(d.answers[0].ttl, 150);
-    }
-
-    #[test]
-    fn empty_response_is_nxdomain() {
-        let q = DnsMessage::a_query(9, "zz.pool.ntp.org");
-        let r = DnsMessage::a_response(&q, 150, &[]);
-        assert_eq!(r.flags.rcode, Rcode::NxDomain);
-        let d = DnsMessage::decode(&r.encode()).unwrap();
-        assert!(d.a_records().is_empty());
-        assert_eq!(d.flags.rcode, Rcode::NxDomain);
-    }
-
-    #[test]
-    fn names_are_case_folded() {
-        let q = DnsMessage::a_query(1, "Pool.NTP.Org");
-        assert_eq!(q.questions[0].name, "pool.ntp.org");
-        let d = DnsMessage::decode(&q.encode()).unwrap();
-        assert_eq!(d.questions[0].name, "pool.ntp.org");
-    }
-
-    #[test]
-    fn compression_pointers_decode() {
-        // Hand-build a response whose answer name is a pointer to the
-        // question name at offset 12 (how real servers compress).
-        let q = DnsMessage::a_query(3, "pool.ntp.org");
-        let mut bytes = q.encode();
-        bytes[6..8].copy_from_slice(&1u16.to_be_bytes()); // ancount = 1
-        bytes[2..4].copy_from_slice(
-            &DnsFlags::answer_to(q.flags, Rcode::NoError)
-                .encode()
-                .to_be_bytes(),
-        );
-        bytes.extend_from_slice(&[0xc0, 12]); // pointer to question name
-        bytes.extend_from_slice(&1u16.to_be_bytes()); // type A
-        bytes.extend_from_slice(&1u16.to_be_bytes()); // class IN
-        bytes.extend_from_slice(&60u32.to_be_bytes());
-        bytes.extend_from_slice(&4u16.to_be_bytes());
-        bytes.extend_from_slice(&[203, 0, 113, 5]);
-        let d = DnsMessage::decode(&bytes).unwrap();
-        assert_eq!(d.answers[0].name, "pool.ntp.org");
-        assert_eq!(d.a_records(), vec![Ipv4Addr::new(203, 0, 113, 5)]);
-    }
-
-    #[test]
-    fn compression_loop_rejected() {
-        let q = DnsMessage::a_query(3, "pool.ntp.org");
-        let mut bytes = q.encode();
-        bytes[6..8].copy_from_slice(&1u16.to_be_bytes());
-        let loop_at = bytes.len();
-        // pointer to itself
-        bytes.extend_from_slice(&[0xc0 | ((loop_at >> 8) as u8 & 0x3f), loop_at as u8]);
-        bytes.extend_from_slice(&[0u8; 10]);
-        assert!(matches!(
-            DnsMessage::decode(&bytes),
-            Err(WireError::Malformed {
-                what: "compression loop",
-                ..
-            })
-        ));
-    }
-
-    #[test]
-    fn truncated_buffers_rejected() {
-        let q = DnsMessage::a_query(1, "pool.ntp.org");
-        let bytes = q.encode();
-        for cut in [0, 5, 11, bytes.len() - 1] {
-            assert!(DnsMessage::decode(&bytes[..cut]).is_err(), "cut={cut}");
-        }
-    }
-
-    #[test]
-    fn fast_query_encode_matches_owned_path() {
-        for name in ["pool.ntp.org", "UK.Pool.NTP.Org.", "a..b", ""] {
-            let owned = DnsMessage::a_query(7, name).encode();
-            let mut fast = Vec::new();
-            encode_a_query_into(7, name, &mut fast);
-            assert_eq!(owned, fast, "{name:?}");
-        }
-    }
-
-    #[test]
-    fn read_query_and_fast_response_match_owned_path() {
-        let q = DnsMessage::a_query(42, "de.pool.ntp.org");
-        let qbytes = q.encode();
+    fn query_and_response_read_back() {
+        let mut query = Vec::new();
+        encode_a_query_into(7, "Pool.NTP.Org.", &mut query);
         let mut name = String::new();
-        let view = read_query(&qbytes, &mut name).unwrap().unwrap();
-        assert_eq!(view.id, 42);
-        assert_eq!(view.questions, 1);
-        assert_eq!(name, "de.pool.ntp.org");
+        let view = view_of(&query, &mut name);
+        assert_eq!(name, "pool.ntp.org");
+        assert_eq!((view.id, view.questions), (7, 1));
+        assert_eq!((view.qtype, view.qclass), (QType::A, QClass::In));
+        assert!(!view.flags.response && view.flags.recursion_desired);
 
-        for addrs in [
-            vec![],
-            vec![Ipv4Addr::new(192, 0, 2, 1), Ipv4Addr::new(192, 0, 2, 9)],
-        ] {
-            let owned = DnsMessage::a_response(&q, 150, &addrs).encode();
-            let mut fast = Vec::new();
-            encode_a_response_into(&view, &name, 150, &addrs, &mut fast);
-            assert_eq!(owned, fast, "{} answers", addrs.len());
+        let addrs = [Ipv4Addr::new(192, 0, 2, 1), Ipv4Addr::new(192, 0, 2, 2)];
+        for n in [0, 2] {
+            let mut rsp = Vec::new();
+            encode_a_response_into(&view, &name, 150, &addrs[..n], &mut rsp);
+            let mut got = Vec::new();
+            for_each_a_record(&rsp, |a| got.push(a)).unwrap();
+            assert_eq!(got, addrs[..n]);
+            let answer = view_of(&rsp, &mut String::new()).flags;
+            assert!(answer.response && answer.authoritative);
+            let rcode = if n == 0 {
+                Rcode::NxDomain
+            } else {
+                Rcode::NoError
+            };
+            assert_eq!(answer.rcode, rcode);
         }
     }
 
     #[test]
-    fn read_query_rejects_what_decode_rejects() {
-        let good = DnsMessage::a_query(1, "pool.ntp.org").encode();
-        let mut name = String::new();
-        for cut in [0, 5, 11, good.len() - 1] {
-            assert_eq!(
-                DnsMessage::decode(&good[..cut]).is_ok(),
-                read_query(&good[..cut], &mut name).is_ok(),
-                "cut={cut}"
-            );
-        }
-        assert!(read_query(b"\x00\x01", &mut name).is_err());
-    }
-
-    #[test]
-    fn for_each_a_record_matches_a_records() {
-        let q = DnsMessage::a_query(7, "pool.ntp.org");
-        let addrs = vec![Ipv4Addr::new(192, 0, 2, 1), Ipv4Addr::new(192, 0, 2, 2)];
-        let mut r = DnsMessage::a_response(&q, 150, &addrs);
-        r.answers.push(DnsRecord {
-            name: "pool.ntp.org".into(),
-            rtype: QType::Other(16),
-            rclass: QClass::In,
-            ttl: 60,
-            data: DnsRecordData::Raw(vec![1, 2, 3]),
-        });
-        let bytes = r.encode();
+    fn compression_pointers_resolve_and_loops_are_refused() {
+        let mut rsp = Vec::new();
+        encode_a_query_into(3, "pool.ntp.org", &mut rsp);
+        rsp[6..8].copy_from_slice(&1u16.to_be_bytes()); // one answer
+        let answer = rsp.len();
+        rsp.extend_from_slice(&[0xc0, 12]); // the question's name
+        rsp.extend_from_slice(&[0, 1, 0, 1, 0, 0, 0, 60, 0, 4, 203, 0, 113, 5]);
         let mut got = Vec::new();
-        for_each_a_record(&bytes, |a| got.push(a)).unwrap();
-        assert_eq!(got, DnsMessage::decode(&bytes).unwrap().a_records());
-        // truncated buffers rejected identically
-        for cut in [0, 11, bytes.len() - 1] {
-            assert_eq!(
-                DnsMessage::decode(&bytes[..cut]).is_ok(),
-                for_each_a_record(&bytes[..cut], |_| {}).is_ok(),
-                "cut={cut}"
-            );
-        }
-        // compression pointers resolve the same way
-        let mut compressed = DnsMessage::a_query(3, "pool.ntp.org").encode();
-        compressed[6..8].copy_from_slice(&1u16.to_be_bytes());
-        compressed.extend_from_slice(&[0xc0, 12]);
-        compressed.extend_from_slice(&1u16.to_be_bytes());
-        compressed.extend_from_slice(&1u16.to_be_bytes());
-        compressed.extend_from_slice(&60u32.to_be_bytes());
-        compressed.extend_from_slice(&4u16.to_be_bytes());
-        compressed.extend_from_slice(&[203, 0, 113, 5]);
-        let mut got = Vec::new();
-        for_each_a_record(&compressed, |a| got.push(a)).unwrap();
-        assert_eq!(got, vec![Ipv4Addr::new(203, 0, 113, 5)]);
-    }
+        for_each_a_record(&rsp, |a| got.push(a)).unwrap();
+        assert_eq!(got, [Ipv4Addr::new(203, 0, 113, 5)]);
 
-    #[test]
-    fn non_a_rdata_preserved_raw() {
-        let q = DnsMessage::a_query(4, "pool.ntp.org");
-        let mut r = DnsMessage::a_response(&q, 60, &[Ipv4Addr::new(1, 2, 3, 4)]);
-        r.answers.push(DnsRecord {
-            name: "pool.ntp.org".into(),
-            rtype: QType::Other(16), // TXT
-            rclass: QClass::In,
-            ttl: 60,
-            data: DnsRecordData::Raw(vec![4, b't', b'e', b's', b't']),
-        });
-        let d = DnsMessage::decode(&r.encode()).unwrap();
-        assert_eq!(d.answers.len(), 2);
-        assert_eq!(
-            d.answers[1].data,
-            DnsRecordData::Raw(vec![4, b't', b'e', b's', b't'])
-        );
-        // a_records skips the TXT record
-        assert_eq!(d.a_records(), vec![Ipv4Addr::new(1, 2, 3, 4)]);
+        rsp[answer..answer + 2].copy_from_slice(&[0xc0, answer as u8]); // itself
+        let loop_err = WireError::Malformed {
+            layer: "dns",
+            what: "compression loop",
+        };
+        assert_eq!(for_each_a_record(&rsp, |_| {}), Err(loop_err.clone()));
+        assert_eq!(read_query(&rsp, &mut String::new()), Err(loop_err));
     }
 }

@@ -94,7 +94,7 @@ impl fmt::Display for Ecn {
 /// field explicit because one observed middlebox failure mode is routers
 /// treating the whole TOS octet — ECN bits included — as a legacy
 /// type-of-service value (paper §4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Dscp(u8);
 
 impl Dscp {

@@ -3,111 +3,44 @@
 //! `www.pool.ntp.org`) response that pool web servers return.
 
 use crate::error::WireError;
-use serde::{Deserialize, Serialize};
+use std::net::Ipv4Addr;
 
-/// An HTTP/1.1 request. Only what the prober sends.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HttpRequest {
-    /// Request method (`GET`).
-    pub method: String,
-    /// Request target (`/`).
-    pub path: String,
-    /// Header name/value pairs in order.
-    pub headers: Vec<(String, String)>,
+/// Append the probe request of paper §3 to `out`: `GET /` with `Host:`
+/// set to `server`, a fixed `User-Agent:` and `Connection: close`.
+pub fn encode_get_root_into(server: Ipv4Addr, out: &mut Vec<u8>) {
+    use std::io::Write as _;
+    let _ = write!(
+        out,
+        "GET / HTTP/1.1\r\nHost: {server}\r\nUser-Agent: ecn-udp-study/1.0\r\nConnection: close\r\n\r\n"
+    );
 }
 
-impl HttpRequest {
-    /// The probe request from paper §3: `GET /` with a `Host:` header.
-    pub fn get_root(host: &str) -> HttpRequest {
-        HttpRequest {
-            method: "GET".into(),
-            path: "/".into(),
-            headers: vec![
-                ("Host".into(), host.into()),
-                ("User-Agent".into(), "ecn-udp-study/1.0".into()),
-                ("Connection".into(), "close".into()),
-            ],
-        }
-    }
-
-    /// Serialise to wire form (convenience wrapper; prefer
-    /// [`HttpRequest::encode_into`] on hot paths).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
-        self.encode_into(&mut out);
-        out
-    }
-
-    /// Append the wire form to `out`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(self.method.as_bytes());
-        out.push(b' ');
-        out.extend_from_slice(self.path.as_bytes());
-        out.extend_from_slice(b" HTTP/1.1\r\n");
-        encode_headers(&self.headers, out);
-    }
-
-    /// Parse a request from a byte stream. Requires the full head
-    /// (terminated by a blank line) to be present.
-    pub fn decode(buf: &[u8]) -> Result<HttpRequest, WireError> {
-        let head = head_of(buf)?;
-        let mut lines = head.split("\r\n");
-        let request_line = lines.next().unwrap_or("");
-        let mut parts = request_line.split(' ');
-        let (method, path, version) = match (parts.next(), parts.next(), parts.next()) {
-            (Some(m), Some(p), Some(v)) if !m.is_empty() && !p.is_empty() => (m, p, v),
-            _ => {
-                return Err(WireError::Malformed {
-                    layer: "http",
-                    what: "bad request line",
-                })
-            }
-        };
-        if !version.starts_with("HTTP/1.") {
+/// Parse a request head (terminated by a blank line), returning
+/// `(method, path)` borrowed from `buf`. The request line needs a
+/// non-empty method and path and an `HTTP/1.x` version, and every header
+/// line a colon.
+pub fn parse_meta(buf: &[u8]) -> Result<(&str, &str), WireError> {
+    let head = head_of(buf)?;
+    let mut lines = head.split("\r\n");
+    let request_line = lines.next().unwrap_or("");
+    let mut parts = request_line.split(' ');
+    let (method, path, version) = match (parts.next(), parts.next(), parts.next()) {
+        (Some(m), Some(p), Some(v)) if !m.is_empty() && !p.is_empty() => (m, p, v),
+        _ => {
             return Err(WireError::Malformed {
                 layer: "http",
-                what: "unsupported HTTP version",
-            });
+                what: "bad request line",
+            })
         }
-        Ok(HttpRequest {
-            method: method.to_string(),
-            path: path.to_string(),
-            headers: parse_headers(lines)?,
-        })
+    };
+    if !version.starts_with("HTTP/1.") {
+        return Err(WireError::Malformed {
+            layer: "http",
+            what: "unsupported HTTP version",
+        });
     }
-
-    /// Value of a header, case-insensitive.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        header_lookup(&self.headers, name)
-    }
-
-    /// Borrow-only request parse: validates the head exactly as
-    /// [`HttpRequest::decode`] does (same accept/reject behaviour) and
-    /// returns `(method, path)` without allocating. Servers that only
-    /// need to route on the request line use this on the hot path.
-    pub fn parse_meta(buf: &[u8]) -> Result<(&str, &str), WireError> {
-        let head = head_of(buf)?;
-        let mut lines = head.split("\r\n");
-        let request_line = lines.next().unwrap_or("");
-        let mut parts = request_line.split(' ');
-        let (method, path, version) = match (parts.next(), parts.next(), parts.next()) {
-            (Some(m), Some(p), Some(v)) if !m.is_empty() && !p.is_empty() => (m, p, v),
-            _ => {
-                return Err(WireError::Malformed {
-                    layer: "http",
-                    what: "bad request line",
-                })
-            }
-        };
-        if !version.starts_with("HTTP/1.") {
-            return Err(WireError::Malformed {
-                layer: "http",
-                what: "unsupported HTTP version",
-            });
-        }
-        validate_headers(lines)?;
-        Ok((method, path))
-    }
+    validate_headers(lines)?;
+    Ok((method, path))
 }
 
 fn encode_headers(headers: &[(String, String)], out: &mut Vec<u8>) {
@@ -140,7 +73,7 @@ fn encode_u16(v: u16, buf: &mut [u8; 5]) -> usize {
 }
 
 /// An HTTP/1.1 response.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HttpResponse {
     /// Status code (e.g. 302).
     pub status: u16,
@@ -207,54 +140,10 @@ impl HttpResponse {
         out.extend_from_slice(&self.body);
     }
 
-    /// Parse a response. The body is everything after the head, trimmed to
-    /// `Content-Length` if present (a prefix is accepted when the stream was
-    /// cut short, matching how the prober treats half-closed connections).
-    pub fn decode(buf: &[u8]) -> Result<HttpResponse, WireError> {
-        let head = head_of(buf)?;
-        let head_len = head.len() + 4;
-        let mut lines = head.split("\r\n");
-        let status_line = lines.next().unwrap_or("");
-        let mut parts = status_line.splitn(3, ' ');
-        let version = parts.next().unwrap_or("");
-        if !version.starts_with("HTTP/1.") {
-            return Err(WireError::Malformed {
-                layer: "http",
-                what: "bad status line version",
-            });
-        }
-        let status: u16 =
-            parts
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or(WireError::Malformed {
-                    layer: "http",
-                    what: "bad status code",
-                })?;
-        let reason = parts.next().unwrap_or("").to_string();
-        let headers = parse_headers(lines)?;
-        let mut body = buf[head_len.min(buf.len())..].to_vec();
-        if let Some(cl) =
-            header_lookup(&headers, "Content-Length").and_then(|v| v.parse::<usize>().ok())
-        {
-            body.truncate(cl);
-        }
-        Ok(HttpResponse {
-            status,
-            reason,
-            headers,
-            body,
-        })
-    }
-
-    /// Value of a header, case-insensitive.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        header_lookup(&self.headers, name)
-    }
-
-    /// Status code alone, validated exactly as [`HttpResponse::decode`]
-    /// validates the head — succeeds iff `decode` would — without
-    /// allocating. The prober's verdict only needs the status.
+    /// Status code of a response head (terminated by a blank line),
+    /// without allocating: the status line needs an `HTTP/1.x` version
+    /// and a numeric code, and every header line a colon. The prober's
+    /// verdict only needs the status.
     pub fn status_of(buf: &[u8]) -> Result<u16, WireError> {
         let head = head_of(buf)?;
         let mut lines = head.split("\r\n");
@@ -314,24 +203,7 @@ fn head_of(buf: &[u8]) -> Result<&str, WireError> {
     })
 }
 
-fn parse_headers<'a>(
-    lines: impl Iterator<Item = &'a str>,
-) -> Result<Vec<(String, String)>, WireError> {
-    let mut headers = Vec::new();
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        let (k, v) = line.split_once(':').ok_or(WireError::Malformed {
-            layer: "http",
-            what: "header missing colon",
-        })?;
-        headers.push((k.trim().to_string(), v.trim().to_string()));
-    }
-    Ok(headers)
-}
-
-/// The validation half of [`parse_headers`], without building the pairs.
+/// Refuse any non-empty header line without a colon.
 fn validate_headers<'a>(lines: impl Iterator<Item = &'a str>) -> Result<(), WireError> {
     for line in lines {
         if line.is_empty() {
@@ -347,136 +219,20 @@ fn validate_headers<'a>(lines: impl Iterator<Item = &'a str>) -> Result<(), Wire
     Ok(())
 }
 
-fn header_lookup<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
-    headers
-        .iter()
-        .find(|(k, _)| k.eq_ignore_ascii_case(name))
-        .map(|(_, v)| v.as_str())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn request_roundtrip() {
-        let r = HttpRequest::get_root("192.0.2.80");
-        let bytes = r.encode();
-        let d = HttpRequest::decode(&bytes).unwrap();
-        assert_eq!(d, r);
-        assert_eq!(d.header("host"), Some("192.0.2.80"));
-    }
+    fn the_probe_get_and_the_pool_redirect_parse_back() {
+        let mut get = Vec::new();
+        encode_get_root_into(Ipv4Addr::new(192, 0, 2, 80), &mut get);
+        assert_eq!(parse_meta(&get), Ok(("GET", "/")));
+        assert!(get.windows(18).any(|w| w == b"Host: 192.0.2.80\r\n"));
 
-    #[test]
-    fn response_roundtrip() {
-        let r = HttpResponse::pool_redirect();
-        let bytes = r.encode();
-        assert!(HttpResponse::is_complete(&bytes));
-        let d = HttpResponse::decode(&bytes).unwrap();
-        assert_eq!(d.status, 302);
-        assert_eq!(d.header("location"), Some("http://www.pool.ntp.org/"));
-        assert_eq!(d.body, r.body);
-    }
-
-    #[test]
-    fn incomplete_head_is_truncated() {
-        let r = HttpResponse::ok_with_body(b"hello");
-        let bytes = r.encode();
-        assert!(!HttpResponse::is_complete(&bytes[..10]));
-        assert!(matches!(
-            HttpResponse::decode(&bytes[..10]),
-            Err(WireError::Truncated { layer: "http", .. })
-        ));
-    }
-
-    #[test]
-    fn body_respects_content_length() {
-        let r = HttpResponse::ok_with_body(b"12345");
-        let mut bytes = r.encode();
-        bytes.extend_from_slice(b"TRAILING GARBAGE");
-        let d = HttpResponse::decode(&bytes).unwrap();
-        assert_eq!(d.body, b"12345");
-    }
-
-    #[test]
-    fn partial_body_accepted() {
-        let r = HttpResponse::ok_with_body(b"1234567890");
-        let bytes = r.encode();
-        let cut = bytes.len() - 4;
-        assert!(!HttpResponse::is_complete(&bytes[..cut]));
-        let d = HttpResponse::decode(&bytes[..cut]).unwrap();
-        assert_eq!(d.body, b"123456");
-    }
-
-    #[test]
-    fn malformed_lines_rejected() {
-        assert!(HttpRequest::decode(b"GARBAGE\r\n\r\n").is_err());
-        assert!(HttpRequest::decode(b"GET /\r\n\r\n").is_err());
-        assert!(HttpResponse::decode(b"HTTP/1.1 abc OK\r\n\r\n").is_err());
-        assert!(HttpRequest::decode(b"GET / SPDY/3\r\n\r\n").is_err());
-        assert!(HttpRequest::decode(b"GET / HTTP/1.1\r\nNoColonHere\r\n\r\n").is_err());
-    }
-
-    #[test]
-    fn parse_meta_agrees_with_decode() {
-        let cases: &[&[u8]] = &[
-            b"GET / HTTP/1.1\r\nHost: x\r\n\r\n",
-            b"POST /p HTTP/1.0\r\n\r\n",
-            b"GARBAGE\r\n\r\n",
-            b"GET /\r\n\r\n",
-            b"GET / SPDY/3\r\n\r\n",
-            b"GET / HTTP/1.1\r\nNoColonHere\r\n\r\n",
-            b"GET / HTTP/1.1\r\nHost: x\r\n",
-            b" / HTTP/1.1\r\n\r\n",
-        ];
-        for case in cases {
-            let full = HttpRequest::decode(case);
-            let meta = HttpRequest::parse_meta(case);
-            assert_eq!(
-                full.is_ok(),
-                meta.is_ok(),
-                "{:?}",
-                String::from_utf8_lossy(case)
-            );
-            if let (Ok(full), Ok((method, path))) = (full, meta) {
-                assert_eq!(full.method, method);
-                assert_eq!(full.path, path);
-            }
-        }
-    }
-
-    #[test]
-    fn status_of_agrees_with_decode() {
-        let cases: &[&[u8]] = &[
-            b"HTTP/1.1 302 Found\r\nContent-Length: 0\r\n\r\n",
-            b"HTTP/1.1 200 OK\r\n\r\nbody",
-            b"HTTP/1.1 abc OK\r\n\r\n",
-            b"SPDY/3 200 OK\r\n\r\n",
-            b"HTTP/1.1 301 Moved Permanently\r\nNoColon\r\n\r\n",
-            b"HTTP/1.1 200",
-        ];
-        for case in cases {
-            let full = HttpResponse::decode(case);
-            let status = HttpResponse::status_of(case);
-            assert_eq!(
-                full.is_ok(),
-                status.is_ok(),
-                "{:?}",
-                String::from_utf8_lossy(case)
-            );
-            if let (Ok(full), Ok(status)) = (full, status) {
-                assert_eq!(full.status, status);
-            }
-        }
-        let canned = HttpResponse::pool_redirect().encode();
-        assert_eq!(HttpResponse::status_of(&canned).unwrap(), 302);
-    }
-
-    #[test]
-    fn reason_phrases_with_spaces() {
-        let bytes = b"HTTP/1.1 301 Moved Permanently\r\nContent-Length: 0\r\n\r\n";
-        let d = HttpResponse::decode(bytes).unwrap();
-        assert_eq!(d.status, 301);
-        assert_eq!(d.reason, "Moved Permanently");
+        let redirect = HttpResponse::pool_redirect().encode();
+        assert_eq!(HttpResponse::status_of(&redirect), Ok(302));
+        assert!(HttpResponse::is_complete(&redirect));
+        assert!(!HttpResponse::is_complete(&redirect[..redirect.len() - 1]));
     }
 }

@@ -11,14 +11,13 @@
 use crate::checksum::internet_checksum;
 use crate::error::WireError;
 use crate::ipv4::IPV4_HEADER_LEN;
-use serde::{Deserialize, Serialize};
 
 /// Number of quoted bytes: original IP header + 8 transport bytes
 /// (the RFC 792 minimum, which is what most routers send).
 pub const QUOTE_BYTES: usize = IPV4_HEADER_LEN + 8;
 
 /// Destination-unreachable codes used by the study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DestUnreachCode {
     /// 0 — net unreachable.
     Net,
@@ -59,7 +58,7 @@ impl DestUnreachCode {
 }
 
 /// A decoded ICMPv4 message.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IcmpMessage {
     /// Type 8 — echo request.
     EchoRequest {
@@ -94,23 +93,24 @@ pub enum IcmpMessage {
     },
 }
 
+/// Append one ICMP message to `out`: `ty`, `code`, the checksum, the
+/// four rest-of-header bytes `rest`, then `body`. The checksum covers the
+/// whole message. Every ICMP message the simulation sends is written here.
+pub fn encode_message_into(ty: u8, code: u8, rest: [u8; 4], body: &[u8], out: &mut Vec<u8>) {
+    let start = out.len();
+    out.extend_from_slice(&[ty, code, 0, 0]);
+    out.extend_from_slice(&rest);
+    out.extend_from_slice(body);
+    let ck = internet_checksum(&out[start..]);
+    out[start + 2..start + 4].copy_from_slice(&ck.to_be_bytes());
+}
+
+/// The first [`QUOTE_BYTES`] of `original` (all of it if shorter).
+fn quote(original: &[u8]) -> &[u8] {
+    &original[..original.len().min(QUOTE_BYTES)]
+}
+
 impl IcmpMessage {
-    /// Build a time-exceeded message quoting the first [`QUOTE_BYTES`] of
-    /// `original` (fewer if the datagram was shorter).
-    pub fn time_exceeded_for(original: &[u8]) -> IcmpMessage {
-        IcmpMessage::TimeExceeded {
-            quoted: original[..original.len().min(QUOTE_BYTES)].to_vec(),
-        }
-    }
-
-    /// Build a destination-unreachable message quoting `original`.
-    pub fn dest_unreachable_for(code: DestUnreachCode, original: &[u8]) -> IcmpMessage {
-        IcmpMessage::DestUnreachable {
-            code,
-            quoted: original[..original.len().min(QUOTE_BYTES)].to_vec(),
-        }
-    }
-
     /// The quoted original datagram, if this is an error message.
     pub fn quoted(&self) -> Option<&[u8]> {
         match self {
@@ -120,65 +120,16 @@ impl IcmpMessage {
         }
     }
 
-    /// Encode to wire bytes, checksum computed (convenience wrapper;
-    /// prefer [`IcmpMessage::encode_into`] on hot paths).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + QUOTE_BYTES);
-        self.encode_into(&mut out);
-        out
-    }
-
-    /// Append the wire bytes (checksum computed) to `out`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let start = out.len();
-        match self {
-            IcmpMessage::EchoRequest { id, seq, payload } => {
-                out.extend_from_slice(&[8, 0, 0, 0]);
-                out.extend_from_slice(&id.to_be_bytes());
-                out.extend_from_slice(&seq.to_be_bytes());
-                out.extend_from_slice(payload);
-            }
-            IcmpMessage::EchoReply { id, seq, payload } => {
-                out.extend_from_slice(&[0, 0, 0, 0]);
-                out.extend_from_slice(&id.to_be_bytes());
-                out.extend_from_slice(&seq.to_be_bytes());
-                out.extend_from_slice(payload);
-            }
-            IcmpMessage::TimeExceeded { quoted } => {
-                out.extend_from_slice(&[11, 0, 0, 0, 0, 0, 0, 0]);
-                out.extend_from_slice(quoted);
-            }
-            IcmpMessage::DestUnreachable { code, quoted } => {
-                out.extend_from_slice(&[3, code.code(), 0, 0, 0, 0, 0, 0]);
-                out.extend_from_slice(quoted);
-            }
-        }
-        let ck = internet_checksum(&out[start..]);
-        out[start + 2..start + 4].copy_from_slice(&ck.to_be_bytes());
-    }
-
-    /// Append a time-exceeded message quoting `original` directly to
-    /// `out` — byte-identical to
-    /// `IcmpMessage::time_exceeded_for(original).encode()` without
-    /// materialising the intermediate message (the router TTL-expiry hot
-    /// path).
+    /// Append a time-exceeded message quoting `original` to `out` (the
+    /// router TTL-expiry path).
     pub fn encode_time_exceeded_into(original: &[u8], out: &mut Vec<u8>) {
-        let start = out.len();
-        out.extend_from_slice(&[11, 0, 0, 0, 0, 0, 0, 0]);
-        out.extend_from_slice(&original[..original.len().min(QUOTE_BYTES)]);
-        let ck = internet_checksum(&out[start..]);
-        out[start + 2..start + 4].copy_from_slice(&ck.to_be_bytes());
+        encode_message_into(11, 0, [0; 4], quote(original), out);
     }
 
-    /// Append a destination-unreachable message quoting `original`
-    /// directly to `out` — byte-identical to
-    /// `IcmpMessage::dest_unreachable_for(code, original).encode()`.
+    /// Append a destination-unreachable message quoting `original` to
+    /// `out`.
     pub fn encode_dest_unreachable_into(code: DestUnreachCode, original: &[u8], out: &mut Vec<u8>) {
-        let start = out.len();
-        out.extend_from_slice(&[3, code.code(), 0, 0, 0, 0, 0, 0]);
-        out.extend_from_slice(&original[..original.len().min(QUOTE_BYTES)]);
-        let ck = internet_checksum(&out[start..]);
-        out[start + 2..start + 4].copy_from_slice(&ck.to_be_bytes());
+        encode_message_into(3, code.code(), [0; 4], quote(original), out);
     }
 
     /// Decode and checksum-verify an ICMP message.
@@ -235,45 +186,36 @@ mod tests {
     use std::net::Ipv4Addr;
 
     fn original_probe() -> Datagram {
-        let h = Ipv4Header::probe(
-            Ipv4Addr::new(10, 9, 8, 7),
-            Ipv4Addr::new(192, 0, 2, 1),
-            IpProto::Udp,
-            Ecn::Ect0,
-        );
-        Datagram::new(
-            h,
-            &crate::udp::udp_segment(
-                Ipv4Addr::new(10, 9, 8, 7),
-                Ipv4Addr::new(192, 0, 2, 1),
-                40000,
-                33434,
-                b"probe-payload",
-            ),
-        )
+        let (src, dst) = (Ipv4Addr::new(10, 9, 8, 7), Ipv4Addr::new(192, 0, 2, 1));
+        let h = Ipv4Header::probe(src, dst, IpProto::Udp, Ecn::Ect0);
+        Datagram::compose(Vec::new(), h, |o| {
+            crate::udp::udp_segment_into(src, dst, 40000, 33434, b"probe-payload", o)
+        })
+    }
+
+    fn time_exceeded(original: &[u8]) -> IcmpMessage {
+        let mut bytes = Vec::new();
+        IcmpMessage::encode_time_exceeded_into(original, &mut bytes);
+        IcmpMessage::decode(&bytes).unwrap()
     }
 
     #[test]
     fn echo_roundtrip() {
-        let m = IcmpMessage::EchoRequest {
+        let mut bytes = Vec::new();
+        encode_message_into(8, 0, [0, 77, 0, 3], b"ping", &mut bytes);
+        let want = IcmpMessage::EchoRequest {
             id: 77,
             seq: 3,
             payload: b"ping".to_vec(),
         };
-        let bytes = m.encode();
-        assert_eq!(IcmpMessage::decode(&bytes).unwrap(), m);
+        assert_eq!(IcmpMessage::decode(&bytes).unwrap(), want);
     }
 
     #[test]
     fn time_exceeded_quotes_exactly_28_bytes() {
         let orig = original_probe();
-        let m = IcmpMessage::time_exceeded_for(orig.as_bytes());
-        let quoted = m.quoted().unwrap();
-        assert_eq!(quoted.len(), QUOTE_BYTES);
-        assert_eq!(quoted, &orig.as_bytes()[..QUOTE_BYTES]);
-        let bytes = m.encode();
-        let d = IcmpMessage::decode(&bytes).unwrap();
-        assert_eq!(d.quoted().unwrap(), quoted);
+        let m = time_exceeded(orig.as_bytes());
+        assert_eq!(m.quoted().unwrap(), &orig.as_bytes()[..QUOTE_BYTES]);
     }
 
     #[test]
@@ -282,9 +224,8 @@ mod tests {
         // readable and reflect the datagram as the router saw it.
         let mut orig = original_probe();
         orig.set_ecn(Ecn::NotEct); // bleached upstream
-        let m = IcmpMessage::time_exceeded_for(orig.as_bytes());
-        let quoted = m.quoted().unwrap();
-        let qh = Ipv4Header::decode(quoted).unwrap();
+        let m = time_exceeded(orig.as_bytes());
+        let qh = Ipv4Header::decode(m.quoted().unwrap()).unwrap();
         assert_eq!(qh.ecn, Ecn::NotEct);
     }
 
@@ -298,9 +239,13 @@ mod tests {
             DestUnreachCode::AdminProhibited,
             DestUnreachCode::Other(9),
         ] {
-            let m = IcmpMessage::dest_unreachable_for(code, original_probe().as_bytes());
-            let d = IcmpMessage::decode(&m.encode()).unwrap();
-            match d {
+            let mut bytes = Vec::new();
+            IcmpMessage::encode_dest_unreachable_into(
+                code,
+                original_probe().as_bytes(),
+                &mut bytes,
+            );
+            match IcmpMessage::decode(&bytes).unwrap() {
                 IcmpMessage::DestUnreachable { code: c, .. } => assert_eq!(c, code),
                 other => panic!("wrong variant {other:?}"),
             }
@@ -309,12 +254,8 @@ mod tests {
 
     #[test]
     fn corruption_is_detected() {
-        let m = IcmpMessage::EchoReply {
-            id: 1,
-            seq: 2,
-            payload: vec![0xaa; 16],
-        };
-        let mut bytes = m.encode();
+        let mut bytes = Vec::new();
+        encode_message_into(0, 0, [0, 1, 0, 2], &[0xaa; 16], &mut bytes);
         bytes[9] ^= 0x10;
         assert!(matches!(
             IcmpMessage::decode(&bytes),
@@ -324,9 +265,8 @@ mod tests {
 
     #[test]
     fn unknown_type_rejected() {
-        let mut bytes = vec![42u8, 0, 0, 0, 0, 0, 0, 0];
-        let ck = internet_checksum(&bytes);
-        bytes[2..4].copy_from_slice(&ck.to_be_bytes());
+        let mut bytes = Vec::new();
+        encode_message_into(42, 0, [0; 4], b"", &mut bytes);
         assert!(matches!(
             IcmpMessage::decode(&bytes),
             Err(WireError::InvalidField { field: "type", .. })
@@ -342,7 +282,6 @@ mod tests {
             Ecn::NotEct,
         );
         let d = Datagram::new(h, b"abc"); // 23 bytes total < QUOTE_BYTES
-        let m = IcmpMessage::time_exceeded_for(d.as_bytes());
-        assert_eq!(m.quoted().unwrap().len(), 23);
+        assert_eq!(time_exceeded(d.as_bytes()).quoted().unwrap().len(), 23);
     }
 }

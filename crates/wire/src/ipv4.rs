@@ -62,7 +62,7 @@ impl fmt::Display for IpProto {
 /// because the whole measurement campaign pivots on the two ECN bits, and
 /// because middleboxes that conflate the two are one of the failure modes
 /// under study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Ipv4Header {
     /// Differentiated-services codepoint (upper six TOS bits).
     pub dscp: Dscp,

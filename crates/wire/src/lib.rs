@@ -20,6 +20,15 @@
 //! checksum — so the measurement application observes middlebox interference
 //! exactly as it would on a live network, through the same parsing code.
 //!
+//! Each message has one encoder and one parser, and they are the ones the
+//! campaign runs. Encoders append to the caller's buffer (the `_into`
+//! functions), so a packet is written straight into a pooled datagram
+//! buffer. The DNS and HTTP parsers borrow: [`dns::read_query`] and
+//! [`dns::for_each_a_record`] walk a message without building one, and
+//! [`http::parse_meta`] and [`HttpResponse::status_of`] validate a head in
+//! place. `tests/golden/wire_bytes.txt` at the repository root pins their
+//! bytes and verdicts.
+//!
 //! Checksums are always computed on encode and verified on decode; decode
 //! errors are explicit ([`WireError`]), never panics.
 
@@ -38,10 +47,10 @@ pub mod udp;
 
 pub use buf::WireBuf;
 pub use checksum::internet_checksum;
-pub use dns::{DnsFlags, DnsMessage, DnsQuestion, DnsRecord, DnsRecordData, QClass, QType, Rcode};
+pub use dns::{DnsFlags, QClass, QType, QueryView, Rcode};
 pub use ecn::{Dscp, Ecn};
 pub use error::WireError;
-pub use http::{HttpRequest, HttpResponse};
+pub use http::HttpResponse;
 pub use icmp::{DestUnreachCode, IcmpMessage, QUOTE_BYTES};
 pub use ipv4::{IpProto, Ipv4Header, IPV4_HEADER_LEN};
 pub use ntp::{NtpMode, NtpPacket, NtpTimestamp, LEAP_UNSYNC, NTP_PACKET_LEN};

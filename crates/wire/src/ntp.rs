@@ -2,22 +2,20 @@
 //!
 //! The measurement application implements "a custom NTP client" (paper §3):
 //! it sends a mode-3 (client) request and accepts any syntactically valid
-//! mode-4 (server) response as evidence of reachability. The server side is
-//! a full responder including the kiss-o'-death rate-limit reply that real
-//! pool servers send.
+//! mode-4 (server) response as evidence of reachability. The server side
+//! answers each request with a mode-4 response.
 
 use crate::error::WireError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// NTP packet length, bytes. Extensions/MAC fields are not used by the pool.
 pub const NTP_PACKET_LEN: usize = 48;
 
-/// Leap-indicator value meaning "clock unsynchronised" (also used by KoD).
+/// Leap-indicator value meaning "clock unsynchronised".
 pub const LEAP_UNSYNC: u8 = 3;
 
 /// NTP association modes (RFC 5905 §3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NtpMode {
     /// 1 — symmetric active.
     SymmetricActive,
@@ -58,7 +56,7 @@ impl NtpMode {
 }
 
 /// 64-bit NTP timestamp: seconds since 1900-01-01 and a 2^-32 fraction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub struct NtpTimestamp {
     /// Whole seconds since the NTP epoch.
     pub seconds: u32,
@@ -111,7 +109,7 @@ impl fmt::Display for NtpTimestamp {
 }
 
 /// A decoded NTP packet.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NtpPacket {
     /// Leap indicator (2 bits).
     pub leap: u8,
@@ -187,28 +185,9 @@ impl NtpPacket {
         }
     }
 
-    /// A kiss-o'-death `RATE` response (RFC 5905 §7.4): stratum 0 with the
-    /// KoD code in the reference-ID field. Pool servers rate-limiting
-    /// aggressive clients send these.
-    pub fn kiss_of_death_rate(request: &NtpPacket, transmit_ts: NtpTimestamp) -> NtpPacket {
-        let mut p = NtpPacket::server_response(request, 0, *b"RATE", transmit_ts, transmit_ts);
-        p.leap = LEAP_UNSYNC;
-        p
-    }
-
-    /// Is this a kiss-o'-death packet, and if so what code?
-    pub fn kod_code(&self) -> Option<&[u8; 4]> {
-        if self.stratum == 0 && self.mode == NtpMode::Server {
-            Some(&self.reference_id)
-        } else {
-            None
-        }
-    }
-
     /// True if this packet is a plausible server answer to `request`:
-    /// mode 4 and the origin timestamp echoes the request's transmit time.
-    /// KoD replies also count as "server responded" for reachability —
-    /// the paper records a server as reachable if *any* NTP response
+    /// mode 4 and the origin timestamp echoes the request's transmit time
+    /// — the paper records a server as reachable if *any* NTP response
     /// arrives.
     pub fn answers(&self, request: &NtpPacket) -> bool {
         self.mode == NtpMode::Server && self.origin_ts == request.transmit_ts
@@ -304,22 +283,6 @@ mod tests {
         assert_eq!(rsp.origin_ts, req.transmit_ts);
         let other_req = NtpPacket::client_request(NtpTimestamp::from_nanos(43_000_000_000));
         assert!(!rsp.answers(&other_req));
-    }
-
-    #[test]
-    fn kod_is_detected_and_counts_as_answer() {
-        let req = NtpPacket::client_request(NtpTimestamp::from_nanos(1_000_000_000));
-        let kod = NtpPacket::kiss_of_death_rate(&req, NtpTimestamp::from_nanos(1_100_000_000));
-        assert_eq!(kod.kod_code(), Some(b"RATE"));
-        assert!(kod.answers(&req));
-        let rsp = NtpPacket::server_response(
-            &req,
-            3,
-            [10, 0, 0, 1],
-            NtpTimestamp::ZERO,
-            NtpTimestamp::ZERO,
-        );
-        assert_eq!(rsp.kod_code(), None);
     }
 
     #[test]

@@ -8,13 +8,12 @@
 //! receiver returns so the sender can react to congestion *without* loss.
 
 use crate::error::WireError;
-use serde::{Deserialize, Serialize};
 
 /// RTP fixed header length (no CSRCs).
 pub const RTP_HEADER_LEN: usize = 12;
 
 /// The RTP fixed header (V=2, no padding/extension/CSRC).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RtpHeader {
     /// Payload type (e.g. 96 for dynamic video).
     pub payload_type: u8,
@@ -89,7 +88,7 @@ const FEEDBACK_MAGIC: [u8; 4] = *b"ECNF";
 
 /// RFC 6679-style ECN summary feedback: what the receiver saw since the
 /// last report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EcnFeedback {
     /// Highest sequence number received.
     pub ext_highest_seq: u32,

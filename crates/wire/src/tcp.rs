@@ -2,7 +2,6 @@
 
 use crate::checksum::{finish, pseudo_header_sum, sum_words};
 use crate::error::WireError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -14,7 +13,7 @@ pub const TCP_HEADER_MIN_LEN: usize = 20;
 /// The ECN handshake of RFC 3168 §6.1.1 is expressed with these: an
 /// *ECN-setup SYN* carries `SYN | ECE | CWR`; an *ECN-setup SYN-ACK* carries
 /// `SYN | ACK | ECE` (and **not** CWR).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct TcpFlags(pub u16);
 
 impl TcpFlags {
@@ -125,7 +124,7 @@ impl fmt::Display for TcpFlags {
 }
 
 /// TCP options the codec understands; anything else is preserved raw.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TcpOption {
     /// Maximum segment size (kind 2).
     Mss(u16),
@@ -173,7 +172,7 @@ impl TcpOption {
 }
 
 /// A decoded TCP header.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TcpHeader {
     /// Source port.
     pub src_port: u16,
@@ -252,10 +251,8 @@ impl TcpHeader {
         Ok((header, &buf[header_len..]))
     }
 
-    /// Decode header fields without checksum verification (for quoted
-    /// headers inside ICMP errors, where only 8 bytes may be present —
-    /// in that case only ports/seq are meaningful and this returns an error;
-    /// use [`TcpHeader::decode_ports`] instead).
+    /// Decode header fields without checksum verification (for captured
+    /// segments whose pseudo-header is not at hand).
     pub fn decode_fields(buf: &[u8]) -> Result<TcpHeader, WireError> {
         if buf.len() < TCP_HEADER_MIN_LEN {
             return Err(WireError::Truncated {
@@ -284,23 +281,6 @@ impl TcpHeader {
             urgent: u16::from_be_bytes([buf[18], buf[19]]),
             options,
         })
-    }
-
-    /// Extract just src/dst ports and sequence number from the first 8
-    /// bytes, as quoted by ICMP errors.
-    pub fn decode_ports(buf: &[u8]) -> Result<(u16, u16, u32), WireError> {
-        if buf.len() < 8 {
-            return Err(WireError::Truncated {
-                layer: "tcp",
-                needed: 8,
-                got: buf.len(),
-            });
-        }
-        Ok((
-            u16::from_be_bytes([buf[0], buf[1]]),
-            u16::from_be_bytes([buf[2], buf[3]]),
-            u32::from_be_bytes([buf[4], buf[5], buf[6], buf[7]]),
-        ))
     }
 
     fn data_offset_bytes(buf: &[u8]) -> usize {
@@ -349,16 +329,9 @@ impl TcpHeader {
     }
 }
 
-/// Build a TCP segment ready to drop into a [`crate::Datagram`].
-#[allow(clippy::too_many_arguments)]
-pub fn tcp_segment(src: Ipv4Addr, dst: Ipv4Addr, header: &TcpHeader, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(header.header_len() + payload.len());
-    header.encode(src, dst, payload, &mut out);
-    out
-}
-
-/// Append a TCP segment to `out` — the allocation-free companion of
-/// [`tcp_segment`], for composing straight into a pooled datagram buffer.
+/// Append a TCP segment (header with `header`'s fields, then `payload`,
+/// checksum over the pseudo-header) to `out`, for composing straight into
+/// a pooled datagram buffer.
 pub fn tcp_segment_into(
     src: Ipv4Addr,
     dst: Ipv4Addr,
@@ -375,6 +348,12 @@ mod tests {
 
     const SRC: Ipv4Addr = Ipv4Addr::new(172, 16, 0, 9);
     const DST: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 80);
+
+    fn tcp_segment(src: Ipv4Addr, dst: Ipv4Addr, h: &TcpHeader, payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        tcp_segment_into(src, dst, h, payload, &mut out);
+        out
+    }
 
     fn syn() -> TcpHeader {
         TcpHeader {
@@ -462,14 +441,6 @@ mod tests {
         let seg = tcp_segment(SRC, DST, &h, b"");
         let (d, _) = TcpHeader::decode(SRC, DST, &seg).unwrap();
         assert_eq!(d.options, vec![TcpOption::Unknown(254, vec![1, 2, 3, 4])]);
-    }
-
-    #[test]
-    fn quoted_ports_from_eight_bytes() {
-        let seg = tcp_segment(SRC, DST, &syn(), b"");
-        let (sp, dp, seq) = TcpHeader::decode_ports(&seg[..8]).unwrap();
-        assert_eq!((sp, dp, seq), (40123, 80, 0x01020304));
-        assert!(TcpHeader::decode_ports(&seg[..7]).is_err());
     }
 
     #[test]

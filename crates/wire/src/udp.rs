@@ -2,14 +2,13 @@
 
 use crate::checksum::{finish, pseudo_header_sum, sum_words};
 use crate::error::WireError;
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// UDP header length, bytes.
 pub const UDP_HEADER_LEN: usize = 8;
 
 /// A decoded UDP header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UdpHeader {
     /// Source port.
     pub src_port: u16,
@@ -111,22 +110,9 @@ impl UdpHeader {
     }
 }
 
-/// Build a UDP segment (header + payload) ready to drop into a [`crate::Datagram`].
-pub fn udp_segment(
-    src: Ipv4Addr,
-    dst: Ipv4Addr,
-    src_port: u16,
-    dst_port: u16,
-    payload: &[u8],
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(UDP_HEADER_LEN + payload.len());
-    udp_segment_into(src, dst, src_port, dst_port, payload, &mut out);
-    out
-}
-
-/// Append a UDP segment (header + payload) to `out` — the allocation-free
-/// companion of [`udp_segment`], for composing straight into a pooled
-/// datagram buffer.
+/// Append a UDP segment (header + payload, checksum over the
+/// pseudo-header) to `out`, for composing straight into a pooled datagram
+/// buffer.
 pub fn udp_segment_into(
     src: Ipv4Addr,
     dst: Ipv4Addr,
@@ -149,6 +135,12 @@ mod tests {
 
     const SRC: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
     const DST: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 53);
+
+    fn udp_segment(src: Ipv4Addr, dst: Ipv4Addr, sp: u16, dp: u16, payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        udp_segment_into(src, dst, sp, dp, payload, &mut out);
+        out
+    }
 
     #[test]
     fn roundtrip_with_checksum() {

@@ -5,6 +5,12 @@ use ecn_wire::*;
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
+fn udp_segment(src: Ipv4Addr, dst: Ipv4Addr, sp: u16, dp: u16, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    udp::udp_segment_into(src, dst, sp, dp, payload, &mut out);
+    out
+}
+
 fn arb_ipv4() -> impl Strategy<Value = Ipv4Addr> {
     any::<u32>().prop_map(Ipv4Addr::from)
 }
@@ -111,7 +117,7 @@ proptest! {
         sp in any::<u16>(), dp in any::<u16>(),
         payload in proptest::collection::vec(any::<u8>(), 0..512),
     ) {
-        let seg = udp::udp_segment(src, dst, sp, dp, &payload);
+        let seg = udp_segment(src, dst, sp, dp, &payload);
         let (h, got) = UdpHeader::decode(src, dst, &seg).unwrap();
         prop_assert_eq!(h.src_port, sp);
         prop_assert_eq!(h.dst_port, dp);
@@ -125,7 +131,7 @@ proptest! {
         flip in any::<proptest::sample::Index>(),
         bit in 0u8..8,
     ) {
-        let mut seg = udp::udp_segment(src, dst, 1000, 123, &payload);
+        let mut seg = udp_segment(src, dst, 1000, 123, &payload);
         let idx = flip.index(seg.len());
         seg[idx] ^= 1 << bit;
         // A flip in the length field can also surface as InvalidField; a
@@ -161,7 +167,8 @@ proptest! {
             urgent: 0,
             options: vec![TcpOption::Mss(mss), TcpOption::SackPermitted],
         };
-        let seg = tcp::tcp_segment(src, dst, &h, &payload);
+        let mut seg = Vec::new();
+        tcp::tcp_segment_into(src, dst, &h, &payload, &mut seg);
         let (d, got) = TcpHeader::decode(src, dst, &seg).unwrap();
         prop_assert_eq!(d, h);
         prop_assert_eq!(got, &payload[..]);
@@ -192,25 +199,34 @@ proptest! {
         }
     }
 
+    /// A query reads back with its id, its case-folded name, type A and
+    /// class IN, and a response to it yields its addresses in order.
     #[test]
     fn dns_roundtrips(
         id in any::<u16>(),
-        labels in proptest::collection::vec("[a-z][a-z0-9-]{0,10}", 1..5),
+        labels in proptest::collection::vec("[a-zA-Z][a-zA-Z0-9-]{0,10}", 1..5),
         addrs in proptest::collection::vec(any::<u32>().prop_map(Ipv4Addr::from), 0..8),
         ttl in any::<u32>(),
     ) {
         let name = labels.join(".");
-        let q = DnsMessage::a_query(id, &name);
-        let dq = DnsMessage::decode(&q.encode()).unwrap();
-        prop_assert_eq!(&dq, &q);
-        let r = DnsMessage::a_response(&q, ttl, &addrs);
-        let dr = DnsMessage::decode(&r.encode()).unwrap();
-        prop_assert_eq!(dr.a_records(), addrs);
+        let mut query = Vec::new();
+        dns::encode_a_query_into(id, &name, &mut query);
+        let mut read = String::new();
+        let view = dns::read_query(&query, &mut read).unwrap().unwrap();
+        prop_assert_eq!((view.id, view.questions), (id, 1));
+        prop_assert_eq!((view.qtype, view.qclass), (QType::A, QClass::In));
+        prop_assert_eq!(&read, &name.to_ascii_lowercase());
+        let mut response = Vec::new();
+        dns::encode_a_response_into(&view, &read, ttl, &addrs, &mut response);
+        let mut got = Vec::new();
+        dns::for_each_a_record(&response, |a| got.push(a)).unwrap();
+        prop_assert_eq!(got, addrs);
     }
 
     #[test]
     fn dns_decoder_never_panics_on_noise(noise in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = DnsMessage::decode(&noise);
+        let _ = dns::read_query(&noise, &mut String::new());
+        let _ = dns::for_each_a_record(&noise, |_| {});
     }
 
     #[test]
@@ -229,8 +245,8 @@ proptest! {
 
     #[test]
     fn http_decoder_never_panics_on_noise(noise in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = HttpRequest::decode(&noise);
-        let _ = HttpResponse::decode(&noise);
+        let _ = http::parse_meta(&noise);
+        let _ = HttpResponse::status_of(&noise);
         let _ = HttpResponse::is_complete(&noise);
     }
 
@@ -266,7 +282,6 @@ proptest! {
             let _ = UdpHeader::decode(src, dst, bytes);
             let _ = UdpHeader::decode_unverified(bytes);
             let _ = NtpPacket::decode(bytes);
-            let _ = TcpHeader::decode_ports(bytes);
             let _ = RtpHeader::decode(bytes);
             let _ = EcnFeedback::decode(bytes);
         }
@@ -277,10 +292,11 @@ proptest! {
         }
     }
 
-    /// `encode_into` is the primary codec surface; the owned-`Vec` legacy
-    /// `encode()` wrappers must stay byte-identical for every wire type —
-    /// the contract that lets the simulator swap to pooled buffers without
-    /// changing a single output byte.
+    /// Every `_into` encoder appends to the caller's buffer: bytes already
+    /// there survive, and what follows them is what the encoder writes
+    /// into an empty buffer — or, where an owned-`Vec` `encode()` remains,
+    /// exactly its bytes. That is what lets the simulator write into
+    /// pooled buffers.
     #[test]
     fn encode_into_matches_legacy_encode_for_all_wire_types(
         src in arb_ipv4(), dst in arb_ipv4(),
@@ -304,30 +320,30 @@ proptest! {
             prop_assert_eq!(&out[prefill.len()..], &legacy[..]);
             Ok(())
         };
+        let append_only = |into: &dyn Fn(&mut Vec<u8>)| {
+            let mut alone = Vec::new();
+            into(&mut alone);
+            check(alone, into)
+        };
 
         let ntp = NtpPacket::client_request(
             NtpTimestamp::from_nanos(nanos % (u64::from(u32::MAX) * 1_000_000_000)));
         check(ntp.encode(), &|o| ntp.encode_into(o))?;
 
         let name = labels.join(".");
-        let q = DnsMessage::a_query(id, &name);
-        check(q.encode(), &|o| q.encode_into(o))?;
-        let r = DnsMessage::a_response(&q, u32::from(id), &addrs);
-        check(r.encode(), &|o| r.encode_into(o))?;
+        append_only(&|o| dns::encode_a_query_into(id, &name, o))?;
+        let mut query = Vec::new();
+        dns::encode_a_query_into(id, &name, &mut query);
+        let view = dns::read_query(&query, &mut String::new()).unwrap().unwrap();
+        append_only(&|o| dns::encode_a_response_into(&view, &name, u32::from(id), &addrs, o))?;
 
-        let echo = IcmpMessage::EchoRequest { id, seq: sp, payload: payload.clone() };
-        check(echo.encode(), &|o| echo.encode_into(o))?;
-        let te = IcmpMessage::time_exceeded_for(&payload);
-        check(te.encode(), &|o| te.encode_into(o))?;
-        check(te.encode(), &|o| IcmpMessage::encode_time_exceeded_into(&payload, o))?;
-        let du = IcmpMessage::dest_unreachable_for(DestUnreachCode::Port, &payload);
-        check(du.encode(), &|o| du.encode_into(o))?;
-        check(du.encode(), &|o| {
+        append_only(&|o| icmp::encode_message_into(8, 0, [0, 1, 0, 2], &payload, o))?;
+        append_only(&|o| IcmpMessage::encode_time_exceeded_into(&payload, o))?;
+        append_only(&|o| {
             IcmpMessage::encode_dest_unreachable_into(DestUnreachCode::Port, &payload, o)
         })?;
 
-        let req = HttpRequest::get_root(&dst.to_string());
-        check(req.encode(), &|o| req.encode_into(o))?;
+        append_only(&|o| http::encode_get_root_into(dst, o))?;
         let mut rsp = HttpResponse::pool_redirect();
         rsp.status = status.max(1);
         check(rsp.encode(), &|o| rsp.encode_into(o))?;
@@ -346,15 +362,13 @@ proptest! {
         };
         check(fb.encode(), &|o| fb.encode_into(o))?;
 
-        check(udp::udp_segment(src, dst, sp, dp, &payload),
-              &|o| udp::udp_segment_into(src, dst, sp, dp, &payload, o))?;
+        append_only(&|o| udp::udp_segment_into(src, dst, sp, dp, &payload, o))?;
         let th = TcpHeader {
             src_port: sp, dst_port: dp, seq: c0, ack: c1,
             flags: TcpFlags(seq16 & 0x1ff), window: id, urgent: 0,
             options: vec![TcpOption::Mss(seq16), TcpOption::SackPermitted],
         };
-        check(tcp::tcp_segment(src, dst, &th, &payload),
-              &|o| tcp::tcp_segment_into(src, dst, &th, &payload, o))?;
+        append_only(&|o| tcp::tcp_segment_into(src, dst, &th, &payload, o))?;
     }
 
     /// `Datagram::compose` into a dirty recycled buffer produces the same
@@ -381,8 +395,8 @@ proptest! {
     ) {
         let mut d = Datagram::new(h, &payload);
         d.set_ecn(ecn);
-        let msg = IcmpMessage::time_exceeded_for(d.as_bytes());
-        let wire = msg.encode();
+        let mut wire = Vec::new();
+        IcmpMessage::encode_time_exceeded_into(d.as_bytes(), &mut wire);
         let decoded = IcmpMessage::decode(&wire).unwrap();
         let quoted = decoded.quoted().unwrap();
         let qh = Ipv4Header::decode(quoted).unwrap();

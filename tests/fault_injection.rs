@@ -99,6 +99,46 @@ fn crash_mid_partition_recovers_byte_identical() {
 }
 
 #[test]
+fn a_crashed_worker_surfaces_as_supervision_lines_in_the_metrics() {
+    // worker 0 holds 7 of the 13 units; its crash re-ships all 7
+    let metrics = scratch("supervision-lines.jsonl");
+    let _ = std::fs::remove_file(&metrics);
+    let out = ecnudp(
+        &[
+            "run",
+            "--scenario",
+            SCENARIO,
+            "--processes",
+            "2",
+            "--metrics",
+            metrics.to_str().expect("utf8 path"),
+        ],
+        Some("crash-after-unit=1:worker=0"),
+    );
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "retry must recover: {err}");
+    assert_eq!(String::from_utf8_lossy(&out.stdout), golden_stdout());
+    let text = std::fs::read_to_string(&metrics).expect("read metrics");
+    let lines = |kind: &str| -> Vec<&str> {
+        let tag = format!("{{\"type\":\"{kind}\",");
+        text.lines().filter(|l| l.starts_with(&tag)).collect()
+    };
+    assert_eq!(
+        lines("worker_failed"),
+        [concat!(
+            r#"{"type":"worker_failed","worker":0,"attempt":0,"units":7,"#,
+            r#""will_retry":true,"cause":"worker crashed with exit code 101"}"#
+        )]
+    );
+    let workers = lines("worker");
+    assert_eq!(workers.len(), 2, "one line per worker slot: {workers:?}");
+    assert!(workers[0].starts_with(r#"{"type":"worker","worker":0,"units":7,"#));
+    assert!(workers[1].starts_with(r#"{"type":"worker","worker":1,"units":6,"#));
+    assert_eq!(lines("retries"), [r#"{"type":"retries","unit_retries":7}"#]);
+    let _ = std::fs::remove_file(&metrics);
+}
+
+#[test]
 fn corrupted_and_truncated_payloads_are_retried_to_the_same_bytes() {
     let out = ecnudp(
         &["run", "--scenario", SCENARIO, "--processes", "2"],

@@ -12,8 +12,9 @@
 //!   lines between, and every value reads back; keys left out keep their
 //!   `paper2015` defaults.
 //! - **Refusals** (property): a key written twice is refused as a
-//!   duplicate naming the second line, and a misspelt key in any section
-//!   is refused naming its dotted path.
+//!   duplicate naming the second line, a `[section]` header written twice
+//!   is refused naming both of its lines, and a misspelt key in any
+//!   section is refused naming its dotted path.
 
 #[path = "util/golden.rs"]
 mod golden;
@@ -446,6 +447,37 @@ proptest! {
         prop_assert_eq!(&e.path, &format!("line {second}"), "{}\n--- file:\n{}", e, text);
         prop_assert!(e.message.contains("duplicate"), "{}", e);
         prop_assert!(e.message.contains(KEYS[which].0), "{}", e);
+    }
+
+    #[test]
+    fn a_section_opened_twice_is_refused_naming_both_headers(
+        pick in vec(any::<bool>(), 44),
+        raw in vec(any::<u64>(), 44),
+        style in vec(any::<u64>(), 44),
+        which in 4usize..44,
+        again in any::<u64>(),
+    ) {
+        let mut pick = pick;
+        pick[which] = true;
+        let (key, domain, _) = KEYS[which];
+        let (section, leaf) = split(key);
+        prop_assert!(!section.is_empty(), "{} is a root key", key);
+        let mut lines = sectioned(&entries(&pick, &raw, &style));
+        let header = format!("[{section}]");
+        let first = 1 + lines
+            .iter()
+            .position(|(_, l)| *l == header)
+            .expect("section written");
+        lines.push((None, header));
+        let second = lines.len();
+        lines.push((None, format!("{leaf} = {}", render(&draw(domain, again), again))));
+        let text = text(&lines);
+        let e = ScenarioSpec::from_toml_str(&text)
+            .err()
+            .ok_or_else(|| format!("a reopened [{section}] was accepted:\n{text}"))?;
+        prop_assert_eq!(&e.path, &format!("line {second}"), "{}\n--- file:\n{}", e, text);
+        prop_assert!(e.message.contains(&format!("[{section}]")), "{}", e);
+        prop_assert!(e.message.contains(&format!("line {first}")), "{}", e);
     }
 
     #[test]
