@@ -94,9 +94,10 @@ fn bench_tcp_handshake(c: &mut Criterion) {
         b.iter(|| {
             let (mut client, syn) = TcpConn::connect(CL, SV, 1000, EcnMode::On);
             let (mut server, syn_ack) = TcpConn::accept(SV, CL, 9000, &syn.header, EcnMode::On);
-            let acks = client.on_segment(&syn_ack.header, &[], syn_ack.ip_ecn);
+            let mut acks = Vec::new();
+            client.on_segment_into(&syn_ack.header, &[], syn_ack.ip_ecn, &mut acks);
             for e in &acks {
-                server.on_segment(&e.header, &e.payload, e.ip_ecn);
+                server.on_segment_into(&e.header, &e.payload, e.ip_ecn, &mut Vec::new());
             }
             (client.ecn_negotiated, server.ecn_negotiated)
         })

@@ -48,7 +48,7 @@ pub fn probe_udp(
     let sock = handle.udp_bind_sink();
     let session_start = sim.now();
     let mut sent = Vec::with_capacity(1 + cfg.udp_retries as usize);
-    let mut req_wire = ecn_wire::WireBuf::with_capacity(ecn_wire::NTP_PACKET_LEN);
+    let mut req_wire = Vec::with_capacity(ecn_wire::NTP_PACKET_LEN);
     let mut attempts = 0;
     let mut outcome = UdpProbeResult {
         reachable: false,
@@ -59,8 +59,9 @@ pub fn probe_udp(
     'session: for _ in 0..=cfg.udp_retries {
         attempts += 1;
         let req = NtpClient::request(sim.now());
-        req.encode_into(req_wire.start());
-        handle.udp_send(sim, sock, (server, 123), req_wire.as_slice(), ecn);
+        req_wire.clear();
+        req.encode_into(&mut req_wire);
+        handle.udp_send(sim, sock, (server, 123), &req_wire, ecn);
         sent.push(req);
         let deadline = sim.now() + cfg.udp_timeout;
         sim.run_until(deadline);
@@ -140,7 +141,7 @@ pub fn probe_validation(
         sent.push(mark);
     }
     sim.run_until(sim.now() + cfg.timeout);
-    for msg in handle.udp_recv_all(sock) {
+    while let Some(msg) = handle.udp_recv(sock) {
         if let Some((seq, arrived)) = parse_echo_reply(&msg.payload) {
             if let Some(&mark) = sent.get(seq as usize) {
                 validator.on_peer_report(mark, arrived);
@@ -182,11 +183,10 @@ pub fn probe_tcp(
     let session_start = sim.now();
     let conn = handle.tcp_connect(sim, (server, 80), use_ecn);
 
-    // Wait for the handshake to resolve (state-only polls: no snapshot
-    // buffer clones in the wait loop).
+    // Wait for the handshake to resolve.
     let deadline = sim.now() + cfg.tcp_handshake_wait;
     loop {
-        match handle.conn_state(conn) {
+        match handle.with_conn(conn, |c| c.state) {
             Some(TcpState::Established) | Some(TcpState::Closed) | None => break,
             _ if sim.now() >= deadline => break,
             _ => {
@@ -205,32 +205,36 @@ pub fn probe_tcp(
         close_reason: None,
     };
 
-    let established = matches!(handle.conn_state(conn), Some(TcpState::Established));
+    let established = handle.with_conn(conn, |c| c.state) == Some(TcpState::Established);
     if established {
         // Issue the GET and wait for a complete response or teardown.
         let mut req = Vec::with_capacity(96);
         ecn_wire::http::encode_get_root_into(server, &mut req);
         handle.tcp_send(sim, conn, &req);
         let deadline = sim.now() + cfg.http_wait;
-        while let Some((state, peer_closed, done)) =
-            handle.conn_ready(conn, HttpResponse::is_complete)
-        {
+        while let Some((state, peer_closed, done)) = handle.with_conn(conn, |c| {
+            (
+                c.state,
+                c.peer_closed(),
+                HttpResponse::is_complete(c.received()),
+            )
+        }) {
             if done || peer_closed || state == TcpState::Closed || sim.now() >= deadline {
                 break;
             }
             let step = (deadline.0 - sim.now().0).min(cfg.poll_quantum.0);
             sim.run_for(Nanos(step));
         }
-        // Status parse borrows the receive buffer in place — no snapshot
-        // clone for a verdict that only needs the status code.
-        if let Some(Ok(status)) = handle.with_received(conn, HttpResponse::status_of) {
+        // The status parse borrows the receive buffer in place.
+        if let Some(Ok(status)) = handle.with_conn(conn, |c| HttpResponse::status_of(c.received()))
+        {
             result.reachable = true;
             result.http_status = Some(status);
         }
         handle.tcp_close(sim, conn);
         sim.run_for(Nanos::from_millis(500));
     }
-    if let Some(reason) = handle.conn_close_reason(conn) {
+    if let Some(reason) = handle.with_conn(conn, |c| c.close_reason) {
         result.close_reason = reason;
     }
     handle.remove_conn(conn);

@@ -87,7 +87,7 @@ pub fn traceroute(
             sim.run_until(deadline);
             // Drain ICMP; late answers for earlier TTLs are filed correctly
             // via the port map.
-            for icmp in handle.icmp_recv_all() {
+            while let Some(icmp) = handle.icmp_recv() {
                 let (quoted, is_port_unreach) = match &icmp.msg {
                     IcmpMessage::TimeExceeded { quoted } => (quoted, false),
                     IcmpMessage::DestUnreachable { code, quoted } => {

@@ -733,7 +733,8 @@ fn mismatch(path: &str, expects: &str, found: &str) -> SpecError {
 
 /// Read the TOML subset the spec format uses, applying each value onto
 /// the defaults as its line is read: `#` comments, `[section]` headers
-/// (dotted, each opened once), `key = value` pairs (dotted keys allowed)
+/// (dotted, each opened once, never for a table that dotted keys
+/// created), `key = value` pairs (dotted keys allowed)
 /// with basic-string, integer/float and boolean values. No arrays, no
 /// inline tables, no multi-line strings — the format is deliberately
 /// flat. The earliest bad line is the error.
@@ -741,7 +742,9 @@ fn read_toml(input: &str) -> Result<ScenarioSpec, SpecError> {
     let mut spec = ScenarioSpec::paper2015();
     let mut seen = [false; KEYS.len()];
     let mut section = String::new();
-    let mut opened: Vec<(String, usize)> = Vec::new(); // header, its line
+    // Each table a header opened or a dotted key created, the line that
+    // did it, and how: TOML defines a table only once.
+    let mut defined: Vec<(String, usize, &str)> = Vec::new();
     for (idx, raw) in input.lines().enumerate() {
         let lineno = idx + 1;
         let line = strip_toml_comment(raw).trim();
@@ -760,12 +763,10 @@ fn read_toml(input: &str) -> Result<ScenarioSpec, SpecError> {
             if let Some(k) = lookup(&section)? {
                 return Err(mismatch(&section, KEYS[k].1.expects(), "table"));
             }
-            if let Some((_, first)) = opened.iter().find(|(s, _)| *s == section) {
-                return err(format!(
-                    "table `[{section}]` already opened at line {first}"
-                ));
+            if let Some((_, first, how)) = defined.iter().find(|(t, ..)| *t == section) {
+                return err(format!("table `[{section}]` already {how} at line {first}"));
             }
-            opened.push((section.clone(), lineno));
+            defined.push((section.clone(), lineno, "opened"));
             continue;
         }
         let Some(eq) = line.find('=') else {
@@ -776,6 +777,14 @@ fn read_toml(input: &str) -> Result<ScenarioSpec, SpecError> {
             "" => key,
             section => format!("{section}.{key}"),
         };
+        let tables = path
+            .match_indices('.')
+            .filter(|&(dot, _)| dot > section.len());
+        for (dot, _) in tables {
+            if !defined.iter().any(|(t, ..)| *t == path[..dot]) {
+                defined.push((path[..dot].to_string(), lineno, "created by a dotted key"));
+            }
+        }
         let token = parse_toml_value(line[eq + 1..].trim(), lineno)?;
         let Some(k) = lookup(&path)? else {
             return Err(mismatch(&path, "a table", token.kind()));

@@ -169,7 +169,7 @@ fn traceroute_probe_reveals_bleached_hop_via_quote() {
             let deadline = sc.sim.now() + Nanos::from_millis(400);
             sc.sim.run_until(deadline);
             let mut answered = false;
-            for icmp in handle.icmp_recv_all() {
+            while let Some(icmp) = handle.icmp_recv() {
                 if let IcmpMessage::TimeExceeded { quoted } = &icmp.msg {
                     answered = true;
                     let qh = Ipv4Header::decode(quoted).expect("quote parses");
@@ -211,16 +211,20 @@ fn http_probe_with_ecn_negotiation_works_against_pool_web_server() {
     let conn = handle.tcp_connect(&mut sc.sim, (addr, 80), true);
     let deadline = sc.sim.now() + Nanos::from_secs(3);
     sc.sim.run_until(deadline);
-    let snap = handle.conn(conn).expect("conn");
-    assert_eq!(snap.state, TcpState::Established);
-    assert!(snap.ecn_negotiated, "ECN-setup SYN-ACK received");
+    let (state, negotiated) = handle
+        .with_conn(conn, |c| (c.state, c.ecn_negotiated))
+        .expect("conn");
+    assert_eq!(state, TcpState::Established);
+    assert!(negotiated, "ECN-setup SYN-ACK received");
     let mut req = Vec::new();
     encode_get_root_into(addr, &mut req);
     handle.tcp_send(&mut sc.sim, conn, &req);
     let deadline = sc.sim.now() + Nanos::from_secs(5);
     sc.sim.run_until(deadline);
-    let snap = handle.conn(conn).expect("conn");
-    let status = HttpResponse::status_of(&snap.received).expect("http response");
+    let status = handle
+        .with_conn(conn, |c| HttpResponse::status_of(c.received()))
+        .expect("conn")
+        .expect("http response");
     assert!(status == 302 || status == 200);
     handle.tcp_close(&mut sc.sim, conn);
 }

@@ -18,7 +18,8 @@
 //!
 //! External code (the prober) drives a host through [`HostHandle`] while
 //! stepping the simulator — mirroring how a real measurement tool wraps
-//! raw sockets.
+//! raw sockets — and reads a connection in place with
+//! [`HostHandle::with_conn`].
 
 pub mod availability;
 pub mod services;
@@ -28,10 +29,7 @@ pub mod validator;
 
 pub use availability::{Availability, AvailabilityModel, FlapMarks};
 pub use services::{TcpService, TcpServiceAction, UdpService};
-pub use stack::{
-    install, ConnId, ConnSnapshot, HostHandle, IcmpReceived, StackAgent, StackConfig, StackShared,
-    UdpReceived,
-};
+pub use stack::{install, ConnId, HostHandle, IcmpReceived, StackConfig, UdpReceived};
 pub use tcp::{CloseReason, EcnMode, Emit, HandshakeRecord, TcpConn, TcpState, MSS};
 pub use validator::{
     EcnValidator, FailureKind, ValidationOutcome, ValidatorParams, ValidatorState,

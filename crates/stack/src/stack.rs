@@ -6,10 +6,19 @@
 //! give a live measurement tool — bind, send with an explicit ECN codepoint
 //! and TTL, receive, plus an ICMP inbox — so the measurement application
 //! above it would port to real raw sockets without structural change.
+//!
+//! Every operation on an existing TCP connection — an arriving segment, a
+//! retransmission timeout, a send, a close — goes through one driver,
+//! `StackShared::drive`. It runs the operation into the stack's one emit
+//! scratch, sets the connection's deadline to `now + rto` when the
+//! operation left it armed (and clears it otherwise), and composes each
+//! emitted segment into a pooled datagram. Its caller then arms the timer
+//! and sends. A timer that fires at any other time than the deadline was
+//! superseded and does nothing; so does one whose connection is gone.
 
 use crate::availability::{host_label, Availability, AvailabilityModel, FlapMarks};
 use crate::services::{TcpService, TcpServiceAction, UdpService};
-use crate::tcp::{CloseReason, EcnMode, Emit, HandshakeRecord, TcpConn, TcpState};
+use crate::tcp::{EcnMode, Emit, TcpConn, TcpState};
 use ecn_netsim::{HostAgent, HostApi, Nanos, NodeId, Sim};
 use ecn_wire::{
     Datagram, Ecn, IcmpMessage, IpProto, Ipv4Header, TcpFlags, TcpHeader, UdpHeader, WireError,
@@ -17,7 +26,7 @@ use ecn_wire::{
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -86,27 +95,6 @@ pub struct IcmpReceived {
     pub msg: IcmpMessage,
 }
 
-/// Read-only view of a connection for external drivers.
-#[derive(Debug, Clone)]
-pub struct ConnSnapshot {
-    /// Protocol state.
-    pub state: TcpState,
-    /// Why it closed, if closed.
-    pub close_reason: Option<CloseReason>,
-    /// Did RFC 3168 negotiation succeed?
-    pub ecn_negotiated: bool,
-    /// Handshake observations (SYN-ACK flags etc).
-    pub handshake: HandshakeRecord,
-    /// In-order bytes received and not yet drained.
-    pub received: Vec<u8>,
-    /// Peer has half-closed.
-    pub peer_closed: bool,
-    /// CE-marked segments seen.
-    pub ce_received: u32,
-    /// Congestion responses taken (ECE-triggered).
-    pub congestion_events: u32,
-}
-
 struct Listener {
     ecn_mode: EcnMode,
     service: Option<Box<dyn TcpService>>,
@@ -114,22 +102,59 @@ struct Listener {
 
 struct ConnEntry {
     conn: TcpConn,
-    server: bool,
+    /// The port of the listener that accepted it; `None` for a
+    /// connection this host opened.
     listener_port: Option<u16>,
+    /// When the armed retransmission timer is due; `None` when unarmed.
     timer_deadline: Option<Nanos>,
     service_responded: bool,
 }
 
+impl ConnEntry {
+    /// Run the listener's service over the request buffered so far, and
+    /// close a server's side once its client has half-closed, appending
+    /// the segments to send to `out`.
+    fn serve(&mut self, listeners: &mut HashMap<u16, Listener>, now: Nanos, out: &mut Vec<Emit>) {
+        let Some(port) = self.listener_port else {
+            return;
+        };
+        if !self.service_responded && !self.conn.received().is_empty() {
+            let service = listeners.get_mut(&port).and_then(|l| l.service.as_mut());
+            if let Some(service) = service {
+                match service.on_data(now, self.conn.received()) {
+                    TcpServiceAction::Wait => {}
+                    TcpServiceAction::Respond { bytes, close } => {
+                        self.service_responded = true;
+                        self.conn.take_received();
+                        self.conn.send_into(&bytes, out);
+                        if close {
+                            self.conn.close_into(out);
+                        }
+                    }
+                    TcpServiceAction::Abort => {
+                        self.service_responded = true;
+                        self.conn.abort_into(out);
+                    }
+                }
+            }
+        }
+        // If the client half-closed and we have nothing more to say, close
+        // our side too.
+        if self.conn.peer_closed() && self.conn.state == TcpState::CloseWait {
+            self.conn.close_into(out);
+        }
+    }
+}
+
 /// State shared between the in-sim agent and the external handle.
-pub struct StackShared {
+pub(crate) struct StackShared {
     addr: Ipv4Addr,
     config: StackConfig,
     availability: Availability,
-    udp_socks: HashMap<u16, VecDeque<UdpReceived>>,
-    /// Ports bound as sinks: arriving datagrams are accepted (no ICMP
-    /// port-unreachable) but never queued — capture-verdict probes use
-    /// these to skip the per-datagram payload copy entirely.
-    udp_sinks: HashSet<u16>,
+    /// Bound UDP ports. A socket queues what arrives; a sink (`None`)
+    /// accepts it (no ICMP port-unreachable) but never copies the payload
+    /// — capture-verdict probes bind sinks.
+    udp_ports: HashMap<u16, Option<VecDeque<UdpReceived>>>,
     udp_services: HashMap<u16, Box<dyn UdpService>>,
     icmp_inbox: VecDeque<IcmpReceived>,
     listeners: HashMap<u16, Listener>,
@@ -139,8 +164,8 @@ pub struct StackShared {
     next_ephemeral: u16,
     ip_ident: u16,
     rng: SmallRng,
-    /// Reusable segment-emit buffer shared by every TCP entry point
-    /// (capacity survives across segments and connections).
+    /// Reusable segment-emit buffer of the TCP driver (capacity survives
+    /// across segments and connections).
     emit_scratch: Vec<Emit>,
 }
 
@@ -154,8 +179,7 @@ impl StackShared {
         StackShared {
             addr,
             availability,
-            udp_socks: HashMap::new(),
-            udp_sinks: HashSet::with_capacity(4),
+            udp_ports: HashMap::new(),
             udp_services: HashMap::new(),
             icmp_inbox: VecDeque::new(),
             listeners: HashMap::new(),
@@ -210,46 +234,51 @@ impl StackShared {
         })
     }
 
-    /// Run the listener service against a connection's buffered request,
-    /// appending segments to transmit to `out`.
-    fn pump_service_into(&mut self, id: ConnId, now: Nanos, out: &mut Vec<Emit>) {
-        let Some(entry) = self.conns.get_mut(&id) else {
-            return;
-        };
-        let Some(port) = entry.listener_port else {
-            return;
-        };
-        if !entry.service_responded && !entry.conn.received().is_empty() {
-            if let Some(listener) = self.listeners.get_mut(&port) {
-                if let Some(service) = listener.service.as_mut() {
-                    match service.on_data(now, entry.conn.received()) {
-                        TcpServiceAction::Wait => {}
-                        TcpServiceAction::Respond { bytes, close } => {
-                            entry.service_responded = true;
-                            entry.conn.take_received();
-                            entry.conn.send_into(&bytes, now, out);
-                            if close {
-                                entry.conn.close_into(out);
-                            }
-                        }
-                        TcpServiceAction::Abort => {
-                            entry.service_responded = true;
-                            entry.conn.abort_into(out);
-                        }
-                    }
-                }
-            }
+    /// The TCP driver. Takes the emit scratch, runs `op` on connection
+    /// `id`, sets the connection's deadline to `now + rto` if `op` left it
+    /// armed and clears it otherwise, composes each emit into `out` in a
+    /// buffer from `take_buf`, and hands the scratch back. Returns the RTO
+    /// to arm a timer with, `None` when unarmed or when there is no such
+    /// connection. The caller arms that timer before it sends `out`, so
+    /// that at an equal time the timer dispatches first (DESIGN.md § Event
+    /// loop).
+    fn drive(
+        &mut self,
+        id: ConnId,
+        now: Nanos,
+        op: impl FnOnce(&mut ConnEntry, &mut HashMap<u16, Listener>, &mut Vec<Emit>),
+        mut take_buf: impl FnMut() -> Vec<u8>,
+        out: &mut Vec<Datagram>,
+    ) -> Option<Nanos> {
+        let entry = self.conns.get_mut(&id)?;
+        let mut emits = std::mem::take(&mut self.emit_scratch);
+        op(entry, &mut self.listeners, &mut emits);
+        let arm = entry.conn.timer_armed.then(|| entry.conn.rto());
+        entry.timer_deadline = arm.map(|rto| now + rto);
+        let remote = entry.conn.remote.0;
+        for emit in emits.drain(..) {
+            let dgram = self.tcp_datagram(take_buf(), remote, &emit);
+            out.push(dgram);
         }
-        // Server side: if the client half-closed and we have nothing more
-        // to say, close our side too.
-        if entry.server && entry.conn.peer_closed() && entry.conn.state == TcpState::CloseWait {
-            entry.conn.close_into(out);
+        self.emit_scratch = emits;
+        arm
+    }
+
+    /// The next ephemeral port (40000 and up, wrapping) that `taken` does
+    /// not claim.
+    fn ephemeral_port(&mut self, taken: impl Fn(&StackShared, u16) -> bool) -> u16 {
+        loop {
+            let port = self.next_ephemeral;
+            self.next_ephemeral = self.next_ephemeral.wrapping_add(1).max(40_000);
+            if !taken(self, port) {
+                return port;
+            }
         }
     }
 }
 
 /// The in-sim agent half of the stack.
-pub struct StackAgent {
+struct StackAgent {
     shared: Arc<Mutex<StackShared>>,
     /// Reusable outgoing-datagram scratch (capacity survives dispatches).
     out: Vec<Datagram>,
@@ -284,23 +313,22 @@ impl StackAgent {
         let Ok((uh, body)) = decoded else {
             return; // corrupt: silently dropped, like a real stack
         };
-        if let Some(inbox) = sh.udp_socks.get_mut(&uh.dst_port) {
-            inbox.push_back(UdpReceived {
-                at: now,
-                src: (header.src, uh.src_port),
-                dst_port: uh.dst_port,
-                ecn: header.ecn,
-                payload: body.to_vec(),
-            });
-            return;
+        match sh.udp_ports.get_mut(&uh.dst_port) {
+            Some(Some(inbox)) => {
+                inbox.push_back(UdpReceived {
+                    at: now,
+                    src: (header.src, uh.src_port),
+                    dst_port: uh.dst_port,
+                    ecn: header.ecn,
+                    payload: body.to_vec(),
+                });
+                return;
+            }
+            Some(None) => return, // a sink: accepted, payload never copied
+            None => {}
         }
-        if sh.udp_sinks.contains(&uh.dst_port) {
-            return; // accepted and discarded, payload never copied
-        }
-        if sh.udp_services.contains_key(&uh.dst_port) {
-            let mut svc = sh.udp_services.remove(&uh.dst_port).expect("present");
-            let response = svc.handle(now, (header.src, uh.src_port), header.ecn, body);
-            sh.udp_services.insert(uh.dst_port, svc);
+        if let Some(service) = sh.udp_services.get_mut(&uh.dst_port) {
+            let response = service.handle(now, (header.src, uh.src_port), header.ecn, body);
             if let Some(bytes) = response {
                 let reply = sh.udp_datagram(
                     api.take_buf(),
@@ -341,34 +369,16 @@ impl StackAgent {
         let key = (th.dst_port, header.src, th.src_port);
 
         if let Some(&id) = sh.conn_lookup.get(&key) {
-            let mut emits = std::mem::take(&mut sh.emit_scratch);
-            emits.clear();
-            {
-                let entry = sh.conns.get_mut(&id).expect("conn in lookup");
-                entry
-                    .conn
-                    .on_segment_into(&th, body, header.ecn, &mut emits);
-            }
-            sh.pump_service_into(id, now, &mut emits);
-            let entry = sh.conns.get_mut(&id).expect("conn in lookup");
-            let remote = entry.conn.remote.0;
-            let arm = entry.conn.timer_armed.then(|| entry.conn.rto());
-            let closed = entry.conn.state == TcpState::Closed;
-            let server = entry.server;
-            if let Some(rto) = arm {
-                entry.timer_deadline = Some(now + rto);
+            let segment = |entry: &mut ConnEntry, listeners: &mut _, emits: &mut _| {
+                entry.conn.on_segment_into(&th, body, header.ecn, emits);
+                entry.serve(listeners, now, emits);
+            };
+            if let Some(rto) = sh.drive(id, now, segment, || api.take_buf(), out) {
                 api.set_timer(rto, id);
-            } else {
-                entry.timer_deadline = None;
             }
-            for e in &emits {
-                let buf = api.take_buf();
-                out.push(sh.tcp_datagram(buf, remote, e));
-            }
-            emits.clear();
-            sh.emit_scratch = emits;
-            if closed && server {
-                // server connections are garbage-collected once done
+            // server connections are garbage-collected once done
+            let entry = &sh.conns[&id];
+            if entry.listener_port.is_some() && entry.conn.state == TcpState::Closed {
                 sh.conns.remove(&id);
                 sh.conn_lookup.remove(&key);
             }
@@ -394,7 +404,6 @@ impl StackAgent {
                     id,
                     ConnEntry {
                         conn,
-                        server: true,
                         listener_port: Some(th.dst_port),
                         timer_deadline: Some(now + rto),
                         service_responded: false,
@@ -488,32 +497,14 @@ impl HostAgent for StackAgent {
         let mut out = std::mem::take(&mut self.out);
         {
             let sh = &mut *self.shared.lock();
-            let mut emits = std::mem::take(&mut sh.emit_scratch);
-            emits.clear();
-            let Some(entry) = sh.conns.get_mut(&token) else {
-                sh.emit_scratch = emits;
-                self.out = out;
-                return;
-            };
-            if entry.timer_deadline != Some(now) {
-                sh.emit_scratch = emits;
-                self.out = out;
-                return; // superseded timer
+            let due = sh.conns.get(&token).map(|e| e.timer_deadline) == Some(Some(now));
+            if due {
+                let rto_fired =
+                    |entry: &mut ConnEntry, _: &mut _, emits: &mut _| entry.conn.on_rto_into(emits);
+                if let Some(rto) = sh.drive(token, now, rto_fired, || api.take_buf(), &mut out) {
+                    api.set_timer(rto, token);
+                }
             }
-            entry.timer_deadline = None;
-            let remote = entry.conn.remote.0;
-            entry.conn.on_rto_into(&mut emits);
-            if entry.conn.timer_armed {
-                let rto = entry.conn.rto();
-                entry.timer_deadline = Some(now + rto);
-                api.set_timer(rto, token);
-            }
-            for e in &emits {
-                let buf = api.take_buf();
-                out.push(sh.tcp_datagram(buf, remote, e));
-            }
-            emits.clear();
-            sh.emit_scratch = emits;
         }
         for d in out.drain(..) {
             api.send(d);
@@ -541,21 +532,18 @@ impl HostHandle {
         self.addr
     }
 
-    /// Bind a UDP socket. `port = 0` allocates an ephemeral port.
+    /// Bind a UDP socket. `port = 0` allocates an ephemeral port. Binding
+    /// a sink's port turns it into a socket.
     pub fn udp_bind(&self, port: u16) -> u16 {
         let mut sh = self.shared.lock();
-        let port = if port == 0 {
-            loop {
-                let p = sh.next_ephemeral;
-                sh.next_ephemeral = sh.next_ephemeral.wrapping_add(1).max(40_000);
-                if !sh.udp_socks.contains_key(&p) && !sh.udp_sinks.contains(&p) {
-                    break p;
-                }
-            }
-        } else {
-            port
+        let port = match port {
+            0 => sh.ephemeral_port(|sh, p| sh.udp_ports.contains_key(&p)),
+            port => port,
         };
-        sh.udp_socks.entry(port).or_default();
+        sh.udp_ports
+            .entry(port)
+            .or_default()
+            .get_or_insert_with(VecDeque::new);
         port
     }
 
@@ -565,14 +553,8 @@ impl HostHandle {
     /// the socket.
     pub fn udp_bind_sink(&self) -> u16 {
         let mut sh = self.shared.lock();
-        let port = loop {
-            let p = sh.next_ephemeral;
-            sh.next_ephemeral = sh.next_ephemeral.wrapping_add(1).max(40_000);
-            if !sh.udp_socks.contains_key(&p) && !sh.udp_sinks.contains(&p) {
-                break p;
-            }
-        };
-        sh.udp_sinks.insert(port);
+        let port = sh.ephemeral_port(|sh, p| sh.udp_ports.contains_key(&p));
+        sh.udp_ports.insert(port, None);
         port
     }
 
@@ -609,28 +591,17 @@ impl HostHandle {
     /// Close a bound UDP socket or sink, freeing the port for reuse.
     /// Queued datagrams are discarded.
     pub fn udp_close(&self, port: u16) {
-        let mut sh = self.shared.lock();
-        sh.udp_socks.remove(&port);
-        sh.udp_sinks.remove(&port);
+        self.shared.lock().udp_ports.remove(&port);
     }
 
-    /// Pop the oldest datagram from a bound socket.
-    pub fn udp_recv(&self, src_port: u16) -> Option<UdpReceived> {
+    /// Pop the oldest datagram from a bound socket (`None` from a sink).
+    pub fn udp_recv(&self, port: u16) -> Option<UdpReceived> {
         self.shared
             .lock()
-            .udp_socks
-            .get_mut(&src_port)
-            .and_then(|q| q.pop_front())
-    }
-
-    /// Drain all queued datagrams from a bound socket.
-    pub fn udp_recv_all(&self, src_port: u16) -> Vec<UdpReceived> {
-        self.shared
-            .lock()
-            .udp_socks
-            .get_mut(&src_port)
-            .map(|q| q.drain(..).collect())
-            .unwrap_or_default()
+            .udp_ports
+            .get_mut(&port)?
+            .as_mut()?
+            .pop_front()
     }
 
     /// Pop the oldest ICMP message.
@@ -638,25 +609,18 @@ impl HostHandle {
         self.shared.lock().icmp_inbox.pop_front()
     }
 
-    /// Drain the ICMP inbox.
-    pub fn icmp_recv_all(&self) -> Vec<IcmpReceived> {
-        self.shared.lock().icmp_inbox.drain(..).collect()
-    }
-
     /// Open a TCP connection; `ecn` requests RFC 3168 negotiation
     /// (an ECN-setup SYN). Returns the connection id immediately; progress
-    /// is observed via [`HostHandle::conn`] snapshots as the sim runs.
+    /// is read with [`HostHandle::with_conn`] as the sim runs.
+    ///
+    /// Unlike the other TCP calls, this sends the SYN before it arms the
+    /// SYN's timer.
     pub fn tcp_connect(&self, sim: &mut Sim, remote: (Ipv4Addr, u16), ecn: bool) -> ConnId {
         let buf = sim.take_buf();
         let (id, dgram, rto) = {
             let mut sh = self.shared.lock();
-            let port = loop {
-                let p = sh.next_ephemeral;
-                sh.next_ephemeral = sh.next_ephemeral.wrapping_add(1).max(40_000);
-                if !sh.conn_lookup.contains_key(&(p, remote.0, remote.1)) {
-                    break p;
-                }
-            };
+            let port =
+                sh.ephemeral_port(|sh, p| sh.conn_lookup.contains_key(&(p, remote.0, remote.1)));
             let iss: u32 = sh.rng.gen();
             let mode = if ecn { EcnMode::On } else { EcnMode::Off };
             let (conn, syn) = TcpConn::connect((sh.addr, port), remote, iss, mode);
@@ -668,7 +632,6 @@ impl HostHandle {
                 id,
                 ConnEntry {
                     conn,
-                    server: false,
                     listener_port: None,
                     timer_deadline: Some(deadline),
                     service_responded: false,
@@ -694,118 +657,41 @@ impl HostHandle {
 
     /// Queue bytes on an established connection.
     pub fn tcp_send(&self, sim: &mut Sim, id: ConnId, data: &[u8]) {
-        let out = {
-            let sh = &mut *self.shared.lock();
-            let now = sim.now();
-            let mut emits = std::mem::take(&mut sh.emit_scratch);
-            emits.clear();
-            let Some(entry) = sh.conns.get_mut(&id) else {
-                sh.emit_scratch = emits;
-                return;
-            };
-            entry.conn.send_into(data, now, &mut emits);
-            let remote = entry.conn.remote.0;
-            if entry.conn.timer_armed {
-                let rto = entry.conn.rto();
-                entry.timer_deadline = Some(now + rto);
-                sim.set_timer(self.node, rto, id);
-            }
-            let out = emits
-                .iter()
-                .map(|e| sh.tcp_datagram(sim.take_buf(), remote, e))
-                .collect::<Vec<_>>();
-            emits.clear();
-            sh.emit_scratch = emits;
-            out
-        };
-        for d in out {
-            sim.send_from(self.node, d);
-        }
+        self.drive(sim, id, |entry, _, emits| entry.conn.send_into(data, emits));
     }
 
     /// Close the connection gracefully.
     pub fn tcp_close(&self, sim: &mut Sim, id: ConnId) {
-        let out = {
-            let sh = &mut *self.shared.lock();
-            let now = sim.now();
-            let mut emits = std::mem::take(&mut sh.emit_scratch);
-            emits.clear();
-            let Some(entry) = sh.conns.get_mut(&id) else {
-                sh.emit_scratch = emits;
-                return;
-            };
-            entry.conn.close_into(&mut emits);
-            let remote = entry.conn.remote.0;
-            if entry.conn.timer_armed {
-                let rto = entry.conn.rto();
-                entry.timer_deadline = Some(now + rto);
-                sim.set_timer(self.node, rto, id);
-            }
-            let out = emits
-                .iter()
-                .map(|e| sh.tcp_datagram(sim.take_buf(), remote, e))
-                .collect::<Vec<_>>();
-            emits.clear();
-            sh.emit_scratch = emits;
-            out
-        };
-        for d in out {
-            sim.send_from(self.node, d);
+        self.drive(sim, id, |entry, _, emits| entry.conn.close_into(emits));
+    }
+
+    /// Run `op` on connection `id` through the stack's TCP driver, then arm
+    /// the connection's timer and send what `op` emitted.
+    fn drive(
+        &self,
+        sim: &mut Sim,
+        id: ConnId,
+        op: impl FnOnce(&mut ConnEntry, &mut HashMap<u16, Listener>, &mut Vec<Emit>),
+    ) {
+        let now = sim.now();
+        let mut out = Vec::new();
+        let arm = self
+            .shared
+            .lock()
+            .drive(id, now, op, || sim.take_buf(), &mut out);
+        if let Some(rto) = arm {
+            sim.set_timer(self.node, rto, id);
+        }
+        for dgram in out {
+            sim.send_from(self.node, dgram);
         }
     }
 
-    /// The connection's protocol state alone — the cheap polling
-    /// companion of [`HostHandle::conn`], which clones the receive buffer
-    /// on every call. Handshake wait-loops should poll this.
-    pub fn conn_state(&self, id: ConnId) -> Option<TcpState> {
-        self.shared.lock().conns.get(&id).map(|e| e.conn.state)
-    }
-
-    /// Poll a connection's progress without cloning its buffers: returns
-    /// `(state, peer_closed, done)` where `done` is the predicate
-    /// evaluated over the in-order received bytes under the lock (e.g.
-    /// `HttpResponse::is_complete`).
-    pub fn conn_ready(
-        &self,
-        id: ConnId,
-        done: impl FnOnce(&[u8]) -> bool,
-    ) -> Option<(TcpState, bool, bool)> {
-        let sh = self.shared.lock();
-        sh.conns
-            .get(&id)
-            .map(|e| (e.conn.state, e.conn.peer_closed(), done(e.conn.received())))
-    }
-
-    /// Run `f` over the connection's in-order received bytes under the
-    /// lock — the zero-copy companion of [`HostHandle::conn`] for readers
-    /// that only need to parse, not own, the bytes.
-    pub fn with_received<R>(&self, id: ConnId, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
-        let sh = self.shared.lock();
-        sh.conns.get(&id).map(|e| f(e.conn.received()))
-    }
-
-    /// Why the connection closed (outer `None`: no such connection).
-    pub fn conn_close_reason(&self, id: ConnId) -> Option<Option<CloseReason>> {
-        self.shared
-            .lock()
-            .conns
-            .get(&id)
-            .map(|e| e.conn.close_reason)
-    }
-
-    /// Snapshot a connection's state.
-    pub fn conn(&self, id: ConnId) -> Option<ConnSnapshot> {
-        let sh = self.shared.lock();
-        sh.conns.get(&id).map(|e| ConnSnapshot {
-            state: e.conn.state,
-            close_reason: e.conn.close_reason,
-            ecn_negotiated: e.conn.ecn_negotiated,
-            handshake: e.conn.handshake,
-            received: e.conn.received().to_vec(),
-            peer_closed: e.conn.peer_closed(),
-            ce_received: e.conn.ce_received,
-            congestion_events: e.conn.congestion_events,
-        })
+    /// Run `read` over connection `id` under the stack's lock, so a poll
+    /// or a verdict reads the state and the received bytes in place;
+    /// `None` if there is no such connection.
+    pub fn with_conn<R>(&self, id: ConnId, read: impl FnOnce(&TcpConn) -> R) -> Option<R> {
+        self.shared.lock().conns.get(&id).map(|e| read(&e.conn))
     }
 
     /// Forget a finished connection (frees its port for reuse).

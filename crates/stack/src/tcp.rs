@@ -9,8 +9,9 @@
 //! delayed ACKs, TIME_WAIT timers.
 //!
 //! The machine is *pure*: inputs are segments/timeouts/user calls, outputs
-//! are [`Emit`] records. The stack agent turns emits into checksummed wire
-//! segments; tests drive the machine directly.
+//! are [`Emit`] records appended to a caller-owned buffer (the stack reuses
+//! one across every connection). The stack agent turns emits into
+//! checksummed wire segments; tests drive the machine directly.
 
 use ecn_netsim::Nanos;
 use ecn_wire::{Ecn, TcpFlags, TcpHeader, TcpOption};
@@ -294,17 +295,9 @@ impl TcpConn {
         self.peer_fin
     }
 
-    /// Queue application data; returns segments to send now.
-    pub fn send(&mut self, data: &[u8], now: Nanos) -> Vec<Emit> {
-        let mut out = Vec::new();
-        self.send_into(data, now, &mut out);
-        out
-    }
-
-    /// [`TcpConn::send`], appending into a caller-owned buffer — the
-    /// stack's hot path reuses one scratch vector across all connections.
-    pub fn send_into(&mut self, data: &[u8], now: Nanos, out: &mut Vec<Emit>) {
-        let _ = now;
+    /// Queue application data, appending the segments the window lets go
+    /// now to `out`.
+    pub fn send_into(&mut self, data: &[u8], out: &mut Vec<Emit>) {
         if matches!(
             self.state,
             TcpState::Closed | TcpState::FinWait1 | TcpState::FinWait2 | TcpState::LastAck
@@ -315,14 +308,8 @@ impl TcpConn {
         self.pump_into(out);
     }
 
-    /// Begin an orderly close; returns segments (possibly a FIN) to send.
-    pub fn close(&mut self) -> Vec<Emit> {
-        let mut out = Vec::new();
-        self.close_into(&mut out);
-        out
-    }
-
-    /// [`TcpConn::close`], appending into a caller-owned buffer.
+    /// Begin an orderly close, appending the FIN to `out` once everything
+    /// queued is sent. A close before the handshake ends aborts silently.
     pub fn close_into(&mut self, out: &mut Vec<Emit>) {
         match self.state {
             TcpState::Closed | TcpState::FinWait1 | TcpState::FinWait2 | TcpState::LastAck => {}
@@ -338,14 +325,7 @@ impl TcpConn {
         }
     }
 
-    /// Abort with RST.
-    pub fn abort(&mut self) -> Vec<Emit> {
-        let mut out = Vec::new();
-        self.abort_into(&mut out);
-        out
-    }
-
-    /// [`TcpConn::abort`], appending into a caller-owned buffer.
+    /// Abort, appending a RST to `out`.
     pub fn abort_into(&mut self, out: &mut Vec<Emit>) {
         let rst = self.emit(
             TcpFlags::RST | TcpFlags::ACK,
@@ -374,6 +354,11 @@ impl TcpConn {
             return;
         }
         let window = (self.peer_window as usize).min(self.cwnd).max(MSS);
+        let ecn = match (self.ecn_negotiated, self.force_ce_data) {
+            (false, _) => Ecn::NotEct,
+            (true, false) => Ecn::Ect0,
+            (true, true) => Ecn::Ce,
+        };
         loop {
             let in_flight = self.snd_nxt.wrapping_sub(self.snd_una) as usize;
             let buffered_from = self.snd_nxt.wrapping_sub(self.send_buf_seq) as usize;
@@ -382,28 +367,7 @@ impl TcpConn {
                 break;
             }
             let take = available.min(MSS).min(window - in_flight);
-            let chunk: Vec<u8> = self
-                .send_buf
-                .iter()
-                .skip(buffered_from)
-                .take(take)
-                .copied()
-                .collect();
-            let mut flags = self.ack_flags() | TcpFlags::PSH;
-            if self.cwr_pending && self.ecn_negotiated {
-                flags = flags | TcpFlags::CWR;
-                self.cwr_pending = false;
-            }
-            let ecn = if self.ecn_negotiated {
-                if self.force_ce_data {
-                    Ecn::Ce
-                } else {
-                    Ecn::Ect0
-                }
-            } else {
-                Ecn::NotEct
-            };
-            out.push(self.emit(flags, self.snd_nxt, self.rcv_nxt, chunk, ecn));
+            out.push(self.data_segment(self.snd_nxt, take, ecn));
             self.snd_nxt = self.snd_nxt.wrapping_add(take as u32);
         }
         // FIN once everything queued is sent.
@@ -431,15 +395,27 @@ impl TcpConn {
         }
     }
 
-    /// Handle an arriving segment. `ip_ecn` is the ECN codepoint of the IP
-    /// packet that carried it.
-    pub fn on_segment(&mut self, hdr: &TcpHeader, payload: &[u8], ip_ecn: Ecn) -> Vec<Emit> {
-        let mut out = Vec::new();
-        self.on_segment_into(hdr, payload, ip_ecn, &mut out);
-        out
+    /// The data segment of `len` buffered bytes from `seq`, marked `ecn`.
+    /// It carries CWR once after the peer's ECE (RFC 3168 §6.1.2).
+    fn data_segment(&mut self, seq: u32, len: usize, ecn: Ecn) -> Emit {
+        let offset = seq.wrapping_sub(self.send_buf_seq) as usize;
+        let chunk = self
+            .send_buf
+            .iter()
+            .skip(offset)
+            .take(len)
+            .copied()
+            .collect();
+        let mut flags = self.ack_flags() | TcpFlags::PSH;
+        if self.cwr_pending && self.ecn_negotiated {
+            flags = flags | TcpFlags::CWR;
+            self.cwr_pending = false;
+        }
+        self.emit(flags, seq, self.rcv_nxt, chunk, ecn)
     }
 
-    /// [`TcpConn::on_segment`], appending into a caller-owned buffer.
+    /// Handle an arriving segment, appending the replies to `out`.
+    /// `ip_ecn` is the ECN codepoint of the IP packet that carried it.
     pub fn on_segment_into(
         &mut self,
         hdr: &TcpHeader,
@@ -552,12 +528,10 @@ impl TcpConn {
         }
 
         // Data processing (in-order only).
-        let mut advanced = false;
         if !payload.is_empty() {
             if hdr.seq == self.rcv_nxt {
                 self.recv_buf.extend_from_slice(payload);
                 self.rcv_nxt = self.rcv_nxt.wrapping_add(payload.len() as u32);
-                advanced = true;
                 if ip_ecn == Ecn::Ce {
                     self.ce_received += 1;
                     if self.ecn_negotiated {
@@ -605,18 +579,10 @@ impl TcpConn {
             }
         }
 
-        let _ = advanced;
         self.pump_into(out);
     }
 
-    /// Retransmission timeout fired. Returns segments to resend.
-    pub fn on_rto(&mut self) -> Vec<Emit> {
-        let mut out = Vec::new();
-        self.on_rto_into(&mut out);
-        out
-    }
-
-    /// [`TcpConn::on_rto`], appending into a caller-owned buffer.
+    /// The retransmission timer fired: append what to resend to `out`.
     pub fn on_rto_into(&mut self, out: &mut Vec<Emit>) {
         if !self.timer_armed || self.state == TcpState::Closed {
             return;
@@ -664,24 +630,13 @@ impl TcpConn {
                     return;
                 }
                 let take = (self.send_buf.len() - offset).min(MSS);
-                let chunk: Vec<u8> = self
-                    .send_buf
-                    .iter()
-                    .skip(offset)
-                    .take(take)
-                    .copied()
-                    .collect();
+                // A retransmission goes ECT(0) even under `force_ce_data`.
                 let ecn = if self.ecn_negotiated {
                     Ecn::Ect0
                 } else {
                     Ecn::NotEct
                 };
-                let mut flags = self.ack_flags() | TcpFlags::PSH;
-                if self.cwr_pending && self.ecn_negotiated {
-                    flags = flags | TcpFlags::CWR;
-                    self.cwr_pending = false;
-                }
-                out.push(self.emit(flags, self.snd_una, self.rcv_nxt, chunk, ecn));
+                out.push(self.data_segment(self.snd_una, take, ecn));
             }
         }
     }
@@ -709,6 +664,18 @@ mod tests {
     const C: (Ipv4Addr, u16) = (Ipv4Addr::new(10, 0, 0, 1), 40000);
     const S: (Ipv4Addr, u16) = (Ipv4Addr::new(192, 0, 2, 80), 80);
 
+    /// What one `_into` call appends.
+    fn emits(op: impl FnOnce(&mut Vec<Emit>)) -> Vec<Emit> {
+        let mut out = Vec::new();
+        op(&mut out);
+        out
+    }
+
+    /// Deliver `e` to `conn`; returns the replies.
+    fn deliver(conn: &mut TcpConn, e: &Emit) -> Vec<Emit> {
+        emits(|out| conn.on_segment_into(&e.header, &e.payload, e.ip_ecn, out))
+    }
+
     /// Pipe segments between two endpoints until both go quiet.
     fn exchange(a: &mut TcpConn, b: &mut TcpConn, mut pending_ab: Vec<Emit>) {
         let mut pending_ba: Vec<Emit> = vec![];
@@ -718,11 +685,11 @@ mod tests {
             }
             let mut next_ba = vec![];
             for e in pending_ab.drain(..) {
-                next_ba.extend(b.on_segment(&e.header, &e.payload, e.ip_ecn));
+                next_ba.extend(deliver(b, &e));
             }
             let mut next_ab = vec![];
             for e in pending_ba.drain(..) {
-                next_ab.extend(a.on_segment(&e.header, &e.payload, e.ip_ecn));
+                next_ab.extend(deliver(a, &e));
             }
             pending_ba = next_ba;
             pending_ab = next_ab;
@@ -732,9 +699,8 @@ mod tests {
     fn open_pair(client_mode: EcnMode, server_mode: EcnMode) -> (TcpConn, TcpConn) {
         let (mut c, syn) = TcpConn::connect(C, S, 1000, client_mode);
         let (mut s, syn_ack) = TcpConn::accept(S, C, 9000, &syn.header, server_mode);
-        let acks = c.on_segment(&syn_ack.header, &[], syn_ack.ip_ecn);
-        for e in acks {
-            s.on_segment(&e.header, &e.payload, e.ip_ecn);
+        for e in deliver(&mut c, &syn_ack) {
+            deliver(&mut s, &e);
         }
         (c, s)
     }
@@ -782,19 +748,19 @@ mod tests {
         let (_s, syn_ack) = TcpConn::accept(S, C, 7, &syn.header, EcnMode::On);
         // server with ECN on cannot negotiate if client didn't ask
         assert!(!syn_ack.header.flags.contains(TcpFlags::ECE));
-        let _ = c.on_segment(&syn_ack.header, &[], Ecn::NotEct);
+        deliver(&mut c, &syn_ack);
         assert!(!c.ecn_negotiated);
     }
 
     #[test]
     fn data_transfer_roundtrip() {
         let (mut c, mut s) = open_pair(EcnMode::On, EcnMode::On);
-        let req = c.send(b"GET / HTTP/1.1\r\n\r\n", Nanos::ZERO);
+        let req = emits(|o| c.send_into(b"GET / HTTP/1.1\r\n\r\n", o));
         assert_eq!(req.len(), 1);
         assert_eq!(req[0].ip_ecn, Ecn::Ect0, "data on ECN connection is ECT(0)");
         exchange(&mut c, &mut s, req);
         assert_eq!(s.take_received(), b"GET / HTTP/1.1\r\n\r\n");
-        let rsp = s.send(b"HTTP/1.1 302 Found\r\n\r\n", Nanos::ZERO);
+        let rsp = emits(|o| s.send_into(b"HTTP/1.1 302 Found\r\n\r\n", o));
         exchange(&mut s, &mut c, rsp);
         assert_eq!(c.take_received(), b"HTTP/1.1 302 Found\r\n\r\n");
         assert!(c.all_acked() && s.all_acked());
@@ -803,7 +769,7 @@ mod tests {
     #[test]
     fn non_ecn_connection_sends_not_ect_data() {
         let (mut c, _s) = open_pair(EcnMode::Off, EcnMode::Off);
-        let out = c.send(b"x", Nanos::ZERO);
+        let out = emits(|o| c.send_into(b"x", o));
         assert_eq!(out[0].ip_ecn, Ecn::NotEct);
     }
 
@@ -811,7 +777,7 @@ mod tests {
     fn large_send_segments_at_mss() {
         let (mut c, mut s) = open_pair(EcnMode::On, EcnMode::On);
         let data = vec![7u8; 3 * MSS + 100];
-        let out = c.send(&data, Nanos::ZERO);
+        let out = emits(|o| c.send_into(&data, o));
         assert_eq!(out.len(), 4);
         assert!(out[..3].iter().all(|e| e.payload.len() == MSS));
         assert_eq!(out[3].payload.len(), 100);
@@ -823,24 +789,24 @@ mod tests {
     fn ce_mark_triggers_ece_then_cwr_clears_it() {
         let (mut c, mut s) = open_pair(EcnMode::On, EcnMode::On);
         // Client sends data that gets CE-marked in flight.
-        let mut seg = c.send(b"media frame", Nanos::ZERO);
+        let mut seg = emits(|o| c.send_into(b"media frame", o));
         assert_eq!(seg.len(), 1);
         let mut e = seg.remove(0);
         e.ip_ecn = Ecn::Ce; // router marks it
-        let acks = s.on_segment(&e.header, &e.payload, e.ip_ecn);
+        let acks = deliver(&mut s, &e);
         assert_eq!(s.ce_received, 1);
         let ack = &acks[0];
         assert!(ack.header.flags.contains(TcpFlags::ECE), "ACK echoes ECE");
         // Client reacts: cwnd halves, next data carries CWR.
         let cwnd_before = c.cwnd();
-        let more = c.on_segment(&ack.header, &[], ack.ip_ecn);
+        let more = deliver(&mut c, ack);
         assert!(c.cwnd() < cwnd_before);
         assert_eq!(c.congestion_events, 1);
         let _ = more;
-        let next = c.send(b"next frame", Nanos::ZERO);
+        let next = emits(|o| c.send_into(b"next frame", o));
         assert!(next[0].header.flags.contains(TcpFlags::CWR));
         // Server sees CWR and stops setting ECE.
-        let acks2 = s.on_segment(&next[0].header, &next[0].payload, next[0].ip_ecn);
+        let acks2 = deliver(&mut s, &next[0]);
         assert!(!acks2[0].header.flags.contains(TcpFlags::ECE));
     }
 
@@ -848,11 +814,11 @@ mod tests {
     fn rto_retransmits_syn_then_gives_up() {
         let (mut c, _syn) = TcpConn::connect(C, S, 1, EcnMode::On);
         for i in 0..MAX_RETRIES {
-            let r = c.on_rto();
+            let r = emits(|o| c.on_rto_into(o));
             assert_eq!(r.len(), 1, "retry {i}");
             assert!(r[0].header.flags.is_ecn_setup_syn());
         }
-        assert!(c.on_rto().is_empty());
+        assert!(emits(|o| c.on_rto_into(o)).is_empty());
         assert_eq!(c.state, TcpState::Closed);
         assert_eq!(c.close_reason, Some(CloseReason::TimedOut));
     }
@@ -861,9 +827,9 @@ mod tests {
     fn rto_backs_off_exponentially() {
         let (mut c, _syn) = TcpConn::connect(C, S, 1, EcnMode::Off);
         let r0 = c.rto();
-        c.on_rto();
+        c.on_rto_into(&mut Vec::new());
         let r1 = c.rto();
-        c.on_rto();
+        c.on_rto_into(&mut Vec::new());
         let r2 = c.rto();
         assert_eq!(r1.0, r0.0 * 2);
         assert_eq!(r2.0, r0.0 * 4);
@@ -872,10 +838,10 @@ mod tests {
     #[test]
     fn lost_data_segment_is_retransmitted_and_recovered() {
         let (mut c, mut s) = open_pair(EcnMode::Off, EcnMode::Off);
-        let out = c.send(b"hello", Nanos::ZERO);
+        let out = emits(|o| c.send_into(b"hello", o));
         assert_eq!(out.len(), 1);
         // segment lost; RTO fires
-        let rext = c.on_rto();
+        let rext = emits(|o| c.on_rto_into(o));
         assert_eq!(rext.len(), 1);
         assert_eq!(rext[0].payload, b"hello");
         exchange(&mut c, &mut s, rext);
@@ -886,34 +852,33 @@ mod tests {
     #[test]
     fn out_of_order_segment_elicits_dup_ack_and_is_dropped() {
         let (mut c, mut s) = open_pair(EcnMode::Off, EcnMode::Off);
-        let seg1 = c.send(b"aaaa", Nanos::ZERO);
-        let seg2_only = { c.send(b"bbbb", Nanos::ZERO) };
+        let seg1 = emits(|o| c.send_into(b"aaaa", o));
+        let seg2_only = { emits(|o| c.send_into(b"bbbb", o)) };
         // deliver segment 2 first: server must dup-ACK and not deliver data
-        let acks = s.on_segment(&seg2_only[0].header, &seg2_only[0].payload, Ecn::NotEct);
+        let acks = deliver(&mut s, &seg2_only[0]);
         assert_eq!(acks.len(), 1);
         assert_eq!(acks[0].header.ack, seg1[0].header.seq);
         assert!(s.received().is_empty());
         // now deliver segment 1; its ACK advances the client's snd_una,
         // so the client's RTO retransmits only the still-missing "bbbb"
-        let acks1 = s.on_segment(&seg1[0].header, &seg1[0].payload, Ecn::NotEct);
-        for e in &acks1 {
-            c.on_segment(&e.header, &e.payload, e.ip_ecn);
+        for e in &deliver(&mut s, &seg1[0]) {
+            deliver(&mut c, e);
         }
-        let rext = c.on_rto();
+        let rext = emits(|o| c.on_rto_into(o));
         assert_eq!(rext[0].payload, b"bbbb");
-        let _ = s.on_segment(&rext[0].header, &rext[0].payload, Ecn::NotEct);
+        deliver(&mut s, &rext[0]);
         assert_eq!(s.take_received(), b"aaaabbbb");
     }
 
     #[test]
     fn graceful_close_both_directions() {
         let (mut c, mut s) = open_pair(EcnMode::On, EcnMode::On);
-        let fin = c.close();
+        let fin = emits(|o| c.close_into(o));
         assert_eq!(c.state, TcpState::FinWait1);
         exchange(&mut c, &mut s, fin);
         assert_eq!(s.state, TcpState::CloseWait);
         assert!(s.peer_closed());
-        let fin2 = s.close();
+        let fin2 = emits(|o| s.close_into(o));
         exchange(&mut s, &mut c, fin2);
         assert_eq!(c.state, TcpState::Closed);
         assert_eq!(s.state, TcpState::Closed);
@@ -924,8 +889,8 @@ mod tests {
     #[test]
     fn rst_closes_immediately() {
         let (mut c, mut s) = open_pair(EcnMode::Off, EcnMode::Off);
-        let rst = s.abort();
-        let out = c.on_segment(&rst[0].header, &[], Ecn::NotEct);
+        let rst = emits(|o| s.abort_into(o));
+        let out = deliver(&mut c, &rst[0]);
         assert!(out.is_empty());
         assert_eq!(c.state, TcpState::Closed);
         assert_eq!(c.close_reason, Some(CloseReason::Reset));
@@ -934,7 +899,7 @@ mod tests {
     #[test]
     fn close_during_syn_sent_aborts_silently() {
         let (mut c, _syn) = TcpConn::connect(C, S, 1, EcnMode::On);
-        assert!(c.close().is_empty());
+        assert!(emits(|o| c.close_into(o)).is_empty());
         assert_eq!(c.state, TcpState::Closed);
         assert_eq!(c.close_reason, Some(CloseReason::Aborted));
     }
@@ -943,11 +908,11 @@ mod tests {
     fn data_queued_before_established_flushes_after_handshake() {
         let (mut c, syn) = TcpConn::connect(C, S, 1000, EcnMode::On);
         assert!(
-            c.send(b"early data", Nanos::ZERO).is_empty(),
+            emits(|o| c.send_into(b"early data", o)).is_empty(),
             "nothing before handshake"
         );
         let (mut s, syn_ack) = TcpConn::accept(S, C, 9000, &syn.header, EcnMode::On);
-        let out = c.on_segment(&syn_ack.header, &[], Ecn::NotEct);
+        let out = deliver(&mut c, &syn_ack);
         // out = [ACK, data]
         assert_eq!(out.len(), 2);
         assert_eq!(out[1].payload, b"early data");

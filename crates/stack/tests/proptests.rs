@@ -5,7 +5,7 @@
 //! each replayed the chain alone.
 
 use ecn_netsim::Nanos;
-use ecn_stack::{Availability, AvailabilityModel, EcnMode, FlapMarks, TcpConn, TcpState};
+use ecn_stack::{Availability, AvailabilityModel, EcnMode, Emit, FlapMarks, TcpConn, TcpState};
 use ecn_wire::{Ecn, TcpFlags, TcpHeader};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -16,30 +16,38 @@ use std::sync::Arc;
 const C: (Ipv4Addr, u16) = (Ipv4Addr::new(10, 0, 0, 1), 40000);
 const S: (Ipv4Addr, u16) = (Ipv4Addr::new(192, 0, 2, 80), 80);
 
+/// What one `_into` call appends.
+fn emits(op: impl FnOnce(&mut Vec<Emit>)) -> Vec<Emit> {
+    let mut out = Vec::new();
+    op(&mut out);
+    out
+}
+
 fn open_pair(client: EcnMode, server: EcnMode) -> (TcpConn, TcpConn) {
     let (mut c, syn) = TcpConn::connect(C, S, 1000, client);
     let (mut s, syn_ack) = TcpConn::accept(S, C, 9000, &syn.header, server);
-    let acks = c.on_segment(&syn_ack.header, &[], syn_ack.ip_ecn);
+    let mut acks = Vec::new();
+    c.on_segment_into(&syn_ack.header, &[], syn_ack.ip_ecn, &mut acks);
     for e in acks {
-        s.on_segment(&e.header, &e.payload, e.ip_ecn);
+        s.on_segment_into(&e.header, &e.payload, e.ip_ecn, &mut Vec::new());
     }
     (c, s)
 }
 
 /// Deliver every emitted segment until both sides go quiet.
-fn exchange(a: &mut TcpConn, b: &mut TcpConn, mut a_to_b: Vec<ecn_stack::Emit>) {
-    let mut b_to_a: Vec<ecn_stack::Emit> = vec![];
+fn exchange(a: &mut TcpConn, b: &mut TcpConn, mut a_to_b: Vec<Emit>) {
+    let mut b_to_a: Vec<Emit> = vec![];
     for _ in 0..200 {
         if a_to_b.is_empty() && b_to_a.is_empty() {
             break;
         }
         let mut nb = vec![];
         for e in a_to_b.drain(..) {
-            nb.extend(b.on_segment(&e.header, &e.payload, e.ip_ecn));
+            b.on_segment_into(&e.header, &e.payload, e.ip_ecn, &mut nb);
         }
         let mut na = vec![];
         for e in b_to_a.drain(..) {
-            na.extend(a.on_segment(&e.header, &e.payload, e.ip_ecn));
+            a.on_segment_into(&e.header, &e.payload, e.ip_ecn, &mut na);
         }
         b_to_a = nb;
         a_to_b = na;
@@ -75,7 +83,7 @@ proptest! {
             urgent: 0,
             options: vec![],
         };
-        let _ = c.on_segment(&hdr, &payload, Ecn::from_bits(ecn_bits));
+        c.on_segment_into(&hdr, &payload, Ecn::from_bits(ecn_bits), &mut Vec::new());
         // a random segment is essentially never a valid ECN-setup SYN-ACK
         // for our SYN (ack must equal iss+1 = 2); if it is, flags must
         // actually be ECN-setup.
@@ -93,7 +101,7 @@ proptest! {
         let mut expected = Vec::new();
         for chunk in &chunks {
             expected.extend_from_slice(chunk);
-            let out = c.send(chunk, Nanos::ZERO);
+            let out = emits(|o| c.send_into(chunk, o));
             exchange(&mut c, &mut s, out);
         }
         prop_assert_eq!(s.take_received(), expected);
@@ -122,17 +130,17 @@ proptest! {
         close_first: bool,
     ) {
         let (mut c, mut s) = open_pair(EcnMode::Off, EcnMode::Off);
-        let out = c.send(&data, Nanos::ZERO);
+        let out = emits(|o| c.send_into(&data, o));
         exchange(&mut c, &mut s, out);
         if close_first {
-            let fin = c.close();
+            let fin = emits(|o| c.close_into(o));
             exchange(&mut c, &mut s, fin);
-            let fin2 = s.close();
+            let fin2 = emits(|o| s.close_into(o));
             exchange(&mut s, &mut c, fin2);
         } else {
-            let fin = s.close();
+            let fin = emits(|o| s.close_into(o));
             exchange(&mut s, &mut c, fin);
-            let fin2 = c.close();
+            let fin2 = emits(|o| c.close_into(o));
             exchange(&mut c, &mut s, fin2);
         }
         prop_assert_eq!(c.state, TcpState::Closed);
@@ -146,7 +154,7 @@ proptest! {
         lose_idx in any::<proptest::sample::Index>(),
     ) {
         let (mut c, mut s) = open_pair(EcnMode::On, EcnMode::On);
-        let mut out = c.send(&data, Nanos::ZERO);
+        let mut out = emits(|o| c.send_into(&data, o));
         if !out.is_empty() {
             let idx = lose_idx.index(out.len());
             out.remove(idx); // the network eats one segment
@@ -157,7 +165,7 @@ proptest! {
             if c.all_acked() {
                 break;
             }
-            let rext = c.on_rto();
+            let rext = emits(|o| c.on_rto_into(o));
             exchange(&mut c, &mut s, rext);
         }
         prop_assert!(c.all_acked());

@@ -162,22 +162,31 @@ fn tcp_handshake_with_ecn_negotiation_end_to_end() {
         .register_tcp_listener(80, EcnMode::On, Some(Box::new(LineUpper)));
     let conn = w.client.tcp_connect(&mut w.sim, (SERVER, 80), true);
     w.sim.run_for(Nanos::from_millis(200));
-    let snap = w.client.conn(conn).expect("conn exists");
-    assert_eq!(snap.state, TcpState::Established);
-    assert!(snap.ecn_negotiated);
-    assert!(snap.handshake.got_ecn_setup_syn_ack);
-    let flags = snap.handshake.syn_ack_flags.unwrap();
-    assert!(flags.contains(TcpFlags::ECE) && !flags.contains(TcpFlags::CWR));
+    w.client
+        .with_conn(conn, |c| {
+            assert_eq!(c.state, TcpState::Established);
+            assert!(c.ecn_negotiated);
+            assert!(c.handshake.got_ecn_setup_syn_ack);
+            let flags = c.handshake.syn_ack_flags.unwrap();
+            assert!(flags.contains(TcpFlags::ECE) && !flags.contains(TcpFlags::CWR));
+        })
+        .expect("conn exists");
 
     // Exchange data: request flows ECT(0), the service answers, closes.
     w.client.tcp_send(&mut w.sim, conn, b"hello tcp\n");
     w.sim.run_for(Nanos::from_secs(2));
-    let snap = w.client.conn(conn).unwrap();
-    assert_eq!(snap.received, b"HELLO TCP\n");
-    assert!(snap.peer_closed);
+    w.client
+        .with_conn(conn, |c| {
+            assert_eq!(c.received(), b"HELLO TCP\n");
+            assert!(c.peer_closed());
+        })
+        .unwrap();
     w.client.tcp_close(&mut w.sim, conn);
     w.sim.run_for(Nanos::from_secs(2));
-    assert_eq!(w.client.conn(conn).unwrap().state, TcpState::Closed);
+    assert_eq!(
+        w.client.with_conn(conn, |c| c.state),
+        Some(TcpState::Closed)
+    );
     // server-side entry is garbage collected
     assert_eq!(w.server.conn_count(), 0);
     w.client.remove_conn(conn);
@@ -191,12 +200,15 @@ fn tcp_without_ecn_request_gets_plain_syn_ack() {
         .register_tcp_listener(80, EcnMode::On, Some(Box::new(LineUpper)));
     let conn = w.client.tcp_connect(&mut w.sim, (SERVER, 80), false);
     w.sim.run_for(Nanos::from_millis(200));
-    let snap = w.client.conn(conn).unwrap();
-    assert_eq!(snap.state, TcpState::Established);
-    assert!(!snap.ecn_negotiated);
-    assert!(!snap.handshake.requested_ecn);
-    let flags = snap.handshake.syn_ack_flags.unwrap();
-    assert!(!flags.contains(TcpFlags::ECE));
+    w.client
+        .with_conn(conn, |c| {
+            assert_eq!(c.state, TcpState::Established);
+            assert!(!c.ecn_negotiated);
+            assert!(!c.handshake.requested_ecn);
+            let flags = c.handshake.syn_ack_flags.unwrap();
+            assert!(!flags.contains(TcpFlags::ECE));
+        })
+        .unwrap();
 }
 
 #[test]
@@ -206,11 +218,14 @@ fn tcp_server_with_ecn_off_declines() {
         .register_tcp_listener(80, EcnMode::Off, Some(Box::new(LineUpper)));
     let conn = w.client.tcp_connect(&mut w.sim, (SERVER, 80), true);
     w.sim.run_for(Nanos::from_millis(200));
-    let snap = w.client.conn(conn).unwrap();
-    assert_eq!(snap.state, TcpState::Established);
-    assert!(snap.handshake.requested_ecn);
-    assert!(!snap.ecn_negotiated, "server declined");
-    assert!(!snap.handshake.got_ecn_setup_syn_ack);
+    w.client
+        .with_conn(conn, |c| {
+            assert_eq!(c.state, TcpState::Established);
+            assert!(c.handshake.requested_ecn);
+            assert!(!c.ecn_negotiated, "server declined");
+            assert!(!c.handshake.got_ecn_setup_syn_ack);
+        })
+        .unwrap();
 }
 
 #[test]
@@ -218,9 +233,12 @@ fn tcp_to_closed_port_is_reset() {
     let mut w = build(8, StackConfig::default(), StackConfig::default());
     let conn = w.client.tcp_connect(&mut w.sim, (SERVER, 80), true);
     w.sim.run_for(Nanos::from_millis(200));
-    let snap = w.client.conn(conn).unwrap();
-    assert_eq!(snap.state, TcpState::Closed);
-    assert_eq!(snap.close_reason, Some(ecn_stack::CloseReason::Reset));
+    let (state, reason) = w
+        .client
+        .with_conn(conn, |c| (c.state, c.close_reason))
+        .unwrap();
+    assert_eq!(state, TcpState::Closed);
+    assert_eq!(reason, Some(ecn_stack::CloseReason::Reset));
 }
 
 #[test]
@@ -252,14 +270,15 @@ fn tcp_syn_retransmits_through_loss_and_eventually_connects() {
     server.register_tcp_listener(80, EcnMode::On, Some(Box::new(LineUpper)));
     let conn = client.tcp_connect(&mut sim, (SERVER, 80), true);
     sim.run_for(Nanos::from_secs(40));
-    let snap = client.conn(conn).unwrap();
+    let (state, reason) = client
+        .with_conn(conn, |c| (c.state, c.close_reason))
+        .unwrap();
     assert!(
-        snap.state == TcpState::Established || snap.close_reason.is_some(),
-        "must converge, got {:?}",
-        snap.state
+        state == TcpState::Established || reason.is_some(),
+        "must converge, got {state:?}"
     );
     assert_eq!(
-        snap.state,
+        state,
         TcpState::Established,
         "seed 99 connects within retries"
     );
@@ -278,9 +297,12 @@ fn tcp_times_out_when_server_is_blackholed() {
     let conn = w.client.tcp_connect(&mut w.sim, (SERVER, 80), true);
     // 5 retries with doubling 1s RTO: 1+2+4+8+16+32 = 63 s worst case
     w.sim.run_for(Nanos::from_secs(120));
-    let snap = w.client.conn(conn).unwrap();
-    assert_eq!(snap.state, TcpState::Closed);
-    assert_eq!(snap.close_reason, Some(ecn_stack::CloseReason::TimedOut));
+    let (state, reason) = w
+        .client
+        .with_conn(conn, |c| (c.state, c.close_reason))
+        .unwrap();
+    assert_eq!(state, TcpState::Closed);
+    assert_eq!(reason, Some(ecn_stack::CloseReason::TimedOut));
 }
 
 #[test]

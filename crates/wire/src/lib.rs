@@ -32,7 +32,6 @@
 //! Checksums are always computed on encode and verified on decode; decode
 //! errors are explicit ([`WireError`]), never panics.
 
-pub mod buf;
 pub mod checksum;
 pub mod dns;
 pub mod ecn;
@@ -45,7 +44,6 @@ pub mod rtp;
 pub mod tcp;
 pub mod udp;
 
-pub use buf::WireBuf;
 pub use checksum::internet_checksum;
 pub use dns::{DnsFlags, QClass, QType, QueryView, Rcode};
 pub use ecn::{Dscp, Ecn};

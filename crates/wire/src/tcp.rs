@@ -199,34 +199,6 @@ impl TcpHeader {
         TCP_HEADER_MIN_LEN + opt_len.div_ceil(4) * 4
     }
 
-    /// Encode header + payload with a pseudo-header checksum.
-    pub fn encode(&self, src: Ipv4Addr, dst: Ipv4Addr, payload: &[u8], out: &mut Vec<u8>) {
-        let start = out.len();
-        let header_len = self.header_len();
-        let data_offset_words = (header_len / 4) as u16;
-        out.extend_from_slice(&self.src_port.to_be_bytes());
-        out.extend_from_slice(&self.dst_port.to_be_bytes());
-        out.extend_from_slice(&self.seq.to_be_bytes());
-        out.extend_from_slice(&self.ack.to_be_bytes());
-        let offset_flags = (data_offset_words << 12) | (self.flags.0 & 0x01ff);
-        out.extend_from_slice(&offset_flags.to_be_bytes());
-        out.extend_from_slice(&self.window.to_be_bytes());
-        out.extend_from_slice(&[0, 0]); // checksum placeholder
-        out.extend_from_slice(&self.urgent.to_be_bytes());
-        for opt in &self.options {
-            opt.encode(out);
-        }
-        while (out.len() - start) < header_len {
-            out.push(0); // end-of-options / padding
-        }
-        out.extend_from_slice(payload);
-        let seg_len = (out.len() - start) as u16;
-        let mut acc = pseudo_header_sum(src, dst, 6, seg_len);
-        acc = sum_words(&out[start..], acc);
-        let ck = finish(acc);
-        out[start + 16..start + 18].copy_from_slice(&ck.to_be_bytes());
-    }
-
     /// Decode a TCP segment, verifying the pseudo-header checksum, returning
     /// the header and payload slice.
     pub fn decode(
@@ -339,7 +311,30 @@ pub fn tcp_segment_into(
     payload: &[u8],
     out: &mut Vec<u8>,
 ) {
-    header.encode(src, dst, payload, out);
+    let start = out.len();
+    let header_len = header.header_len();
+    let data_offset_words = (header_len / 4) as u16;
+    out.extend_from_slice(&header.src_port.to_be_bytes());
+    out.extend_from_slice(&header.dst_port.to_be_bytes());
+    out.extend_from_slice(&header.seq.to_be_bytes());
+    out.extend_from_slice(&header.ack.to_be_bytes());
+    let offset_flags = (data_offset_words << 12) | (header.flags.0 & 0x01ff);
+    out.extend_from_slice(&offset_flags.to_be_bytes());
+    out.extend_from_slice(&header.window.to_be_bytes());
+    out.extend_from_slice(&[0, 0]); // checksum placeholder
+    out.extend_from_slice(&header.urgent.to_be_bytes());
+    for opt in &header.options {
+        opt.encode(out);
+    }
+    while (out.len() - start) < header_len {
+        out.push(0); // end-of-options / padding
+    }
+    out.extend_from_slice(payload);
+    let seg_len = (out.len() - start) as u16;
+    let mut acc = pseudo_header_sum(src, dst, 6, seg_len);
+    acc = sum_words(&out[start..], acc);
+    let ck = finish(acc);
+    out[start + 16..start + 18].copy_from_slice(&ck.to_be_bytes());
 }
 
 #[cfg(test)]

@@ -19,30 +19,6 @@ pub struct UdpHeader {
 }
 
 impl UdpHeader {
-    /// Encode header and payload, computing the checksum over the
-    /// pseudo-header (which is why the IP addresses are required).
-    ///
-    /// The `length` field is derived from the payload; the stored value is
-    /// ignored.
-    pub fn encode(&self, src: Ipv4Addr, dst: Ipv4Addr, payload: &[u8], out: &mut Vec<u8>) -> u16 {
-        let length = (UDP_HEADER_LEN + payload.len()) as u16;
-        let start = out.len();
-        out.extend_from_slice(&self.src_port.to_be_bytes());
-        out.extend_from_slice(&self.dst_port.to_be_bytes());
-        out.extend_from_slice(&length.to_be_bytes());
-        out.extend_from_slice(&[0, 0]); // checksum placeholder
-        out.extend_from_slice(payload);
-        let mut acc = pseudo_header_sum(src, dst, 17, length);
-        acc = sum_words(&out[start..], acc);
-        let mut ck = finish(acc);
-        // RFC 768: a computed checksum of zero is transmitted as all-ones.
-        if ck == 0 {
-            ck = 0xffff;
-        }
-        out[start + 6..start + 8].copy_from_slice(&ck.to_be_bytes());
-        length
-    }
-
     /// Decode a UDP header and return it with the payload slice.
     ///
     /// Verifies the pseudo-header checksum unless the checksum field is zero
@@ -121,12 +97,21 @@ pub fn udp_segment_into(
     payload: &[u8],
     out: &mut Vec<u8>,
 ) {
-    let header = UdpHeader {
-        src_port,
-        dst_port,
-        length: 0,
-    };
-    header.encode(src, dst, payload, out);
+    let length = (UDP_HEADER_LEN + payload.len()) as u16;
+    let start = out.len();
+    out.extend_from_slice(&src_port.to_be_bytes());
+    out.extend_from_slice(&dst_port.to_be_bytes());
+    out.extend_from_slice(&length.to_be_bytes());
+    out.extend_from_slice(&[0, 0]); // checksum placeholder
+    out.extend_from_slice(payload);
+    let mut acc = pseudo_header_sum(src, dst, 17, length);
+    acc = sum_words(&out[start..], acc);
+    let mut ck = finish(acc);
+    // RFC 768: a computed checksum of zero is transmitted as all-ones.
+    if ck == 0 {
+        ck = 0xffff;
+    }
+    out[start + 6..start + 8].copy_from_slice(&ck.to_be_bytes());
 }
 
 #[cfg(test)]

@@ -76,11 +76,12 @@ fn main() {
     ] {
         let conn = client.tcp_connect(&mut sim, (addr, 80), true);
         sim.run_for(Nanos::from_secs(2));
-        let snap = client.conn(conn).expect("conn");
+        let (syn_ack_flags, negotiated) = client
+            .with_conn(conn, |c| (c.handshake.syn_ack_flags, c.ecn_negotiated))
+            .expect("conn");
         println!(
-            "{name:<26} SYN-ACK flags: {:<16} -> ECN negotiated: {}",
-            flags_str(snap.handshake.syn_ack_flags.map(|f| f.0)),
-            snap.ecn_negotiated,
+            "{name:<26} SYN-ACK flags: {:<16} -> ECN negotiated: {negotiated}",
+            flags_str(syn_ack_flags.map(|f| f.0)),
         );
         client.tcp_close(&mut sim, conn);
         sim.run_for(Nanos::from_secs(1));
@@ -96,13 +97,14 @@ fn main() {
     client.tcp_force_ce(conn, true);
     client.tcp_send(&mut sim, conn, b"usability check\n");
     sim.run_for(Nanos::from_secs(2));
-    let snap = client.conn(conn).expect("conn");
+    let (echoed, congestion_events) = client
+        .with_conn(conn, |c| (c.received().to_vec(), c.congestion_events))
+        .expect("conn");
     println!(
-        "server echoed data: {:?}; congestion responses triggered by ECE: {}",
-        String::from_utf8_lossy(&snap.received),
-        snap.congestion_events,
+        "server echoed data: {:?}; congestion responses triggered by ECE: {congestion_events}",
+        String::from_utf8_lossy(&echoed),
     );
-    if snap.congestion_events > 0 {
+    if congestion_events > 0 {
         println!("=> the peer's ECE feedback loop works: ECN is usable, not just negotiable.");
     }
     client.tcp_close(&mut sim, conn);

@@ -120,7 +120,7 @@ fn run_media(use_ecn: bool, seed: u64) -> RunStats {
         sim.run_until(step);
 
         // receiver: drain media, count markings
-        for got in receiver.udp_recv_all(rx) {
+        while let Some(got) = receiver.udp_recv(rx) {
             if EcnFeedback::is_feedback(&got.payload) {
                 continue; // feedback flows the other way
             }
@@ -163,7 +163,7 @@ fn run_media(use_ecn: bool, seed: u64) -> RunStats {
 
         // sender: react to feedback (mini-NADA: multiplicative decrease on
         // CE, gentle additive increase otherwise)
-        for got in sender.udp_recv_all(tx) {
+        while let Some(got) = sender.udp_recv(tx) {
             if let Ok(fb) = EcnFeedback::decode(&got.payload) {
                 if use_ecn && fb.ce_count > 0 {
                     let ratio = f64::from(fb.ce_count) / f64::from(fb.received.max(1));
@@ -176,7 +176,7 @@ fn run_media(use_ecn: bool, seed: u64) -> RunStats {
         }
     }
     sim.run_for(Nanos::from_secs(1));
-    for got in receiver.udp_recv_all(rx) {
+    while let Some(got) = receiver.udp_recv(rx) {
         if !EcnFeedback::is_feedback(&got.payload) && RtpHeader::decode(&got.payload).is_ok() {
             received += 1;
             if got.ecn == Ecn::Ce {

@@ -13,8 +13,10 @@
 //!   `paper2015` defaults.
 //! - **Refusals** (property): a key written twice is refused as a
 //!   duplicate naming the second line, a `[section]` header written twice
-//!   is refused naming both of its lines, and a misspelt key in any
-//!   section is refused naming its dotted path.
+//!   is refused naming both of its lines, a `[section]` header for a
+//!   table that dotted root keys created is refused naming its line and
+//!   the first dotted key's, and a misspelt key in any section is refused
+//!   naming its dotted path.
 
 #[path = "util/golden.rs"]
 mod golden;
@@ -476,6 +478,49 @@ proptest! {
             .err()
             .ok_or_else(|| format!("a reopened [{section}] was accepted:\n{text}"))?;
         prop_assert_eq!(&e.path, &format!("line {second}"), "{}\n--- file:\n{}", e, text);
+        prop_assert!(e.message.contains(&format!("[{section}]")), "{}", e);
+        prop_assert!(e.message.contains(&format!("line {first}")), "{}", e);
+    }
+
+    #[test]
+    fn a_table_dotted_keys_created_is_refused_a_header_naming_both_lines(
+        pick in vec(any::<bool>(), 44),
+        raw in vec(any::<u64>(), 44),
+        style in vec(any::<u64>(), 44),
+        order in vec(any::<u64>(), 44),
+        noise in any::<u64>(),
+        which in 4usize..44,
+        again in any::<u64>(),
+    ) {
+        let (key, _, _) = KEYS[which];
+        let (section, _) = split(key);
+        // Another key of the section, written under the header.
+        let (later, domain, _) = *KEYS
+            .iter()
+            .find(|(k, ..)| *k != key && split(k).0 == section)
+            .expect("every section has two keys");
+        let mut pick = pick;
+        pick[which] = true;
+        pick[KEYS.iter().position(|(k, ..)| *k == later).expect("listed")] = false;
+        let entries = entries(&pick, &raw, &style);
+        let mut lines = if noise & 1 == 0 {
+            dotted(&entries)
+        } else {
+            shuffled(&entries, &order, noise)
+        };
+        let first = 1 + lines
+            .iter()
+            .position(|(e, _)| e.is_some_and(|i| split(&entries[i].key).0 == section))
+            .expect("a dotted key into the section");
+        lines.push((None, format!("[{section}]")));
+        let header = lines.len();
+        let leaf = split(later).1;
+        lines.push((None, format!("{leaf} = {}", render(&draw(domain, again), again))));
+        let text = text(&lines);
+        let e = ScenarioSpec::from_toml_str(&text)
+            .err()
+            .ok_or_else(|| format!("[{section}] after dotted keys was accepted:\n{text}"))?;
+        prop_assert_eq!(&e.path, &format!("line {header}"), "{}\n--- file:\n{}", e, text);
         prop_assert!(e.message.contains(&format!("[{section}]")), "{}", e);
         prop_assert!(e.message.contains(&format!("line {first}")), "{}", e);
     }
