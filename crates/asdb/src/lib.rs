@@ -8,7 +8,6 @@
 //! the caveat — lookups can be configured to miss, and boundary inference
 //! works purely from consecutive hop addresses, as in the paper.
 
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// A prefix-to-ASN table (longest-prefix match).
@@ -18,7 +17,7 @@ pub struct AsDb {
 }
 
 /// Internal LPM structure (binary trie, same algorithm as the router FIB;
-/// re-implemented here so `ecn-asdb` stays dependency-free below `serde`).
+/// re-implemented here so `ecn-asdb` stays dependency-free).
 #[derive(Debug, Clone, Default)]
 struct PrefixTable {
     nodes: Vec<Node>,
@@ -112,7 +111,7 @@ impl AsDb {
 }
 
 /// AS classification of one traceroute hop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HopAsClass {
     /// Same AS as the previous mapped hop (or no previous hop).
     Interior {

@@ -75,7 +75,7 @@ fn unit_instantiation_allocations_stay_within_budget() {
         ..PoolPlan::scaled(40)
     };
     let bp = WorldBlueprint::build(&plan, cfg.seed);
-    let every_server: HashSet<_> = bp.server_addrs.iter().copied().collect();
+    let every_server: HashSet<_> = bp.servers().iter().map(|s| s.addr).collect();
     let _warm = bp.instantiate_unit_scoped(0, 0, &every_server);
     let (_, allocs) = count_allocations(|| bp.instantiate_unit_scoped(0, 0, &every_server));
     println!("instantiate_unit_scoped: {allocs} allocations");
@@ -187,9 +187,9 @@ fn flap_mark_bytes_per_flapping_server_stay_within_budget() {
     let schedule = schedule_for(&plan.vantages(), &cfg);
     let probed: HashSet<_> = targets.iter().copied().collect();
     let flappers = bp
-        .profiles
+        .servers()
         .iter()
-        .filter(|p| matches!(p.availability, AvailabilityModel::Flapping { .. }))
+        .filter(|s| matches!(s.profile.availability, AvailabilityModel::Flapping { .. }))
         .count();
     let before = live_bytes();
     for v in 0..plan.vantages().len() {

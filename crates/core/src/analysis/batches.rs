@@ -7,11 +7,10 @@
 
 use crate::reducers::{batch_slot, BatchCounts, TraceCounters};
 use crate::report::render_table;
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// Per-batch aggregates plus the churn inference.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BatchComparison {
     /// Traces in batch 1 (April/May).
     pub batch1_traces: usize,

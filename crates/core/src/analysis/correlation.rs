@@ -5,10 +5,9 @@
 
 use crate::reducers::{location_order_of, Table2Counts, TraceCounters};
 use crate::report::render_table;
-use serde::{Deserialize, Serialize};
 
 /// One Table 2 row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table2Row {
     /// Location (vantage) name.
     pub location: String,
@@ -29,7 +28,7 @@ pub struct Table2Row {
 /// negotiate ECN w/TCP): Perkins home 8/3, McQuistin home 160/20,
 /// U. Glasgow wired 10/2, U. Glasgow w'less 43/4, and the EC2 locations
 /// 10..16 / 2..5.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table2 {
     /// Rows in vantage first-seen order.
     pub rows: Vec<Table2Row>,

@@ -47,7 +47,7 @@ impl ServerDifferential {
 }
 
 /// The Figure 3 dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Figure3 {
     /// (location → server → differential) in location first-seen order.
     pub per_location: Vec<(String, BTreeMap<Ipv4Addr, ServerDifferential>)>,

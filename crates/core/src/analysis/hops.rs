@@ -12,12 +12,11 @@ use crate::campaign::VantageRoutes;
 use crate::reducers::HopSurveyCounts;
 use crate::report::render_table;
 use ecn_asdb::AsDb;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 /// Aggregated §4.2 statistics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Figure4 {
     /// Unique (vantage, hop) pairs that responded (paper: 155439).
     pub total_hops: usize,

@@ -3,10 +3,9 @@
 
 use crate::reducers::TraceCounters;
 use crate::report::{pct, render_bars};
-use serde::{Deserialize, Serialize};
 
 /// One bar of Figure 2 (one trace).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TraceBar {
     /// Vantage key.
     pub vantage_key: String,
@@ -23,7 +22,7 @@ pub struct TraceBar {
 }
 
 /// The Figure 2 dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Figure2 {
     /// One bar per trace, in campaign order.
     pub bars: Vec<TraceBar>,

@@ -2,11 +2,10 @@
 
 use crate::report::render_table;
 use ecn_geo::{GeoDb, Region, TABLE1_DISTRIBUTION};
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// The Table 1 dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table1 {
     /// Measured (region, count) over the discovered targets.
     pub rows: Vec<(Region, usize)>,

@@ -4,10 +4,9 @@
 
 use crate::reducers::TraceCounters;
 use crate::report::render_table;
-use serde::{Deserialize, Serialize};
 
 /// One Figure 5 bar (one trace).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig5Bar {
     /// Vantage display name.
     pub vantage_name: String,
@@ -18,7 +17,7 @@ pub struct Fig5Bar {
 }
 
 /// The Figure 5 dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Figure5 {
     /// One bar per trace, campaign order.
     pub bars: Vec<Fig5Bar>,

@@ -5,10 +5,9 @@
 //! in line with previous results".
 
 use crate::report::render_table;
-use serde::{Deserialize, Serialize};
 
 /// One measurement of ECN-negotiation willingness.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrendPoint {
     /// Decimal year of the measurement.
     pub year: f64,
@@ -39,7 +38,7 @@ pub fn historical_points() -> Vec<TrendPoint> {
 }
 
 /// A fitted logistic curve `100 / (1 + exp(-k (t - t0)))`.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LogisticFit {
     /// Growth rate per year.
     pub k: f64,
@@ -93,7 +92,7 @@ pub fn fit_logistic(points: &[TrendPoint]) -> LogisticFit {
 }
 
 /// The Figure 6 dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Figure6 {
     /// Historical points plus our measurement (last entry).
     pub points: Vec<TrendPoint>,

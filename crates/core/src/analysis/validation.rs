@@ -14,7 +14,6 @@ use crate::reducers::ValidationCounts;
 use crate::report::render_table;
 use ecn_pool::GroundTruth;
 use ecn_stack::ValidationOutcome;
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// Ground-truth path classes the confusion matrix distinguishes. A
@@ -22,7 +21,7 @@ use std::net::Ipv4Addr;
 /// placement draw independently); classification picks the first match
 /// in declaration order — ECN-hostile classes before benign-marking
 /// ones, so a bleached-and-AQM path counts as bleached.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TruthClass {
     /// Behind an always-on bleacher — the validator *should* fail.
     BleachedAlways,
@@ -86,7 +85,7 @@ impl TruthClass {
 }
 
 /// The rendered section: per-class outcome counts plus headline rates.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ValidationReport {
     /// `matrix[class.index()][outcome.index()]` — validation rounds per
     /// (ground-truth class, validator verdict) cell.

@@ -35,12 +35,11 @@ pub struct CampaignResult {
     pub targets: Vec<Ipv4Addr>,
     /// Discovery statistics.
     pub discovery: DiscoveryStats,
-    /// Raw trace records — always empty from the engine, which streams
-    /// every record into [`Self::aggregates`] and drops it (per-trace
-    /// consumers subscribe with [`crate::events::TraceSampler`]). The
-    /// field stays because this struct is also built by literal outside
-    /// the engine (the `ecnbench` replay, test oracles), where it may
-    /// carry records.
+    /// Raw trace records: from the engine, its 1-in-N sample
+    /// ([`crate::EngineConfig::sample_traces`]), stitched and in campaign
+    /// order, and empty when the rate is 0. The engine streams every
+    /// record into [`Self::aggregates`] and keeps only the sample. Test
+    /// oracles that build this struct by literal may carry every record.
     pub traces: Vec<TraceRecord>,
     /// Raw traceroute survey paths (one entry per vantage) — like
     /// [`Self::traces`], always empty from the engine: Figure 4 renders
@@ -60,7 +59,7 @@ pub struct CampaignResult {
 }
 
 /// Summary of the discovery phase.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DiscoveryStats {
     /// Unique servers discovered.
     pub servers: usize,

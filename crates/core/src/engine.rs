@@ -15,22 +15,24 @@
 //!   full world builds (what the old per-vantage-thread runner did);
 //! - finished records stream straight into shard-local reducers
 //!   ([`crate::reducers`]) and are dropped; the streamed aggregates are
-//!   what the report path renders from, so a campaign retains zero raw
-//!   records. Per-trace consumers subscribe instead: every finished record
-//!   passes through [`Event::TraceVerdict`], and
-//!   [`crate::events::TraceSampler`] at rate 1 keeps all of them.
+//!   what the report path renders from, so a campaign retains no raw
+//!   records beyond the 1-in-N sample of [`EngineConfig::sample_traces`]
+//!   (rate 1 keeps all of them).
 //!
-//! [`try_run_engine_observed`] is the one entry point;
-//! [`try_run_engine`] is its shorthand for the no-op `()` subscriber.
+//! [`try_run_engine`] is the one entry point. The [`EngineRun`] it returns
+//! carries everything a run observed as data (see [`crate::events`]).
 
 use crate::campaign::{
     discover_campaign, plan_with_churn, run_trace, run_traceroute_survey, schedule_for,
     CampaignResult, ScheduledTrace,
 };
 use crate::config::CampaignConfig;
-use crate::events::{Event, Subscriber, UnitId, UnitRecord};
+use crate::events::{
+    selects, stitch, CheckpointWrites, Progress, SupervisionLog, UnitId, UnitRecord,
+};
 use crate::mp::Completed;
 use crate::reducers::{CampaignAggregates, Reduce, RouteCtx, TraceCtx};
+use crate::trace::TraceRecord;
 use ecn_netsim::drop_cause_label;
 use ecn_pool::{PoolPlan, VantageSpec, WorldBlueprint};
 use rand::seq::SliceRandom;
@@ -70,9 +72,9 @@ pub struct EngineConfig {
     /// processes (each running its own `shards`-wide unit pool) and
     /// tree-merges their serialized [`CampaignAggregates`] — see
     /// [`crate::mp`]. Like `shards`, a pure concurrency/memory knob: any
-    /// value renders byte-identical reports, and subscribers see the same
-    /// per-unit events, plus the supervision events (worker lifecycle,
-    /// retries) when `N > 1`.
+    /// value renders byte-identical reports and the same
+    /// [`EngineRun::unit_records`], plus a [`EngineRun::supervision`] log
+    /// (worker lifecycle, retries) when `N > 1`.
     pub processes: usize,
     /// Target-list chunks per vantage (work granularity). Unlike `shards`
     /// this knob *is* part of the experiment definition: each chunk probes
@@ -101,6 +103,16 @@ pub struct EngineConfig {
     /// verify its campaign fingerprint, and re-run only the units absent
     /// from its bitmap. Renders byte-identical to an uninterrupted run.
     pub resume: Option<PathBuf>,
+    /// Keep 1 in `sample_traces` logical traces, selected by a hash of
+    /// the trace's identity ([`crate::events::selects`]), and return them
+    /// stitched in campaign order in [`CampaignResult::traces`]. 0, the
+    /// default, keeps none; 1 keeps every trace. Only units run in this
+    /// process are sampled: worker processes ship no raw records, and a
+    /// checkpoint holds none.
+    pub sample_traces: usize,
+    /// Print a live unit/observation progress line to stderr, at most
+    /// every 200 ms and once at the end (default off).
+    pub progress: bool,
 }
 
 impl Default for EngineConfig {
@@ -114,6 +126,8 @@ impl Default for EngineConfig {
             worker_timeout: None,
             checkpoint: None,
             resume: None,
+            sample_traces: 0,
+            progress: false,
         }
     }
 }
@@ -188,6 +202,16 @@ pub struct EngineRun {
     /// worker slots in index order (one entry in-process). It says which
     /// process holds the peak; the megapool bench and the CLI report it.
     pub process_peak_rss_kb: Vec<u64>,
+    /// The [`UnitRecord`] of every unit this run executed, in canonical
+    /// `(vantage, chunk)` order: built by the unit in this process, or
+    /// shipped home by the worker that ran it.
+    pub unit_records: Vec<(UnitId, UnitRecord)>,
+    /// What the supervised driver did under `processes > 1`; empty
+    /// in-process.
+    pub supervision: SupervisionLog,
+    /// The checkpoint writes, when [`EngineConfig::checkpoint`] (or a
+    /// resume) named a file.
+    pub checkpoints: Option<CheckpointWrites>,
 }
 
 /// Apply the scheduling-order knob (a pure permutation; results are
@@ -202,13 +226,21 @@ pub(crate) fn apply_unit_order(units: &mut [UnitId], order: UnitOrder) {
     }
 }
 
-/// Run the full campaign with the no-op `()` subscriber: exactly
-/// [`try_run_engine_observed`] monomorphized over `()`, whose event hooks
-/// compile away.
+/// Run the full campaign.
 ///
 /// The result carries the streamed aggregates — everything
-/// [`crate::analysis::FullReport`] renders from — and no raw records.
-/// Results are byte-identical for every shard count.
+/// [`crate::analysis::FullReport`] renders from — and no raw records
+/// unless [`EngineConfig::sample_traces`] asks for a sample. Results are
+/// byte-identical for every shard count.
+///
+/// This is the one driver. It builds the blueprint, discovers, applies a
+/// resumed checkpoint's skip list and writes checkpoints, whatever the
+/// process count. With `eng.processes > 1` it drops the blueprint after
+/// discovery and hands the remaining units to supervised worker processes
+/// ([`crate::mp`]), whose unit records come home with their payloads;
+/// the run then also logs the supervision ([`EngineRun::supervision`]).
+/// The run fails with a typed [`MpError`] when a worker slot exhausts its
+/// retry budget or a checkpoint cannot be read, matched or written.
 ///
 /// ```
 /// use ecn_core::{try_run_engine, CampaignConfig, EngineConfig, FullReport};
@@ -226,6 +258,7 @@ pub(crate) fn apply_unit_order(units: &mut [UnitId], order: UnitOrder) {
 ///     .expect("an in-process campaign cannot fail");
 /// assert_eq!(run.result.targets.len(), 24);
 /// assert_eq!(run.result.aggregates.trace_stats.len(), 13); // one per vantage
+/// assert_eq!(run.unit_records.len(), 13); // one unit per vantage
 /// assert!(FullReport::from_campaign(&run.result).render().contains("Table 2"));
 /// ```
 pub fn try_run_engine(
@@ -233,33 +266,6 @@ pub fn try_run_engine(
     cfg: &CampaignConfig,
     eng: &EngineConfig,
 ) -> Result<EngineRun, MpError> {
-    try_run_engine_observed(plan, cfg, eng, ()).map(|(run, ())| run)
-}
-
-/// Run the full campaign, streaming typed events into `subscriber` (see
-/// [`crate::events`]): the root instance sees
-/// [`Event::CampaignStarted`], each shard drives a
-/// [`Subscriber::fork`], forks merge back deterministically, and
-/// [`Subscriber::finish`] runs once before this returns. Subscribers
-/// observe, they cannot perturb: results are byte-identical to
-/// [`try_run_engine`].
-///
-/// This is the one driver. It builds the blueprint, discovers, applies a
-/// resumed checkpoint's skip list and writes checkpoints, whatever the
-/// process count. With `eng.processes > 1` it drops the blueprint after
-/// discovery and hands the remaining units to supervised worker processes
-/// ([`crate::mp`]); the subscriber then also observes the supervision
-/// events ([`Event::WorkerFailed`], [`Event::WorkerFinished`], …), and the
-/// workers' per-unit records reach it as the same
-/// [`Event::UnitFinished`] events an in-process run emits. The run fails
-/// with a typed [`MpError`] when a worker slot exhausts its retry budget
-/// or a checkpoint cannot be read, matched or written.
-pub fn try_run_engine_observed<S: Subscriber>(
-    plan: &PoolPlan,
-    cfg: &CampaignConfig,
-    eng: &EngineConfig,
-    mut subscriber: S,
-) -> Result<(EngineRun, S), MpError> {
     let wall0 = Instant::now();
     let mut timing = EngineTiming::default();
     let plan = plan_with_churn(plan, cfg);
@@ -290,16 +296,10 @@ pub fn try_run_engine_observed<S: Subscriber>(
         eng.resume.as_deref(),
     )?;
     let remaining = completed.remaining();
-    if S::ENABLED {
-        subscriber.on_event(&Event::CampaignStarted {
-            vantages: vantage_count,
-            units: remaining.len(),
-            targets: result.targets.len(),
-        });
-    }
+    let progress = eng.progress.then(|| Progress::new(remaining.len()));
 
     // Phase 4: run the remaining units, here or in worker processes.
-    let ran = if let Some(bp) = in_process {
+    let mut ran = if let Some(bp) = in_process {
         let mut units: Vec<UnitId> = remaining.iter().map(|&i| UnitId::at(i, chunks)).collect();
         apply_unit_order(&mut units, eng.unit_order);
         let pool = run_unit_pool(
@@ -310,16 +310,19 @@ pub fn try_run_engine_observed<S: Subscriber>(
             chunks,
             cfg,
             eng,
-            &mut subscriber,
+            progress.as_ref(),
             &mut timing,
         );
         completed.add(&remaining, pool.reducers);
-        completed.checkpoint(eng.checkpoint.as_deref(), &mut subscriber)?;
+        completed.checkpoint(eng.checkpoint.as_deref())?;
+        result.traces = stitch(pool.sampled);
         Ran {
             shards: pool.shard_count,
             processes: 1,
             merge_depth: crate::reducers::merge_depth(pool.shard_count),
             worker_peaks: Vec::new(),
+            unit_records: pool.unit_records,
+            supervision: SupervisionLog::default(),
         }
     } else {
         crate::mp::run_supervised(
@@ -328,37 +331,39 @@ pub fn try_run_engine_observed<S: Subscriber>(
             eng,
             &result.targets,
             &mut completed,
-            &mut subscriber,
+            progress.as_ref(),
             &mut timing,
         )?
     };
+    ran.unit_records.sort_by_key(|&(unit, _)| unit);
 
     // Phase 5: merge the resumed state with what ran.
     let t0 = Instant::now();
+    let checkpoints = completed.writes();
     let (aggregates, parts) = completed.merge();
     result.aggregates = aggregates;
     timing.reduce += t0.elapsed();
     timing.wall = wall0.elapsed();
 
-    if S::ENABLED {
-        subscriber.finish();
+    if let Some(progress) = &progress {
+        progress.finish();
     }
     let mut process_peak_rss_kb = vec![crate::mp::peak_rss_kb()];
     process_peak_rss_kb.extend(ran.worker_peaks);
-    Ok((
-        EngineRun {
-            result,
-            timing,
-            shards: ran.shards,
-            // in-process, or dealt in full across the workers
-            units: remaining.len(),
-            processes: ran.processes,
-            merge_depth: ran.merge_depth + crate::reducers::merge_depth(parts),
-            peak_rss_kb: process_peak_rss_kb.iter().copied().max().unwrap_or(0),
-            process_peak_rss_kb,
-        },
-        subscriber,
-    ))
+    Ok(EngineRun {
+        result,
+        timing,
+        shards: ran.shards,
+        // in-process, or dealt in full across the workers
+        units: remaining.len(),
+        processes: ran.processes,
+        merge_depth: ran.merge_depth + crate::reducers::merge_depth(parts),
+        peak_rss_kb: process_peak_rss_kb.iter().copied().max().unwrap_or(0),
+        process_peak_rss_kb,
+        unit_records: ran.unit_records,
+        supervision: ran.supervision,
+        checkpoints,
+    })
 }
 
 /// How the remaining units ran: in this process or in worker processes.
@@ -371,6 +376,10 @@ pub(crate) struct Ran {
     pub(crate) merge_depth: usize,
     /// Each worker slot's `VmHWM` in kB, in index order (none in-process).
     pub(crate) worker_peaks: Vec<u64>,
+    /// The record of every unit that ran, in any order.
+    pub(crate) unit_records: Vec<(UnitId, UnitRecord)>,
+    /// The supervised driver's log (empty in-process).
+    pub(crate) supervision: SupervisionLog,
 }
 
 /// The full schedule, split per vantage (each unit runs exactly its
@@ -395,6 +404,22 @@ pub(crate) struct PoolOutcome {
     pub(crate) reducers: CampaignAggregates,
     /// Shards actually used.
     pub(crate) shard_count: usize,
+    /// Every unit's record, in any order.
+    pub(crate) unit_records: Vec<(UnitId, UnitRecord)>,
+    /// The sampled traces' chunk partials, `(unit, trace_index, record)`,
+    /// in any order ([`crate::events::stitch`] orders them).
+    pub(crate) sampled: Vec<(UnitId, usize, TraceRecord)>,
+}
+
+/// What one shard accumulates over the units it takes.
+#[derive(Default)]
+struct Shard {
+    reducers: CampaignAggregates,
+    unit_records: Vec<(UnitId, UnitRecord)>,
+    sampled: Vec<(UnitId, usize, TraceRecord)>,
+    instantiate: Duration,
+    probe: Duration,
+    reduce: Duration,
 }
 
 /// Phase 4 of the engine: execute `units` on a pool of shards, each
@@ -403,7 +428,7 @@ pub(crate) struct PoolOutcome {
 /// engine and the multi-process worker (which passes its round-robin
 /// partition of the canonical unit list).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_unit_pool<S: Subscriber>(
+pub(crate) fn run_unit_pool(
     bp: &WorldBlueprint,
     targets: &[Ipv4Addr],
     per_vantage_sched: &[Vec<ScheduledTrace>],
@@ -411,7 +436,7 @@ pub(crate) fn run_unit_pool<S: Subscriber>(
     chunks: usize,
     cfg: &CampaignConfig,
     eng: &EngineConfig,
-    subscriber: &mut S,
+    progress: Option<&Progress>,
     timing: &mut EngineTiming,
 ) -> PoolOutcome {
     let unit_count = units.len();
@@ -427,38 +452,34 @@ pub(crate) fn run_unit_pool<S: Subscriber>(
     // The cursor only hands out indices into the shared, read-only unit
     // list, so it publishes no data: Relaxed suffices.
     let cursor = AtomicUsize::new(0);
-    type ShardYield<S> = (CampaignAggregates, S, Duration, Duration, Duration);
-    let mut shard_yields: Vec<ShardYield<S>> = Vec::with_capacity(shard_count);
+    let mut shards: Vec<Shard> = Vec::with_capacity(shard_count);
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(shard_count);
         for _ in 0..shard_count {
             let cursor = &cursor;
-            let per_vantage_sched = &per_vantage_sched;
-            // forked here, on the spawning thread, so `S` needs only Send
-            let mut sub = subscriber.fork();
             handles.push(scope.spawn(move || {
-                let mut reducers = CampaignAggregates::default();
-                let mut inst = Duration::ZERO;
-                let mut probe = Duration::ZERO;
-                let mut reduce = Duration::ZERO;
+                let mut shard = Shard::default();
                 while let Some(&unit) = units.get(cursor.fetch_add(1, Ordering::Relaxed)) {
                     let chunk_targets = chunk_slice(targets, unit.chunk, chunks);
-                    run_unit(
+                    let record = run_unit(
                         bp,
                         unit,
                         &per_vantage_sched[unit.vantage],
                         chunk_targets,
                         cfg,
-                        &mut reducers,
-                        &mut sub,
-                        (&mut inst, &mut probe, &mut reduce),
+                        eng.sample_traces,
+                        &mut shard,
                     );
+                    if let Some(progress) = progress {
+                        progress.unit_done(record.observations);
+                    }
+                    shard.unit_records.push((unit, record));
                 }
-                (reducers, sub, inst, probe, reduce)
+                shard
             }));
         }
         for h in handles {
-            shard_yields.push(h.join().expect("engine shard"));
+            shards.push(h.join().expect("engine shard"));
         }
     });
 
@@ -467,12 +488,15 @@ pub(crate) fn run_unit_pool<S: Subscriber>(
     // to any fold — `reducers::tree_merge_equals_flat_fold` pins that).
     let t0 = Instant::now();
     let mut shard_reducers: Vec<CampaignAggregates> = Vec::with_capacity(shard_count);
-    for (red, sub, inst, probe, reduce) in shard_yields {
-        shard_reducers.push(red);
-        subscriber.merge(sub);
-        timing.instantiate += inst;
-        timing.probe += probe;
-        timing.reduce += reduce;
+    let mut unit_records = Vec::with_capacity(unit_count);
+    let mut sampled = Vec::new();
+    for shard in shards {
+        shard_reducers.push(shard.reducers);
+        unit_records.extend(shard.unit_records);
+        sampled.extend(shard.sampled);
+        timing.instantiate += shard.instantiate;
+        timing.probe += shard.probe;
+        timing.reduce += shard.reduce;
     }
     let reducers = crate::reducers::merge_tree(shard_reducers);
     timing.reduce += t0.elapsed();
@@ -480,6 +504,8 @@ pub(crate) fn run_unit_pool<S: Subscriber>(
     PoolOutcome {
         reducers,
         shard_count,
+        unit_records,
+        sampled,
     }
 }
 
@@ -493,21 +519,19 @@ fn chunk_slice(targets: &[Ipv4Addr], c: usize, chunks: usize) -> &[Ipv4Addr] {
 /// Execute one unit: instantiate its world under the unit-identity RNG
 /// domain, run the vantage's schedule against the unit's target chunk,
 /// then (optionally) its slice of the traceroute survey — streaming every
-/// finished record into the shard's reducers. When `S::ENABLED` it emits
-/// each [`Event::TraceVerdict`] and, last, the unit's one
-/// [`Event::UnitFinished`]: the only place the world's packet counters
-/// are drained into a [`UnitRecord`].
-#[allow(clippy::too_many_arguments)]
-fn run_unit<S: Subscriber>(
+/// finished record into the shard's reducers and keeping the ones the
+/// 1-in-`sample_every` sample selects (none at 0). Returns the unit's
+/// [`UnitRecord`]: the only place the world's packet counters are
+/// drained.
+fn run_unit(
     bp: &WorldBlueprint,
     unit: UnitId,
     sched: &[ScheduledTrace],
     chunk_targets: &[Ipv4Addr],
     cfg: &CampaignConfig,
-    reducers: &mut CampaignAggregates,
-    sub: &mut S,
-    (inst, probe, reduce): (&mut Duration, &mut Duration, &mut Duration),
-) {
+    sample_every: usize,
+    shard: &mut Shard,
+) -> UnitRecord {
     let first_chunk = unit.chunk == 0;
     let t0 = Instant::now();
     // Scoped stamp: only this chunk's targets get server stacks. Packets
@@ -516,7 +540,7 @@ fn run_unit<S: Subscriber>(
     // while cutting stamp cost from O(servers) to O(servers/chunks).
     let probed: HashSet<Ipv4Addr> = chunk_targets.iter().copied().collect();
     let mut sc = bp.instantiate_unit_scoped(unit.vantage, unit.chunk, &probed);
-    *inst += t0.elapsed();
+    shard.instantiate += t0.elapsed();
 
     let t0 = Instant::now();
     let mut unit_reduce = Duration::ZERO;
@@ -526,7 +550,7 @@ fn run_unit<S: Subscriber>(
         }
         let rec = run_trace(&mut sc, unit.vantage, st.batch, chunk_targets, cfg);
         let tr = Instant::now();
-        reducers.observe_trace(
+        shard.reducers.observe_trace(
             &rec,
             &TraceCtx {
                 first_chunk,
@@ -535,18 +559,14 @@ fn run_unit<S: Subscriber>(
             },
         );
         unit_reduce += tr.elapsed();
-        if S::ENABLED {
-            sub.on_event(&Event::TraceVerdict {
-                unit,
-                trace_index,
-                record: &rec,
-            });
+        if sample_every > 0 && selects(sample_every, &rec.vantage_key, trace_index) {
+            shard.sampled.push((unit, trace_index, rec));
         }
     }
     if cfg.run_traceroute {
         let routes = run_traceroute_survey(&mut sc, unit.vantage, chunk_targets, cfg);
         let tr = Instant::now();
-        reducers.observe_routes(
+        shard.reducers.observe_routes(
             &routes,
             &RouteCtx {
                 vantage: unit.vantage,
@@ -555,33 +575,27 @@ fn run_unit<S: Subscriber>(
         );
         unit_reduce += tr.elapsed();
     }
-    if S::ENABLED {
-        let sim = sc.sim.drain_event_counters();
-        // routers that share a label share a key
-        let mut ecn_rewritten = BTreeMap::new();
-        for (&node, &n) in &sim.ecn_rewritten {
-            *ecn_rewritten
-                .entry(sc.sim.label_of(node).to_string())
-                .or_insert(0) += n;
-        }
-        let record = UnitRecord {
-            traces: sched.len() as u64,
-            observations: (sched.len() * chunk_targets.len()) as u64,
-            delivered: sim.delivered,
-            dropped: sim
-                .dropped_by_cause()
-                .filter(|&(_, n)| n > 0)
-                .map(|(cause, n)| (drop_cause_label(cause).to_string(), n))
-                .collect(),
-            ce_marked: sim.ce_marked,
-            ecn_rewritten,
-        };
-        sub.on_event(&Event::UnitFinished {
-            unit,
-            record: &record,
-        });
+    let sim = sc.sim.drain_event_counters();
+    // routers that share a label share a key
+    let mut ecn_rewritten = BTreeMap::new();
+    for (&node, &n) in &sim.ecn_rewritten {
+        *ecn_rewritten
+            .entry(sc.sim.label_of(node).to_string())
+            .or_insert(0) += n;
     }
     // the probe span encloses the reducer segments; report them disjointly
-    *reduce += unit_reduce;
-    *probe += t0.elapsed().saturating_sub(unit_reduce);
+    shard.reduce += unit_reduce;
+    shard.probe += t0.elapsed().saturating_sub(unit_reduce);
+    UnitRecord {
+        traces: sched.len() as u64,
+        observations: (sched.len() * chunk_targets.len()) as u64,
+        delivered: sim.delivered,
+        dropped: sim
+            .dropped_by_cause()
+            .filter(|&(_, n)| n > 0)
+            .map(|(cause, n)| (drop_cause_label(cause).to_string(), n))
+            .collect(),
+        ce_marked: sim.ce_marked,
+        ecn_rewritten,
+    }
 }

@@ -1,5 +1,5 @@
-//! JSON-lines metrics export: periodic counter snapshots plus terminal
-//! per-unit records, written to any `io::Write` sink.
+//! JSON-lines metrics export: the whole `--metrics` stream of a finished
+//! run, written by [`write_metrics`] to any `io::Write` sink.
 //!
 //! ## Schema (one JSON object per line)
 //!
@@ -11,32 +11,34 @@
 //!  "ecn_rewritten":{<hop label>:n,..}}                 // one per unit
 //! {"type":"snapshot","units_done":k,"traces":..,"observations":..,
 //!  "probes_sent":..,"delivered":..,"dropped_total":..,"ce_marked":..,
-//!  "ecn_rewritten_total":..}                           // every K units
+//!  "ecn_rewritten_total":..}                           // every 10 units
 //! {"type":"summary","units":..,"traces":..,"observations":..,
 //!  "probes_sent":..,"delivered":..,"dropped_total":..,"ce_marked":..,
-//!  "ecn_rewritten_total":..,"wall_ms":..}              // last line
+//!  "ecn_rewritten_total":..,"wall_ms":..}
+//! {"type":"trace","record":{..}}                       // per sampled trace
 //! ```
 //!
-//! Every line derives from the [`UnitRecord`]s of
-//! [`Event::UnitFinished`]. `run_trace` sends all four §3 probes to every
-//! target of every trace, so each per-kind `probes` count is the unit's
+//! Every unit, snapshot and summary line derives from the run's
+//! [`UnitRecord`]s. `run_trace` sends all four §3 probes to every target
+//! of every trace, so each per-kind `probes` count is the unit's
 //! `observations` and `probes_sent` is four times the observations.
 //!
 //! Unit records appear in canonical `(vantage, chunk)` order and
-//! snapshots are synthesized between them every `snapshot_every` units,
-//! so the stream is **byte-identical for any shard and process count** —
-//! the one exception is the summary's `wall_ms` field, the stream's only
-//! wall-clock value (tests normalize it; everything else is a pure
-//! function of the scenario).
+//! snapshots are synthesized between them every `SNAPSHOT_EVERY` (10)
+//! units, so the stream is **byte-identical for any shard and process
+//! count** — the one exception is the summary's `wall_ms` field
+//! ([`crate::EngineTiming::wall`]), the stream's only wall-clock value
+//! (tests normalize it; everything else is a pure function of the
+//! scenario). The `trace` lines are the run's sample
+//! ([`crate::EngineConfig::sample_traces`]), in campaign order.
 //!
 //! ## Supervision lines
 //!
-//! Under `processes > 1` the parent-side subscriber also sees worker
-//! lifecycle events; those surface as extra typed lines between the
-//! header and the unit records, **emitted only when present** so
-//! single-process streams are byte-identical to earlier schema versions.
-//! A checkpoint line appears whenever a checkpoint was written, at any
-//! process count:
+//! Under `processes > 1` the run's [`super::SupervisionLog`] surfaces as
+//! extra typed lines between the header and the unit records, **written
+//! only when present** so single-process streams are byte-identical to
+//! earlier schema versions. A checkpoint line appears whenever a
+//! checkpoint was written, at any process count:
 //!
 //! ```text
 //! {"type":"workers_clamped","requested":8,"spawned":1}
@@ -47,111 +49,132 @@
 //! {"type":"checkpoint","writes":4,"completed":13,"total":13}
 //! ```
 //!
-//! Failure lines are sorted by `(worker, attempt)` and worker lines by
-//! worker index, so the stream stays deterministic for a fixed fault
+//! Failure lines are in `(worker, attempt)` order and worker lines in
+//! worker order, so the stream stays deterministic for a fixed fault
 //! schedule.
 
-use super::{json_escape, Event, Subscriber, UnitId, UnitRecord};
+use super::{json_escape, UnitRecord};
+use crate::engine::EngineRun;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::{self, Write};
-use std::time::Instant;
 
 /// The four §3 probes, as the unit line's `probes` object names them.
 const PROBE_LABELS: [&str; 4] = ["udp_plain", "udp_ect", "tcp_plain", "tcp_ecn"];
 
-/// The JSON-lines metrics subscriber. Forks keep each unit's
-/// [`UnitRecord`] keyed by [`UnitId`]; the root writes the whole ordered
-/// stream in [`Subscriber::finish`], which is what makes the output
-/// deterministic whichever shard runs which unit (see the module docs).
-#[derive(Debug)]
-pub struct JsonLinesMetrics<W: Write + Send> {
-    /// Only the root holds the sink; forks carry `None`.
-    writer: Option<W>,
-    scenario: String,
+/// Units between two cumulative `snapshot` lines.
+const SNAPSHOT_EVERY: usize = 10;
+
+/// Write the whole metrics stream of `run` to `out` (see the module docs
+/// for the schema): the `campaign` header naming `scenario` and `seed`,
+/// the supervision and checkpoint lines, the unit lines with a snapshot
+/// every 10 units, the summary, then one `trace` line per sampled trace.
+/// Flushes `out` before returning.
+pub fn write_metrics(
+    mut out: impl Write,
+    scenario: &str,
     seed: u64,
-    snapshot_every: usize,
-    started: Instant,
-    shape: Option<(usize, usize, usize)>, // vantages, units, targets
-    units: BTreeMap<UnitId, UnitRecord>,
-    // supervision records (multi-process mode; all empty in-process,
-    // apart from `checkpoints`)
-    clamped: Option<(usize, usize)>,        // requested, spawned
-    workers: BTreeMap<usize, (usize, u64)>, // worker -> (units, observations)
-    failures: Vec<FailureRec>,
-    checkpoints: Option<(u64, usize, usize)>, // writes, completed, total
-    err: Option<io::Error>,
-}
+    run: &EngineRun,
+) -> io::Result<()> {
+    writeln!(
+        out,
+        "{{\"type\":\"campaign\",\"scenario\":\"{}\",\"seed\":{seed},\"vantages\":{},\
+         \"units\":{},\"targets\":{}}}",
+        json_escape(scenario),
+        run.result.vantage_order.len(),
+        run.units,
+        run.result.targets.len(),
+    )?;
 
-/// One failed worker attempt, as observed on the root subscriber.
-#[derive(Debug, Clone)]
-struct FailureRec {
-    worker: usize,
-    attempt: u32,
-    units: usize,
-    cause: String,
-    will_retry: bool,
-}
+    // supervision lines: only present in multi-process mode, so the
+    // single-process stream stays byte-identical to older schemas
+    let log = &run.supervision;
+    if let Some((requested, spawned)) = log.clamped {
+        writeln!(
+            out,
+            "{{\"type\":\"workers_clamped\",\"requested\":{requested},\"spawned\":{spawned}}}"
+        )?;
+    }
+    for f in &log.failures {
+        writeln!(
+            out,
+            "{{\"type\":\"worker_failed\",\"worker\":{},\"attempt\":{},\"units\":{},\
+             \"will_retry\":{},\"cause\":\"{}\"}}",
+            f.worker,
+            f.attempt,
+            f.units,
+            f.will_retry,
+            json_escape(&f.cause),
+        )?;
+    }
+    for (worker, units, observations) in &log.workers {
+        writeln!(
+            out,
+            "{{\"type\":\"worker\",\"worker\":{worker},\"units\":{units},\
+             \"observations\":{observations}}}"
+        )?;
+    }
+    // a retried attempt re-ships every unit of the worker's slice
+    let retried = log.failures.iter().filter(|f| f.will_retry);
+    let unit_retries: usize = retried.map(|f| f.units).sum();
+    if unit_retries > 0 {
+        writeln!(
+            out,
+            "{{\"type\":\"retries\",\"unit_retries\":{unit_retries}}}"
+        )?;
+    }
+    if let Some(ck) = run.checkpoints {
+        writeln!(
+            out,
+            "{{\"type\":\"checkpoint\",\"writes\":{},\"completed\":{},\"total\":{}}}",
+            ck.writes, ck.completed, ck.total,
+        )?;
+    }
 
-impl<W: Write + Send> JsonLinesMetrics<W> {
-    /// A metrics exporter writing to `writer`, with a default header
-    /// identity and a snapshot every 10 units.
-    pub fn new(writer: W) -> JsonLinesMetrics<W> {
-        JsonLinesMetrics {
-            writer: Some(writer),
-            scenario: "campaign".into(),
-            seed: 0,
-            snapshot_every: 10,
-            started: Instant::now(),
-            shape: None,
-            units: BTreeMap::new(),
-            clamped: None,
-            workers: BTreeMap::new(),
-            failures: Vec::new(),
-            checkpoints: None,
-            err: None,
+    let units = &run.unit_records;
+    let mut totals = Totals::default();
+    for (done, (id, rec)) in units.iter().enumerate() {
+        let probes: BTreeMap<&str, u64> = PROBE_LABELS
+            .iter()
+            .map(|&label| (label, rec.observations))
+            .collect();
+        writeln!(
+            out,
+            "{{\"type\":\"unit\",\"vantage\":{},\"chunk\":{},\"traces\":{},\
+             \"observations\":{},\"probes\":{},\"delivered\":{},\"dropped\":{},\
+             \"ce_marked\":{},\"ecn_rewritten\":{}}}",
+            id.vantage,
+            id.chunk,
+            rec.traces,
+            rec.observations,
+            counter_object(&probes),
+            rec.delivered,
+            counter_object(&rec.dropped),
+            rec.ce_marked,
+            counter_object(&rec.ecn_rewritten),
+        )?;
+        totals.add(rec);
+        let done = done + 1;
+        if done % SNAPSHOT_EVERY == 0 && done < units.len() {
+            writeln!(
+                out,
+                "{{\"type\":\"snapshot\",\"units_done\":{done},{}}}",
+                totals.fields()
+            )?;
         }
     }
-
-    /// Set the header identity (`scenario`/`seed` fields of the
-    /// `campaign` line).
-    pub fn with_header(mut self, scenario: &str, seed: u64) -> JsonLinesMetrics<W> {
-        self.scenario = scenario.to_string();
-        self.seed = seed;
-        self
+    writeln!(
+        out,
+        "{{\"type\":\"summary\",\"units\":{},{},\"wall_ms\":{:.3}}}",
+        units.len(),
+        totals.fields(),
+        run.timing.wall.as_secs_f64() * 1e3,
+    )?;
+    for record in &run.result.traces {
+        let json = serde_json::to_string(record).map_err(io::Error::other)?;
+        writeln!(out, "{{\"type\":\"trace\",\"record\":{json}}}")?;
     }
-
-    /// Snapshot cadence in units (0 disables snapshots).
-    pub fn snapshot_every(mut self, units: usize) -> JsonLinesMetrics<W> {
-        self.snapshot_every = units;
-        self
-    }
-
-    /// Reclaim the sink after [`Subscriber::finish`] (e.g. to append
-    /// sampled trace records to the same file). Fails with the recorded
-    /// write error if flushing failed.
-    pub fn into_writer(mut self) -> io::Result<W> {
-        if let Some(e) = self.err.take() {
-            return Err(e);
-        }
-        self.writer
-            .take()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "fork holds no writer"))
-    }
-
-    fn write_line(&mut self, line: &str) {
-        if self.err.is_some() {
-            return;
-        }
-        if let Some(w) = &mut self.writer {
-            if let Err(e) = w
-                .write_all(line.as_bytes())
-                .and_then(|()| w.write_all(b"\n"))
-            {
-                self.err = Some(e);
-            }
-        }
-    }
+    out.flush()
 }
 
 /// Render a `{"label":count,...}` object from an ordered map.
@@ -203,201 +226,11 @@ impl Totals {
     }
 }
 
-impl<W: Write + Send> Subscriber for JsonLinesMetrics<W> {
-    fn fork(&self) -> Self {
-        JsonLinesMetrics {
-            writer: None,
-            scenario: String::new(),
-            seed: 0,
-            snapshot_every: 0,
-            started: self.started,
-            shape: None,
-            units: BTreeMap::new(),
-            clamped: None,
-            workers: BTreeMap::new(),
-            failures: Vec::new(),
-            checkpoints: None,
-            err: None,
-        }
-    }
-
-    fn on_event(&mut self, event: &Event<'_>) {
-        match event {
-            Event::CampaignStarted {
-                vantages,
-                units,
-                targets,
-            } => self.shape = Some((*vantages, *units, *targets)),
-            Event::UnitFinished { unit, record } => {
-                self.units.insert(*unit, (*record).clone());
-            }
-            Event::WorkersClamped { requested, spawned } => {
-                self.clamped = Some((*requested, *spawned));
-            }
-            Event::WorkerFailed {
-                worker,
-                attempt,
-                units,
-                cause,
-                will_retry,
-            } => self.failures.push(FailureRec {
-                worker: *worker,
-                attempt: *attempt,
-                units: *units,
-                cause: cause.to_string(),
-                will_retry: *will_retry,
-            }),
-            Event::WorkerFinished {
-                worker,
-                units,
-                observations,
-            } => {
-                let rec = self.workers.entry(*worker).or_default();
-                rec.0 += units;
-                rec.1 += observations;
-            }
-            Event::CheckpointWritten {
-                completed_units,
-                total_units,
-            } => {
-                let (writes, completed, total) = self.checkpoints.get_or_insert((0, 0, 0));
-                *writes += 1;
-                *completed = *completed_units;
-                *total = *total_units;
-            }
-            Event::TraceVerdict { .. } => {}
-        }
-    }
-
-    fn merge(&mut self, other: Self) {
-        // forks observe disjoint units, and every unit finishes once
-        self.units.extend(other.units);
-        self.shape = self.shape.or(other.shape);
-        self.clamped = self.clamped.or(other.clamped);
-        for (worker, (units, observations)) in other.workers {
-            let rec = self.workers.entry(worker).or_default();
-            rec.0 += units;
-            rec.1 += observations;
-        }
-        self.failures.extend(other.failures);
-        if let Some((w, c, t)) = other.checkpoints {
-            let (writes, completed, total) = self.checkpoints.get_or_insert((0, 0, 0));
-            *writes += w;
-            *completed = c;
-            *total = t;
-        }
-        if self.err.is_none() {
-            self.err = other.err;
-        }
-    }
-
-    fn finish(&mut self) {
-        let (vantages, unit_count, targets) = self.shape.unwrap_or((0, 0, 0));
-        let header = format!(
-            "{{\"type\":\"campaign\",\"scenario\":\"{}\",\"seed\":{},\"vantages\":{},\
-             \"units\":{},\"targets\":{}}}",
-            json_escape(&self.scenario),
-            self.seed,
-            vantages,
-            unit_count,
-            targets,
-        );
-        self.write_line(&header);
-
-        // supervision lines: only present in multi-process mode, so the
-        // single-process stream stays byte-identical to older schemas
-        if let Some((requested, spawned)) = self.clamped.take() {
-            self.write_line(&format!(
-                "{{\"type\":\"workers_clamped\",\"requested\":{requested},\"spawned\":{spawned}}}"
-            ));
-        }
-        let mut failures = std::mem::take(&mut self.failures);
-        failures.sort_by_key(|f| (f.worker, f.attempt));
-        // a retried attempt re-ships every unit of the worker's slice
-        let retried = failures.iter().filter(|f| f.will_retry);
-        let unit_retries: usize = retried.map(|f| f.units).sum();
-        for f in failures {
-            self.write_line(&format!(
-                "{{\"type\":\"worker_failed\",\"worker\":{},\"attempt\":{},\"units\":{},\
-                 \"will_retry\":{},\"cause\":\"{}\"}}",
-                f.worker,
-                f.attempt,
-                f.units,
-                f.will_retry,
-                json_escape(&f.cause),
-            ));
-        }
-        for (worker, (w_units, observations)) in std::mem::take(&mut self.workers) {
-            self.write_line(&format!(
-                "{{\"type\":\"worker\",\"worker\":{worker},\"units\":{w_units},\
-                 \"observations\":{observations}}}"
-            ));
-        }
-        if unit_retries > 0 {
-            self.write_line(&format!(
-                "{{\"type\":\"retries\",\"unit_retries\":{unit_retries}}}"
-            ));
-        }
-        if let Some((writes, completed, total)) = self.checkpoints.take() {
-            self.write_line(&format!(
-                "{{\"type\":\"checkpoint\",\"writes\":{writes},\"completed\":{completed},\
-                 \"total\":{total}}}"
-            ));
-        }
-
-        let units = std::mem::take(&mut self.units);
-        let mut totals = Totals::default();
-        for (done, (id, rec)) in units.iter().enumerate() {
-            let probes: BTreeMap<&str, u64> = PROBE_LABELS
-                .iter()
-                .map(|&label| (label, rec.observations))
-                .collect();
-            let line = format!(
-                "{{\"type\":\"unit\",\"vantage\":{},\"chunk\":{},\"traces\":{},\
-                 \"observations\":{},\"probes\":{},\"delivered\":{},\"dropped\":{},\
-                 \"ce_marked\":{},\"ecn_rewritten\":{}}}",
-                id.vantage,
-                id.chunk,
-                rec.traces,
-                rec.observations,
-                counter_object(&probes),
-                rec.delivered,
-                counter_object(&rec.dropped),
-                rec.ce_marked,
-                counter_object(&rec.ecn_rewritten),
-            );
-            self.write_line(&line);
-            totals.add(rec);
-            let done = done + 1;
-            if self.snapshot_every > 0 && done % self.snapshot_every == 0 && done < units.len() {
-                let snap = format!(
-                    "{{\"type\":\"snapshot\",\"units_done\":{},{}}}",
-                    done,
-                    totals.fields(),
-                );
-                self.write_line(&snap);
-            }
-        }
-        let summary = format!(
-            "{{\"type\":\"summary\",\"units\":{},{},\"wall_ms\":{:.3}}}",
-            units.len(),
-            totals.fields(),
-            self.started.elapsed().as_secs_f64() * 1e3,
-        );
-        self.write_line(&summary);
-        if self.err.is_none() {
-            if let Some(w) = &mut self.writer {
-                if let Err(e) = w.flush() {
-                    self.err = Some(e);
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{try_run_engine, CampaignConfig, EngineConfig};
+    use ecn_pool::PoolPlan;
 
     #[test]
     fn counter_object_renders_sorted_pairs() {
@@ -409,39 +242,42 @@ mod tests {
     }
 
     #[test]
-    fn finish_writes_header_units_and_summary() {
-        let mut sub = JsonLinesMetrics::new(Vec::new())
-            .with_header("t", 7)
-            .snapshot_every(1);
-        sub.on_event(&Event::CampaignStarted {
-            vantages: 1,
-            units: 2,
-            targets: 3,
-        });
-        let record = UnitRecord {
-            traces: 1,
-            observations: 3,
-            ..UnitRecord::default()
+    fn writes_header_units_snapshot_summary_and_sample() {
+        let cfg = CampaignConfig {
+            discovery_rounds: 10,
+            traces_per_vantage: Some(1),
+            run_traceroute: false,
+            ..CampaignConfig::quick(7)
         };
-        for chunk in [1, 0] {
-            // out-of-order arrival must not matter
-            let unit = UnitId { vantage: 0, chunk };
-            sub.on_event(&Event::UnitFinished {
-                unit,
-                record: &record,
-            });
-        }
-        sub.finish();
-        let out = String::from_utf8(sub.into_writer().unwrap()).unwrap();
+        let eng = EngineConfig {
+            shards: Some(2),
+            unit_order: crate::UnitOrder::Reversed,
+            sample_traces: 1,
+            ..EngineConfig::default()
+        };
+        let run = try_run_engine(&PoolPlan::scaled(24), &cfg, &eng).unwrap();
+        let mut out = Vec::new();
+        write_metrics(&mut out, "t", 7, &run).unwrap();
+        let out = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 5, "{out}");
+        // header, 13 units with a snapshot after the tenth, the summary
+        // and 13 sampled traces
+        assert_eq!(lines.len(), 1 + 13 + 1 + 1 + 13, "{out}");
         assert!(lines[0].starts_with("{\"type\":\"campaign\",\"scenario\":\"t\",\"seed\":7"));
-        assert!(lines[1].contains("\"chunk\":0"), "canonical order");
-        assert!(lines[2].starts_with("{\"type\":\"snapshot\",\"units_done\":1"));
-        assert!(lines[3].contains("\"chunk\":1"));
-        assert!(lines[4].starts_with("{\"type\":\"summary\",\"units\":2"));
-        assert!(lines[1]
-            .contains("\"probes\":{\"tcp_ecn\":3,\"tcp_plain\":3,\"udp_ect\":3,\"udp_plain\":3}"));
-        assert!(lines[4].contains("\"probes_sent\":24"));
+        assert!(
+            lines[1].contains("\"vantage\":0,\"chunk\":0"),
+            "canonical order"
+        );
+        assert!(lines[11].starts_with("{\"type\":\"snapshot\",\"units_done\":10"));
+        assert!(lines[12].contains("\"vantage\":10,"));
+        assert!(lines[15].starts_with("{\"type\":\"summary\",\"units\":13"));
+        assert!(lines[16].starts_with("{\"type\":\"trace\",\"record\":{"));
+        let observations = run.result.targets.len();
+        assert!(lines[1].contains(&format!(
+            "\"probes\":{{\"tcp_ecn\":{observations},\"tcp_plain\":{observations},\
+             \"udp_ect\":{observations},\"udp_plain\":{observations}}}"
+        )));
+        let probes_sent = 4 * 13 * observations;
+        assert!(lines[15].contains(&format!("\"probes_sent\":{probes_sent}")));
     }
 }

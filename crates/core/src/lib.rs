@@ -28,9 +28,10 @@
 //! simulated substrate for live sockets would not change this crate's
 //! structure.
 //!
-//! Every campaign runs through one entry point,
-//! [`engine::try_run_engine_observed`] (or [`engine::try_run_engine`],
-//! its shorthand for the no-op subscriber). A declarative
+//! Every campaign runs through one entry point, [`engine::try_run_engine`];
+//! the [`engine::EngineRun`] it returns carries the run's unit records,
+//! supervision log and trace sample, and [`events::write_metrics`] renders
+//! them as the `--metrics` stream. A declarative
 //! [`ecn_pool::ScenarioSpec`] lowers to its inputs via
 //! [`scenario_run::campaign_config`] and [`scenario_run::engine_config`]
 //! (the `ecnudp` CLI's path); the paper's fixed experiment is
@@ -68,10 +69,10 @@ pub use campaign::{
 };
 pub use config::{CampaignConfig, ProbeConfig, TracerouteConfig};
 pub use discovery::{discover, discovery_names, Discovery};
-pub use engine::{
-    try_run_engine, try_run_engine_observed, EngineConfig, EngineRun, EngineTiming, UnitOrder,
+pub use engine::{try_run_engine, EngineConfig, EngineRun, EngineTiming, UnitOrder};
+pub use events::{
+    write_metrics, CheckpointWrites, SupervisionLog, UnitId, UnitRecord, WorkerFailure,
 };
-pub use events::{Event, JsonLinesMetrics, Progress, Subscriber, TraceSampler, UnitId, UnitRecord};
 pub use mp::{
     maybe_worker, peak_rss_kb, read_checkpoint, Checkpoint, MpError, MpFailure, WORKER_ARG,
     WORKER_EXE_ENV,

@@ -40,10 +40,11 @@
 //! writes one [`WorkerPayload`] as JSON on stdout: its tree-merged
 //! [`CampaignAggregates`], timing breakdown, peak-RSS gauge, and the
 //! [`UnitRecord`] of every unit it ran ([`WorkerCounters`]). The parent
-//! re-emits those records as [`Event::UnitFinished`], so subscribers see
-//! the same per-unit stream under any process count. Worker stderr is piped
-//! through a line-tagging relay, so concurrent panics surface as
-//! `[worker N] …` lines instead of an unattributable interleaving.
+//! collects those records into [`crate::EngineRun::unit_records`], so a
+//! run carries the same per-unit records under any process count. Worker
+//! stderr is piped through a line-tagging relay, so concurrent panics
+//! surface as `[worker N] …` lines instead of an unattributable
+//! interleaving.
 //!
 //! Workers skip discovery entirely: the parent runs it once and ships
 //! the target list in the request. A worker only needs the blueprint
@@ -92,7 +93,9 @@ use crate::engine::{
     apply_unit_order, per_vantage_schedule, run_unit_pool, EngineConfig, EngineTiming, Ran,
     UnitOrder,
 };
-use crate::events::{Event, Subscriber, UnitId, UnitRecord};
+use crate::events::{
+    CheckpointWrites, Progress, SupervisionLog, UnitId, UnitRecord, WorkerFailure,
+};
 use crate::fault::{FaultPlan, WorkerFault, CRASH_EXIT_CODE, PARENT_EXIT_CODE};
 use crate::reducers::{merge_depth, merge_tree, CampaignAggregates};
 use ecn_pool::{PoolPlan, WorldBlueprint};
@@ -150,30 +153,13 @@ pub struct WorkerRequest {
 }
 
 /// The per-unit records a worker sends home: one [`UnitRecord`] per unit
-/// it ran, sorted by unit — the records its units emitted as
-/// [`Event::UnitFinished`], collected by this type as the worker's
-/// subscriber. The parent re-emits each one, so `--metrics` and
-/// `--progress` read the same under any process count.
+/// it ran, sorted by unit. The parent adds them to the run's
+/// [`crate::EngineRun::unit_records`], so `--metrics` and `--progress`
+/// read the same under any process count.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct WorkerCounters {
     /// `(unit, record)` for every unit the worker ran.
     pub units: Vec<(UnitId, UnitRecord)>,
-}
-
-impl Subscriber for WorkerCounters {
-    fn fork(&self) -> Self {
-        WorkerCounters::default()
-    }
-
-    fn on_event(&mut self, event: &Event<'_>) {
-        if let Event::UnitFinished { unit, record } = event {
-            self.units.push((*unit, (*record).clone()));
-        }
-    }
-
-    fn merge(&mut self, other: Self) {
-        self.units.extend(other.units);
-    }
 }
 
 /// One worker's results, shipped as JSON on its stdout.
@@ -478,6 +464,8 @@ pub(crate) struct Completed {
     /// Aggregates of the completed units, one part per resumed
     /// checkpoint or finished batch, merged only at the end.
     parts: Vec<CampaignAggregates>,
+    /// Checkpoint files written so far.
+    writes: u64,
 }
 
 impl Completed {
@@ -496,6 +484,7 @@ impl Completed {
             total_units,
             units: BTreeSet::new(),
             parts: Vec::new(),
+            writes: 0,
         };
         if let Some(path) = resume {
             let ck = completed.verify(path)?;
@@ -561,13 +550,8 @@ impl Completed {
         self.parts.push(aggregates);
     }
 
-    /// Persist what is complete so far to `path`, when one is set, and
-    /// tell the subscriber.
-    pub(crate) fn checkpoint<S: Subscriber>(
-        &self,
-        path: Option<&Path>,
-        subscriber: &mut S,
-    ) -> Result<(), MpError> {
+    /// Persist what is complete so far to `path`, when one is set.
+    pub(crate) fn checkpoint(&mut self, path: Option<&Path>) -> Result<(), MpError> {
         let Some(path) = path else {
             return Ok(());
         };
@@ -578,13 +562,18 @@ impl Completed {
             merge_tree(self.parts.clone()),
         )?;
         write_checkpoint(path, &ck)?;
-        if S::ENABLED {
-            subscriber.on_event(&Event::CheckpointWritten {
-                completed_units: self.units.len(),
-                total_units: self.total_units,
-            });
-        }
+        self.writes += 1;
         Ok(())
+    }
+
+    /// The checkpoint writes so far, if any: the last one recorded every
+    /// unit completed until now.
+    pub(crate) fn writes(&self) -> Option<CheckpointWrites> {
+        (self.writes > 0).then_some(CheckpointWrites {
+            writes: self.writes,
+            completed: self.units.len(),
+            total: self.total_units,
+        })
     }
 
     /// The campaign's aggregates: every part tree-merged, and how many
@@ -646,7 +635,6 @@ fn run_worker_sabotaged(req: &WorkerRequest, fault: Option<WorkerFault>) -> Work
         shards: req.shards,
         ..EngineConfig::default()
     };
-    let mut counters = WorkerCounters::default();
     let wall0 = Instant::now();
     let pool = run_unit_pool(
         &bp,
@@ -656,9 +644,12 @@ fn run_worker_sabotaged(req: &WorkerRequest, fault: Option<WorkerFault>) -> Work
         chunks,
         &req.cfg,
         &eng,
-        &mut counters,
+        None,
         &mut timing,
     );
+    let mut counters = WorkerCounters {
+        units: pool.unit_records,
+    };
     counters.units.sort_by_key(|&(unit, _)| unit);
     timing.wall = wall0.elapsed();
     if crash_after {
@@ -969,18 +960,18 @@ fn supervise_worker(
 /// worker processes (clamped to the units left): probing in spawned
 /// workers under per-slot supervisors, each payload added to `completed`
 /// (and checkpointed) as it lands, and each worker's unit records
-/// re-emitted as [`Event::UnitFinished`]. `plan` is the churned plan the
-/// engine discovered in; the engine has dropped its blueprint, so the
-/// parent stamps no world while the workers run. Byte-identical to the
-/// in-process engine for any process count, retry schedule, or resume
-/// partition.
-pub(crate) fn run_supervised<S: Subscriber>(
+/// collected with the supervision log into the returned [`Ran`]. `plan`
+/// is the churned plan the engine discovered in; the engine has dropped
+/// its blueprint, so the parent stamps no world while the workers run.
+/// Byte-identical to the in-process engine for any process count, retry
+/// schedule, or resume partition.
+pub(crate) fn run_supervised(
     plan: &PoolPlan,
     cfg: &CampaignConfig,
     eng: &EngineConfig,
     targets: &[Ipv4Addr],
     completed: &mut Completed,
-    subscriber: &mut S,
+    progress: Option<&Progress>,
     timing: &mut EngineTiming,
 ) -> Result<Ran, MpError> {
     let faults = FaultPlan::from_env();
@@ -993,17 +984,13 @@ pub(crate) fn run_supervised<S: Subscriber>(
 
     let requested = eng.processes.max(1);
     let processes = clamped_processes(requested, remaining);
+    let mut supervision = SupervisionLog::default();
     if processes < requested {
         eprintln!(
             "mp: clamping {requested} worker processes to {processes} \
              ({remaining} unit(s) to run)"
         );
-        if S::ENABLED {
-            subscriber.on_event(&Event::WorkersClamped {
-                requested,
-                spawned: processes,
-            });
-        }
+        supervision.clamped = Some((requested, processes));
     }
 
     let mut ran = Ran {
@@ -1011,6 +998,8 @@ pub(crate) fn run_supervised<S: Subscriber>(
         processes: processes.max(1),
         merge_depth: 0,
         worker_peaks: vec![0; processes],
+        unit_records: Vec::new(),
+        supervision,
     };
     if processes == 0 {
         return Ok(ran);
@@ -1074,15 +1063,17 @@ pub(crate) fn run_supervised<S: Subscriber>(
                             "retry budget exhausted"
                         }
                     );
-                    if S::ENABLED {
-                        subscriber.on_event(&Event::WorkerFailed {
-                            worker,
-                            attempt,
-                            units: assignments[worker].len(),
-                            cause: &cause,
-                            will_retry,
-                        });
+                    let units = assignments[worker].len();
+                    if let Some(progress) = progress {
+                        progress.worker_failed(units, will_retry);
                     }
+                    ran.supervision.failures.push(WorkerFailure {
+                        worker,
+                        attempt,
+                        units,
+                        cause,
+                        will_retry,
+                    });
                 }
                 SupMsg::Done { worker, payload } => {
                     pending -= 1;
@@ -1093,23 +1084,20 @@ pub(crate) fn run_supervised<S: Subscriber>(
                     timing.instantiate += payload.timing.instantiate;
                     timing.probe += payload.timing.probe;
                     timing.reduce += payload.timing.reduce;
-                    if S::ENABLED {
-                        let records = &payload.counters.units;
-                        subscriber.on_event(&Event::WorkerFinished {
-                            worker,
-                            units: payload.units,
-                            observations: records.iter().map(|(_, r)| r.observations).sum(),
-                        });
-                        for (unit, record) in records {
-                            subscriber.on_event(&Event::UnitFinished {
-                                unit: *unit,
-                                record,
-                            });
+                    let records = payload.counters.units;
+                    let observations = records.iter().map(|(_, r)| r.observations).sum();
+                    ran.supervision
+                        .workers
+                        .push((worker, payload.units, observations));
+                    if let Some(progress) = progress {
+                        for (_, record) in &records {
+                            progress.unit_done(record.observations);
                         }
                     }
+                    ran.unit_records.extend(records);
                     completed.add(&assignments[worker], payload.aggregates);
                     payloads_merged += 1;
-                    if let Err(e) = completed.checkpoint(eng.checkpoint.as_deref(), subscriber) {
+                    if let Err(e) = completed.checkpoint(eng.checkpoint.as_deref()) {
                         fatal.get_or_insert(e);
                     }
                     if faults.parent_exit_after_payloads == Some(payloads_merged) {
@@ -1125,6 +1113,10 @@ pub(crate) fn run_supervised<S: Subscriber>(
         }
     });
 
+    ran.supervision
+        .failures
+        .sort_by_key(|f| (f.worker, f.attempt));
+    ran.supervision.workers.sort_unstable();
     match fatal {
         Some(error) => Err(error),
         None => Ok(ran),

@@ -4,7 +4,7 @@
 //! This is the bridge the `ecnudp` CLI drives: a spec file describes the
 //! *world and schedule*; [`campaign_config`] and [`engine_config`] turn it
 //! into the `(PoolPlan, CampaignConfig, EngineConfig)` triple
-//! [`crate::engine::try_run_engine_observed`] consumes (the plan is
+//! [`crate::engine::try_run_engine`] consumes (the plan is
 //! [`ecn_pool::ScenarioSpec::plan`]). [`ecn_pool::ScenarioSpec::paper2015`]
 //! lowers to exactly `PoolPlan::paper()`, `CampaignConfig::default()` and
 //! `EngineConfig::default()`, so running the `paper2015` preset is

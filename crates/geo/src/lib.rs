@@ -9,13 +9,12 @@
 
 use rand::rngs::SmallRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::net::Ipv4Addr;
 
 /// Continental regions as reported in Table 1 of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Region {
     /// Africa.
     Africa,
@@ -148,7 +147,7 @@ fn region_anchors(region: Region) -> &'static [(f64, f64)] {
 }
 
 /// One geolocated address.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GeoRecord {
     /// Continental region.
     pub region: Region,
@@ -161,7 +160,7 @@ pub struct GeoRecord {
 }
 
 /// The database: address → record.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct GeoDb {
     records: HashMap<Ipv4Addr, GeoRecord>,
 }

@@ -20,18 +20,17 @@ use crate::loss::{LossModel, LossProcess};
 use crate::queue::{serialisation_delay, QueueDisc, QueueDropCause, QueueState, QueueVerdict};
 use crate::time::Nanos;
 use rand::rngs::SmallRng;
-use serde::{Deserialize, Serialize};
 
 /// Index of a directed link in the simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LinkId(pub u32);
 
 /// Index of a node in the simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 /// Static link properties.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkProps {
     /// One-way propagation delay.
     pub delay: Nanos,

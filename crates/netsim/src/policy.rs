@@ -5,11 +5,10 @@ use crate::prefix::Ipv4Prefix;
 use ecn_wire::{Ecn, IpProto};
 use rand::rngs::SmallRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// What a router does to the ECN field of packets it forwards.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum EcnPolicy {
     /// RFC-compliant: leave the field alone.
     #[default]
@@ -84,7 +83,7 @@ impl EcnPolicy {
 }
 
 /// ECN-codepoint matcher for firewall rules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EcnMatch {
     /// Match every packet.
     Any,
@@ -116,7 +115,7 @@ impl EcnMatch {
 }
 
 /// What a matching firewall rule does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FirewallAction {
     /// Silently discard (what ECT-hostile middleboxes do in practice —
     /// the probe just times out).
@@ -133,7 +132,7 @@ pub enum FirewallAction {
 /// `FirewallRule::drop_ect_udp()`: ECT-marked UDP is discarded while
 /// identical TCP passes — the behaviour §4.4 infers from the weak
 /// UDP/TCP correlation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FirewallRule {
     /// Match only this transport protocol (None = all).
     pub proto: Option<IpProto>,
@@ -202,7 +201,7 @@ impl FirewallRule {
 }
 
 /// An ordered rule chain; first matching rule wins, default allow.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Firewall {
     /// Rules evaluated in order.
     pub rules: Vec<FirewallRule>,

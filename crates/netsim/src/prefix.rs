@@ -4,14 +4,13 @@
 //! router, and as the IP→AS database (`ecn-asdb`). The trie is a plain
 //! binary trie over address bits — small, predictable, and easy to verify.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv4Addr;
 use std::str::FromStr;
 
 /// An IPv4 prefix: address plus mask length, canonicalised so host bits are
 /// zero.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Ipv4Prefix {
     addr: u32,
     len: u8,

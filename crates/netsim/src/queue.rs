@@ -17,10 +17,9 @@
 use crate::time::Nanos;
 use rand::rngs::SmallRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Discipline configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum QueueDisc {
     /// Tail-drop with a byte limit.
     DropTail {

@@ -269,10 +269,6 @@ pub struct WorldBlueprint {
     pub plan: PoolPlan,
     /// The experiment seed.
     pub seed: u64,
-    /// The decided population, in index order.
-    pub profiles: Vec<ServerProfile>,
-    /// Per-server address, in profile index order.
-    pub server_addrs: Vec<Ipv4Addr>,
     /// Geolocation database (Table 1 / Figure 1) — simulator-independent,
     /// shared by reference with every instantiated world.
     pub geodb: Arc<GeoDb>,
@@ -586,10 +582,9 @@ impl WorldBlueprint {
 
         // --- DNS zone ---------------------------------------------------------
         let mut zone: HashMap<String, Vec<Ipv4Addr>> = HashMap::new();
-        let all_addrs: Vec<Ipv4Addr> = server_addrs.clone();
-        zone.insert("pool.ntp.org".into(), all_addrs.clone());
+        zone.insert("pool.ntp.org".into(), server_addrs.clone());
         for i in 0..4 {
-            zone.insert(format!("{i}.pool.ntp.org"), all_addrs.clone());
+            zone.insert(format!("{i}.pool.ntp.org"), server_addrs.clone());
         }
         for (pidx, profile) in profiles.iter().enumerate() {
             if let Some(zone_name) = ecn_geo::region_zone(profile.region) {
@@ -626,11 +621,10 @@ impl WorldBlueprint {
                 }
             }
             profiles
-                .iter()
+                .into_iter()
                 .enumerate()
                 .map(|(pidx, profile)| ServerInfo {
                     addr: server_addrs[pidx],
-                    profile: profile.clone(),
                     node: topo.server_hosts[pidx],
                     as_index: as_index[pidx],
                     flap_marks: matches!(profile.availability, AvailabilityModel::Flapping { .. })
@@ -641,6 +635,7 @@ impl WorldBlueprint {
                                 server_addrs[pidx],
                             ))
                         }),
+                    profile,
                 })
                 .collect()
         };
@@ -648,8 +643,6 @@ impl WorldBlueprint {
         WorldBlueprint {
             plan: plan.clone(),
             seed,
-            profiles,
-            server_addrs,
             geodb: Arc::new(geodb),
             asdb: Arc::new(asdb),
             skeleton: topo.sim.freeze(),
@@ -661,6 +654,12 @@ impl WorldBlueprint {
             node_count,
             link_count,
         }
+    }
+
+    /// The decided server population, in index order: each server's
+    /// address, ground-truth profile and host node.
+    pub fn servers(&self) -> &[ServerInfo] {
+        &self.servers
     }
 
     /// Destination ASes this blueprint decided on.
@@ -1259,7 +1258,7 @@ mod tests {
     #[test]
     fn domain_instantiation_shares_world_but_not_packet_noise() {
         let bp = WorldBlueprint::build(&PoolPlan::scaled(30), 11);
-        let every_server: HashSet<Ipv4Addr> = bp.server_addrs.iter().copied().collect();
+        let every_server: HashSet<Ipv4Addr> = bp.servers().iter().map(|s| s.addr).collect();
         let a = bp.instantiate();
         let b = bp.instantiate_unit_scoped(0, 0, &every_server);
         // identical topology and ground truth
@@ -1279,7 +1278,7 @@ mod tests {
         let bp = WorldBlueprint::build(&PoolPlan::scaled(50), 9);
         let sc = bp.instantiate();
         assert_eq!(bp.geodb.len(), sc.geodb.len());
-        assert_eq!(bp.server_addrs.len(), 50);
+        assert_eq!(bp.servers().len(), 50);
         assert!(bp.dest_as_count() > 0);
         assert_eq!(bp.dest_as_count(), sc.truth.dest_as_count);
     }

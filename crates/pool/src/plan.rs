@@ -4,12 +4,7 @@
 
 use ecn_netsim::Nanos;
 use ecn_stack::EcnMode;
-use ecn_wire::NtpPacket;
 use serde::{Deserialize, Serialize};
-
-// keep the import list honest: NtpPacket is only used in doc examples
-#[allow(unused_imports)]
-use ecn_wire as _;
 
 /// Scenario-wide knobs. `PoolPlan::paper()` reproduces the paper's scale;
 /// `PoolPlan::scaled(n)` shrinks everything proportionally for tests.
@@ -226,7 +221,7 @@ impl PoolPlan {
 }
 
 /// Middlebox/oddity behaviour attached to one server's access path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpecialBehaviour {
     /// Nothing unusual.
     None,
@@ -273,12 +268,6 @@ pub struct ServerProfile {
     /// Access-chain length in routers (1–4; calibrates §4.2 hop counts).
     pub access_chain_len: usize,
 }
-
-/// Sanity bound used in tests: a valid NTP response is at least this long.
-pub const MIN_NTP_RESPONSE: usize = ecn_wire::NTP_PACKET_LEN;
-
-/// Suppress the unused-import lint for the doc-only import above.
-const _: fn(&[u8]) -> Result<NtpPacket, ecn_wire::WireError> = NtpPacket::decode;
 
 #[cfg(test)]
 mod tests {

@@ -3,11 +3,10 @@
 
 use ecn_geo::Region;
 use ecn_netsim::{LossModel, Nanos};
-use serde::{Deserialize, Serialize};
 
 /// Which collection batch(es) a vantage participates in (§3: homes and
 /// UGla wireless in April/May 2015; everything incl. EC2 in July/August).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceAllocation {
     /// Traces collected in the April/May batch.
     pub batch1: usize,

@@ -29,7 +29,7 @@ pub const MAX_RETRIES: u32 = 5;
 pub const RECV_WINDOW: u16 = 65_535;
 
 /// Connection endpoint state (RFC 793 names).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TcpState {
     /// Client: SYN sent, waiting for SYN-ACK.
     SynSent,

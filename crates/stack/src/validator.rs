@@ -38,7 +38,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Validation controller parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ValidatorParams {
     /// Packets marked ECT during the testing phase (s2n-quic tests the
     /// first 10).
@@ -60,7 +60,7 @@ impl Default for ValidatorParams {
 }
 
 /// Controller state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ValidatorState {
     /// Marking packets ECT and watching feedback.
     Testing,
@@ -74,7 +74,7 @@ pub enum ValidatorState {
 }
 
 /// Why validation failed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FailureKind {
     /// A mark was cleared to not-ECT on path (bleaching).
     Bleached,

@@ -3,7 +3,6 @@
 use crate::checksum::{finish, sum_words};
 use crate::ecn::{Dscp, Ecn};
 use crate::error::WireError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -11,7 +10,7 @@ use std::net::Ipv4Addr;
 pub const IPV4_HEADER_LEN: usize = 20;
 
 /// IP protocol numbers used by the study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IpProto {
     /// 1 — ICMP.
     Icmp,

@@ -19,12 +19,12 @@
 //! stderr, so `ecnudp run ... > report.txt` captures a clean artefact.
 
 use ecnudp::core::{
-    campaign_config, engine_config, try_run_engine, try_run_engine_observed, EngineConfig,
-    FullReport, JsonLinesMetrics, MpError, Progress, RunSummary, TraceSampler,
+    campaign_config, engine_config, try_run_engine, write_metrics, EngineConfig, FullReport,
+    MpError, RunSummary,
 };
 use ecnudp::pool::ScenarioSpec;
 use std::fs::File;
-use std::io::Write as _;
+use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
@@ -346,11 +346,11 @@ fn describe(spec: &ScenarioSpec) -> String {
     )
 }
 
-/// Lower the spec plus the CLI's concurrency and supervision flags into
-/// the engine configuration. `--resume` doubles as the checkpoint sink so
-/// an interrupted resume can itself be resumed, unless `--checkpoint`
-/// names another file.
-fn build_engine_config(spec: &ScenarioSpec, args: &Args) -> EngineConfig {
+/// Lower the spec plus the CLI's concurrency, supervision and
+/// observation flags into the engine configuration. `--resume` doubles as
+/// the checkpoint sink so an interrupted resume can itself be resumed,
+/// unless `--checkpoint` names another file.
+fn build_engine_config(spec: &ScenarioSpec, args: &Args, sample_traces: usize) -> EngineConfig {
     let mut eng = engine_config(spec);
     eng.shards = args.shards;
     eng.processes = args.processes;
@@ -364,6 +364,8 @@ fn build_engine_config(spec: &ScenarioSpec, args: &Args) -> EngineConfig {
         .or(args.resume.as_ref())
         .map(Into::into);
     eng.resume = args.resume.as_ref().map(Into::into);
+    eng.sample_traces = sample_traces;
+    eng.progress = args.progress;
     eng
 }
 
@@ -371,10 +373,10 @@ fn cmd_run(args: &Args) -> Result<(), CliError> {
     let spec = load_spec(args)?;
     let sample_traces = sample_traces(args)?;
     eprintln!("{}", describe(&spec));
-    let eng = build_engine_config(&spec, args);
+    let eng = build_engine_config(&spec, args, sample_traces);
     // Refuse every conflict before opening anything: a refused run must
     // leave the user's files as they were.
-    if (eng.processes > 1 || eng.resume.is_some()) && sample_traces > 0 {
+    if (eng.processes > 1 || eng.resume.is_some()) && eng.sample_traces > 0 {
         return Err(CliError::from(
             "--sample-traces keeps raw trace records, which do not cross the \
              worker-process boundary and are not in a checkpoint; drop it, or \
@@ -385,34 +387,15 @@ fn cmd_run(args: &Args) -> Result<(), CliError> {
     metrics_apart_from_run_files(args)?;
     // Open the metrics sink before the campaign so a bad path fails fast.
     let metrics_file = args.metrics.as_deref().map(open_metrics).transpose()?;
-    let observed = metrics_file.is_some() || args.progress;
-    let plan = spec.plan();
-    let cfg = campaign_config(&spec);
-    let (run, subscriber) = if observed {
-        let metrics =
-            metrics_file.map(|f| JsonLinesMetrics::new(f).with_header(&spec.name, spec.seed));
-        let progress = args.progress.then(Progress::new);
-        let sampler = (sample_traces > 0).then(|| TraceSampler::new(sample_traces));
-        let (run, sub) = try_run_engine_observed(&plan, &cfg, &eng, (metrics, (progress, sampler)))
-            .map_err(CliError::campaign)?;
-        (run, Some(sub))
-    } else {
-        // the zero-cost path: Subscriber = () compiles the hooks away
-        let run = try_run_engine(&plan, &cfg, &eng).map_err(CliError::campaign)?;
-        (run, None)
-    };
-    if let (Some(path), Some((Some(m), (_progress, sampler)))) = (&args.metrics, subscriber) {
-        let write_err = |e| format!("cannot write metrics file `{path}`: {e}");
-        let mut sink = m.into_writer().map_err(write_err)?;
-        let sampled = sampler.as_ref().map_or(0, |s| s.records().len());
-        if let Some(s) = &sampler {
-            for rec in s.records() {
-                let json = serde_json::to_string(rec).map_err(|e| e.to_string())?;
-                writeln!(sink, "{{\"type\":\"trace\",\"record\":{json}}}").map_err(write_err)?;
-            }
-            sink.flush().map_err(write_err)?;
-        }
-        eprintln!("metrics: {path} ({sampled} sampled trace records)");
+    let run =
+        try_run_engine(&spec.plan(), &campaign_config(&spec), &eng).map_err(CliError::campaign)?;
+    if let (Some(path), Some(file)) = (&args.metrics, metrics_file) {
+        write_metrics(BufWriter::new(file), &spec.name, spec.seed, &run)
+            .map_err(|e| format!("cannot write metrics file `{path}`: {e}"))?;
+        eprintln!(
+            "metrics: {path} ({} sampled trace records)",
+            run.result.traces.len()
+        );
     }
     let report = FullReport::from_campaign(&run.result);
     eprintln!(

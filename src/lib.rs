@@ -10,16 +10,17 @@
 //! use ecnudp::pool::PoolPlan;
 //!
 //! // One blueprint, many shards, byte-identical for any shard count.
-//! // The report renders from streamed aggregates: the engine keeps no raw
-//! // TraceRecords (subscribe a `TraceSampler` to export them).
-//! let run = try_run_engine(
-//!     &PoolPlan::paper(),
-//!     &CampaignConfig::default(),
-//!     &EngineConfig::default(),
-//! )
-//! .expect("an in-process campaign cannot fail");
+//! // The report renders from streamed aggregates: the engine keeps raw
+//! // TraceRecords only as a 1-in-N sample, here one trace in eight.
+//! let eng = EngineConfig {
+//!     sample_traces: 8,
+//!     ..EngineConfig::default()
+//! };
+//! let run = try_run_engine(&PoolPlan::paper(), &CampaignConfig::default(), &eng)
+//!     .expect("an in-process campaign cannot fail");
 //! let report = FullReport::from_campaign(&run.result);
 //! println!("{}", report.render());
+//! eprintln!("{} sampled traces", run.result.traces.len());
 //! eprintln!("{}", run.timing.render());
 //! ```
 //!

@@ -2,17 +2,14 @@
 //! analysis) at test scale, determinism, dataset serialisation, and
 //! internal consistency of every analysis artefact. Raw records come
 //! from the naive one-unit-at-a-time reference campaign
-//! (`crates/core/tests/util/naive.rs`) or, from the engine, through the
-//! `TraceSampler` subscriber.
+//! (`crates/core/tests/util/naive.rs`) or, from the engine, as its
+//! `EngineConfig::sample_traces` sample.
 
 #[path = "../crates/core/tests/util/naive.rs"]
 mod naive;
 
 use ecnudp::core::analysis::{table1, FullReport};
-use ecnudp::core::{
-    try_run_engine, try_run_engine_observed, CampaignConfig, CampaignResult, EngineConfig,
-    TraceSampler, UnitOrder,
-};
+use ecnudp::core::{try_run_engine, CampaignConfig, CampaignResult, EngineConfig, UnitOrder};
 use ecnudp::pool::PoolPlan;
 use naive::{figure2, figure3, figure4, figure5, naive_campaign, naive_report, table2};
 
@@ -222,8 +219,8 @@ fn engine_results_are_invariant_to_shards_and_stealing_order() {
     // The old sequential/parallel runner pair agreed only statistically;
     // the engine's shard count and unit scheduling order are pure
     // concurrency knobs, so the agreement is now *byte-for-byte*. Raw
-    // records come through the subscriber stream: a 1-in-1 sampler keeps
-    // every one.
+    // records come from the engine's sample: a 1-in-1 sample keeps every
+    // one.
     let plan = PoolPlan::scaled(40);
     let cfg = CampaignConfig {
         discovery_rounds: 25,
@@ -231,30 +228,32 @@ fn engine_results_are_invariant_to_shards_and_stealing_order() {
         run_traceroute: false,
         ..CampaignConfig::quick(11)
     };
-    let observe = |eng: &EngineConfig| {
-        let (run, sampler) = try_run_engine_observed(&plan, &cfg, eng, TraceSampler::new(1))
-            .expect("in-process campaign");
-        (run, sampler.into_records())
+    let observe = |eng: EngineConfig| {
+        let eng = EngineConfig {
+            sample_traces: 1,
+            ..eng
+        };
+        try_run_engine(&plan, &cfg, &eng).expect("in-process campaign")
     };
-    let (seq, seq_traces) = observe(&EngineConfig::with_shards(1));
-    let (par, par_traces) = observe(&EngineConfig {
+    let seq = observe(EngineConfig::with_shards(1));
+    let par = observe(EngineConfig {
         shards: Some(5),
         unit_order: UnitOrder::Shuffled(99),
         ..EngineConfig::default()
     });
     assert_eq!(seq.units, par.units, "unit pool is shard-independent");
     assert_eq!(seq.result.targets, par.result.targets);
-    assert_eq!(seq_traces.len(), 2 * 13);
+    assert_eq!(seq.result.traces.len(), 2 * 13);
     assert_eq!(
-        serde_json::to_string(&seq_traces).expect("serialise"),
-        serde_json::to_string(&par_traces).expect("serialise"),
+        serde_json::to_string(&seq.result.traces).expect("serialise"),
+        serde_json::to_string(&par.result.traces).expect("serialise"),
         "raw trace records identical under work stealing"
     );
     assert_eq!(
         seq.result.aggregates, par.result.aggregates,
         "streamed aggregates identical under work stealing"
     );
-    let f3s = figure3(&seq_traces);
-    let f3p = figure3(&par_traces);
+    let f3s = figure3(&seq.result.traces);
+    let f3p = figure3(&par.result.traces);
     assert_eq!(f3s.persistent_a, f3p.persistent_a, "same blackholes found");
 }

@@ -1,20 +1,21 @@
-//! The event-stream gates: the typed `Subscriber` layer must be pure
-//! observation, and its exports must be deterministic.
+//! The observation gates: what a run observes must not perturb it, and
+//! its exports must be deterministic.
 //!
-//! - **Invisibility**: running the engine with `Subscriber = ()` — or with
-//!   a real metrics subscriber attached — renders byte-for-byte the same
-//!   `FullReport` as the unobserved engine, for every shard count and
-//!   work-stealing order (the probe loop takes no subscriber at all;
-//!   its allocations are budgeted in
+//! - **Invisibility**: a run that samples traces and meters progress
+//!   (`EngineConfig::{sample_traces, progress}`) renders byte-for-byte
+//!   the same `FullReport` as the unobserved engine, for every shard
+//!   count and unit order (the probe loop's allocations are budgeted in
 //!   `crates/bench/tests/alloc_regression.rs`).
-//! - **Stream determinism**: the JSON-lines metrics stream is
-//!   byte-identical for any shard count once the summary's `wall_ms` —
-//!   its only wall-clock field — is normalized away (and for any process
-//!   count, apart from the supervision lines: `tests/cli_flags.rs`).
-//! - **Sampler equivalence** (property): `TraceSampler` at rate 1-in-N
-//!   retains *exactly* the hash-selected subset of the records the naive
-//!   one-unit-at-a-time reference campaign keeps
-//!   (`crates/core/tests/util/naive.rs`), byte-equal and shard-invariant.
+//! - **Stream determinism**: the JSON-lines metrics stream `write_metrics`
+//!   renders from a finished run is byte-identical for any shard count
+//!   once the summary's `wall_ms` — its only wall-clock field — is
+//!   normalized away (and for any process count, apart from the
+//!   supervision lines: `tests/cli_flags.rs`).
+//! - **Sampler equivalence** (property): `EngineConfig::sample_traces` at
+//!   rate 1-in-N returns in `CampaignResult::traces` *exactly* the
+//!   hash-selected subset of the records the naive one-unit-at-a-time
+//!   reference campaign keeps (`crates/core/tests/util/naive.rs`),
+//!   byte-equal and shard-invariant.
 //! - **Golden**: the `paper2015-mini` metrics stream is pinned under
 //!   `tests/golden/` (regenerate with `ECNUDP_BLESS=1`).
 //! - **CLI**: an unwritable `--metrics` path fails fast — before the
@@ -26,9 +27,10 @@ mod golden;
 #[path = "../crates/core/tests/util/naive.rs"]
 mod naive;
 
+use ecnudp::core::events::selects;
 use ecnudp::core::{
-    campaign_config, engine_config, try_run_engine, try_run_engine_observed, CampaignConfig,
-    EngineConfig, FullReport, JsonLinesMetrics, TraceRecord, TraceSampler, UnitOrder,
+    campaign_config, engine_config, try_run_engine, write_metrics, CampaignConfig, EngineConfig,
+    EngineRun, FullReport, TraceRecord, UnitOrder,
 };
 use ecnudp::pool::{PoolPlan, ScenarioSpec};
 use golden::check_golden;
@@ -76,10 +78,17 @@ fn normalize_wall_ms(stream: &str) -> String {
         + "\n"
 }
 
+/// The metrics stream `write_metrics` renders from `run`, as a string.
+fn metrics_stream(scenario: &str, seed: u64, run: &EngineRun) -> String {
+    let mut out = Vec::new();
+    write_metrics(&mut out, scenario, seed, run).expect("write to a Vec");
+    String::from_utf8(out).unwrap()
+}
+
 // ------------------------------------------------------------ invisibility
 
 #[test]
-fn noop_subscriber_renders_the_exact_unobserved_report() {
+fn observed_runs_render_the_exact_unobserved_report() {
     let baseline = baseline_report();
     let plan = PoolPlan::scaled(40);
     let cfg = mini_cfg(2015);
@@ -95,13 +104,16 @@ fn noop_subscriber_renders_the_exact_unobserved_report() {
         let eng = EngineConfig {
             shards: Some(shards),
             unit_order,
+            sample_traces: 2,
+            progress: true,
             ..EngineConfig::default()
         };
-        let (run, ()) = try_run_engine_observed(&plan, &cfg, &eng, ()).expect("campaign");
+        let run = try_run_engine(&plan, &cfg, &eng).expect("campaign");
+        assert!(!run.result.traces.is_empty(), "the sample is kept");
         assert_eq!(
             *baseline,
             FullReport::from_campaign(&run.result).render(),
-            "Subscriber = () leaked into the result \
+            "observation leaked into the result \
              (shards={shards}, order={unit_order:?})"
         );
     }
@@ -113,27 +125,21 @@ fn metrics_stream_is_byte_identical_for_any_shard_count() {
     let cfg = mini_cfg(2015);
     let mut streams: Vec<String> = Vec::new();
     for shards in [1usize, 4, 13] {
-        let sub = JsonLinesMetrics::new(Vec::new())
-            .with_header("mini", 2015)
-            .snapshot_every(5);
-        let (run, sub) = try_run_engine_observed(
+        let run = try_run_engine(
             &plan,
             &cfg,
             &EngineConfig {
                 shards: Some(shards),
                 ..EngineConfig::default()
             },
-            sub,
         )
         .expect("campaign");
-        // a *real* subscriber is just as invisible as `()`
         assert_eq!(
             *baseline_report(),
             FullReport::from_campaign(&run.result).render(),
-            "metrics subscriber leaked into the result (shards={shards})"
+            "the report moved with the shard count (shards={shards})"
         );
-        let raw = String::from_utf8(sub.into_writer().expect("no io error")).unwrap();
-        streams.push(normalize_wall_ms(&raw));
+        streams.push(normalize_wall_ms(&metrics_stream("mini", 2015, &run)));
     }
     assert_eq!(streams[0], streams[1], "shards=1 vs shards=4");
     assert_eq!(streams[0], streams[2], "shards=1 vs shards=13");
@@ -153,8 +159,8 @@ fn metrics_stream_is_byte_identical_for_any_shard_count() {
             .iter()
             .filter(|l| l.contains("\"type\":\"snapshot\""))
             .count(),
-        2,
-        "cumulative snapshots every 5 of 13 units"
+        1,
+        "a cumulative snapshot every 10 of 13 units"
     );
     assert!(lines.last().unwrap().starts_with("{\"type\":\"summary\""));
 }
@@ -205,7 +211,7 @@ fn expected_sample(every: usize) -> Vec<String> {
             let idx = seen.entry(rec.vantage_key.as_str()).or_insert(0);
             let trace_index = *idx;
             *idx += 1;
-            TraceSampler::selects(every, &rec.vantage_key, trace_index)
+            selects(every, &rec.vantage_key, trace_index)
                 .then(|| serde_json::to_string(rec).unwrap())
         })
         .collect()
@@ -231,15 +237,14 @@ proptest! {
         shards in 1usize..=5,
         order_seed in 0u64..1_000,
     ) {
-        let (_, sampler) = try_run_engine_observed(
-            &PoolPlan::scaled(24),
-            &sampler_cfg(),
-            &sampler_eng(shards, order_seed),
-            TraceSampler::new(every),
-        )
-        .expect("campaign");
-        let got: Vec<String> = sampler
-            .records()
+        let eng = EngineConfig {
+            sample_traces: every,
+            ..sampler_eng(shards, order_seed)
+        };
+        let run = try_run_engine(&PoolPlan::scaled(24), &sampler_cfg(), &eng).expect("campaign");
+        let got: Vec<String> = run
+            .result
+            .traces
             .iter()
             .map(|rec| serde_json::to_string(rec).unwrap())
             .collect();
@@ -257,15 +262,14 @@ proptest! {
 fn sampler_at_rate_one_is_keeping_traces() {
     // the degenerate case, pinned outside proptest: 1-in-1 sampling IS
     // the full reference record set, bytes and order
-    let (_, sampler) = try_run_engine_observed(
-        &PoolPlan::scaled(24),
-        &sampler_cfg(),
-        &sampler_eng(3, 42),
-        TraceSampler::new(1),
-    )
-    .expect("campaign");
-    let got: Vec<String> = sampler
-        .records()
+    let eng = EngineConfig {
+        sample_traces: 1,
+        ..sampler_eng(3, 42)
+    };
+    let run = try_run_engine(&PoolPlan::scaled(24), &sampler_cfg(), &eng).expect("campaign");
+    let got: Vec<String> = run
+        .result
+        .traces
         .iter()
         .map(|rec| serde_json::to_string(rec).unwrap())
         .collect();
@@ -279,15 +283,12 @@ fn sampler_at_rate_one_is_keeping_traces() {
 fn paper2015_mini_metrics_stream_matches_golden() {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("scenarios/paper2015-mini.toml");
     let spec = ScenarioSpec::from_toml_str(&std::fs::read_to_string(path).unwrap()).unwrap();
-    // the default snapshot cadence (10 units), as `ecnudp run --metrics`
-    let sub = JsonLinesMetrics::new(Vec::new()).with_header(&spec.name, spec.seed);
     let eng = EngineConfig {
         shards: Some(3),
         ..engine_config(&spec)
     };
-    let (_, sub) =
-        try_run_engine_observed(&spec.plan(), &campaign_config(&spec), &eng, sub).expect("run");
-    let raw = String::from_utf8(sub.into_writer().expect("no io error")).unwrap();
+    let run = try_run_engine(&spec.plan(), &campaign_config(&spec), &eng).expect("run");
+    let raw = metrics_stream(&spec.name, spec.seed, &run);
     check_golden("metrics_paper2015_mini", &normalize_wall_ms(&raw));
 }
 
